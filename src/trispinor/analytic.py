@@ -10,8 +10,8 @@ from itertools import combinations
 import numpy as np
 
 from .gauss import GaussScalar
-from .sequences import SeqParams
-from .spinors import Spinor, trib_spinor
+from .sequences import SeqParams, seq_slice
+from .spinors import Spinor, spinor_window
 
 Rational = Fraction | int
 
@@ -165,9 +165,8 @@ def genfunc_numerator(p: SeqParams) -> tuple[Spinor, Spinor, Spinor]:
     The coefficients are A(0), A(1) - r*A(0), A(2) - r*A(1) - s*A(0), where
     A(n) is the exact spinor of index n.
     """
-    a0 = trib_spinor(p, 0)
-    a1 = trib_spinor(p, 1)
-    a2 = trib_spinor(p, 2)
+    v = seq_slice(p, 0, 6)
+    a0, a1, a2 = (spinor_window(v, k) for k in range(3))
     return (a0, a1 - p.r * a0, a2 - p.r * a1 - p.s * a0)
 
 

@@ -19,6 +19,7 @@ from .identities import (
     IdentityId,
     Status,
     VerificationReport,
+    check_tolerance,
     run_identity,
     run_suite,
 )
@@ -203,10 +204,11 @@ def _cmd_binet(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
     if args.index < 0:
         raise CliError("index must be nonnegative")
+    check_tolerance(args.tol)
     try:
         c1, c2 = binet_spinor(p, args.index)
-    except DegenerateRoots as exc:
-        raise CliError(f"DegenerateRoots: {exc}") from None
+    except (DegenerateRoots, OverflowError) as exc:
+        raise CliError(f"{type(exc).__name__}: {exc}") from None
     if args.json:
         out.write(render_json({
             "c1": {"re": c1.real, "im": c1.imag},

@@ -6,23 +6,38 @@ evaluation (direct recurrence iteration, running sums, Hamilton products) and
 returns a structured report. Checks over exact values demand exact equality;
 a failing check carries a counterexample witness that can be replayed through
 the public operations.
+
+Adding an identity takes one generator and its registration: add a member to
+IdentityId and decorate the generator with ``@_register(member)``. The
+generator raises its preconditions before its first yield, yields a
+Comparison per checked equation and may return a note for the passing report.
+The decorator turns it into the public ``verify_*`` function, whose runner
+validates arguments and reports the first mismatch; ``run_identity`` looks
+the check up in the registry.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, Iterator, NamedTuple
 
 from .analytic import DegenerateRoots, binet_spinor, cubic_roots, genfunc_spinor_series
 from .gauss import GaussScalar, I
 from .quaternions import (
     DegenerateDelta,
     Quaternion,
+    k_window,
     qmul,
     qnorm,
     quat_u_decomposition,
+    quat_window,
     qv_matrix,
     qv_right_multiply,
     summation_correction,
@@ -38,6 +53,7 @@ from .spinors import (
     mate,
     sigma,
     spinor_dot,
+    spinor_window,
 )
 
 
@@ -87,68 +103,116 @@ class VerificationReport:
     note: str = ""
 
 
+class Comparison(NamedTuple):
+    """One checked equation lhs == rhs at index n.
+
+    A witness prefixes lhs with label and rhs with rhs_label; note becomes the
+    report's note when this comparison fails, and is called first if it is a
+    function, so that costly text is only built for a failure. ok, when
+    given, is the verdict of a comparison that is not exact equality.
+    """
+
+    n: int
+    lhs: object
+    rhs: object
+    label: str = ""
+    rhs_label: str = ""
+    note: str | Callable[[], str] = ""
+    ok: bool | None = None
+
+
 def random_params(rng: random.Random, lo: int = -5, hi: int = 5) -> SeqParams:
     """Integer parameter set drawn uniformly from [lo, hi]^6."""
     return SeqParams(*(rng.randint(lo, hi) for _ in range(6)))
 
 
-def _spinor_at(v: list[Fraction], n: int) -> Spinor:
-    # Spinor of the window starting at n, read off a prefetched term list.
-    return Spinor(GaussScalar(v[n + 3], v[n]), GaussScalar(v[n + 1], v[n + 2]))
+def check_tolerance(tol: float) -> None:
+    """Reject a tolerance that is not a finite number above zero."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
 
 
-def _quat_at(v: list[Fraction], n: int) -> Quaternion:
-    return Quaternion(v[n], v[n + 1], v[n + 2], v[n + 3])
+def _validate(args: dict, least: int = 0) -> None:
+    if args.get("nmax", least) < least:
+        raise ValueError(f"nmax must be at least {least}" if least
+                         else "nmax must be nonnegative")
+    if "tol" in args:
+        check_tolerance(args["tol"])
+    if args.get("trials", 1) < 1:
+        raise ValueError("trials must be at least 1")
 
 
-def _pass(identity: IdentityId, p: SeqParams | None, span: tuple[int, int],
-          note: str = "") -> VerificationReport:
-    return VerificationReport(identity, p, span, Status.EXACT_PASS, note=note)
+def _run(identity: IdentityId, checks: Iterator[Comparison], p: SeqParams | None,
+         span: tuple[int, int], passed: Status) -> VerificationReport:
+    """The runner: drive a check to its first mismatch, or to its end and its note."""
+    while True:
+        try:
+            c = next(checks)
+        except StopIteration as done:
+            return VerificationReport(identity, p, span, passed, note=done.value or "")
+        if (c.lhs != c.rhs) if c.ok is None else not c.ok:
+            witness = Witness(c.n, f"{c.label}{c.lhs}", f"{c.rhs_label}{c.rhs}")
+            note = c.note if isinstance(c.note, str) else c.note()
+            return VerificationReport(identity, p, span, Status.FAIL, witness, note)
 
 
-def _fail(identity: IdentityId, p: SeqParams | None, span: tuple[int, int],
-          n: int, lhs: object, rhs: object, note: str = "") -> VerificationReport:
-    return VerificationReport(
-        identity, p, span, Status.FAIL,
-        witness=Witness(n, str(lhs), str(rhs)), note=note,
-    )
+# IdentityId -> (verify function, smallest nmax it accepts, largest nmax
+# run_identity passes to it)
+_REGISTRY: dict[IdentityId, tuple[Callable[..., VerificationReport], int, float]] = {}
 
 
-def verify_spinor_recurrence(p: SeqParams, nmax: int) -> VerificationReport:
+def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
+              passed: Status = Status.EXACT_PASS):
+    """Register a comparison generator as the check of `identity` and return
+    it bound to the runner, as the public verify function."""
+    def register(gen: Callable[..., Iterator[Comparison]]):
+        signature = inspect.signature(gen)
+
+        @functools.wraps(gen)
+        def verify(*args, **kwargs) -> VerificationReport:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            a = bound.arguments
+            _validate(a, least)
+            span = (0, a["trials"] - 1) if "trials" in a else (0, a["nmax"])
+            return _run(identity, gen(**a), a.get("p"), span, passed)
+
+        verify.__signature__ = signature.replace(return_annotation="VerificationReport")
+        _REGISTRY[identity] = (verify, least, cap)
+        return verify
+    return register
+
+
+@_register(IdentityId.SPINOR_RECURRENCE, least=3)
+def verify_spinor_recurrence(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """A(n+3) = r*A(n+2) + s*A(n+1) + t*A(n), exact, for all windows up to nmax."""
-    ident = IdentityId.SPINOR_RECURRENCE
-    if nmax < 3:
-        raise ValueError("nmax must be at least 3")
     v = seq_slice(p, 0, nmax + 4)
     for n in range(nmax - 2):
-        lhs = _spinor_at(v, n + 3)
-        rhs = (p.r * _spinor_at(v, n + 2)
-               + p.s * _spinor_at(v, n + 1)
-               + p.t * _spinor_at(v, n))
-        if lhs != rhs:
-            return _fail(ident, p, (0, nmax), n, lhs, rhs)
-    return _pass(ident, p, (0, nmax))
+        yield Comparison(n, spinor_window(v, n + 3),
+                         p.r * spinor_window(v, n + 2)
+                         + p.s * spinor_window(v, n + 1)
+                         + p.t * spinor_window(v, n))
 
 
-def verify_conjugate_relations(p: SeqParams, nmax: int) -> VerificationReport:
+@_register(IdentityId.CONJUGATE_RELATIONS)
+def verify_conjugate_relations(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """The three conjugation operators interlock: C @ mate = conjugate,
     i * cartan = mate, i * (C @ cartan) = conjugate."""
-    ident = IdentityId.CONJUGATE_RELATIONS
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     v = seq_slice(p, 0, nmax + 4)
     for n in range(nmax + 1):
-        a = _spinor_at(v, n)
+        a = spinor_window(v, n)
         conj = complex_conjugate(a)
-        relations = (
-            ("C@mate", C @ mate(a), conj),
-            ("i*cartan", I * cartan_conjugate(a), mate(a)),
-            ("i*C@cartan", I * (C @ cartan_conjugate(a)), conj),
-        )
-        for label, lhs, rhs in relations:
-            if lhs != rhs:
-                return _fail(ident, p, (0, nmax), n, f"{label}: {lhs}", rhs)
-    return _pass(ident, p, (0, nmax))
+        yield Comparison(n, C @ mate(a), conj, "C@mate: ")
+        yield Comparison(n, I * cartan_conjugate(a), mate(a), "i*cartan: ")
+        yield Comparison(n, I * (C @ cartan_conjugate(a)), conj, "i*C@cartan: ")
+
+
+def _norm_forms(a: Spinor) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
+    return (
+        spinor_dot(complex_conjugate(a), a),
+        -bilinear_form(mate(a), C, a),
+        (-I) * bilinear_form(cartan_conjugate(a), C, a),
+    )
 
 
 def norm_forms(p: SeqParams, n: int) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
@@ -157,44 +221,27 @@ def norm_forms(p: SeqParams, n: int) -> tuple[GaussScalar, GaussScalar, GaussSca
     C.transpose() equals -C, so pairing through C with a leading minus is the
     sign that makes the mate/cartan forms match the conjugate pairing.
     """
-    v = seq_slice(p, n, 4)
-    a = Spinor(GaussScalar(v[3], v[0]), GaussScalar(v[1], v[2]))
-    return (
-        spinor_dot(complex_conjugate(a), a),
-        -bilinear_form(mate(a), C, a),
-        (-I) * bilinear_form(cartan_conjugate(a), C, a),
-    )
+    return _norm_forms(spinor_window(seq_slice(p, n, 4)))
 
 
-def verify_norm_equality(p: SeqParams, nmax: int) -> VerificationReport:
+@_register(IdentityId.NORM_EQUALITY)
+def verify_norm_equality(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """All three spinor norm forms equal the quaternion norm
     V(n)^2 + V(n+1)^2 + V(n+2)^2 + V(n+3)^2, exactly."""
-    ident = IdentityId.NORM_EQUALITY
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     v = seq_slice(p, 0, nmax + 4)
     for n in range(nmax + 1):
-        a = _spinor_at(v, n)
-        target = GaussScalar(qnorm(_quat_at(v, n)))
-        forms = (
-            ("conjugate pairing", spinor_dot(complex_conjugate(a), a)),
-            ("mate pairing", -bilinear_form(mate(a), C, a)),
-            ("cartan pairing", (-I) * bilinear_form(cartan_conjugate(a), C, a)),
-        )
-        for label, value in forms:
-            if value != target:
-                return _fail(ident, p, (0, nmax), n, f"{label}: {value}", target)
-    return _pass(ident, p, (0, nmax))
+        forms = _norm_forms(spinor_window(v, n))
+        target = GaussScalar(qnorm(quat_window(v, n)))
+        for label, value in zip(("conjugate pairing: ", "mate pairing: ",
+                                 "cartan pairing: "), forms):
+            yield Comparison(n, value, target, label)
 
 
-def verify_binet(p: SeqParams, nmax: int, tol: float = 1e-9) -> VerificationReport:
+# Float error grows with the dominant root's power: run_identity caps the range.
+@_register(IdentityId.BINET_AGREEMENT, cap=30, passed=Status.TOLERED_PASS)
+def verify_binet(p: SeqParams, nmax: int, tol: float = 1e-9) -> Iterator[Comparison]:
     """Root-based closed form reproduces the exact spinors within a relative
     tolerance; raises DegenerateRoots for (nearly) repeated roots."""
-    ident = IdentityId.BINET_AGREEMENT
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     roots = cubic_roots(p.r, p.s, p.t)
     if not roots.discriminant_ok:
         raise DegenerateRoots("repeated characteristic roots")
@@ -203,36 +250,26 @@ def verify_binet(p: SeqParams, nmax: int, tol: float = 1e-9) -> VerificationRepo
     worst_n = 0
     for n in range(nmax + 1):
         approx = binet_spinor(p, n, roots)
-        exact = _spinor_at(v, n)
+        exact = spinor_window(v, n)
         for got, want in zip(approx, (exact.c1, exact.c2)):
             want_c = want.to_complex()
             err = abs(got - want_c) / max(1.0, abs(want_c))
             if err > worst:
                 worst, worst_n = err, n
-        if worst > tol:
-            lhs = f"[{approx[0]:.12g}; {approx[1]:.12g}]"
-            return _fail(ident, p, (0, nmax), n, lhs, exact,
-                         note=f"relative error {worst:.3e} exceeds tol {tol:.1e}")
-    return VerificationReport(
-        ident, p, (0, nmax), Status.TOLERED_PASS,
-        note=f"max relative error {worst:.3e} at n={worst_n} (tol {tol:.1e})",
-    )
+        yield Comparison(n, f"[{approx[0]:.12g}; {approx[1]:.12g}]", exact,
+                         note=f"relative error {worst:.3e} exceeds tol {tol:.1e}",
+                         ok=worst <= tol)
+    return f"max relative error {worst:.3e} at n={worst_n} (tol {tol:.1e})"
 
 
-def verify_genfunc_agreement(p: SeqParams, nmax: int) -> VerificationReport:
+@_register(IdentityId.GENFUNC_AGREEMENT)
+def verify_genfunc_agreement(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """Power-series coefficients of the rational generating function equal
     the directly iterated spinors, exactly."""
-    ident = IdentityId.GENFUNC_AGREEMENT
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     series = genfunc_spinor_series(p, nmax + 1)
     v = seq_slice(p, 0, nmax + 4)
     for k in range(nmax + 1):
-        lhs = series.coefficients[k]
-        rhs = _spinor_at(v, k)
-        if lhs != rhs:
-            return _fail(ident, p, (0, nmax), k, lhs, rhs)
-    return _pass(ident, p, (0, nmax))
+        yield Comparison(k, series.coefficients[k], spinor_window(v, k))
 
 
 def _random_quaternion(rng: random.Random) -> Quaternion:
@@ -241,60 +278,49 @@ def _random_quaternion(rng: random.Random) -> Quaternion:
     )
 
 
-def verify_triple_product_map(seed: int, trials: int = 1000) -> VerificationReport:
+@_register(IdentityId.TRIPLE_PRODUCT_MAP)
+def verify_triple_product_map(seed: int, trials: int = 1000) -> Iterator[Comparison]:
     """sigma(a*b*c) = -(breve(a) @ breve(b)) @ sigma(c) for random exact
     quaternion triples; an identity of the representation, parameter-free."""
-    ident = IdentityId.TRIPLE_PRODUCT_MAP
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
     for trial in range(trials):
         a, b, c = (_random_quaternion(rng) for _ in range(3))
-        lhs = sigma(qmul(qmul(a, b), c))
-        rhs = -(breve(a) @ breve(b) @ sigma(c))
-        if lhs != rhs:
-            return _fail(ident, None, (0, trials - 1), trial, lhs, rhs,
-                         note=f"a={a}, b={b}, c={c}")
-    return _pass(ident, None, (0, trials - 1),
-                 note=f"{trials} random triples, seed {seed}")
+        yield Comparison(trial, sigma(qmul(qmul(a, b), c)),
+                         -(breve(a) @ breve(b) @ sigma(c)),
+                         note=lambda: f"a={a}, b={b}, c={c}")
+    return f"{trials} random triples, seed {seed}"
 
 
-def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> VerificationReport:
+@_register(IdentityId.SPINOR_MATRIX_BEHAVIOR)
+def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """The 2x2-matrix image of the quaternion window matrix behaves like the
     original: middle-column entries are the matching linear combinations of
     representation matrices, and window triple products map to negated
     matrix products."""
-    ident = IdentityId.SPINOR_MATRIX_BEHAVIOR
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     v = seq_slice(p, 0, nmax + 8)
     for n in range(nmax + 1):
-        k_n = p.s * _quat_at(v, n + 1) + p.t * _quat_at(v, n)
-        lhs_m = breve(k_n)
-        rhs_m = p.s * breve(_quat_at(v, n + 1)) + p.t * breve(_quat_at(v, n))
-        if lhs_m != rhs_m:
-            return _fail(ident, p, (0, nmax), n, lhs_m, rhs_m,
+        yield Comparison(n, breve(k_window(p, v, n)),
+                         p.s * breve(quat_window(v, n + 1)) + p.t * breve(quat_window(v, n)),
                          note="middle-column linearity")
+        a, c = quat_window(v, n), quat_window(v, n + 3)
         for b in (n, n + 2):
-            k_b = p.s * _quat_at(v, b + 1) + p.t * _quat_at(v, b)
-            lhs = sigma(qmul(qmul(_quat_at(v, n), k_b), _quat_at(v, n + 3)))
-            rhs = -(breve(_quat_at(v, n)) @ breve(k_b) @ sigma(_quat_at(v, n + 3)))
-            if lhs != rhs:
-                return _fail(ident, p, (0, nmax), n, lhs, rhs,
+            k_b = k_window(p, v, b)
+            yield Comparison(n, sigma(qmul(qmul(a, k_b), c)),
+                             -(breve(a) @ breve(k_b) @ sigma(c)),
                              note=f"window triple product, middle index {b}")
-    return _pass(ident, p, (0, nmax))
 
 
-# Signed index offsets (da, db, dc) of the six-term determinant-style
-# combination; entries are breve(Q(n+da)) @ breve(K(n+db)) @ sigma(Q(n+dc)).
-# The fifth term is the one with a fixed-final-index variant reading.
+# Index offsets (da, db, dc) of the six-term determinant-style combination;
+# entries are breve(Q(n+da)) @ breve(K(n+db)) @ sigma(Q(n+dc)), the first
+# three added and the last three subtracted. The fifth term is the one with a
+# fixed-final-index variant reading.
 _DET_TERMS = (
-    (1, 1, 1, 4),
-    (1, 2, 2, 2),
-    (1, 3, 0, 3),
-    (-1, 1, 2, 3),
-    (-1, 2, 0, 4),
-    (-1, 3, 1, 2),
+    (1, 1, 4),
+    (2, 2, 2),
+    (3, 0, 3),
+    (1, 2, 3),
+    (2, 0, 4),
+    (3, 1, 2),
 )
 _DET_FIXED_TERM = 4
 
@@ -311,29 +337,20 @@ def determinant_combination_values(
     n. The two sides always satisfy spinor = -sigma(quaternion).
     """
     v = seq_slice(p, 0, n + 10)
-
-    def k_at(m: int) -> Quaternion:
-        return p.s * _quat_at(v, m + 1) + p.t * _quat_at(v, m)
-
-    spin_total = Spinor(GaussScalar(0), GaussScalar(0))
-    quat_total = Quaternion(0, 0, 0, 0)
-    for term, (sign, da, db, dc) in enumerate(_DET_TERMS):
+    spin, quat = [], []
+    for term, (da, db, dc) in enumerate(_DET_TERMS):
         c_index = 4 if (fixed_final_index and term == _DET_FIXED_TERM) else n + dc
-        a = _quat_at(v, n + da)
-        k = k_at(n + db)
-        c = _quat_at(v, c_index)
-        spin_term = breve(a) @ breve(k) @ sigma(c)
-        quat_term = qmul(qmul(a, k), c)
-        if sign > 0:
-            spin_total = spin_total + spin_term
-            quat_total = quat_total + quat_term
-        else:
-            spin_total = spin_total - spin_term
-            quat_total = quat_total - quat_term
-    return spin_total, quat_total
+        a = quat_window(v, n + da)
+        k = k_window(p, v, n + db)
+        c = quat_window(v, c_index)
+        spin.append(breve(a) @ breve(k) @ sigma(c))
+        quat.append(qmul(qmul(a, k), c))
+    return (spin[0] + spin[1] + spin[2] - spin[3] - spin[4] - spin[5],
+            quat[0] + quat[1] + quat[2] - quat[3] - quat[4] - quat[5])
 
 
-def verify_determinant_combination(p: SeqParams, nmax: int) -> VerificationReport:
+@_register(IdentityId.DETERMINANT_COMBINATION)
+def verify_determinant_combination(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """Six-term determinant-style combination of window matrices, evaluated
     under both readings of the fifth term's final index (shifted n+4 vs a
     fixed index 4).
@@ -344,21 +361,17 @@ def verify_determinant_combination(p: SeqParams, nmax: int) -> VerificationRepor
     4*[-1+i; 1-i], and whether each reading is constant in n, is recorded in
     the note as data.
     """
-    ident = IdentityId.DETERMINANT_COMBINATION
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     if p != TRIBONACCI:
         raise UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"
         )
     values: dict[bool, list[Spinor]] = {False: [], True: []}
     for fixed in (False, True):
+        reading = "fixed-final-index" if fixed else "shifted"
+        note = f"{reading} reading: spinor vs quaternion sides differ"
         for n in range(nmax + 1):
             spin_val, quat_val = determinant_combination_values(p, n, fixed)
-            if spin_val != -sigma(quat_val):
-                reading = "fixed-final-index" if fixed else "shifted"
-                return _fail(ident, p, (0, nmax), n, spin_val, -sigma(quat_val),
-                             note=f"{reading} reading: spinor vs quaternion sides differ")
+            yield Comparison(n, spin_val, -sigma(quat_val), note=note)
             values[fixed].append(spin_val)
 
     def describe(vals: list[Spinor]) -> str:
@@ -369,23 +382,20 @@ def verify_determinant_combination(p: SeqParams, nmax: int) -> VerificationRepor
         match0 = "matches" if vals[0] == _DET_REFERENCE else "misses"
         return f"varies with n (starts {vals[0]}, {match0} reference at n=0)"
 
-    note = (
+    return (
         f"final index n+4: {describe(values[False])}; "
         f"final index fixed at 4: {describe(values[True])}; "
         "spinor and quaternion sides agree exactly under both readings"
     )
-    return _pass(ident, p, (0, nmax), note=note)
 
 
-def verify_summation(p: SeqParams, nmax: int) -> VerificationReport:
+@_register(IdentityId.SUMMATION_CLOSED_FORM)
+def verify_summation(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """delta * (A(0) + ... + A(n)) = A(n+2) + (1-r)*A(n+1) + t*A(n) + c,
     checked against the direct running sum for both candidate constants:
     the sigma image of the quaternion correction omega, and the alternative
     seed-window vector. Status reflects the sigma(omega) candidate; the
     outcome for both is recorded in the note."""
-    ident = IdentityId.SUMMATION_CLOSED_FORM
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     corr = summation_correction(p)
     if corr.delta == 0:
         raise DegenerateDelta(
@@ -393,71 +403,49 @@ def verify_summation(p: SeqParams, nmax: int) -> VerificationReport:
         )
     v = seq_slice(p, 0, nmax + 6)
     derived = sigma(corr.omega)
-    stated = Spinor(
-        GaussScalar((p.r + p.s) * v[3] + (p.r - 1) * v[4] - v[5],
-                    (p.r + p.s) * v[0] + (p.r - 1) * v[1] - v[2]),
-        GaussScalar((p.r + p.s) * v[1] + (p.r - 1) * v[2] - v[3],
-                    (p.r + p.s) * v[2] + (p.r - 1) * v[3] - v[4]),
-    )
+    stated = spinor_window([(p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2]
+                            for j in range(4)])
+    # (scaled running sum, closed form without its constant) for every n
+    sides: list[tuple[Spinor, Spinor]] = []
     running = Spinor(GaussScalar(0), GaussScalar(0))
-    derived_witness: tuple[int, Spinor, Spinor] | None = None
-    stated_first_mismatch: int | None = None
     for n in range(nmax + 1):
-        running = running + _spinor_at(v, n)
-        lhs = corr.delta * running
-        base = (_spinor_at(v, n + 2)
-                + (1 - p.r) * _spinor_at(v, n + 1)
-                + p.t * _spinor_at(v, n))
-        if derived_witness is None and lhs != base + derived:
-            derived_witness = (n, lhs, base + derived)
-        if stated_first_mismatch is None and lhs != base + stated:
-            stated_first_mismatch = n
-
+        running = running + spinor_window(v, n)
+        base = (spinor_window(v, n + 2)
+                + (1 - p.r) * spinor_window(v, n + 1)
+                + p.t * spinor_window(v, n))
+        sides.append((corr.delta * running, base))
+    # The seed-window candidate is data: its first mismatch goes in the note.
+    miss = next((n for n, (lhs, base) in enumerate(sides) if lhs != base + stated), None)
     stated_text = (
-        f"seed-window constant {stated}: also exact"
-        if stated_first_mismatch is None
-        else f"seed-window constant {stated}: first mismatch at n={stated_first_mismatch}"
+        f"seed-window constant {stated}: also exact" if miss is None
+        else f"seed-window constant {stated}: first mismatch at n={miss}"
     )
-    if derived_witness is None:
-        note = f"sigma(omega) constant {derived}: exact on [0..{nmax}]; {stated_text}"
-        return _pass(ident, p, (0, nmax), note=note)
-    n, lhs, rhs = derived_witness
     note = f"sigma(omega) constant {derived} fails; {stated_text}"
-    return _fail(ident, p, (0, nmax), n, lhs, rhs, note=note)
+    for n, (lhs, base) in enumerate(sides):
+        yield Comparison(n, lhs, base + derived, note=note)
+    return f"sigma(omega) constant {derived}: exact on [0..{nmax}]; {stated_text}"
 
 
-def verify_u_decomposition(p: SeqParams, nmax: int) -> VerificationReport:
+@_register(IdentityId.U_DECOMPOSITION)
+def verify_u_decomposition(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """The companion-sequence combination reproduces the window quaternion
     two steps ahead: quat_u_decomposition(p, n) = Q(n+2), exactly."""
-    ident = IdentityId.U_DECOMPOSITION
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     v = seq_slice(p, 0, nmax + 6)
     for n in range(nmax + 1):
-        lhs = quat_u_decomposition(p, n)
-        rhs = _quat_at(v, n + 2)
-        if lhs != rhs:
-            return _fail(ident, p, (0, nmax), n, lhs, rhs)
-    return _pass(ident, p, (0, nmax))
+        yield Comparison(n, quat_u_decomposition(p, n), quat_window(v, n + 2))
 
 
-def verify_matrix_power_shift(p: SeqParams, nmax: int) -> VerificationReport:
+@_register(IdentityId.MATRIX_POWER_SHIFT)
+def verify_matrix_power_shift(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """Right-multiplying the window matrix at shift 0 by the n-th companion
     power lands exactly on the window matrix at shift n."""
-    ident = IdentityId.MATRIX_POWER_SHIFT
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     base = qv_matrix(p, 0)
     for n in range(nmax + 1):
         product = qv_right_multiply(base, companion_power(p, n))
         target = qv_matrix(p, n).entries
-        for i in range(3):
-            for j in range(3):
-                if product[i][j] != target[i][j]:
-                    return _fail(ident, p, (0, nmax), n,
-                                 f"entry({i},{j})={product[i][j]}",
-                                 f"entry({i},{j})={target[i][j]}")
-    return _pass(ident, p, (0, nmax))
+        for i, j in itertools.product(range(3), repeat=2):
+            label = f"entry({i},{j})="
+            yield Comparison(n, product[i][j], target[i][j], label, label)
 
 
 def run_identity(
@@ -470,39 +458,19 @@ def run_identity(
     trials: int = 1000,
 ) -> VerificationReport:
     """Run one identity check, converting parameter-dependent refusals
-    (degenerate delta or roots, unsupported preset) into skip reports."""
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
+    (degenerate delta or roots, unsupported preset) and float overflow into
+    skip reports."""
+    _validate({"nmax": nmax, "tol": tol, "trials": trials})
+    verify, least, cap = _REGISTRY[identity]
+    given = {"p": p, "nmax": max(min(nmax, cap), least), "seed": seed, "tol": tol,
+             "trials": trials}
     try:
-        if identity is IdentityId.SPINOR_RECURRENCE:
-            return verify_spinor_recurrence(p, max(nmax, 3))
-        if identity is IdentityId.CONJUGATE_RELATIONS:
-            return verify_conjugate_relations(p, nmax)
-        if identity is IdentityId.NORM_EQUALITY:
-            return verify_norm_equality(p, nmax)
-        if identity is IdentityId.BINET_AGREEMENT:
-            # float error grows with the dominant root's power: cap the range
-            return verify_binet(p, min(nmax, 30), tol)
-        if identity is IdentityId.GENFUNC_AGREEMENT:
-            return verify_genfunc_agreement(p, nmax)
-        if identity is IdentityId.TRIPLE_PRODUCT_MAP:
-            return verify_triple_product_map(seed, trials)
-        if identity is IdentityId.SPINOR_MATRIX_BEHAVIOR:
-            return verify_spinor_matrix_behavior(p, nmax)
-        if identity is IdentityId.DETERMINANT_COMBINATION:
-            return verify_determinant_combination(p, nmax)
-        if identity is IdentityId.SUMMATION_CLOSED_FORM:
-            return verify_summation(p, nmax)
-        if identity is IdentityId.U_DECOMPOSITION:
-            return verify_u_decomposition(p, nmax)
-        if identity is IdentityId.MATRIX_POWER_SHIFT:
-            return verify_matrix_power_shift(p, nmax)
-    except (DegenerateDelta, DegenerateRoots, UnsupportedParams) as exc:
+        return verify(**{name: given[name] for name in inspect.signature(verify).parameters})
+    except (DegenerateDelta, DegenerateRoots, UnsupportedParams, OverflowError) as exc:
         return VerificationReport(
             identity, p, (0, nmax), Status.SKIPPED,
             note=f"skipped ({type(exc).__name__}): {exc}",
         )
-    raise ValueError(f"unhandled identity {identity!r}")
 
 
 def run_suite(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .sequences import Matrix3, SeqParams, aux_term, seq_slice
 
@@ -100,18 +101,25 @@ class TribQuaternion:
     value: Quaternion
 
 
+def quat_window(v: Sequence[Rational], n: int = 0) -> Quaternion:
+    """Quaternion (v[n], v[n+1], v[n+2], v[n+3]) of four consecutive terms,
+    read off a list of terms."""
+    return Quaternion(v[n], v[n + 1], v[n + 2], v[n + 3])
+
+
+def k_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
+    """s*Q(n+1) + t*Q(n), with the window quaternions read off a list of terms."""
+    return p.s * quat_window(v, n + 1) + p.t * quat_window(v, n)
+
+
 def trib_quaternion(p: SeqParams, n: int) -> TribQuaternion:
     """Quaternion (V(n), V(n+1), V(n+2), V(n+3))."""
-    window = seq_slice(p, n, 4)
-    return TribQuaternion(p, n, Quaternion(*window))
+    return TribQuaternion(p, n, quat_window(seq_slice(p, n, 4)))
 
 
 def k_quaternion(p: SeqParams, n: int) -> Quaternion:
     """Middle-column entry of the window matrix: s*Q(n+1) + t*Q(n)."""
-    window = seq_slice(p, n, 5)
-    q_n = Quaternion(*window[0:4])
-    q_n1 = Quaternion(*window[1:5])
-    return p.s * q_n1 + p.t * q_n
+    return k_window(p, seq_slice(p, n, 5))
 
 
 @dataclass(frozen=True)
@@ -129,12 +137,9 @@ class QvMatrix:
 def qv_matrix(p: SeqParams, shift: int = 0) -> QvMatrix:
     if shift < 0:
         raise ValueError("shift must be nonnegative")
+    v = seq_slice(p, shift, 8)
     rows = tuple(
-        (
-            trib_quaternion(p, shift + 4 - i).value,
-            k_quaternion(p, shift + 2 - i),
-            p.t * trib_quaternion(p, shift + 3 - i).value,
-        )
+        (quat_window(v, 4 - i), k_window(p, v, 2 - i), p.t * quat_window(v, 3 - i))
         for i in range(3)
     )
     return QvMatrix(rows, shift)
@@ -206,9 +211,7 @@ def quat_partial_sum(p: SeqParams, n: int) -> Quaternion:
         raise DegenerateDelta(
             "r + s + t - 1 = 0: closed-form sum undefined, sum terms directly"
         )
-    window = seq_slice(p, n, 6)
-    q_n = Quaternion(*window[0:4])
-    q_n1 = Quaternion(*window[1:5])
-    q_n2 = Quaternion(*window[2:6])
-    total = q_n2 + (1 - p.r) * q_n1 + p.t * q_n + corr.omega
+    v = seq_slice(p, n, 6)
+    total = (quat_window(v, 2) + (1 - p.r) * quat_window(v, 1) + p.t * quat_window(v)
+             + corr.omega)
     return (Fraction(1) / corr.delta) * total

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .gauss import GaussScalar, I, as_gauss
 from .quaternions import Quaternion, trib_quaternion
@@ -151,11 +152,18 @@ def spinor_norm(s: Spinor) -> GaussScalar:
     return spinor_dot(complex_conjugate(s), s)
 
 
+def spinor_window(v: Sequence[Fraction | int], n: int = 0) -> Spinor:
+    """Spinor [v[n+3] + i*v[n]; v[n+1] + i*v[n+2]] of four consecutive terms,
+    read off a list of terms. It is built from the terms themselves, not as
+    sigma of the window quaternion, so that checks comparing the two stay
+    independent."""
+    return Spinor(GaussScalar(v[n + 3], v[n]), GaussScalar(v[n + 1], v[n + 2]))
+
+
 def trib_spinor(p: SeqParams, n: int) -> Spinor:
     """Spinor [V(n+3) + i*V(n); V(n+1) + i*V(n+2)]; equals
     sigma(trib_quaternion(p, n).value)."""
-    v = seq_slice(p, n, 4)
-    return Spinor(GaussScalar(v[3], v[0]), GaussScalar(v[1], v[2]))
+    return spinor_window(seq_slice(p, n, 4))
 
 
 def breve_trib(p: SeqParams, n: int) -> SpinMatrix2:

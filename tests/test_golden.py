@@ -1,0 +1,75 @@
+"""Output-contract goldens: reports rendered exactly as the CLI renders them,
+compared byte for byte with the files under tests/golden/.
+
+The files pin statuses, spans, witnesses, notes (float noise included) and
+the random draw order of triple_product. Regenerate them with
+`PYTHONPATH=src python tests/test_golden.py` only for an intended change of
+output.
+"""
+
+import contextlib
+import io
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from trispinor import (
+    THIRD_ORDER_JACOBSTHAL,
+    TRIBONACCI,
+    IdentityId,
+    SeqParams,
+    run_identity,
+    verify_binet,
+)
+from trispinor.cli import main, render_json, report_to_dict
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+PARAM_SETS = {
+    "third_order_jacobsthal": THIRD_ORDER_JACOBSTHAL,
+    # binet reports a false FAIL at n=14: V(n) = -2 sits on the root 1.
+    "binet_false_fail": SeqParams(3, 0, -2, -2, -2, -2),
+    # r + s + t - 1 = 0: summation is skipped.
+    "degenerate_delta": SeqParams(1, 1, -1, 0, 1, 1),
+    "rational": SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+                          1, Fraction(-1, 2), Fraction(2, 5)),
+}
+
+
+def _suite_cli() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["suite", "--preset", "tribonacci", "--nmax", "50",
+                     "--seed", "1", "--json"])
+    assert code == 0
+    return out.getvalue()
+
+
+def _run_identities(p: SeqParams) -> str:
+    return render_json([
+        report_to_dict(run_identity(i, p, nmax=30))
+        for i in IdentityId if i is not IdentityId.TRIPLE_PRODUCT_MAP
+    ])
+
+
+CASES = {
+    "suite_tribonacci_nmax50_seed1.json": _suite_cli,
+    **{f"run_identity_{name}_nmax30.json": (lambda p=p: _run_identities(p))
+       for name, p in PARAM_SETS.items()},
+    "verify_binet_tribonacci_tol1e-18.json":
+        lambda: render_json(report_to_dict(verify_binet(TRIBONACCI, 30, 1e-18))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    assert CASES[name]() == (GOLDEN / name).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, render in CASES.items():
+        (GOLDEN / name).write_text(render())
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)

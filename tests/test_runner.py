@@ -1,0 +1,114 @@
+"""The identity runner: first-mismatch reporting for the exact identities
+(exercised by injecting a fault into one operation), tolerance validation and
+the mapping of float overflow."""
+
+import math
+
+import pytest
+
+from trispinor import IdentityId, SeqParams, Status, preset, run_identity
+from trispinor import identities
+from trispinor.cli import main
+from trispinor.quaternions import ONE, SummationCorrection, qmul, summation_correction
+from trispinor.sequences import companion_power
+from trispinor.spinors import SpinMatrix2, breve, mate
+
+TRIB = preset("tribonacci")
+HUGE_R = SeqParams(10**400, 1, 1, 0, 1, 1)
+
+
+def _negated_mate(s):
+    return -mate(s)
+
+
+def _shifted_power(p, n):
+    return companion_power(p, n + 1)
+
+
+def _affine_breve(q):
+    return breve(q) + SpinMatrix2(1, 0, 0, 0)
+
+
+def _swapped_qmul(a, b):
+    return qmul(b, a)
+
+
+def _shifted_omega(p):
+    c = summation_correction(p)
+    return SummationCorrection(c.delta, c.lambda_, c.omega + ONE)
+
+
+# (identity, operation replaced, faulty replacement, expected witness n, lhs,
+# rhs, note). The expected strings were recorded before the runner existed.
+FAULTS = [
+    ("conjugates", "mate", _negated_mate, 0,
+     "C@mate: [-2+0i; -1+1i]", "[2+0i; 1-1i]", ""),
+    ("norm", "mate", _negated_mate, 0,
+     "mate pairing: -6+0i", "6+0i", ""),
+    ("matrix_power", "companion_power", _shifted_power, 0,
+     "entry(0,0)=(7, 13, 24, 44)", "entry(0,0)=(4, 7, 13, 24)", ""),
+    ("spinor_matrix", "breve", _affine_breve, 0,
+     "[[7+1i, 2-3i], [2+3i, -6+1i]]", "[[8+1i, 2-3i], [2+3i, -6+1i]]",
+     "middle-column linearity"),
+    ("triple_product", "qmul", _swapped_qmul, 0,
+     "[-935/4-1417/4i; 939-1735/4i]", "[-451/4-1053/4i; 754+3097/4i]",
+     "a=(-1, 8, 1, 3), b=(9, -9, -1/2, -2), c=(3, 8, 3/2, -5)"),
+    ("determinant", "qmul", _swapped_qmul, 0,
+     "[-4+4i; 4-4i]", "[-4+0i; -4+0i]",
+     "shifted reading: spinor vs quaternion sides differ"),
+    ("summation", "summation_correction", _shifted_omega, 0,
+     "[4+0i; 2+2i]", "[4+1i; 2+2i]",
+     "sigma(omega) constant [-5+0i; -1-3i] fails; "
+     "seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
+]
+
+
+@pytest.mark.parametrize("ident, attr, faulty, n, lhs, rhs, note", FAULTS,
+                         ids=[f[0] for f in FAULTS])
+def test_injected_fault_reports_first_mismatch(monkeypatch, ident, attr, faulty,
+                                               n, lhs, rhs, note):
+    monkeypatch.setattr(identities, attr, faulty)
+    report = run_identity(IdentityId(ident), TRIB, nmax=10, seed=3, trials=50)
+    assert report.status is Status.FAIL
+    assert report.span == ((0, 49) if ident == "triple_product" else (0, 10))
+    assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (n, lhs, rhs)
+    assert report.note == note
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_run_identity_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_identity(IdentityId.BINET_AGREEMENT, TRIB, tol=tol)
+
+
+@pytest.mark.parametrize("command", [["verify", "--identity", "binet"], ["binet", "-n", "5"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_cli_rejects_bad_tolerance(capsys, command, tol):
+    code = main(command + [f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "finite and positive" in captured.err
+
+
+def test_overflow_skips():
+    report = run_identity(IdentityId.BINET_AGREEMENT, HUGE_R, nmax=8)
+    assert report.status is Status.SKIPPED
+    assert report.span == (0, 8)
+    assert report.note.startswith("skipped (OverflowError): ")
+
+
+def test_cli_verify_overflow_exits_0(capsys):
+    code = main(["verify", "--identity", "binet", "--params", "1e400,1,1,0,1,1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "skipped (OverflowError)" in captured.out
+
+
+def test_cli_binet_overflow_exits_2(capsys):
+    code = main(["binet", "-n", "2000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "OverflowError" in captured.err
