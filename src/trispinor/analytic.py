@@ -3,11 +3,10 @@ spinors, plus exact generating-function series expansion."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
 
 from .gauss import GaussScalar
 from .sequences import SeqParams, seq_slice
@@ -55,27 +54,64 @@ def _exact_discriminant(r: Fraction, s: Fraction, t: Fraction) -> Fraction:
     return (18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2)
 
 
+def _polish(f, df, z):
+    """One Newton step on f from z, kept only if it shrinks |f|."""
+    nxt = z - f(z) / df(z) if df(z) else z
+    return nxt if abs(f(nxt)) < abs(f(z)) else z
+
+
+def _solve(r: Fraction, s: Fraction, t: Fraction, disc: Fraction) -> list[complex]:
+    """Roots of x^3 - r*x^2 - s*x - t, structured by the sign of `disc`."""
+    if disc == 0:  # a repeated root, rational like the coefficients
+        double = r / 3 if r * r + 3 * s == 0 else -(9 * t + r * s) / (2 * (r * r + 3 * s))
+        return [complex(double)] * 2 + [complex(r - 2 * double)]
+    # x = 2^e * y with every coefficient of the cubic in y below 1 in size, so
+    # its roots lie in |y| < 2. ldexp scales exactly and without overflow.
+    e = math.frexp(max(abs(r), math.sqrt(abs(s)), abs(t) ** (1 / 3)))[1]
+    a, b, c = math.ldexp(r, -e), math.ldexp(s, -2 * e), math.ldexp(t, -3 * e)
+    f = lambda y: ((y - a) * y - b) * y - c
+    df = lambda y: (3 * y - 2 * a) * y - b
+    z = [(0.4 + 0.9j) ** k for k in range(3)]
+    # Durand-Kerner converges quadratically: once no root moves by more than
+    # 1e-8 of itself they are exact to rounding. A root at 0 stops below 1e-300.
+    # Two roots far below the largest close in by halving: 1100 steps reach 0.
+    for _ in range(1100):
+        moved = False
+        for i in range(3):
+            step = f(z[i]) / ((z[i] - z[i - 1]) * (z[i] - z[i - 2]) or 1)
+            moved = moved or abs(step) > 1e-8 * abs(z[i]) + 1e-300
+            z[i] -= step
+        if not moved:
+            break
+    if disc > 0:  # three real roots
+        ys = [_polish(f, df, y.real) for y in z]
+    else:  # one real root and a conjugate pair
+        z.sort(key=lambda y: abs(y.imag))
+        x = _polish(f, df, z[0].real)
+        low, high = sorted(z[1:], key=lambda y: y.imag)
+        w = _polish(f, df, (high + low.conjugate()) / 2)
+        ys = [x, w, w.conjugate()]
+    return [complex(math.ldexp(y.real, e), math.ldexp(y.imag, e)) for y in map(complex, ys)]
+
+
 def cubic_roots(
     r: Rational, s: Rational, t: Rational
 ) -> CubicRoots:
-    """Solve x^3 - r*x^2 - s*x - t = 0 via companion-matrix eigenvalues.
+    """Solve x^3 - r*x^2 - s*x - t = 0 in CPython floats: Durand-Kerner on
+    the cubic scaled by a power of two, then Newton polish.
 
     Degeneracy is reported through discriminant_ok rather than raised; the
-    closed-form evaluators raise DegenerateRoots. Exactly repeated roots are
-    detected from the exact rational discriminant (the float roots of a
-    multiple root smear too far apart for a distance test alone); a numeric
-    minimum-gap test additionally flags near-degenerate root sets.
+    closed-form evaluators raise DegenerateRoots. The sign of the exact
+    rational discriminant D fixes the roots' structure: three real if D > 0,
+    one real and an exactly conjugate pair if D < 0, exact rationals if D = 0.
+    A numeric minimum-gap test additionally flags near-degenerate root sets.
     """
     r, s, t = Fraction(r), Fraction(s), Fraction(t)
-    coeffs = [1.0, -float(r), -float(s), -float(t)]
-    roots = sorted(
-        (complex(z) for z in np.roots(coeffs)),
-        key=lambda z: (z.real, z.imag),
-        reverse=True,
-    )
+    disc = _exact_discriminant(r, s, t)
+    roots = sorted(_solve(r, s, t, disc), key=lambda z: (z.real, z.imag), reverse=True)
     scale = 1.0 + max(abs(z) for z in roots)
     min_gap = min(abs(a - b) for a, b in combinations(roots, 2))
-    ok = _exact_discriminant(r, s, t) != 0 and min_gap >= 1e-8 * scale
+    ok = disc != 0 and min_gap >= 1e-8 * scale
     return CubicRoots(roots[0], roots[1], roots[2], ok)
 
 
@@ -93,11 +129,17 @@ def binet_constants(p: SeqParams, roots: CubicRoots | None = None) -> BinetConst
     )
 
 
-def _weights(p: SeqParams, roots: CubicRoots) -> tuple[complex, complex, complex]:
-    """Coefficients (A, B, C) such that V(n) = A*a^n + B*w1^n + C*w2^n."""
+def _weights(p: SeqParams, n: int, roots: CubicRoots | None) -> tuple[complex, ...]:
+    """The roots (a, w1, w2), solved here unless given, followed by the
+    coefficients (A, B, C) such that V(n) = A*a^n + B*w1^n + C*w2^n."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    if roots is None:
+        roots = cubic_roots(p.r, p.s, p.t)
     const = binet_constants(p, roots)
     a, w1, w2 = roots.as_tuple()
     return (
+        a, w1, w2,
         const.P / ((a - w1) * (a - w2)),
         -const.Q / ((a - w1) * (w1 - w2)),
         const.R / ((a - w2) * (w1 - w2)),
@@ -106,12 +148,7 @@ def _weights(p: SeqParams, roots: CubicRoots) -> tuple[complex, complex, complex
 
 def binet_number(p: SeqParams, n: int, roots: CubicRoots | None = None) -> complex:
     """Closed-form value of V(n); imaginary part is rounding noise."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if roots is None:
-        roots = cubic_roots(p.r, p.s, p.t)
-    wa, w1, w2 = _weights(p, roots)
-    a, o1, o2 = roots.as_tuple()
+    a, o1, o2, wa, w1, w2 = _weights(p, n, roots)
     return wa * a**n + w1 * o1**n + w2 * o2**n
 
 
@@ -119,12 +156,7 @@ def binet_quaternion(
     p: SeqParams, n: int, roots: CubicRoots | None = None
 ) -> tuple[complex, complex, complex, complex]:
     """Closed-form quaternion components; component l approximates V(n+l)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if roots is None:
-        roots = cubic_roots(p.r, p.s, p.t)
-    wa, w1, w2 = _weights(p, roots)
-    a, o1, o2 = roots.as_tuple()
+    a, o1, o2, wa, w1, w2 = _weights(p, n, roots)
     return tuple(
         wa * a**n * a**l + w1 * o1**n * o1**l + w2 * o2**n * o2**l
         for l in range(4)
@@ -136,12 +168,7 @@ def binet_spinor(
 ) -> tuple[complex, complex]:
     """Closed-form spinor: each root x contributes the column
     [x^3 + i; x + i*x^2] weighted like the scalar closed form."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if roots is None:
-        roots = cubic_roots(p.r, p.s, p.t)
-    wa, w1, w2 = _weights(p, roots)
-    a, o1, o2 = roots.as_tuple()
+    a, o1, o2, wa, w1, w2 = _weights(p, n, roots)
     top = bottom = 0j
     for w, x in ((wa, a), (w1, o1), (w2, o2)):
         k = w * x**n

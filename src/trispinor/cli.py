@@ -179,7 +179,7 @@ def _cmd_quaternion(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
     if args.index < 0:
         raise CliError("index must be nonnegative")
-    q = trib_quaternion(p, args.index).value
+    q = trib_quaternion(p, args.index)
     if args.json:
         out.write(render_json({name: str(getattr(q, name))
                                for name in ("q0", "q1", "q2", "q3")}))
@@ -274,6 +274,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # argparse takes -1,1,1,0,1,1 or -1e-9 for an option unless joined: --tol=-1e-9
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in ("--params", "--tol") and argv[i].startswith("-"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

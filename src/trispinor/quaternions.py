@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .sequences import Matrix3, SeqParams, aux_term, seq_slice
+from .sequences import Matrix3, SeqParams, seq_slice
 
 Rational = Fraction | int
 
@@ -32,9 +32,6 @@ class Quaternion:
     def __post_init__(self) -> None:
         for name in ("q0", "q1", "q2", "q3"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.q0, self.q1, self.q2, self.q3)
 
     def __add__(self, other: Quaternion) -> Quaternion:
         return Quaternion(
@@ -92,15 +89,6 @@ def qnorm(q: Quaternion) -> Fraction:
     return q.q0 ** 2 + q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2
 
 
-@dataclass(frozen=True)
-class TribQuaternion:
-    """Quaternion whose components are four consecutive recurrence terms."""
-
-    params: SeqParams
-    n: int
-    value: Quaternion
-
-
 def quat_window(v: Sequence[Rational], n: int = 0) -> Quaternion:
     """Quaternion (v[n], v[n+1], v[n+2], v[n+3]) of four consecutive terms,
     read off a list of terms."""
@@ -112,9 +100,9 @@ def k_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
     return p.s * quat_window(v, n + 1) + p.t * quat_window(v, n)
 
 
-def trib_quaternion(p: SeqParams, n: int) -> TribQuaternion:
+def trib_quaternion(p: SeqParams, n: int) -> Quaternion:
     """Quaternion (V(n), V(n+1), V(n+2), V(n+3))."""
-    return TribQuaternion(p, n, quat_window(seq_slice(p, n, 4)))
+    return quat_window(seq_slice(p, n, 4))
 
 
 def k_quaternion(p: SeqParams, n: int) -> Quaternion:
@@ -167,13 +155,9 @@ def quat_u_decomposition(p: SeqParams, n: int) -> Quaternion:
     U is the companion sequence seeded (0, 0, 1); equals Q(n+2)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    q0 = trib_quaternion(p, 0).value
-    q1 = trib_quaternion(p, 1).value
-    q2 = trib_quaternion(p, 2).value
-    u_n = aux_term(p.r, p.s, p.t, n)
-    u_n1 = aux_term(p.r, p.s, p.t, n + 1)
-    u_n2 = aux_term(p.r, p.s, p.t, n + 2)
-    return u_n2 * q2 + u_n1 * (p.s * q1 + p.t * q0) + (p.t * u_n) * q1
+    v = seq_slice(p, 0, 6)
+    u_n, u_n1, u_n2 = seq_slice(SeqParams(p.r, p.s, p.t, 0, 0, 1), n, 3)
+    return u_n2 * quat_window(v, 2) + u_n1 * k_window(p, v) + (p.t * u_n) * quat_window(v, 1)
 
 
 @dataclass(frozen=True)

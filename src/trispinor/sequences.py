@@ -81,11 +81,6 @@ def seq_slice(p: SeqParams, n0: int, length: int) -> list[Fraction]:
     return list(islice(_iter_terms(p), n0, n0 + length))
 
 
-def aux_term(r: Fraction | int, s: Fraction | int, t: Fraction | int, n: int) -> Fraction:
-    """Term of the companion sequence seeded with (0, 0, 1)."""
-    return seq_term(SeqParams(r, s, t, 0, 0, 1), n)
-
-
 def companion_matrix(p: SeqParams) -> Matrix3:
     """The matrix [[r, s, t], [1, 0, 0], [0, 1, 0]] that shifts term windows."""
     one, zero = Fraction(1), Fraction(0)

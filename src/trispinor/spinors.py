@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gauss import GaussScalar, I, as_gauss
-from .quaternions import Quaternion, trib_quaternion
+from .quaternions import Quaternion
 from .sequences import SeqParams, seq_slice
 
 Scalar = GaussScalar | Fraction | int
@@ -162,10 +162,5 @@ def spinor_window(v: Sequence[Fraction | int], n: int = 0) -> Spinor:
 
 def trib_spinor(p: SeqParams, n: int) -> Spinor:
     """Spinor [V(n+3) + i*V(n); V(n+1) + i*V(n+2)]; equals
-    sigma(trib_quaternion(p, n).value)."""
+    sigma(trib_quaternion(p, n))."""
     return spinor_window(seq_slice(p, n, 4))
-
-
-def breve_trib(p: SeqParams, n: int) -> SpinMatrix2:
-    """2x2 representation of the quaternion of consecutive terms at n."""
-    return breve(trib_quaternion(p, n).value)

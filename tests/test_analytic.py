@@ -1,7 +1,13 @@
 import cmath
+import math
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trispinor import (
     CubicRoots,
@@ -61,6 +67,50 @@ def test_vieta_residuals():
         assert abs(a + w1 + w2 - r) < scale
         assert abs(a * w1 + a * w2 + w1 * w2 + s) < scale
         assert abs(a * w1 * w2 - t) < scale
+
+
+coefficients = st.one_of(
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-10, max_value=10, max_denominator=9),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficients, coefficients, coefficients,
+       st.sampled_from([-120, 0, 120]), st.sampled_from([-40, 0, 40]))
+def test_cubic_roots_properties(r, s, t, uniform, homogeneous):
+    # Every coefficient times 10^uniform, then x -> 10^homogeneous * x.
+    k, lam = Fraction(10) ** uniform, Fraction(10) ** homogeneous
+    r, s, t = r * k * lam, s * k * lam**2, t * k * lam**3
+    roots = cubic_roots(r, s, t)
+    a, w1, w2 = zs = roots.as_tuple()
+    assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs)
+    assert list(zs) == sorted(zs, key=lambda z: (z.real, z.imag), reverse=True)
+    # Vieta, with the roots and coefficients scaled by m.
+    m = max(abs(float(r)), math.sqrt(abs(float(s))), abs(float(t)) ** (1 / 3)) or 1.0
+    y1, y2, y3 = (z / m for z in zs)
+    assert abs(y1 + y2 + y3 - float(r) / m) <= 1e-13
+    assert abs(y1 * y2 + y1 * y3 + y2 * y3 + float(s) / m / m) <= 1e-13
+    assert abs(y1 * y2 * y3 - float(t) / m / m / m) <= 1e-13
+    b, c, d = -r, -s, -t
+    disc = 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+    if disc > 0:
+        assert all(z.imag == 0 for z in zs)
+    if disc < 0:
+        real = [z for z in zs if z.imag == 0]
+        pair = [z for z in zs if z.imag != 0]
+        assert len(real) == 1 and pair[0] == pair[1].conjugate() and pair[0].imag > 0
+    if disc == 0:
+        assert not roots.discriminant_ok
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import trispinor; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"
 
 
 def test_binet_constants():

@@ -66,6 +66,16 @@ def test_negative_ranges_exit_2(capsys):
     assert code == 2 and "positive" in err
 
 
+def test_dash_leading_values_are_read_as_values(capsys):
+    code, out, _ = run_cli(capsys, "term", "--params", "-1,1,1,0,1,1", "-n", "3")
+    assert code == 0
+    assert out == "0\n"
+    code, out, err = run_cli(capsys, "verify", "--identity", "binet", "--tol", "-1e-9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: tolerance must be finite and positive\n"
+
+
 def test_quaternion_output(capsys):
     code, out, _ = run_cli(capsys, "quaternion", "-n", "0")
     assert code == 0

@@ -2,9 +2,10 @@
 compared byte for byte with the files under tests/golden/.
 
 The files pin statuses, spans, witnesses, notes (float noise included) and
-the random draw order of triple_product. Regenerate them with
-`PYTHONPATH=src python tests/test_golden.py` only for an intended change of
-output.
+the random draw order of triple_product. The cubic solver is pure Python, so
+the float noise depends only on CPython float arithmetic, not on a linear
+algebra library. Regenerate them with `PYTHONPATH=src python
+tests/test_golden.py` only for an intended change of output.
 """
 
 import contextlib
@@ -29,7 +30,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 PARAM_SETS = {
     "third_order_jacobsthal": THIRD_ORDER_JACOBSTHAL,
-    # binet reports a false FAIL at n=14: V(n) = -2 sits on the root 1.
+    # V(n) = -2 sits on the root 1, so binet passes only if no float noise
+    # leaks into the dominant root 1 + sqrt(3); an imprecise root 1 once made
+    # it report a false FAIL at n=14 (error 2.4e-9).
     "binet_false_fail": SeqParams(3, 0, -2, -2, -2, -2),
     # r + s + t - 1 = 0: summation is skipped.
     "degenerate_delta": SeqParams(1, 1, -1, 0, 1, 1),

@@ -100,16 +100,16 @@ def test_conjugate_antihomomorphism(p, q):
 
 
 def test_trib_quaternion_windows():
-    assert trib_quaternion(TRIB, 0).value == Quaternion(0, 1, 1, 2)
-    assert trib_quaternion(TRIB, 1).value == Quaternion(1, 1, 2, 4)
-    assert trib_quaternion(TRIB, 2).value == Quaternion(1, 2, 4, 7)
+    assert trib_quaternion(TRIB, 0) == Quaternion(0, 1, 1, 2)
+    assert trib_quaternion(TRIB, 1) == Quaternion(1, 1, 2, 4)
+    assert trib_quaternion(TRIB, 2) == Quaternion(1, 2, 4, 7)
 
 
 def test_quaternion_recurrence():
     rng = random.Random(23)
     for _ in range(8):
         p = SeqParams(*(rng.randint(-5, 5) for _ in range(6)))
-        qs = [trib_quaternion(p, n).value for n in range(104)]
+        qs = [trib_quaternion(p, n) for n in range(104)]
         for n in range(101):
             assert qs[n + 3] == p.r * qs[n + 2] + p.s * qs[n + 1] + p.t * qs[n]
 
@@ -123,11 +123,11 @@ def test_k_quaternion():
 
 def test_qv_matrix_layout():
     qv = qv_matrix(TRIB, 0)
-    assert qv.entries[0][0] == trib_quaternion(TRIB, 4).value
+    assert qv.entries[0][0] == trib_quaternion(TRIB, 4)
     assert qv.entries[2][1] == k_quaternion(TRIB, 0)
-    assert qv.entries[1][2] == TRIB.t * trib_quaternion(TRIB, 2).value
+    assert qv.entries[1][2] == TRIB.t * trib_quaternion(TRIB, 2)
     shifted = qv_matrix(TRIB, 1)
-    assert shifted.entries[0][0] == trib_quaternion(TRIB, 5).value
+    assert shifted.entries[0][0] == trib_quaternion(TRIB, 5)
 
 
 def test_qv_shift_identity():
@@ -152,7 +152,7 @@ def test_u_decomposition_matches_window():
     for _ in range(6):
         p = SeqParams(*(rng.randint(-5, 5) for _ in range(6)))
         for n in range(0, 101, 9):
-            assert quat_u_decomposition(p, n) == trib_quaternion(p, n + 2).value
+            assert quat_u_decomposition(p, n) == trib_quaternion(p, n + 2)
 
 
 def test_summation_correction_tribonacci():
@@ -195,6 +195,6 @@ def test_partial_sum_matches_direct_sum():
         checked += 1
         total = Quaternion(0, 0, 0, 0)
         for n in range(201):
-            total = total + trib_quaternion(p, n).value
+            total = total + trib_quaternion(p, n)
             if n % 17 == 0 or n == 200:
                 assert quat_partial_sum(p, n) == total

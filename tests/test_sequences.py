@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from trispinor import (
     SeqParams,
     UnknownPreset,
-    aux_term,
     companion_matrix,
     companion_power,
     preset,
@@ -51,9 +50,9 @@ def test_slices():
 
 
 def test_aux_terms():
-    assert aux_term(1, 1, 1, 2) == 1
-    assert aux_term(1, 1, 1, 4) == 2
-    assert aux_term(1, 1, 1, 6) == 7
+    assert seq_term(SeqParams(1, 1, 1, 0, 0, 1), 2) == 1
+    assert seq_term(SeqParams(1, 1, 1, 0, 0, 1), 4) == 2
+    assert seq_term(SeqParams(1, 1, 1, 0, 0, 1), 6) == 7
 
 
 def test_aux_matches_seeded_sequence():
@@ -61,7 +60,7 @@ def test_aux_matches_seeded_sequence():
     for _ in range(5):
         p = SeqParams(*(rng.randint(-5, 5) for _ in range(3)), 0, 0, 1)
         expected = seq_slice(p, 0, 101)
-        assert [aux_term(p.r, p.s, p.t, n) for n in range(0, 101, 10)] == expected[::10]
+        assert [seq_term(SeqParams(p.r, p.s, p.t, 0, 0, 1), n) for n in range(0, 101, 10)] == expected[::10]
 
 
 def test_recurrence_exact():

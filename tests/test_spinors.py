@@ -12,7 +12,6 @@ from trispinor import (
     Spinor,
     bilinear_form,
     breve,
-    breve_trib,
     cartan_conjugate,
     complex_conjugate,
     mate,
@@ -119,7 +118,7 @@ def test_conjugations_of_term_windows():
                 GaussScalar(v[n + 2], v[n + 1]), GaussScalar(-v[n], -v[n + 3]))
             assert mate(a) == Spinor(
                 GaussScalar(-v[n + 1], v[n + 2]), GaussScalar(v[n + 3], -v[n]))
-            assert sigma(qconj(trib_quaternion(p, n).value)) == Spinor(
+            assert sigma(qconj(trib_quaternion(p, n))) == Spinor(
                 GaussScalar(-v[n + 3], v[n]), GaussScalar(-v[n + 1], -v[n + 2]))
 
 
@@ -195,7 +194,7 @@ def test_window_norms_match_quaternion_norm():
         v = seq_slice(p, 0, 105)
         for n in range(0, 101, 10):
             expected = v[n] ** 2 + v[n + 1] ** 2 + v[n + 2] ** 2 + v[n + 3] ** 2
-            assert qnorm(trib_quaternion(p, n).value) == expected
+            assert qnorm(trib_quaternion(p, n)) == expected
             assert spinor_norm(trib_spinor(p, n)) == expected
 
 
@@ -209,20 +208,20 @@ def test_trib_spinor_values():
 
 def test_breve_trib_is_breve_of_window():
     for n in (0, 3, 9):
-        assert breve_trib(TRIB, n) == breve(trib_quaternion(TRIB, n).value)
+        assert breve(trib_quaternion(TRIB, n)) == breve(Quaternion(*seq_slice(TRIB, n, 4)))
 
 
 def test_trib_spinor_is_sigma_of_window():
     for n in range(12):
-        assert trib_spinor(TRIB, n) == sigma(trib_quaternion(TRIB, n).value)
+        assert trib_spinor(TRIB, n) == sigma(trib_quaternion(TRIB, n))
 
 
 def test_breve_trib_small_matrices():
-    assert breve_trib(TRIB, 0) == SpinMatrix2(
+    assert breve(trib_quaternion(TRIB, 0)) == SpinMatrix2(
         GaussScalar(2), GaussScalar(1, -1), GaussScalar(1, 1), GaussScalar(-2))
-    assert breve_trib(TRIB, 1) == SpinMatrix2(
+    assert breve(trib_quaternion(TRIB, 1)) == SpinMatrix2(
         GaussScalar(4, 1), GaussScalar(1, -2), GaussScalar(1, 2), GaussScalar(-4, 1))
-    assert breve_trib(TRIB, 2) == SpinMatrix2(
+    assert breve(trib_quaternion(TRIB, 2)) == SpinMatrix2(
         GaussScalar(7, 1), GaussScalar(2, -4), GaussScalar(2, 4), GaussScalar(-7, 1))
 
 
