@@ -90,6 +90,11 @@ def _solve(r: Fraction, s: Fraction, t: Fraction, disc: Fraction) -> list[comple
         x = _polish(f, df, z[0].real)
         low, high = sorted(z[1:], key=lambda y: y.imag)
         w = _polish(f, df, (high + low.conjugate()) / 2)
+        # 2r^3 + 9rs + 27t = 0 makes r/3 the real root, and then the real part
+        # of the pair too: set the tie exactly, float noise would order it.
+        if 2 * r**3 + 9 * r * s + 27 * t == 0:
+            x = math.ldexp(float(r / 3), -e)
+            w = complex(x, w.imag)
         ys = [x, w, w.conjugate()]
     return [complex(math.ldexp(y.real, e), math.ldexp(y.imag, e)) for y in map(complex, ys)]
 

@@ -1,59 +1,129 @@
-"""Gaussian rationals: complex numbers with exact rational parts."""
+"""Gaussian rationals: complex numbers with exact rational parts, and the
+exact value kernel that every value type of the package is built on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 
 Rational = Fraction | int
 
+_ZERO = Fraction(0)
 
-@dataclass(frozen=True, eq=False)
-class GaussScalar:
+
+class _Exact:
+    """Immutable vector of exact components, stored in one tuple.
+
+    A subclass names its components and the function that coerces each one
+    as class keywords: ``fields="q0 q1 q2 q3", coerce=Fraction``. The public
+    constructor coerces every component once; arithmetic builds its results
+    with ``_make``, which does not. ``==`` holds between values of one type
+    with equal components, after ``_lift`` has converted the other operand.
+    """
+
+    __slots__ = ("_c",)
+
+    def __init_subclass__(cls, *, fields: str, coerce, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(fields.split())
+        cls._coerce = staticmethod(coerce)
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(lambda self, i=i: self._c[i]))
+
+    def __init__(self, *components: object) -> None:
+        if len(components) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"components, got {len(components)}")
+        object.__setattr__(self, "_c", tuple(map(self._coerce, components)))
+
+    @classmethod
+    def _make(cls, components):
+        """Internal constructor: the components are already coerced."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_c", tuple(components))
+        return self
+
+    def _lift(self, other: object):
+        """`other` as a value of this type, or None if it is not one."""
+        return other if type(other) is type(self) else None
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self._make(map(add, self._c, other._c))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self._make(map(sub, self._c, other._c))
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self._make(map(sub, other._c, self._c))
+
+    def __neg__(self):
+        return self._make(map(neg, self._c))
+
+    def __mul__(self, k):
+        """Scaling: every component times the scalar k, coerced like one."""
+        k = self._coerce(k)
+        return self._make([k * c for c in self._c])
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        other = self._lift(other)
+        return NotImplemented if other is None else self._c == other._c
+
+    def __hash__(self) -> int:
+        # A value whose later components are all zero hashes like its first
+        # one, so a purely real GaussScalar hashes like the rational it equals.
+        first, *rest = self._c
+        return hash(first) if all(c == 0 for c in rest) else hash(self._c)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._c
+
+    def __repr__(self) -> str:
+        parts = (str(c) if isinstance(c, Fraction) else repr(c) for c in self._c)
+        return f"{type(self).__name__}({', '.join(parts)})"
+
+
+def _coerce(value: object) -> GaussScalar | None:
+    if isinstance(value, GaussScalar):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussScalar._make((Fraction(value), _ZERO))
+    return None
+
+
+class GaussScalar(_Exact, fields="re im", coerce=Fraction):
     """Complex scalar whose real and imaginary parts are exact rationals.
 
     Supports +, -, *, / and conjugation; equality is exact and also accepts
     plain ints/Fractions (treated as purely real).
     """
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: Rational, im: Rational = 0) -> None:
+        super().__init__(re, im)
 
-    def __add__(self, other: GaussScalar | Rational):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussScalar(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: GaussScalar | Rational):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussScalar(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other: GaussScalar | Rational):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> GaussScalar:
-        return GaussScalar(-self.re, -self.im)
+    # +, - and == take plain ints and Fractions as purely real values.
+    _lift = staticmethod(_coerce)
 
     def __mul__(self, other: GaussScalar | Rational):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b = self._c
+        c, d = other._c
+        return GaussScalar._make((a * c - b * d, a * d + b * c))
 
     __rmul__ = __mul__
 
@@ -61,26 +131,15 @@ class GaussScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a, b = self._c
+        c, d = other._c
+        n = c * c + d * d
+        if n == 0:
             raise ZeroDivisionError("division by zero")
-        return GaussScalar(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussScalar(other)
-        if not isinstance(other, GaussScalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return GaussScalar._make(((a * c + b * d) / n, (b * c - a * d) / n))
 
     def conjugate(self) -> GaussScalar:
-        return GaussScalar(self.re, -self.im)
+        return GaussScalar._make((self.re, -self.im))
 
     @property
     def is_real(self) -> bool:
@@ -92,17 +151,6 @@ class GaussScalar:
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-    def __repr__(self) -> str:
-        return f"GaussScalar({self.re}, {self.im})"
-
-
-def _coerce(value: object) -> GaussScalar | None:
-    if isinstance(value, GaussScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussScalar(Fraction(value))
-    return None
 
 
 def as_gauss(value: GaussScalar | Rational) -> GaussScalar:

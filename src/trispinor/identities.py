@@ -36,11 +36,13 @@ from .quaternions import (
     k_window,
     qmul,
     qnorm,
-    quat_u_decomposition,
     quat_window,
     qv_matrix,
     qv_right_multiply,
+    qv_window,
     summation_correction,
+    u_companion,
+    u_window,
 )
 from .sequences import TRIBONACCI, SeqParams, companion_power, seq_slice
 from .spinors import (
@@ -431,8 +433,9 @@ def verify_u_decomposition(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """The companion-sequence combination reproduces the window quaternion
     two steps ahead: quat_u_decomposition(p, n) = Q(n+2), exactly."""
     v = seq_slice(p, 0, nmax + 6)
+    u = seq_slice(u_companion(p), 0, nmax + 3)
     for n in range(nmax + 1):
-        yield Comparison(n, quat_u_decomposition(p, n), quat_window(v, n + 2))
+        yield Comparison(n, u_window(p, v, u, n), quat_window(v, n + 2))
 
 
 @_register(IdentityId.MATRIX_POWER_SHIFT)
@@ -440,9 +443,10 @@ def verify_matrix_power_shift(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """Right-multiplying the window matrix at shift 0 by the n-th companion
     power lands exactly on the window matrix at shift n."""
     base = qv_matrix(p, 0)
+    v = seq_slice(p, 0, nmax + 8)
     for n in range(nmax + 1):
         product = qv_right_multiply(base, companion_power(p, n))
-        target = qv_matrix(p, n).entries
+        target = qv_window(p, v, n)
         for i, j in itertools.product(range(3), repeat=2):
             label = f"entry({i},{j})="
             yield Comparison(n, product[i][j], target[i][j], label, label)

@@ -7,56 +7,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .gauss import Rational, _Exact
 from .sequences import Matrix3, SeqParams, seq_slice
-
-Rational = Fraction | int
 
 
 class DegenerateDelta(ArithmeticError):
     """The closed-form partial sum divides by r + s + t - 1, which is zero here."""
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=Fraction):
     """Quaternion with exact rational components over the basis e0, e1, e2, e3.
 
     ``*`` is the Hamilton product when both operands are quaternions and
     componentwise scaling when one operand is a rational scalar.
     """
 
-    q0: Fraction
-    q1: Fraction
-    q2: Fraction
-    q3: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("q0", "q1", "q2", "q3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    def __add__(self, other: Quaternion) -> Quaternion:
-        return Quaternion(
-            self.q0 + other.q0, self.q1 + other.q1,
-            self.q2 + other.q2, self.q3 + other.q3,
-        )
-
-    def __sub__(self, other: Quaternion) -> Quaternion:
-        return Quaternion(
-            self.q0 - other.q0, self.q1 - other.q1,
-            self.q2 - other.q2, self.q3 - other.q3,
-        )
-
-    def __neg__(self) -> Quaternion:
-        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
+    __slots__ = ()
 
     def __mul__(self, other: Quaternion | Rational) -> Quaternion:
         if isinstance(other, Quaternion):
             return qmul(self, other)
-        k = Fraction(other)
-        return Quaternion(k * self.q0, k * self.q1, k * self.q2, k * self.q3)
-
-    def __rmul__(self, other: Rational) -> Quaternion:
-        k = Fraction(other)
-        return Quaternion(k * self.q0, k * self.q1, k * self.q2, k * self.q3)
+        return super().__mul__(other)
 
     def __str__(self) -> str:
         return f"({self.q0}, {self.q1}, {self.q2}, {self.q3})"
@@ -71,17 +42,19 @@ E3 = Quaternion(0, 0, 0, 1)
 
 def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product; non-commutative (e1*e2 = e3 = -(e2*e1))."""
-    return Quaternion(
-        p.q0 * q.q0 - p.q1 * q.q1 - p.q2 * q.q2 - p.q3 * q.q3,
-        p.q0 * q.q1 + p.q1 * q.q0 + p.q2 * q.q3 - p.q3 * q.q2,
-        p.q0 * q.q2 - p.q1 * q.q3 + p.q2 * q.q0 + p.q3 * q.q1,
-        p.q0 * q.q3 + p.q1 * q.q2 - p.q2 * q.q1 + p.q3 * q.q0,
-    )
+    p0, p1, p2, p3 = p._c
+    q0, q1, q2, q3 = q._c
+    return Quaternion._make((
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+    ))
 
 
 def qconj(q: Quaternion) -> Quaternion:
     """Quaternion conjugate: the vector part is negated."""
-    return Quaternion(q.q0, -q.q1, -q.q2, -q.q3)
+    return Quaternion._make((q.q0, -q.q1, -q.q2, -q.q3))
 
 
 def qnorm(q: Quaternion) -> Fraction:
@@ -122,15 +95,21 @@ class QvMatrix:
     shift: int
 
 
+def qv_window(
+    p: SeqParams, v: Sequence[Rational], n: int = 0
+) -> tuple[tuple[Quaternion, Quaternion, Quaternion], ...]:
+    """Rows of the window matrix with shift n, with the window quaternions
+    read off a list of terms as by quat_window(v, m)."""
+    return tuple(
+        (quat_window(v, n + 4 - i), k_window(p, v, n + 2 - i), p.t * quat_window(v, n + 3 - i))
+        for i in range(3)
+    )
+
+
 def qv_matrix(p: SeqParams, shift: int = 0) -> QvMatrix:
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    v = seq_slice(p, shift, 8)
-    rows = tuple(
-        (quat_window(v, 4 - i), k_window(p, v, 2 - i), p.t * quat_window(v, 3 - i))
-        for i in range(3)
-    )
-    return QvMatrix(rows, shift)
+    return QvMatrix(qv_window(p, seq_slice(p, shift, 8)), shift)
 
 
 def qv_right_multiply(
@@ -150,14 +129,26 @@ def qv_right_multiply(
     )
 
 
+def u_companion(p: SeqParams) -> SeqParams:
+    """The companion sequence U: the recurrence of p seeded (0, 0, 1)."""
+    return SeqParams(p.r, p.s, p.t, 0, 0, 1)
+
+
+def u_window(p: SeqParams, v: Sequence[Rational], u: Sequence[Rational],
+             n: int = 0) -> Quaternion:
+    """Q(2)*u[n+2] + (s*Q(1) + t*Q(0))*u[n+1] + t*Q(1)*u[n], where Q(m) is
+    quat_window(v, m) of a list v of terms from V(0), and u is a list of
+    terms of the companion sequence U."""
+    return (u[n + 2] * quat_window(v, 2) + u[n + 1] * k_window(p, v)
+            + (p.t * u[n]) * quat_window(v, 1))
+
+
 def quat_u_decomposition(p: SeqParams, n: int) -> Quaternion:
     """Combination Q(2)*U(n+2) + (s*Q(1) + t*Q(0))*U(n+1) + t*Q(1)*U(n), where
     U is the companion sequence seeded (0, 0, 1); equals Q(n+2)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    v = seq_slice(p, 0, 6)
-    u_n, u_n1, u_n2 = seq_slice(SeqParams(p.r, p.s, p.t, 0, 0, 1), n, 3)
-    return u_n2 * quat_window(v, 2) + u_n1 * k_window(p, v) + (p.t * u_n) * quat_window(v, 1)
+    return u_window(p, seq_slice(p, 0, 6), seq_slice(u_companion(p), n, 3))
 
 
 @dataclass(frozen=True)

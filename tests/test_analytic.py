@@ -242,3 +242,18 @@ def test_genfunc_series_random_params_exact():
         series = genfunc_spinor_series(p, 64)
         for k in (0, 1, 2, 3, 17, 40, 63):
             assert series.coefficients[k] == trib_spinor(p, k)
+
+
+@pytest.mark.parametrize("r, s, t, expected", [
+    (3, -4, 2, (1 + 1j, 1, 1 - 1j)),
+    (-3, -4, -2, (-1 + 1j, -1, -1 - 1j)),
+])
+def test_cubic_roots_order_on_an_exact_real_part_tie(r, s, t, expected):
+    # 2r^3 + 9rs + 27t = 0 with a negative discriminant: the real root r/3
+    # and the pair share their real part, so the imaginary part orders them.
+    roots = cubic_roots(r, s, t)
+    assert roots.discriminant_ok
+    assert [z.real for z in roots.as_tuple()] == [r / 3] * 3
+    assert roots.omega1.imag == 0 and roots.omega2 == roots.alpha.conjugate()
+    for got, want in zip(roots.as_tuple(), expected):
+        assert abs(got - want) < 1e-12

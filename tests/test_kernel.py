@@ -1,0 +1,97 @@
+"""The exact value kernel shared by GaussScalar, Quaternion, Spinor and
+SpinMatrix2: exact coercion, immutability, equality, hashing, pickling and
+copying."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from trispinor import GaussScalar, Quaternion, SpinMatrix2, Spinor
+
+VALUES = [
+    GaussScalar(Fraction(1, 2), -3),
+    Quaternion(1, Fraction(-2, 3), 0, 4),
+    Spinor(GaussScalar(2, 1), 5),
+    SpinMatrix2(GaussScalar(0, 1), 2, GaussScalar(Fraction(3, 4), -1), 0),
+]
+IDS = [type(v).__name__ for v in VALUES]
+FIRST_FIELD = {"GaussScalar": "re", "Quaternion": "q0", "Spinor": "c1", "SpinMatrix2": "a11"}
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+@pytest.mark.parametrize("roundtrip", [
+    lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_roundtrip_gives_an_equal_value(value, roundtrip):
+    again = roundtrip(value)
+    assert type(again) is type(value)
+    assert again == value and hash(again) == hash(value)
+    assert str(again) == str(value)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_values_are_immutable(value):
+    before = str(value)
+    name = FIRST_FIELD[type(value).__name__]
+    with pytest.raises(AttributeError):
+        setattr(value, name, 0)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert str(value) == before
+
+
+def test_constructor_coerces_exactly():
+    q = Quaternion(0.5, 1, 2, 3)
+    assert q.q0 == Fraction(1, 2) and type(q.q0) is Fraction
+    assert all(type(c) is Fraction for c in (q.q1, q.q2, q.q3))
+    z = GaussScalar(1) / GaussScalar(3)
+    assert (z.re, z.im) == (Fraction(1, 3), 0)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    s = Spinor(1, Fraction(2, 3))
+    assert s.c1 == GaussScalar(1) and type(s.c2) is GaussScalar
+
+
+def test_arithmetic_keeps_exact_component_types():
+    q = Quaternion(1, 2, 3, 4)
+    for result in (q + q, q - q, -q, 2 * q, q * Fraction(1, 3), q * q):
+        assert all(type(c) is Fraction for c in (result.q0, result.q1, result.q2, result.q3))
+    m = SpinMatrix2(1, 2, 3, 4)
+    s = Spinor(1, GaussScalar(0, 1))
+    for result in (s + s, s - s, -s, 2 * s, s * GaussScalar(0, 1), m @ s):
+        assert all(type(c) is GaussScalar for c in (result.c1, result.c2))
+        assert all(type(x) is Fraction for c in (result.c1, result.c2) for x in (c.re, c.im))
+    for result in (m + m, m - m, -m, m * 2, m @ m):
+        assert all(type(c) is GaussScalar for c in (result.a11, result.a12, result.a21, result.a22))
+
+
+def test_equality_needs_the_same_type():
+    assert Quaternion(1, 2, 3, 4) != SpinMatrix2(1, 2, 3, 4)
+    assert SpinMatrix2(1, 2, 3, 4) != Quaternion(1, 2, 3, 4)
+    assert Quaternion(1, 0, 0, 0) != 1
+    assert Spinor(1, 0) != GaussScalar(1)
+    assert GaussScalar(1) == 1 == GaussScalar(1) and GaussScalar(1, 1) != 1
+    assert GaussScalar(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_real_gauss_scalar_hashes_like_its_real_part():
+    assert hash(GaussScalar(1)) == hash(1)
+    assert hash(GaussScalar(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+    assert 1 in {GaussScalar(1)}
+    assert GaussScalar(1) in {1}
+    assert len({GaussScalar(1), 1, Fraction(1)}) == 1
+    assert len({GaussScalar(1, 2), GaussScalar(Fraction(2, 2), 2)}) == 1
+
+
+def test_operands_of_other_types_are_refused():
+    with pytest.raises(TypeError):
+        Quaternion(1, 2, 3, 4) + 1
+    with pytest.raises(TypeError):
+        Spinor(1, 2) - SpinMatrix2(1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        Quaternion(1, 2, 3)
+    with pytest.raises(TypeError):
+        Spinor(0.5, 1)
