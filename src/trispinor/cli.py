@@ -32,6 +32,22 @@ class CliError(Exception):
     """Bad command-line input; rendered to stderr with exit code 2."""
 
 
+# Largest --index, --order and term --nmax: genfunc --order 10000 takes 4 s
+# on a 2-core x86-64 VM.
+MAX_TERMS = 10_000
+# Largest verify/suite --nmax: the tribonacci suite at 1000 takes 10 s there.
+MAX_CHECK_NMAX = 1_000
+
+
+def _bounded(value: int, name: str, bound: int) -> int:
+    """value, if it is a count in [0, bound]; otherwise a CliError."""
+    if value < 0:
+        raise CliError(f"{name} must be nonnegative")
+    if value > bound:
+        raise CliError(f"{name} must be at most {bound}")
+    return value
+
+
 def render_json(payload: object) -> str:
     """Canonical JSON rendering; re-rendering parsed output is byte-stable."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -156,17 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_term(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
     if args.index is not None:
-        if args.index < 0:
-            raise CliError("index must be nonnegative")
-        value = seq_term(p, args.index)
+        value = seq_term(p, _bounded(args.index, "index", MAX_TERMS))
         if args.json:
             out.write(render_json({"value": str(value)}))
         else:
             out.write(f"{value}\n")
     else:
-        if args.nmax < 0:
-            raise CliError("nmax must be nonnegative")
-        values = seq_slice(p, 0, args.nmax + 1)
+        values = seq_slice(p, 0, _bounded(args.nmax, "nmax", MAX_TERMS) + 1)
         if args.json:
             out.write(render_json({"values": [str(x) for x in values]}))
         else:
@@ -177,9 +189,7 @@ def _cmd_term(args: argparse.Namespace, out) -> int:
 
 def _cmd_quaternion(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
-    if args.index < 0:
-        raise CliError("index must be nonnegative")
-    q = trib_quaternion(p, args.index)
+    q = trib_quaternion(p, _bounded(args.index, "index", MAX_TERMS))
     if args.json:
         out.write(render_json({name: str(getattr(q, name))
                                for name in ("q0", "q1", "q2", "q3")}))
@@ -190,9 +200,7 @@ def _cmd_quaternion(args: argparse.Namespace, out) -> int:
 
 def _cmd_spinor(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
-    if args.index < 0:
-        raise CliError("index must be nonnegative")
-    s = trib_spinor(p, args.index)
+    s = trib_spinor(p, _bounded(args.index, "index", MAX_TERMS))
     if args.json:
         out.write(render_json(_spinor_json(s)))
     else:
@@ -202,11 +210,10 @@ def _cmd_spinor(args: argparse.Namespace, out) -> int:
 
 def _cmd_binet(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
-    if args.index < 0:
-        raise CliError("index must be nonnegative")
+    n = _bounded(args.index, "index", MAX_TERMS)
     check_tolerance(args.tol)
     try:
-        c1, c2 = binet_spinor(p, args.index)
+        c1, c2 = binet_spinor(p, n)
     except (DegenerateRoots, OverflowError) as exc:
         raise CliError(f"{type(exc).__name__}: {exc}") from None
     if args.json:
@@ -222,9 +229,7 @@ def _cmd_binet(args: argparse.Namespace, out) -> int:
 
 def _cmd_genfunc(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
-    if args.order < 0:
-        raise CliError("order must be nonnegative")
-    series = genfunc_spinor_series(p, args.order)
+    series = genfunc_spinor_series(p, _bounded(args.order, "order", MAX_TERMS))
     if args.json:
         out.write(render_json({
             "order": series.order,
@@ -243,7 +248,8 @@ def _exit_code(reports: list[VerificationReport]) -> int:
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
     identity = IdentityId(args.identity)
-    report = run_identity(identity, p, nmax=args.nmax, seed=args.seed, tol=args.tol)
+    nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
+    report = run_identity(identity, p, nmax=nmax, seed=args.seed, tol=args.tol)
     if args.json:
         out.write(render_json(report_to_dict(report)))
     else:
@@ -253,7 +259,8 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
 
 def _cmd_suite(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
-    reports = run_suite(p, nmax=args.nmax, seed=args.seed, tol=args.tol)
+    nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
+    reports = run_suite(p, nmax=nmax, seed=args.seed, tol=args.tol)
     if args.json:
         out.write(render_json([report_to_dict(r) for r in reports]))
     else:

@@ -37,14 +37,14 @@ from .quaternions import (
     qmul,
     qnorm,
     quat_window,
-    qv_matrix,
     qv_right_multiply,
     qv_window,
     summation_correction,
     u_companion,
     u_window,
 )
-from .sequences import TRIBONACCI, SeqParams, companion_power, seq_slice
+from .sequences import (TRIBONACCI, SeqParams, companion_matrix, companion_power, mat_mul3,
+                        seq_slice)
 from .spinors import (
     C,
     Spinor,
@@ -209,21 +209,17 @@ def verify_conjugate_relations(p: SeqParams, nmax: int) -> Iterator[Comparison]:
         yield Comparison(n, I * (C @ cartan_conjugate(a)), conj, "i*C@cartan: ")
 
 
-def _norm_forms(a: Spinor) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
+def norm_forms(a: Spinor) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
+    """The three spinor-side expressions for the quaternion norm of spinor a.
+
+    C.transpose() equals -C, so pairing through C with a leading minus is the
+    sign that makes the mate/cartan forms match the conjugate pairing.
+    """
     return (
         spinor_dot(complex_conjugate(a), a),
         -bilinear_form(mate(a), C, a),
         (-I) * bilinear_form(cartan_conjugate(a), C, a),
     )
-
-
-def norm_forms(p: SeqParams, n: int) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
-    """The three spinor-side expressions for the quaternion norm at index n.
-
-    C.transpose() equals -C, so pairing through C with a leading minus is the
-    sign that makes the mate/cartan forms match the conjugate pairing.
-    """
-    return _norm_forms(spinor_window(seq_slice(p, n, 4)))
 
 
 @_register(IdentityId.NORM_EQUALITY)
@@ -232,7 +228,7 @@ def verify_norm_equality(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     V(n)^2 + V(n+1)^2 + V(n+2)^2 + V(n+3)^2, exactly."""
     v = seq_slice(p, 0, nmax + 4)
     for n in range(nmax + 1):
-        forms = _norm_forms(spinor_window(v, n))
+        forms = norm_forms(spinor_window(v, n))
         target = GaussScalar(qnorm(quat_window(v, n)))
         for label, value in zip(("conjugate pairing: ", "mate pairing: ",
                                  "cartan pairing: "), forms):
@@ -314,8 +310,8 @@ def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> Iterator[Compariso
 
 # Index offsets (da, db, dc) of the six-term determinant-style combination;
 # entries are breve(Q(n+da)) @ breve(K(n+db)) @ sigma(Q(n+dc)), the first
-# three added and the last three subtracted. The fifth term is the one with a
-# fixed-final-index variant reading.
+# three added and the last three subtracted. The fifth term has a second
+# reading, with its final index fixed at 4 instead of n+4.
 _DET_TERMS = (
     (1, 1, 4),
     (2, 2, 2),
@@ -324,9 +320,23 @@ _DET_TERMS = (
     (2, 0, 4),
     (3, 1, 2),
 )
-_DET_FIXED_TERM = 4
 
 _DET_REFERENCE = Spinor(GaussScalar(-4, 4), GaussScalar(4, -4))
+
+
+def _det_sides(p: SeqParams, v: list[Fraction], n: int
+               ) -> tuple[tuple[Spinor, Quaternion], tuple[Spinor, Quaternion]]:
+    """(spinor, quaternion) values of the combination at shift n, read off a
+    list v of terms from V(0), under the shifted and the fixed reading."""
+    indices = [(n + da, n + db, n + dc) for da, db, dc in _DET_TERMS]
+    indices.append(indices[4][:2] + (4,))
+    spin, quat = [], []
+    for ia, ik, ic in indices:
+        a, k, c = quat_window(v, ia), k_window(p, v, ik), quat_window(v, ic)
+        spin.append(breve(a) @ breve(k) @ sigma(c))
+        quat.append(qmul(qmul(a, k), c))
+    return tuple(tuple(x[0] + x[1] + x[2] - x[3] - x[fifth] - x[5] for x in (spin, quat))
+                 for fifth in (4, 6))
 
 
 def determinant_combination_values(
@@ -338,17 +348,7 @@ def determinant_combination_values(
     read as n+4 by default; with fixed_final_index=True it stays 4 for every
     n. The two sides always satisfy spinor = -sigma(quaternion).
     """
-    v = seq_slice(p, 0, n + 10)
-    spin, quat = [], []
-    for term, (da, db, dc) in enumerate(_DET_TERMS):
-        c_index = 4 if (fixed_final_index and term == _DET_FIXED_TERM) else n + dc
-        a = quat_window(v, n + da)
-        k = k_window(p, v, n + db)
-        c = quat_window(v, c_index)
-        spin.append(breve(a) @ breve(k) @ sigma(c))
-        quat.append(qmul(qmul(a, k), c))
-    return (spin[0] + spin[1] + spin[2] - spin[3] - spin[4] - spin[5],
-            quat[0] + quat[1] + quat[2] - quat[3] - quat[4] - quat[5])
+    return _det_sides(p, seq_slice(p, 0, n + 10), n)[fixed_final_index]
 
 
 @_register(IdentityId.DETERMINANT_COMBINATION)
@@ -367,16 +367,17 @@ def verify_determinant_combination(p: SeqParams, nmax: int) -> Iterator[Comparis
         raise UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"
         )
-    values: dict[bool, list[Spinor]] = {False: [], True: []}
+    v = seq_slice(p, 0, nmax + 10)
+    sides = [_det_sides(p, v, n) for n in range(nmax + 1)]
     for fixed in (False, True):
         reading = "fixed-final-index" if fixed else "shifted"
         note = f"{reading} reading: spinor vs quaternion sides differ"
-        for n in range(nmax + 1):
-            spin_val, quat_val = determinant_combination_values(p, n, fixed)
+        for n, both in enumerate(sides):
+            spin_val, quat_val = both[fixed]
             yield Comparison(n, spin_val, -sigma(quat_val), note=note)
-            values[fixed].append(spin_val)
 
-    def describe(vals: list[Spinor]) -> str:
+    def describe(fixed: bool) -> str:
+        vals = [both[fixed][0] for both in sides]
         constant = all(x == vals[0] for x in vals)
         if constant:
             match = "equals" if vals[0] == _DET_REFERENCE else "differs from"
@@ -385,8 +386,8 @@ def verify_determinant_combination(p: SeqParams, nmax: int) -> Iterator[Comparis
         return f"varies with n (starts {vals[0]}, {match0} reference at n=0)"
 
     return (
-        f"final index n+4: {describe(values[False])}; "
-        f"final index fixed at 4: {describe(values[True])}; "
+        f"final index n+4: {describe(False)}; "
+        f"final index fixed at 4: {describe(True)}; "
         "spinor and quaternion sides agree exactly under both readings"
     )
 
@@ -442,14 +443,17 @@ def verify_u_decomposition(p: SeqParams, nmax: int) -> Iterator[Comparison]:
 def verify_matrix_power_shift(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """Right-multiplying the window matrix at shift 0 by the n-th companion
     power lands exactly on the window matrix at shift n."""
-    base = qv_matrix(p, 0)
     v = seq_slice(p, 0, nmax + 8)
+    base = qv_window(p, v)
+    step = companion_matrix(p)
+    power = companion_power(p, 0)
     for n in range(nmax + 1):
-        product = qv_right_multiply(base, companion_power(p, n))
+        product = qv_right_multiply(base, power)
         target = qv_window(p, v, n)
         for i, j in itertools.product(range(3), repeat=2):
             label = f"entry({i},{j})="
             yield Comparison(n, product[i][j], target[i][j], label, label)
+        power = mat_mul3(power, step)
 
 
 def run_identity(

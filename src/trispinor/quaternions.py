@@ -83,49 +83,35 @@ def k_quaternion(p: SeqParams, n: int) -> Quaternion:
     return k_window(p, seq_slice(p, n, 5))
 
 
-@dataclass(frozen=True)
-class QvMatrix:
-    """3x3 matrix of quaternions assembled from a window of consecutive terms.
-
-    Row i of a matrix with shift n is
-    (Q(n+4-i), s*Q(n+3-i) + t*Q(n+2-i), t*Q(n+3-i)).
-    """
-
-    entries: tuple[tuple[Quaternion, Quaternion, Quaternion], ...]
-    shift: int
+QvRows = tuple[tuple[Quaternion, Quaternion, Quaternion], ...]
 
 
-def qv_window(
-    p: SeqParams, v: Sequence[Rational], n: int = 0
-) -> tuple[tuple[Quaternion, Quaternion, Quaternion], ...]:
+def qv_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> QvRows:
     """Rows of the window matrix with shift n, with the window quaternions
-    read off a list of terms as by quat_window(v, m)."""
+    read off a list of terms as by quat_window(v, m). Row i is
+    (Q(n+4-i), s*Q(n+3-i) + t*Q(n+2-i), t*Q(n+3-i))."""
     return tuple(
         (quat_window(v, n + 4 - i), k_window(p, v, n + 2 - i), p.t * quat_window(v, n + 3 - i))
         for i in range(3)
     )
 
 
-def qv_matrix(p: SeqParams, shift: int = 0) -> QvMatrix:
+def qv_matrix(p: SeqParams, shift: int = 0) -> QvRows:
+    """Rows of the window matrix with the given shift."""
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    return QvMatrix(qv_window(p, seq_slice(p, shift, 8)), shift)
+    return qv_window(p, seq_slice(p, shift, 8))
 
 
-def qv_right_multiply(
-    qv: QvMatrix, m: Matrix3
-) -> tuple[tuple[Quaternion, Quaternion, Quaternion], ...]:
-    """Right-multiply the quaternion grid by an exact scalar 3x3 matrix.
+def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
+    """Right-multiply a 3x3 matrix of quaternions by an exact scalar 3x3 matrix.
 
     Scalars commute with quaternions, so each result entry is a scalar
     combination of the row's quaternions; no Hamilton products occur.
     """
     return tuple(
-        tuple(
-            sum((m[k][j] * qv.entries[i][k] for k in range(3)), ZERO)
-            for j in range(3)
-        )
-        for i in range(3)
+        tuple(sum((m[k][j] * row[k] for k in range(3)), ZERO) for j in range(3))
+        for row in rows
     )
 
 

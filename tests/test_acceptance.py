@@ -36,6 +36,7 @@ from trispinor import (
     seq_slice,
     sigma,
     trib_quaternion,
+    trib_spinor,
     verify_binet,
     verify_conjugate_relations,
     verify_determinant_combination,
@@ -85,7 +86,7 @@ def test_c03_norm_equality():
     ok = all(
         verify_norm_equality(p, 100).status is Status.EXACT_PASS for p in SWEEP
     )
-    spot = norm_forms(TRIB, 0) == (GaussScalar(6),) * 3
+    spot = norm_forms(trib_spinor(TRIB, 0)) == (GaussScalar(6),) * 3
     spot = spot and qnorm(trib_quaternion(TRIB, 0)) == 6
     report(3, "norm equality, three forms", ok and spot, "spot value n=0 -> 6")
 

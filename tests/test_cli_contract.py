@@ -1,0 +1,99 @@
+"""The CLI contract: counts are bounded, and any argv ends in exit 0, 1 or 2
+with one error line, never a traceback."""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from trispinor.cli import MAX_CHECK_NMAX, MAX_TERMS, main
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["term", "-n", str(MAX_TERMS + 1)], f"index must be at most {MAX_TERMS}"),
+    (["term", "--nmax", str(MAX_TERMS + 1)], f"nmax must be at most {MAX_TERMS}"),
+    (["quaternion", "-n", str(MAX_TERMS + 1)], f"index must be at most {MAX_TERMS}"),
+    (["spinor", "-n", str(MAX_TERMS + 1)], f"index must be at most {MAX_TERMS}"),
+    (["binet", "-n", str(MAX_TERMS + 1)], f"index must be at most {MAX_TERMS}"),
+    (["genfunc", "--order", str(MAX_TERMS + 1)], f"order must be at most {MAX_TERMS}"),
+    (["verify", "--identity", "norm", "--nmax", str(MAX_CHECK_NMAX + 1)],
+     f"nmax must be at most {MAX_CHECK_NMAX}"),
+    (["suite", "--nmax", str(MAX_CHECK_NMAX + 1)], f"nmax must be at most {MAX_CHECK_NMAX}"),
+])
+def test_count_above_bound_exits_2(argv, message):
+    assert run(argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["term", "-n", "-1"], ["term", "--nmax", "-1"], ["quaternion", "-n", "-1"],
+    ["spinor", "-n", "-1"], ["binet", "-n", "-1"], ["genfunc", "--order", "-1"],
+])
+def test_negative_count_exits_2(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" must be nonnegative\n")
+
+
+SIZES = st.one_of(
+    st.integers(0, 30).map(str),
+    st.integers(-5, -1).map(str),
+    st.sampled_from([str(MAX_TERMS + 1), str(MAX_CHECK_NMAX + 1), "x", "1.5", "nan", "inf"]),
+)
+TOLS = st.sampled_from(["1e-9", "1e-3", "0", "-1e-9", "nan", "inf", "x"])
+SOURCES = st.sampled_from([
+    [], ["--preset", "tribonacci"], ["--preset", "third_order_jacobsthal"],
+    ["--preset", "nope"], ["--params", "1/2,-2/3,3/4,1,-1/2,2/5"],
+    ["--params", "3,0,-2,-2,-2,-2"], ["--params", "3,-3,1,0,1,1"],
+    ["--params", "0,0,0,0,0,0"], ["--params", "1,2,3"],
+    ["--params", "1/0,1,1,0,1,1"], ["--params", "a,1,1,0,1,1"],
+])
+IDENTITIES = st.sampled_from(["recurrence", "conjugates", "norm", "binet", "genfunc",
+                              "triple_product", "spinor_matrix", "determinant",
+                              "summation", "u_decomposition", "matrix_power", "nope"])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(
+        ["term", "quaternion", "spinor", "binet", "genfunc", "verify", "suite"]))
+    argv = [command] + draw(SOURCES)
+    if command == "term":
+        argv += [draw(st.sampled_from(["-n", "--nmax"])), draw(SIZES)]
+    elif command in ("quaternion", "spinor", "binet"):
+        argv += ["-n", draw(SIZES)]
+    elif command == "genfunc":
+        argv += ["--order", draw(SIZES)] if draw(st.booleans()) else []
+    elif command == "verify":
+        argv += ["--identity", draw(IDENTITIES), "--nmax", draw(SIZES)]
+    else:
+        argv += ["--nmax", draw(SIZES)]
+    if command in ("binet", "verify", "suite") and draw(st.booleans()):
+        argv += ["--tol", draw(TOLS)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_any_argv_exits_0_1_or_2(argv):
+    try:
+        code, out, err = run(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        assert err == ""

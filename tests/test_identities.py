@@ -58,8 +58,8 @@ def test_conjugate_relations_reports():
 
 
 def test_norm_equality_reports_and_spots():
-    assert norm_forms(TRIB, 0) == (GaussScalar(6),) * 3
-    assert norm_forms(TRIB, 1) == (GaussScalar(22),) * 3
+    assert norm_forms(trib_spinor(TRIB, 0)) == (GaussScalar(6),) * 3
+    assert norm_forms(trib_spinor(TRIB, 1)) == (GaussScalar(22),) * 3
     assert verify_norm_equality(TRIB, 60).status is Status.EXACT_PASS
     assert verify_norm_equality(SeqParams(1, 1, 1, 0, 0, 0), 10).status is Status.EXACT_PASS
 
@@ -162,7 +162,7 @@ def test_summation_degenerate_delta():
 def test_matrix_power_shift_reports():
     report = verify_matrix_power_shift(TRIB, 20)
     assert report.status is Status.EXACT_PASS
-    assert qv_matrix(TRIB, 1).entries[0][0] == Quaternion(7, 13, 24, 44)
+    assert qv_matrix(TRIB, 1)[0][0] == Quaternion(7, 13, 24, 44)
     rng = random.Random(10)
     for _ in range(4):
         assert verify_matrix_power_shift(random_params(rng), 30).status is Status.EXACT_PASS

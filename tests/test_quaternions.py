@@ -123,11 +123,11 @@ def test_k_quaternion():
 
 def test_qv_matrix_layout():
     qv = qv_matrix(TRIB, 0)
-    assert qv.entries[0][0] == trib_quaternion(TRIB, 4)
-    assert qv.entries[2][1] == k_quaternion(TRIB, 0)
-    assert qv.entries[1][2] == TRIB.t * trib_quaternion(TRIB, 2)
+    assert qv[0][0] == trib_quaternion(TRIB, 4)
+    assert qv[2][1] == k_quaternion(TRIB, 0)
+    assert qv[1][2] == TRIB.t * trib_quaternion(TRIB, 2)
     shifted = qv_matrix(TRIB, 1)
-    assert shifted.entries[0][0] == trib_quaternion(TRIB, 5)
+    assert shifted[0][0] == trib_quaternion(TRIB, 5)
 
 
 def test_qv_shift_identity():
@@ -136,7 +136,7 @@ def test_qv_shift_identity():
         p = SeqParams(*(rng.randint(-4, 4) for _ in range(6)))
         base = qv_matrix(p, 0)
         for n in (0, 1, 2, 5, 11):
-            assert qv_right_multiply(base, companion_power(p, n)) == qv_matrix(p, n).entries
+            assert qv_right_multiply(base, companion_power(p, n)) == qv_matrix(p, n)
 
 
 def test_u_decomposition_examples():
