@@ -1,5 +1,6 @@
 """Output-contract goldens: reports rendered exactly as the CLI renders them,
-compared byte for byte with the files under tests/golden/.
+and the output of the value subcommands (term, quaternion, spinor, genfunc,
+binet), compared byte for byte with the files under tests/golden/.
 
 The files pin statuses, spans, witnesses, notes (float noise included) and
 the random draw order of triple_product. The cubic solver is pure Python, so
@@ -57,12 +58,37 @@ def _run_identities(p: SeqParams) -> str:
     ])
 
 
+# The subcommands that print values rather than reports, each in text and
+# JSON. Indices above 0 read deep terms, not only the seed window.
+CLI_COMMANDS = [
+    [*argv, *json_flag]
+    for argv in (["term", "-n", "40"], ["term", "--nmax", "12"], ["quaternion", "-n", "25"],
+                 ["spinor", "-n", "30"], ["genfunc", "--order", "6"], ["binet", "-n", "10"])
+    for json_flag in ([], ["--json"])
+]
+CLI_PARAMS = {"integer": "2,-1,3,1,-2,5", "rational": "1/2,-2/3,3/4,1,-1/2,2/5"}
+
+
+def _cli_transcript(params: str) -> str:
+    """Every CLI_COMMANDS line run with --params, its stdout and its exit code."""
+    parts = []
+    for argv in CLI_COMMANDS:
+        argv = [*argv, "--params", params]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        parts.append(f"$ trispinor {' '.join(argv)}\n{out.getvalue()}[exit {code}]\n")
+    return "".join(parts)
+
+
 CASES = {
     "suite_tribonacci_nmax50_seed1.json": _suite_cli,
     **{f"run_identity_{name}_nmax30.json": (lambda p=p: _run_identities(p))
        for name, p in PARAM_SETS.items()},
     "verify_binet_tribonacci_tol1e-18.json":
         lambda: render_json(report_to_dict(verify_binet(TRIBONACCI, 30, 1e-18))),
+    **{f"cli_values_{name}.txt": (lambda params=params: _cli_transcript(params))
+       for name, params in CLI_PARAMS.items()},
 }
 
 
