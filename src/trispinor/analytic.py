@@ -8,11 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .gauss import GaussScalar
+from .gauss import GaussScalar, Rational
 from .sequences import SeqParams, seq_slice
 from .spinors import Spinor, spinor_window
-
-Rational = Fraction | int
 
 
 class DegenerateRoots(ArithmeticError):

@@ -3,6 +3,7 @@ generating functions, and run the identity verification suite.
 
 Exact values are rendered as decimal rationals (strings in JSON); only the
 root-based closed forms produce floats, always with an explicit tolerance.
+Output is written once rendered in full; Python's int digit limit bounds it.
 Exit codes: 0 all checks pass, 1 a verified identity failed, 2 bad input.
 """
 
@@ -173,17 +174,12 @@ def _cmd_term(args: argparse.Namespace, out) -> int:
     p = _resolve_params(args)
     if args.index is not None:
         value = seq_term(p, _bounded(args.index, "index", MAX_TERMS))
-        if args.json:
-            out.write(render_json({"value": str(value)}))
-        else:
-            out.write(f"{value}\n")
+        text = render_json({"value": str(value)}) if args.json else f"{value}\n"
     else:
         values = seq_slice(p, 0, _bounded(args.nmax, "nmax", MAX_TERMS) + 1)
-        if args.json:
-            out.write(render_json({"values": [str(x) for x in values]}))
-        else:
-            for x in values:
-                out.write(f"{x}\n")
+        text = (render_json({"values": [str(x) for x in values]}) if args.json
+                else "".join(f"{x}\n" for x in values))
+    out.write(text)
     return 0
 
 
@@ -236,8 +232,7 @@ def _cmd_genfunc(args: argparse.Namespace, out) -> int:
             "coefficients": [_spinor_json(s) for s in series.coefficients],
         }))
     else:
-        for k, s in enumerate(series.coefficients):
-            out.write(f"{k}: {s}\n")
+        out.write("".join(f"{k}: {s}\n" for k, s in enumerate(series.coefficients)))
     return 0
 
 
@@ -291,8 +286,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args, sys.stdout)
     except (CliError, ValueError) as exc:
-        # ValueError covers range/tolerance preconditions of the library ops.
-        print(f"error: {exc}", file=sys.stderr)
+        # ValueError covers range/tolerance preconditions of the library ops,
+        # and Python's limit on the digits of a printed int, which bounds the
+        # output size and stays.
+        message = str(exc)
+        if "integer string conversion" in message:
+            message = (f"output limit exceeded: a value has more than "
+                       f"{sys.get_int_max_str_digits()} digits")
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

@@ -8,14 +8,20 @@ from operator import add, neg, sub
 
 Rational = Fraction | int
 
-_ZERO = Fraction(0)
+
+def rat(x: object) -> Rational:
+    """x as an exact rational: an int when it is integral, a Fraction otherwise."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class _Exact:
     """Immutable vector of exact components, stored in one tuple.
 
     A subclass names its components and the function that coerces each one
-    as class keywords: ``fields="q0 q1 q2 q3", coerce=Fraction``. The public
+    as class keywords: ``fields="q0 q1 q2 q3", coerce=rat``. The public
     constructor coerces every component once; arithmetic builds its results
     with ``_make``, which does not. ``==`` holds between values of one type
     with equal components, after ``_lift`` has converted the other operand.
@@ -98,11 +104,11 @@ def _coerce(value: object) -> GaussScalar | None:
     if isinstance(value, GaussScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussScalar._make((Fraction(value), _ZERO))
+        return GaussScalar._make((rat(value), 0))
     return None
 
 
-class GaussScalar(_Exact, fields="re im", coerce=Fraction):
+class GaussScalar(_Exact, fields="re im", coerce=rat):
     """Complex scalar whose real and imaginary parts are exact rationals.
 
     Supports +, -, *, / and conjugation; equality is exact and also accepts
@@ -136,7 +142,9 @@ class GaussScalar(_Exact, fields="re im", coerce=Fraction):
         n = c * c + d * d
         if n == 0:
             raise ZeroDivisionError("division by zero")
-        return GaussScalar._make(((a * c + b * d) / n, (b * c - a * d) / n))
+        # Fraction(num, n), not num / n: two ints would divide to a float.
+        return GaussScalar._make((rat(Fraction(a * c + b * d, n)),
+                                  rat(Fraction(b * c - a * d, n))))
 
     def conjugate(self) -> GaussScalar:
         return GaussScalar._make((self.re, -self.im))

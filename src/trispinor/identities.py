@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .analytic import DegenerateRoots, binet_spinor, cubic_roots, genfunc_spinor_series
-from .gauss import GaussScalar, I
+from .gauss import GaussScalar, I, Rational
 from .quaternions import (
     DegenerateDelta,
     Quaternion,
@@ -324,7 +324,7 @@ _DET_TERMS = (
 _DET_REFERENCE = Spinor(GaussScalar(-4, 4), GaussScalar(4, -4))
 
 
-def _det_sides(p: SeqParams, v: list[Fraction], n: int
+def _det_sides(p: SeqParams, v: list[Rational], n: int
                ) -> tuple[tuple[Spinor, Quaternion], tuple[Spinor, Quaternion]]:
     """(spinor, quaternion) values of the combination at shift n, read off a
     list v of terms from V(0), under the shifted and the fixed reading."""

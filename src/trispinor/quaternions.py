@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gauss import Rational, _Exact
+from .gauss import Rational, _Exact, rat
 from .sequences import Matrix3, SeqParams, seq_slice
 
 
@@ -15,7 +15,7 @@ class DegenerateDelta(ArithmeticError):
     """The closed-form partial sum divides by r + s + t - 1, which is zero here."""
 
 
-class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=Fraction):
+class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=rat):
     """Quaternion with exact rational components over the basis e0, e1, e2, e3.
 
     ``*`` is the Hamilton product when both operands are quaternions and
@@ -57,7 +57,7 @@ def qconj(q: Quaternion) -> Quaternion:
     return Quaternion._make((q.q0, -q.q1, -q.q2, -q.q3))
 
 
-def qnorm(q: Quaternion) -> Fraction:
+def qnorm(q: Quaternion) -> Rational:
     """Sum of squared components; equals the scalar part of q * qconj(q)."""
     return q.q0 ** 2 + q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2
 
@@ -146,8 +146,8 @@ class SummationCorrection:
     omega  = quaternion of lambda shifted by running seed sums.
     """
 
-    delta: Fraction
-    lambda_: Fraction
+    delta: Rational
+    lambda_: Rational
     omega: Quaternion
 
 

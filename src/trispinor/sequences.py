@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
+from .gauss import Rational, rat
+
 Matrix3 = tuple[
-    tuple[Fraction, Fraction, Fraction],
-    tuple[Fraction, Fraction, Fraction],
-    tuple[Fraction, Fraction, Fraction],
+    tuple[Rational, Rational, Rational],
+    tuple[Rational, Rational, Rational],
+    tuple[Rational, Rational, Rational],
 ]
 
 
@@ -22,16 +23,16 @@ class UnknownPreset(ValueError):
 class SeqParams:
     """Recurrence coefficients (r, s, t) and seed values (v0, v1, v2)."""
 
-    r: Fraction
-    s: Fraction
-    t: Fraction
-    v0: Fraction
-    v1: Fraction
-    v2: Fraction
+    r: Rational
+    s: Rational
+    t: Rational
+    v0: Rational
+    v1: Rational
+    v2: Rational
 
     def __post_init__(self) -> None:
         for name in ("r", "s", "t", "v0", "v1", "v2"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, rat(getattr(self, name)))
 
     def __str__(self) -> str:
         return (
@@ -58,42 +59,37 @@ def preset(name: str) -> SeqParams:
         raise UnknownPreset(f"unknown preset {name!r} (known: {known})") from None
 
 
-def _iter_terms(p: SeqParams) -> Iterator[Fraction]:
+def _iter_terms(p: SeqParams, n0: int = 0) -> Iterator[Rational]:
+    """Terms from V(n0) on. A start past 0 jumps there by the companion power
+    applied to the seed window; from 0 the terms are iterated only."""
     a, b, c = p.v0, p.v1, p.v2
+    if n0:
+        c, b, a = (x * p.v2 + y * p.v1 + z * p.v0 for x, y, z in companion_power(p, n0))
     while True:
         yield a
         a, b, c = b, c, p.r * c + p.s * b + p.t * a
 
 
-def seq_term(p: SeqParams, n: int) -> Fraction:
-    """n-th term of the recurrence, exact."""
+def seq_term(p: SeqParams, n: int) -> Rational:
+    """n-th term of the recurrence, exact, in O(log n) matrix products."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return next(islice(_iter_terms(p), n, None))
+    return next(_iter_terms(p, n))
 
 
-def seq_slice(p: SeqParams, n0: int, length: int) -> list[Fraction]:
-    """Terms n0 .. n0+length-1 in one forward pass."""
+def seq_slice(p: SeqParams, n0: int, length: int) -> list[Rational]:
+    """Terms n0 .. n0+length-1 in one forward pass, after a jump to n0 by the
+    companion power if n0 > 0. A slice from 0 never uses the power."""
     if n0 < 0:
         raise ValueError("start index must be nonnegative")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    return list(islice(_iter_terms(p), n0, n0 + length))
+    return list(islice(_iter_terms(p, n0), length))
 
 
 def companion_matrix(p: SeqParams) -> Matrix3:
     """The matrix [[r, s, t], [1, 0, 0], [0, 1, 0]] that shifts term windows."""
-    one, zero = Fraction(1), Fraction(0)
-    return (
-        (p.r, p.s, p.t),
-        (one, zero, zero),
-        (zero, one, zero),
-    )
-
-
-def identity3() -> Matrix3:
-    one, zero = Fraction(1), Fraction(0)
-    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    return ((p.r, p.s, p.t), (1, 0, 0), (0, 1, 0))
 
 
 def mat_mul3(a: Matrix3, b: Matrix3) -> Matrix3:
@@ -107,7 +103,7 @@ def companion_power(p: SeqParams, n: int) -> Matrix3:
     """n-th power of the companion matrix by repeated squaring, exact."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    result = identity3()
+    result = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     base = companion_matrix(p)
     while n:
         if n & 1:

@@ -3,10 +3,9 @@ map from quaternions, and the 2x2 matrix representation of quaternion products."
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .gauss import GaussScalar, I, _Exact, as_gauss
+from .gauss import GaussScalar, I, Rational, _Exact, as_gauss
 from .quaternions import Quaternion
 from .sequences import SeqParams, seq_slice
 
@@ -97,7 +96,7 @@ def spinor_norm(s: Spinor) -> GaussScalar:
     return spinor_dot(complex_conjugate(s), s)
 
 
-def spinor_window(v: Sequence[Fraction | int], n: int = 0) -> Spinor:
+def spinor_window(v: Sequence[Rational], n: int = 0) -> Spinor:
     """Spinor [v[n+3] + i*v[n]; v[n+1] + i*v[n+2]] of four consecutive terms,
     read off a list of terms. It is built from the terms themselves, not as
     sigma of the window quaternion, so that checks comparing the two stay

@@ -3,6 +3,7 @@ with one error line, never a traceback."""
 
 import contextlib
 import io
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,6 +42,23 @@ def test_negative_count_exits_2(argv):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(" must be nonnegative\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # V(9000) of this set has about 7,000 digits; Python prints at most 4,300
+    # unless its limit is changed.
+    ["term", "--nmax", "9000", "--params", "5,5,5,1,1,1"],
+    ["term", "-n", "9000", "--params", "5,5,5,1,1,1"],
+    ["term", "--nmax", "9000", "--json", "--params", "5,5,5,1,1,1"],
+    # V(k) is 99999^(k-2), so the coefficients pass 4,300 digits from k = 860.
+    ["genfunc", "--order", "1000", "--params", "99999,0,0,1,1,1"],
+])
+def test_value_past_the_digit_limit_exits_2_with_empty_stdout(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: output limit exceeded: a value has more than {limit} digits\n"
+    assert "set_int_max_str_digits" not in err
 
 
 SIZES = st.one_of(

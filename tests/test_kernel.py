@@ -44,28 +44,60 @@ def test_values_are_immutable(value):
     assert str(value) == before
 
 
+def _assert_exact(*components, normal=True):
+    """Every component is an int or a Fraction, never a float; with normal,
+    it is an int exactly when it is integral."""
+    for c in components:
+        assert type(c) in (int, Fraction)
+        if normal:
+            assert (type(c) is int) == (c.denominator == 1)
+
+
 def test_constructor_coerces_exactly():
     q = Quaternion(0.5, 1, 2, 3)
     assert q.q0 == Fraction(1, 2) and type(q.q0) is Fraction
-    assert all(type(c) is Fraction for c in (q.q1, q.q2, q.q3))
+    assert (q.q1, q.q2, q.q3) == (1, 2, 3)
+    _assert_exact(*q._c)
+    q = Quaternion(Fraction(4, 2), 2.0, True, -0.25)
+    assert q == Quaternion(2, 2, 1, Fraction(-1, 4))
+    _assert_exact(*q._c)
     z = GaussScalar(1) / GaussScalar(3)
     assert (z.re, z.im) == (Fraction(1, 3), 0)
-    assert type(z.re) is Fraction and type(z.im) is Fraction
+    _assert_exact(z.re, z.im)
     s = Spinor(1, Fraction(2, 3))
     assert s.c1 == GaussScalar(1) and type(s.c2) is GaussScalar
+    _assert_exact(s.c1.re, s.c1.im, s.c2.re, s.c2.im)
+
+
+def test_division_stays_exact():
+    third = GaussScalar(1) / 3
+    assert third == GaussScalar(Fraction(1, 3)) and type(third.re) is Fraction
+    half = GaussScalar(4, 2) / 2
+    assert (half.re, half.im) == (2, 1)
+    i = GaussScalar(1, 1) / GaussScalar(1, -1)
+    assert (i.re, i.im) == (0, 1)
+    for z in (third, half, i):
+        _assert_exact(z.re, z.im)
 
 
 def test_arithmetic_keeps_exact_component_types():
     q = Quaternion(1, 2, 3, 4)
-    for result in (q + q, q - q, -q, 2 * q, q * Fraction(1, 3), q * q):
-        assert all(type(c) is Fraction for c in (result.q0, result.q1, result.q2, result.q3))
+    for result in (q + q, q - q, -q, 2 * q, q * q):
+        _assert_exact(*result._c)
+    # A Fraction operand can leave an integral Fraction (3 * 1/3 here): it is
+    # exact, equal to the int, and prints like it.
+    third = q * Fraction(1, 3)
+    _assert_exact(*third._c, normal=False)
+    assert third == Quaternion(Fraction(1, 3), Fraction(2, 3), 1, Fraction(4, 3))
+    assert str(third) == "(1/3, 2/3, 1, 4/3)"
     m = SpinMatrix2(1, 2, 3, 4)
     s = Spinor(1, GaussScalar(0, 1))
     for result in (s + s, s - s, -s, 2 * s, s * GaussScalar(0, 1), m @ s):
         assert all(type(c) is GaussScalar for c in (result.c1, result.c2))
-        assert all(type(x) is Fraction for c in (result.c1, result.c2) for x in (c.re, c.im))
+        _assert_exact(*(x for c in result._c for x in (c.re, c.im)))
     for result in (m + m, m - m, -m, m * 2, m @ m):
         assert all(type(c) is GaussScalar for c in (result.a11, result.a12, result.a21, result.a22))
+        _assert_exact(*(x for c in result._c for x in (c.re, c.im)))
 
 
 def test_equality_needs_the_same_type():

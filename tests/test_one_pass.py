@@ -1,11 +1,15 @@
 """Every parameter-dependent identity reads its windows from one forward pass
 of the sequence and builds the companion power once, so a check costs
-O(nmax) term evaluations rather than O(nmax^2)."""
+O(nmax) term evaluations rather than O(nmax^2).
+
+The pass starts at V(0) and iterates the recurrence, so the brute-force side
+of a check never goes through the companion power, the closed form that
+seq_slice uses to jump to a later start."""
 
 import pytest
 
-from trispinor import IdentityId, TRIBONACCI, Status, run_identity
-from trispinor import identities
+from trispinor import IdentityId, TRIBONACCI, Status, run_identity, run_suite, seq_term
+from trispinor import identities, sequences
 
 NMAX = 40
 PARAMETER_DEPENDENT = [i for i in IdentityId if i is not IdentityId.TRIPLE_PRODUCT_MAP]
@@ -17,7 +21,7 @@ def test_identity_reads_one_pass(monkeypatch, identity):
     seq_slice, companion_power = identities.seq_slice, identities.companion_power
 
     def recording_slice(p, n0, length):
-        slices.append(n0 + length)
+        slices.append((n0, length))
         return seq_slice(p, n0, length)
 
     def recording_power(p, n):
@@ -30,5 +34,23 @@ def test_identity_reads_one_pass(monkeypatch, identity):
     assert report.status is not Status.FAIL
     # Terms iterated over all slices: one pass over the window, plus the
     # companion sequence for u_decomposition.
-    assert sum(slices) <= 2 * (NMAX + 10)
+    assert sum(n0 + length for n0, length in slices) <= 2 * (NMAX + 10)
+    assert all(n0 == 0 for n0, _ in slices)
     assert len(powers) <= 1
+
+
+def test_suite_does_not_read_terms_through_the_companion_power(monkeypatch):
+    """A wrong companion power in the sequence module moves no report: the
+    slices the checks read start at V(0) and are iterated only."""
+    companion_power = sequences.companion_power
+
+    def shifted_power(p, n):
+        return companion_power(p, n + 1)
+
+    def render(reports):
+        return [(r.identity, r.status, r.note, r.witness) for r in reports]
+
+    before = render(run_suite(TRIBONACCI, nmax=40, seed=1))
+    monkeypatch.setattr(sequences, "companion_power", shifted_power)
+    assert seq_term(TRIBONACCI, 5) != 7  # the fault is live: a term past 0 jumps through it
+    assert render(run_suite(TRIBONACCI, nmax=40, seed=1)) == before

@@ -12,7 +12,9 @@ from trispinor import (
     preset,
     seq_slice,
     seq_term,
+    trib_spinor,
 )
+from trispinor.spinors import spinor_window
 
 TRIB = preset("tribonacci")
 JAC = preset("third_order_jacobsthal")
@@ -115,3 +117,32 @@ def test_fractional_coefficients_stay_exact():
     v = seq_slice(p, 0, 40)
     for n in range(3, 40):
         assert v[n] == p.r * v[n - 1] + p.s * v[n - 2] + p.t * v[n - 3]
+
+
+integer_or_rational = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.builds(Fraction, st.integers(min_value=-5, max_value=5),
+              st.integers(min_value=1, max_value=4)),
+)
+
+
+@given(values=st.lists(integer_or_rational, min_size=6, max_size=6),
+       n0=st.integers(min_value=0, max_value=300), length=st.integers(min_value=0, max_value=8))
+def test_jump_agrees_with_forward_iteration(values, n0, length):
+    """A slice or term that starts past 0 jumps there by the companion power;
+    it equals the same terms read off the pass from V(0)."""
+    p = SeqParams(*values)
+    forward = seq_slice(p, 0, n0 + length + 4)
+    assert seq_slice(p, n0, length) == forward[n0:n0 + length]
+    assert seq_term(p, n0) == forward[n0]
+    assert trib_spinor(p, n0) == spinor_window(forward, n0)
+
+
+def test_terms_are_exact_rationals():
+    """An integer set has int terms; a rational set has int or Fraction
+    terms; no term is ever a float, from 0 or after a jump."""
+    p = SeqParams(2, -1, 3, 1, -2, 5)
+    assert all(type(x) is int for x in seq_slice(p, 0, 50) + seq_slice(p, 40, 10))
+    assert type(seq_term(p, 1000)) is int
+    q = SeqParams(Fraction(1, 2), 0.25, 3, 1, Fraction(-1, 2), 2)
+    assert all(type(x) in (int, Fraction) for x in seq_slice(q, 0, 50) + seq_slice(q, 40, 10))
