@@ -176,7 +176,11 @@ def _cmd_term(args: argparse.Namespace, out) -> int:
         value = seq_term(p, _bounded(args.index, "index", MAX_TERMS))
         text = render_json({"value": str(value)}) if args.json else f"{value}\n"
     else:
-        values = seq_slice(p, 0, _bounded(args.nmax, "nmax", MAX_TERMS) + 1)
+        nmax = _bounded(args.nmax, "nmax", MAX_TERMS)
+        # V(nmax) is printed too; rendering it first, in O(log nmax) products,
+        # meets the output limit before the whole slice is computed.
+        str(seq_term(p, nmax))
+        values = seq_slice(p, 0, nmax + 1)
         text = (render_json({"values": [str(x) for x in values]}) if args.json
                 else "".join(f"{x}\n" for x in values))
     out.write(text)

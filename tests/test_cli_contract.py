@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from trispinor import cli
 from trispinor.cli import MAX_CHECK_NMAX, MAX_TERMS, main
 
 
@@ -59,6 +60,16 @@ def test_value_past_the_digit_limit_exits_2_with_empty_stdout(argv):
     limit = sys.get_int_max_str_digits()
     assert err == f"error: output limit exceeded: a value has more than {limit} digits\n"
     assert "set_int_max_str_digits" not in err
+
+
+def test_term_nmax_meets_the_digit_limit_before_the_slice(monkeypatch):
+    def no_slice(*args):
+        raise AssertionError("seq_slice called")
+
+    monkeypatch.setattr(cli, "seq_slice", no_slice)
+    limit = sys.get_int_max_str_digits()
+    assert run(["term", "--nmax", "9000", "--params", "5,5,5,1,1,1"]) == (
+        2, "", f"error: output limit exceeded: a value has more than {limit} digits\n")
 
 
 SIZES = st.one_of(

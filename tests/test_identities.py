@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from trispinor import identities
 from trispinor import (
     DegenerateDelta,
     GaussScalar,
@@ -15,6 +17,7 @@ from trispinor import (
     determinant_combination_values,
     norm_forms,
     preset,
+    qmul,
     qv_matrix,
     random_params,
     run_identity,
@@ -99,6 +102,21 @@ def test_triple_product_reports():
     assert report.span == (0, 999)
     with pytest.raises(ValueError):
         verify_triple_product_map(42, 0)
+
+
+def test_triple_product_runs_on_integers_but_one_trial(monkeypatch):
+    # The doubled triples have integer components; only the first trial with
+    # a half-integer component is evaluated again on Fractions, in two qmuls.
+    fraction_calls = []
+
+    def counting_qmul(a, b):
+        if any(isinstance(x, Fraction) for q in (a, b) for x in (q.q0, q.q1, q.q2, q.q3)):
+            fraction_calls.append((a, b))
+        return qmul(a, b)
+
+    monkeypatch.setattr(identities, "qmul", counting_qmul)
+    assert verify_triple_product_map(42, 1000).status is Status.EXACT_PASS
+    assert len(fraction_calls) == 2
 
 
 def test_spinor_matrix_behavior_reports():

@@ -6,10 +6,10 @@ import math
 
 import pytest
 
-from trispinor import IdentityId, SeqParams, Status, preset, run_identity
+from trispinor import IdentityId, SeqParams, Status, Witness, preset, run_identity
 from trispinor import identities
 from trispinor.cli import main
-from trispinor.quaternions import ONE, SummationCorrection, qmul, summation_correction
+from trispinor.quaternions import ONE, Quaternion, SummationCorrection, qmul, summation_correction
 from trispinor.sequences import companion_power
 from trispinor.spinors import SpinMatrix2, breve, mate
 
@@ -33,13 +33,20 @@ def _swapped_qmul(a, b):
     return qmul(b, a)
 
 
+def _floored_qmul(a, b):
+    """Exact on integer input, wrong on half-integer input."""
+    q = qmul(a, b)
+    return Quaternion(*(math.floor(x) for x in (q.q0, q.q1, q.q2, q.q3)))
+
+
 def _shifted_omega(p):
     c = summation_correction(p)
     return SummationCorrection(c.delta, c.lambda_, c.omega + ONE)
 
 
 # (identity, operation replaced, faulty replacement, expected witness n, lhs,
-# rhs, note). The expected strings were recorded before the runner existed.
+# rhs, note). The expected strings were recorded before the runner existed;
+# those of the last two rows before triple_product ran on the doubled triple.
 FAULTS = [
     ("conjugates", "mate", _negated_mate, 0,
      "C@mate: [-2+0i; -1+1i]", "[2+0i; 1-1i]", ""),
@@ -60,11 +67,20 @@ FAULTS = [
      "[4+0i; 2+2i]", "[4+1i; 2+2i]",
      "sigma(omega) constant [-5+0i; -1-3i] fails; "
      "seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
+    ("triple_product", "breve", _affine_breve, 0,
+     "[-451/4-1053/4i; 754+3097/4i]", "[-6-879/4i; 797+3021/4i]",
+     "a=(-1, 8, 1, 3), b=(9, -9, -1/2, -2), c=(3, 8, 3/2, -5)"),
+    ("triple_product", "qmul", _floored_qmul, 0,
+     "[-107-260i; 751+769i]", "[-451/4-1053/4i; 754+3097/4i]",
+     "a=(-1, 8, 1, 3), b=(9, -9, -1/2, -2), c=(3, 8, 3/2, -5)"),
 ]
+# A row's id is its identity; a later row of the same identity adds its fault.
+FAULT_IDS = [ident if [f[0] for f in FAULTS].index(ident) == i
+             else f"{ident}-{faulty.__name__.lstrip('_')}"
+             for i, (ident, _, faulty, *_) in enumerate(FAULTS)]
 
 
-@pytest.mark.parametrize("ident, attr, faulty, n, lhs, rhs, note", FAULTS,
-                         ids=[f[0] for f in FAULTS])
+@pytest.mark.parametrize("ident, attr, faulty, n, lhs, rhs, note", FAULTS, ids=FAULT_IDS)
 def test_injected_fault_reports_first_mismatch(monkeypatch, ident, attr, faulty,
                                                n, lhs, rhs, note):
     monkeypatch.setattr(identities, attr, faulty)
@@ -73,6 +89,17 @@ def test_injected_fault_reports_first_mismatch(monkeypatch, ident, attr, faulty,
     assert report.span == ((0, 49) if ident == "triple_product" else (0, 10))
     assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (n, lhs, rhs)
     assert report.note == note
+
+
+def test_triple_product_witness_keeps_the_drawn_scale(monkeypatch):
+    # Trial 0 of seed 10 draws only integer components, so it is no guard
+    # trial: its mismatch is found on the doubled triple and reported at the
+    # drawn scale. The strings were recorded before triple_product ran on the
+    # doubled triple.
+    monkeypatch.setattr(identities, "qmul", _swapped_qmul)
+    report = identities.verify_triple_product_map(10, 5)
+    assert report.witness == Witness(0, "[479-216i; -448-7i]", "[-213-656i; 32-11i]")
+    assert report.note == "a=(9, 4, 9, -3), b=(6, -4, 7, 1), c=(-1, 2, 4, 2)"
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])

@@ -165,6 +165,15 @@ def test_triple_product_basis_case():
     assert lhs == rhs == Spinor(GaussScalar(0), GaussScalar(-1))
 
 
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+rational_quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
+
+
+@given(a=rational_quaternions, b=rational_quaternions, c=rational_quaternions)
+def test_triple_product_on_rational_triples(a, b, c):
+    assert sigma(qmul(qmul(a, b), c)) == -(breve(a) @ breve(b) @ sigma(c))
+
+
 def test_c_matrix_squares_to_minus_identity():
     minus_id = SpinMatrix2(GaussScalar(-1), GaussScalar(0), GaussScalar(0), GaussScalar(-1))
     assert C @ C == minus_id
