@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 from .gauss import GaussScalar, Rational
 from .sequences import SeqParams, seq_slice
@@ -132,60 +133,40 @@ def binet_constants(p: SeqParams, roots: CubicRoots | None = None) -> BinetConst
     )
 
 
-def _weights(p: SeqParams, n: int, roots: CubicRoots | None) -> tuple[complex, ...]:
-    """The roots (a, w1, w2), solved here unless given, followed by the
-    coefficients (A, B, C) such that V(n) = A*a^n + B*w1^n + C*w2^n."""
+def _power_sum(p: SeqParams, n: int, roots: CubicRoots | None,
+               column: Callable[[complex], tuple[complex, ...]]) -> tuple[complex, ...]:
+    """The closed forms' one power sum: w*x^n*column(x) over the roots x (solved
+    here unless given), with the weights w that make V(n) the sum of w*x^n."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if roots is None:
         roots = cubic_roots(p.r, p.s, p.t)
     const = binet_constants(p, roots)
     a, w1, w2 = roots.as_tuple()
-    return (
-        a, w1, w2,
-        const.P / ((a - w1) * (a - w2)),
-        -const.Q / ((a - w1) * (w1 - w2)),
-        const.R / ((a - w2) * (w1 - w2)),
-    )
+    ka = const.P / ((a - w1) * (a - w2)) * a**n
+    k1 = -const.Q / ((a - w1) * (w1 - w2)) * w1**n
+    k2 = const.R / ((a - w2) * (w1 - w2)) * w2**n
+    return tuple([0j + ka * ca + k1 * c1 + k2 * c2
+                  for ca, c1, c2 in zip(column(a), column(w1), column(w2))])
 
 
 def binet_number(p: SeqParams, n: int, roots: CubicRoots | None = None) -> complex:
     """Closed-form value of V(n); imaginary part is rounding noise."""
-    a, o1, o2, wa, w1, w2 = _weights(p, n, roots)
-    return wa * a**n + w1 * o1**n + w2 * o2**n
+    return _power_sum(p, n, roots, lambda x: (1,))[0]
 
 
-def binet_quaternion(
-    p: SeqParams, n: int, roots: CubicRoots | None = None
-) -> tuple[complex, complex, complex, complex]:
+def binet_quaternion(p: SeqParams, n: int, roots: CubicRoots | None = None
+                     ) -> tuple[complex, complex, complex, complex]:
     """Closed-form quaternion components; component l approximates V(n+l)."""
-    a, o1, o2, wa, w1, w2 = _weights(p, n, roots)
-    return tuple(
-        wa * a**n * a**l + w1 * o1**n * o1**l + w2 * o2**n * o2**l
-        for l in range(4)
-    )  # type: ignore[return-value]
+    return _power_sum(p, n, roots, lambda x: (1, x, x**2, x**3))  # type: ignore[return-value]
 
 
-def binet_spinor(
-    p: SeqParams, n: int, roots: CubicRoots | None = None
-) -> tuple[complex, complex]:
+def binet_spinor(p: SeqParams, n: int, roots: CubicRoots | None = None
+                 ) -> tuple[complex, complex]:
     """Closed-form spinor: each root x contributes the column
     [x^3 + i; x + i*x^2] weighted like the scalar closed form."""
-    a, o1, o2, wa, w1, w2 = _weights(p, n, roots)
-    top = bottom = 0j
-    for w, x in ((wa, a), (w1, o1), (w2, o2)):
-        k = w * x**n
-        top += k * (x**3 + 1j)
-        bottom += k * (x + 1j * x**2)
-    return (top, bottom)
-
-
-@dataclass(frozen=True)
-class SpinorSeries:
-    """First ``order`` power-series coefficients, each an exact spinor."""
-
-    order: int
-    coefficients: tuple[Spinor, ...]
+    return _power_sum(p, n, roots,
+                      lambda x: (x**3 + 1j, x + 1j * x**2))  # type: ignore[return-value]
 
 
 def genfunc_numerator(p: SeqParams) -> tuple[Spinor, Spinor, Spinor]:
@@ -200,9 +181,9 @@ def genfunc_numerator(p: SeqParams) -> tuple[Spinor, Spinor, Spinor]:
     return (a0, a1 - p.r * a0, a2 - p.r * a1 - p.s * a0)
 
 
-def genfunc_spinor_series(p: SeqParams, order: int) -> SpinorSeries:
-    """Expand the generating function to ``order`` terms by exact long
-    division; coefficient k equals trib_spinor(p, k)."""
+def genfunc_spinor_series(p: SeqParams, order: int) -> tuple[Spinor, ...]:
+    """The first ``order`` power-series coefficients of the generating
+    function, by exact long division; coefficient k equals trib_spinor(p, k)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     numerator = genfunc_numerator(p)
@@ -217,4 +198,4 @@ def genfunc_spinor_series(p: SeqParams, order: int) -> SpinorSeries:
         if k >= 3:
             acc = acc + p.t * coeffs[k - 3]
         coeffs.append(acc)
-    return SpinorSeries(order, tuple(coeffs))
+    return tuple(coeffs)

@@ -94,9 +94,16 @@ def _parse_params_csv(text: str) -> SeqParams:
     parts = [piece.strip() for piece in text.split(",")]
     if len(parts) != 6:
         raise CliError("--params expects six comma-separated values: r,s,t,V0,V1,V2")
+    limit = sys.get_int_max_str_digits()
     values = []
     for piece in parts:
         try:
+            # Fraction builds 10**exponent, which no digit limit stops: bound it first.
+            exponent = piece.lower().partition("e")[2]
+            if limit and (sum(c.isdigit() for c in piece) > limit
+                          or exponent and abs(int(exponent)) > limit):
+                raise CliError(f"--params values are limited to {limit} digits "
+                               f"and exponents of at most {limit}")
             values.append(Fraction(piece))
         except (ValueError, ZeroDivisionError):
             raise CliError(f"invalid rational value in --params: {piece!r}") from None
@@ -232,11 +239,11 @@ def _cmd_genfunc(args: argparse.Namespace, out) -> int:
     series = genfunc_spinor_series(p, _bounded(args.order, "order", MAX_TERMS))
     if args.json:
         out.write(render_json({
-            "order": series.order,
-            "coefficients": [_spinor_json(s) for s in series.coefficients],
+            "order": len(series),
+            "coefficients": [_spinor_json(s) for s in series],
         }))
     else:
-        out.write("".join(f"{k}: {s}\n" for k, s in enumerate(series.coefficients)))
+        out.write("".join(f"{k}: {s}\n" for k, s in enumerate(series)))
     return 0
 
 

@@ -73,6 +73,13 @@ def k_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
     return p.s * quat_window(v, n + 1) + p.t * quat_window(v, n)
 
 
+def sum_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
+    """Q(n+2) + (1-r)*Q(n+1) + t*Q(n), with the window quaternions read off a
+    list of terms: the closed-form partial sum, scaled by delta, without its
+    constant omega."""
+    return quat_window(v, n + 2) + (1 - p.r) * quat_window(v, n + 1) + p.t * quat_window(v, n)
+
+
 def trib_quaternion(p: SeqParams, n: int) -> Quaternion:
     """Quaternion (V(n), V(n+1), V(n+2), V(n+3))."""
     return quat_window(seq_slice(p, n, 4))
@@ -172,7 +179,4 @@ def quat_partial_sum(p: SeqParams, n: int) -> Quaternion:
         raise DegenerateDelta(
             "r + s + t - 1 = 0: closed-form sum undefined, sum terms directly"
         )
-    v = seq_slice(p, n, 6)
-    total = (quat_window(v, 2) + (1 - p.r) * quat_window(v, 1) + p.t * quat_window(v)
-             + corr.omega)
-    return (Fraction(1) / corr.delta) * total
+    return (Fraction(1) / corr.delta) * (sum_window(p, seq_slice(p, n, 6)) + corr.omega)

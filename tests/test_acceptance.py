@@ -131,7 +131,7 @@ def test_c07_generating_function():
         v = seq_slice(p, 0, 68)
         for k in range(64):
             expected = Spinor(GaussScalar(v[k + 3], v[k]), GaussScalar(v[k + 1], v[k + 2]))
-            if series.coefficients[k] != expected:
+            if series[k] != expected:
                 ok = False
                 break
         if not ok:

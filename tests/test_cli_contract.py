@@ -3,7 +3,12 @@ with one error line, never a traceback."""
 
 import contextlib
 import io
+import os
+import resource
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -70,6 +75,28 @@ def test_term_nmax_meets_the_digit_limit_before_the_slice(monkeypatch):
     limit = sys.get_int_max_str_digits()
     assert run(["term", "--nmax", "9000", "--params", "5,5,5,1,1,1"]) == (
         2, "", f"error: output limit exceeded: a value has more than {limit} digits\n")
+
+
+def _cap_memory():
+    # Before the bound, 1e99999999999 built a 41 GB integer: fail instead.
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("value", ["1e99999999999", "1e-99999999999", "1" * 5001],
+                         ids=["exponent", "negative-exponent", "5001-digits"])
+def test_params_past_the_digit_limit_exit_2_at_once(value):
+    # In a child process, so that a hang is cut by the timeout.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "trispinor", "term", "--params", f"{value},1,1,0,1,1", "-n", "0"],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=_cap_memory)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert proc.stderr == (f"error: --params values are limited to {limit} digits "
+                           f"and exponents of at most {limit}\n")
 
 
 SIZES = st.one_of(

@@ -7,11 +7,13 @@ import math
 import pytest
 
 from trispinor import IdentityId, SeqParams, Status, Witness, preset, run_identity
-from trispinor import identities
+from trispinor import identities, quaternions
+from trispinor.analytic import binet_spinor
 from trispinor.cli import main
-from trispinor.quaternions import ONE, Quaternion, SummationCorrection, qmul, summation_correction
+from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, qmul,
+                                   summation_correction, u_window)
 from trispinor.sequences import companion_power
-from trispinor.spinors import SpinMatrix2, breve, mate
+from trispinor.spinors import SpinMatrix2, Spinor, breve, mate, spinor_norm, spinor_window
 
 TRIB = preset("tribonacci")
 HUGE_R = SeqParams(10**400, 1, 1, 0, 1, 1)
@@ -44,9 +46,34 @@ def _shifted_omega(p):
     return SummationCorrection(c.delta, c.lambda_, c.omega + ONE)
 
 
+def _scaled_binet(p, n, roots=None):
+    return tuple(x * (1 + 1e-6) for x in binet_spinor(p, n, roots))
+
+
+def _bumped_window(v, n=0):
+    return spinor_window(v, n) + Spinor(1, 0)
+
+
+def _shifted_u_window(p, v, u, n=0):
+    return u_window(p, v, u, n) + ONE
+
+
+def _shifted_sum_window(p, v, n=0):
+    # Looked up when called, so that the module imports where sum_window is missing.
+    return quaternions.sum_window(p, v, n) + ONE
+
+
+def _negated_norm(s):
+    return -spinor_norm(s)
+
+
 # (identity, operation replaced, faulty replacement, expected witness n, lhs,
 # rhs, note). The expected strings were recorded before the runner existed;
-# those of the last two rows before triple_product ran on the doubled triple.
+# those of the two rows after the summation row before triple_product ran on
+# the doubled triple, and those of the binet, genfunc and u_decomposition rows
+# before the Binet functions shared one power sum. The last two rows pin that
+# summation and norm evaluate the exported sum_window and spinor_norm. The
+# recurrence has no row: every primitive it calls feeds both of its sides.
 FAULTS = [
     ("conjugates", "mate", _negated_mate, 0,
      "C@mate: [-2+0i; -1+1i]", "[2+0i; 1-1i]", ""),
@@ -73,6 +100,20 @@ FAULTS = [
     ("triple_product", "qmul", _floored_qmul, 0,
      "[-107-260i; 751+769i]", "[-451/4-1053/4i; 754+3097/4i]",
      "a=(-1, 8, 1, 3), b=(9, -9, -1/2, -2), c=(3, 8, 3/2, -5)"),
+    ("binet", "binet_spinor", _scaled_binet, 0,
+     "[2.000002-9.71446117992e-17j; 1.000001+1.000001j]", "[2+0i; 1+1i]",
+     "relative error 1.000e-06 exceeds tol 1.0e-09"),
+    # The series reads analytic's own spinor_window: the fault moves the rhs only.
+    ("genfunc", "spinor_window", _bumped_window, 0,
+     "[2+0i; 1+1i]", "[3+0i; 1+1i]", ""),
+    ("u_decomposition", "u_window", _shifted_u_window, 0,
+     "(2, 2, 4, 7)", "(1, 2, 4, 7)", ""),
+    ("summation", "sum_window", _shifted_sum_window, 0,
+     "[4+0i; 2+2i]", "[4+1i; 2+2i]",
+     "sigma(omega) constant [-5-1i; -1-3i] fails; "
+     "seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
+    ("norm", "spinor_norm", _negated_norm, 0,
+     "conjugate pairing: -6+0i", "6+0i", ""),
 ]
 # A row's id is its identity; a later row of the same identity adds its fault.
 FAULT_IDS = [ident if [f[0] for f in FAULTS].index(ident) == i
