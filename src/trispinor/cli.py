@@ -3,7 +3,8 @@ generating functions, and run the identity verification suite.
 
 Exact values are rendered as decimal rationals (strings in JSON); only the
 root-based closed forms produce floats, always with an explicit tolerance.
-Output is written once rendered in full; Python's int digit limit bounds it.
+Each command returns its whole output, which ``main`` writes once; Python's
+int digit limit bounds it. Bad input is a ValueError, reported as one line.
 Exit codes: 0 all checks pass, 1 a verified identity failed, 2 bad input.
 """
 
@@ -25,13 +26,8 @@ from .identities import (
     run_suite,
 )
 from .quaternions import trib_quaternion
-from .sequences import SeqParams, UnknownPreset, preset, seq_slice, seq_term
+from .sequences import SeqParams, preset, seq_slice, seq_term
 from .spinors import Spinor, trib_spinor
-
-
-class CliError(Exception):
-    """Bad command-line input; rendered to stderr with exit code 2."""
-
 
 # Largest --index, --order and term --nmax: genfunc --order 10000 takes 4 s
 # on a 2-core x86-64 VM.
@@ -41,11 +37,11 @@ MAX_CHECK_NMAX = 1_000
 
 
 def _bounded(value: int, name: str, bound: int) -> int:
-    """value, if it is a count in [0, bound]; otherwise a CliError."""
+    """value, if it is a count in [0, bound]; otherwise a ValueError."""
     if value < 0:
-        raise CliError(f"{name} must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
     if value > bound:
-        raise CliError(f"{name} must be at most {bound}")
+        raise ValueError(f"{name} must be at most {bound}")
     return value
 
 
@@ -93,31 +89,29 @@ def format_report(r: VerificationReport) -> str:
 def _parse_params_csv(text: str) -> SeqParams:
     parts = [piece.strip() for piece in text.split(",")]
     if len(parts) != 6:
-        raise CliError("--params expects six comma-separated values: r,s,t,V0,V1,V2")
+        raise ValueError("--params expects six comma-separated values: r,s,t,V0,V1,V2")
     limit = sys.get_int_max_str_digits()
     values = []
     for piece in parts:
+        # Fraction builds 10**exponent, which no digit limit stops: bound it first.
+        exponent = piece.lower().partition("e")[2].lstrip("+-").replace("_", "")
+        if limit and (sum(c.isdigit() for c in piece) > limit
+                      or exponent.isdecimal() and int(exponent) > limit):
+            raise ValueError(f"--params values are limited to {limit} digits "
+                             f"and exponents of at most {limit}")
         try:
-            # Fraction builds 10**exponent, which no digit limit stops: bound it first.
-            exponent = piece.lower().partition("e")[2]
-            if limit and (sum(c.isdigit() for c in piece) > limit
-                          or exponent and abs(int(exponent)) > limit):
-                raise CliError(f"--params values are limited to {limit} digits "
-                               f"and exponents of at most {limit}")
             values.append(Fraction(piece))
         except (ValueError, ZeroDivisionError):
-            raise CliError(f"invalid rational value in --params: {piece!r}") from None
+            shown = (repr(piece) if len(piece) <= 40
+                     else f"{piece[:40]!r}... ({len(piece)} characters)")
+            raise ValueError(f"invalid rational value in --params: {shown}") from None
     return SeqParams(*values)
 
 
 def _resolve_params(args: argparse.Namespace) -> SeqParams:
-    if getattr(args, "params", None):
+    if args.params:
         return _parse_params_csv(args.params)
-    name = getattr(args, "preset", None) or "tribonacci"
-    try:
-        return preset(name)
-    except UnknownPreset as exc:
-        raise CliError(str(exc)) from None
+    return preset(args.preset or "tribonacci")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,102 +171,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_term(args: argparse.Namespace, out) -> int:
-    p = _resolve_params(args)
+def _cmd_term(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     if args.index is not None:
         value = seq_term(p, _bounded(args.index, "index", MAX_TERMS))
-        text = render_json({"value": str(value)}) if args.json else f"{value}\n"
-    else:
-        nmax = _bounded(args.nmax, "nmax", MAX_TERMS)
-        # V(nmax) is printed too; rendering it first, in O(log nmax) products,
-        # meets the output limit before the whole slice is computed.
-        str(seq_term(p, nmax))
-        values = seq_slice(p, 0, nmax + 1)
-        text = (render_json({"values": [str(x) for x in values]}) if args.json
-                else "".join(f"{x}\n" for x in values))
-    out.write(text)
-    return 0
+        return (render_json({"value": str(value)}) if args.json else f"{value}\n"), 0
+    nmax = _bounded(args.nmax, "nmax", MAX_TERMS)
+    # V(nmax) is printed too; rendering it first, in O(log nmax) products,
+    # meets the output limit before the whole slice is computed.
+    str(seq_term(p, nmax))
+    values = seq_slice(p, 0, nmax + 1)
+    return (render_json({"values": [str(x) for x in values]}) if args.json
+            else "".join(f"{x}\n" for x in values)), 0
 
 
-def _cmd_quaternion(args: argparse.Namespace, out) -> int:
-    p = _resolve_params(args)
+def _cmd_quaternion(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     q = trib_quaternion(p, _bounded(args.index, "index", MAX_TERMS))
-    if args.json:
-        out.write(render_json({name: str(getattr(q, name))
-                               for name in ("q0", "q1", "q2", "q3")}))
-    else:
-        out.write(f"{q}\n")
-    return 0
+    return (render_json({name: str(getattr(q, name)) for name in ("q0", "q1", "q2", "q3")})
+            if args.json else f"{q}\n"), 0
 
 
-def _cmd_spinor(args: argparse.Namespace, out) -> int:
-    p = _resolve_params(args)
+def _cmd_spinor(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     s = trib_spinor(p, _bounded(args.index, "index", MAX_TERMS))
-    if args.json:
-        out.write(render_json(_spinor_json(s)))
-    else:
-        out.write(f"{s}\n")
-    return 0
+    return (render_json(_spinor_json(s)) if args.json else f"{s}\n"), 0
 
 
-def _cmd_binet(args: argparse.Namespace, out) -> int:
-    p = _resolve_params(args)
+def _cmd_binet(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     n = _bounded(args.index, "index", MAX_TERMS)
     check_tolerance(args.tol)
     try:
         c1, c2 = binet_spinor(p, n)
     except (DegenerateRoots, OverflowError) as exc:
-        raise CliError(f"{type(exc).__name__}: {exc}") from None
+        raise ValueError(f"{type(exc).__name__}: {exc}") from None
     if args.json:
-        out.write(render_json({
+        return render_json({
             "c1": {"re": c1.real, "im": c1.imag},
             "c2": {"re": c2.real, "im": c2.imag},
             "tol": args.tol,
-        }))
-    else:
-        out.write(f"[{c1:.12g}; {c2:.12g}]  (tol {args.tol:g})\n")
-    return 0
+        }), 0
+    return f"[{c1:.12g}; {c2:.12g}]  (tol {args.tol:g})\n", 0
 
 
-def _cmd_genfunc(args: argparse.Namespace, out) -> int:
-    p = _resolve_params(args)
-    series = genfunc_spinor_series(p, _bounded(args.order, "order", MAX_TERMS))
+def _cmd_genfunc(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
+    order = _bounded(args.order, "order", MAX_TERMS)
+    # Coefficient order-1 prints V(order+2); rendering it first, in
+    # O(log order) products, meets the output limit before the long division.
+    if order:
+        str(seq_term(p, order + 2))
+    series = genfunc_spinor_series(p, order)
     if args.json:
-        out.write(render_json({
+        return render_json({
             "order": len(series),
             "coefficients": [_spinor_json(s) for s in series],
-        }))
-    else:
-        out.write("".join(f"{k}: {s}\n" for k, s in enumerate(series)))
-    return 0
+        }), 0
+    return "".join(f"{k}: {s}\n" for k, s in enumerate(series)), 0
 
 
-def _exit_code(reports: list[VerificationReport]) -> int:
-    return 1 if any(r.status is Status.FAIL for r in reports) else 0
-
-
-def _cmd_verify(args: argparse.Namespace, out) -> int:
-    p = _resolve_params(args)
-    identity = IdentityId(args.identity)
-    nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
-    report = run_identity(identity, p, nmax=nmax, seed=args.seed, tol=args.tol)
+def _reports(args: argparse.Namespace, reports: list[VerificationReport]) -> tuple[str, int]:
+    """Render verify's one report or suite's list; exit 1 if any failed."""
     if args.json:
-        out.write(render_json(report_to_dict(report)))
+        dicts = [report_to_dict(r) for r in reports]
+        text = render_json(dicts if args.command == "suite" else dicts[0])
     else:
-        out.write(format_report(report) + "\n")
-    return _exit_code([report])
+        text = "".join(format_report(r) + "\n" for r in reports)
+    return text, 1 if any(r.status is Status.FAIL for r in reports) else 0
 
 
-def _cmd_suite(args: argparse.Namespace, out) -> int:
-    p = _resolve_params(args)
+def _cmd_verify(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
-    reports = run_suite(p, nmax=nmax, seed=args.seed, tol=args.tol)
-    if args.json:
-        out.write(render_json([report_to_dict(r) for r in reports]))
-    else:
-        for report in reports:
-            out.write(format_report(report) + "\n")
-    return _exit_code(reports)
+    return _reports(args, [run_identity(IdentityId(args.identity), p, nmax=nmax,
+                                        seed=args.seed, tol=args.tol)])
+
+
+def _cmd_suite(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
+    nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
+    return _reports(args, run_suite(p, nmax=nmax, seed=args.seed, tol=args.tol))
 
 
 _COMMANDS = {
@@ -295,10 +267,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
-    except (CliError, ValueError) as exc:
-        # ValueError covers range/tolerance preconditions of the library ops,
-        # and Python's limit on the digits of a printed int, which bounds the
+        text, code = _COMMANDS[args.command](args, _resolve_params(args))
+        sys.stdout.write(text)
+        return code
+    except ValueError as exc:
+        # Bad input, the range/tolerance preconditions of the library ops, and
+        # Python's limit on the digits of a printed int, which bounds the
         # output size and stays.
         message = str(exc)
         if "integer string conversion" in message:

@@ -420,9 +420,7 @@ def verify_summation(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     candidate; the outcome for both is recorded in the note."""
     corr = summation_correction(p)
     if corr.delta == 0:
-        raise DegenerateDelta(
-            "r + s + t - 1 = 0: closed-form sum undefined for these parameters"
-        )
+        raise DegenerateDelta()
     v = seq_slice(p, 0, nmax + 6)
     derived = sigma(corr.omega)
     stated = spinor_window([(p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2]
@@ -492,7 +490,7 @@ def run_identity(
         return verify(**{name: given[name] for name in inspect.signature(verify).parameters})
     except (DegenerateDelta, DegenerateRoots, UnsupportedParams, OverflowError) as exc:
         return VerificationReport(
-            identity, p, (0, nmax), Status.SKIPPED,
+            identity, p, (0, given["nmax"]), Status.SKIPPED,
             note=f"skipped ({type(exc).__name__}): {exc}",
         )
 

@@ -8,11 +8,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gauss import Rational, _Exact, rat
-from .sequences import Matrix3, SeqParams, seq_slice
+from .sequences import Matrix3, SeqParams, mat_mul3, seq_slice
 
 
 class DegenerateDelta(ArithmeticError):
     """The closed-form partial sum divides by r + s + t - 1, which is zero here."""
+
+    # A default, not a fixed message: pickling calls the class with self.args.
+    def __init__(self, message: str = "r + s + t - 1 = 0: closed-form sum "
+                 "undefined for these parameters") -> None:
+        super().__init__(message)
 
 
 class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=rat):
@@ -105,8 +110,6 @@ def qv_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> QvRows:
 
 def qv_matrix(p: SeqParams, shift: int = 0) -> QvRows:
     """Rows of the window matrix with the given shift."""
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
     return qv_window(p, seq_slice(p, shift, 8))
 
 
@@ -116,10 +119,7 @@ def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
     Scalars commute with quaternions, so each result entry is a scalar
     combination of the row's quaternions; no Hamilton products occur.
     """
-    return tuple(
-        tuple(sum((m[k][j] * row[k] for k in range(3)), ZERO) for j in range(3))
-        for row in rows
-    )
+    return mat_mul3(rows, m)  # type: ignore[arg-type,return-value]
 
 
 def u_companion(p: SeqParams) -> SeqParams:
@@ -139,8 +139,6 @@ def u_window(p: SeqParams, v: Sequence[Rational], u: Sequence[Rational],
 def quat_u_decomposition(p: SeqParams, n: int) -> Quaternion:
     """Combination Q(2)*U(n+2) + (s*Q(1) + t*Q(0))*U(n+1) + t*Q(1)*U(n), where
     U is the companion sequence seeded (0, 0, 1); equals Q(n+2)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     return u_window(p, seq_slice(p, 0, 6), seq_slice(u_companion(p), n, 3))
 
 
@@ -172,11 +170,7 @@ def summation_correction(p: SeqParams) -> SummationCorrection:
 
 def quat_partial_sum(p: SeqParams, n: int) -> Quaternion:
     """Closed form of Q(0) + ... + Q(n); requires delta = r + s + t - 1 != 0."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     corr = summation_correction(p)
     if corr.delta == 0:
-        raise DegenerateDelta(
-            "r + s + t - 1 = 0: closed-form sum undefined, sum terms directly"
-        )
+        raise DegenerateDelta()
     return (Fraction(1) / corr.delta) * (sum_window(p, seq_slice(p, n, 6)) + corr.omega)

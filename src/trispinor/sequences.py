@@ -93,8 +93,10 @@ def companion_matrix(p: SeqParams) -> Matrix3:
 
 
 def mat_mul3(a: Matrix3, b: Matrix3) -> Matrix3:
+    """The 3x3 product a*b. Its three products are added directly, so the
+    entries of a may also be quaternions scaled by the rationals of b."""
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3))
         for i in range(3)
     )  # type: ignore[return-value]
 

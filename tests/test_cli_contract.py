@@ -77,6 +77,23 @@ def test_term_nmax_meets_the_digit_limit_before_the_slice(monkeypatch):
         2, "", f"error: output limit exceeded: a value has more than {limit} digits\n")
 
 
+def test_genfunc_meets_the_digit_limit_before_the_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("genfunc_spinor_series called")
+
+    monkeypatch.setattr(cli, "genfunc_spinor_series", no_series)
+    limit = sys.get_int_max_str_digits()
+    assert run(["genfunc", "--order", "9000", "--params", "5,5,5,1,1,1"]) == (
+        2, "", f"error: output limit exceeded: a value has more than {limit} digits\n")
+
+
+def test_long_bad_params_piece_is_echoed_short():
+    code, out, err = run(["term", "--params", "x" * 100_000 + ",1,1,0,1,1", "-n", "0"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 120
+    assert err == f"error: invalid rational value in --params: {'x' * 40!r}... (100000 characters)\n"
+
+
 def _cap_memory():
     # Before the bound, 1e99999999999 built a 41 GB integer: fail instead.
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

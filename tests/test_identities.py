@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from trispinor import (
     norm_forms,
     preset,
     qmul,
+    quat_partial_sum,
     qv_matrix,
     random_params,
     run_identity,
@@ -203,6 +205,23 @@ def test_run_identity_skips():
     report = run_identity(IdentityId.DETERMINANT_COMBINATION, JAC, nmax=20)
     assert report.status is Status.SKIPPED
     assert "UnsupportedParams" in report.note
+
+
+def test_skip_reports_the_range_a_run_would_check():
+    # binet checks at most n = 30, so its skip says so too.
+    report = run_identity(IdentityId.BINET_AGREEMENT, TRIPLE_ROOT, nmax=50)
+    assert report.status is Status.SKIPPED
+    assert report.span == (0, 30)
+
+
+def test_degenerate_delta_has_one_message():
+    with pytest.raises(DegenerateDelta) as from_sum:
+        quat_partial_sum(DEGENERATE_DELTA, 4)
+    with pytest.raises(DegenerateDelta) as from_check:
+        verify_summation(DEGENERATE_DELTA, 10)
+    message = "r + s + t - 1 = 0: closed-form sum undefined for these parameters"
+    assert str(from_sum.value) == str(from_check.value) == message
+    assert str(pickle.loads(pickle.dumps(from_sum.value))) == message
 
 
 def test_run_suite_tribonacci():

@@ -21,6 +21,7 @@ from trispinor import (
     seq_slice,
     summation_correction,
     trib_quaternion,
+    trib_spinor,
 )
 
 TRIB = preset("tribonacci")
@@ -178,6 +179,14 @@ def test_summation_correction_degenerate_delta_params():
 def test_partial_sum_examples():
     assert quat_partial_sum(TRIB, 0) == Quaternion(0, 1, 1, 2)
     assert quat_partial_sum(TRIB, 2) == Quaternion(2, 4, 7, 13)
+
+
+@pytest.mark.parametrize("op", [trib_quaternion, k_quaternion, qv_matrix,
+                                quat_u_decomposition, quat_partial_sum, trib_spinor])
+def test_negative_index_raises(op):
+    # seq_slice is the one start-index check behind every window op.
+    with pytest.raises(ValueError, match="nonnegative"):
+        op(TRIB, -1)
 
 
 def test_partial_sum_degenerate_delta():
