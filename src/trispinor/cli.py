@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .analytic import DegenerateRoots, binet_spinor, genfunc_spinor_series
 from .gauss import GaussScalar
@@ -26,7 +27,7 @@ from .identities import (
     run_suite,
 )
 from .quaternions import trib_quaternion
-from .sequences import SeqParams, preset, seq_slice, seq_term
+from .sequences import SeqParams, _iter_terms, preset, seq_slice, seq_term
 from .spinors import Spinor, trib_spinor
 
 # Largest --index, --order and term --nmax: genfunc --order 10000 takes 4 s
@@ -34,6 +35,10 @@ from .spinors import Spinor, trib_spinor
 MAX_TERMS = 10_000
 # Largest verify/suite --nmax: the tribonacci suite at 1000 takes 10 s there.
 MAX_CHECK_NMAX = 1_000
+# Largest bit size of a numerator or denominator among the terms a check
+# reads; verify --identity binet --params 1e400,1,1,0,1,1 reaches 77k bits at
+# the default nmax.
+MAX_OPERAND_BITS = 1 << 17
 
 
 def _bounded(value: int, name: str, bound: int) -> int:
@@ -102,8 +107,13 @@ def _parse_params_csv(text: str) -> SeqParams:
         try:
             values.append(Fraction(piece))
         except (ValueError, ZeroDivisionError):
-            shown = (repr(piece) if len(piece) <= 40
-                     else f"{piece[:40]!r}... ({len(piece)} characters)")
+            # The longest prefix of at most 40 characters whose repr is no
+            # wider in bytes than that of 40 letters.
+            cut = min(len(piece), 40)
+            while len(repr(piece[:cut]).encode()) > 42:
+                cut -= 1
+            shown = (repr(piece) if cut == len(piece)
+                     else f"{piece[:cut]!r}... ({len(piece)} characters)")
             raise ValueError(f"invalid rational value in --params: {shown}") from None
     return SeqParams(*values)
 
@@ -236,14 +246,26 @@ def _reports(args: argparse.Namespace, reports: list[VerificationReport]) -> tup
     return text, 1 if any(r.status is Status.FAIL for r in reports) else 0
 
 
-def _cmd_verify(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
+def _check_nmax(args: argparse.Namespace, p: SeqParams) -> int:
+    """--nmax, if it is in range and no term a check reads, up to V(nmax+10),
+    has a numerator or denominator of more than MAX_OPERAND_BITS bits. The
+    pass from V(0) stops at the first such term, before any larger one."""
     nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
+    for n, v in enumerate(islice(_iter_terms(p), nmax + 11)):
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        if bits > MAX_OPERAND_BITS:
+            raise ValueError(f"operands are limited to {MAX_OPERAND_BITS} bits: V({n}) has {bits}")
+    return nmax
+
+
+def _cmd_verify(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
+    nmax = _check_nmax(args, p)
     return _reports(args, [run_identity(IdentityId(args.identity), p, nmax=nmax,
                                         seed=args.seed, tol=args.tol)])
 
 
 def _cmd_suite(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
-    nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
+    nmax = _check_nmax(args, p)
     return _reports(args, run_suite(p, nmax=nmax, seed=args.seed, tol=args.tol))
 
 

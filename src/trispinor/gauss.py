@@ -13,7 +13,8 @@ def rat(x: object) -> Rational:
     """x as an exact rational: an int when it is integral, a Fraction otherwise."""
     if type(x) is int:
         return x
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 

@@ -4,6 +4,7 @@ with one error line, never a traceback."""
 import contextlib
 import io
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trispinor import cli
-from trispinor.cli import MAX_CHECK_NMAX, MAX_TERMS, main
+from trispinor.cli import MAX_CHECK_NMAX, MAX_OPERAND_BITS, MAX_TERMS, main
 
 
 def run(argv):
@@ -92,6 +93,32 @@ def test_long_bad_params_piece_is_echoed_short():
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and len(err.encode()) < 120
     assert err == f"error: invalid rational value in --params: {'x' * 40!r}... (100000 characters)\n"
+
+
+@pytest.mark.parametrize("piece", ["\U000e0001" * 100, "\x00" * 100],
+                         ids=["language-tags", "nuls"])
+def test_bad_params_line_is_bounded_in_bytes(piece):
+    """A bad piece is cut by the width of its repr, not by its characters."""
+    code, out, err = run(["term", "--params", piece + ",1,1,0,1,1", "-n", "0"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) <= 120
+    shown = err.removeprefix("error: invalid rational value in --params: ")
+    assert shown.endswith(f"... ({len(piece)} characters)\n")
+    assert repr(piece).startswith(shown.partition("... (")[0][:-1])
+
+
+def test_operands_past_the_bit_bound_exit_2_at_once():
+    """verify and suite read the size of the terms up to V(nmax+10) before
+    any check, and stop at the first one past the bound."""
+    params = "9" * 4300 + ",1,1,0,1,1"
+    for argv in (["verify", "--identity", "norm", "--nmax", "50", "--params", params],
+                 ["suite", "--params", params]):
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"error: operands are limited to {MAX_OPERAND_BITS} bits: "
+                            r"V\(\d+\) has \d+\n", err)
 
 
 def _cap_memory():

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from trispinor import (
     SeqParams,
@@ -14,6 +16,7 @@ from trispinor import (
     seq_term,
     trib_spinor,
 )
+from trispinor import sequences
 from trispinor.spinors import spinor_window
 
 TRIB = preset("tribonacci")
@@ -146,3 +149,65 @@ def test_terms_are_exact_rationals():
     assert type(seq_term(p, 1000)) is int
     q = SeqParams(Fraction(1, 2), 0.25, 3, 1, Fraction(-1, 2), 2)
     assert all(type(x) in (int, Fraction) for x in seq_slice(q, 0, 50) + seq_slice(q, 40, 10))
+
+
+# A prime above every trial divisor: a set with this denominator runs on Fraction.
+LARGE_PRIME = 10**30 + 57
+
+
+def oracle_terms(values, count):
+    """V(0) .. V(count-1) by the plain Fraction recurrence."""
+    r, s, t, *v = map(Fraction, values)
+    while len(v) < count:
+        v.append(r * v[-1] + s * v[-2] + t * v[-3])
+    return v[:count]
+
+
+def assert_normalized(values):
+    for x in values:
+        if type(x) is Fraction:
+            num, den = x.numerator, x.denominator
+            assert gcd(num, den) == 1 and den > 1
+            assert hash(x) == hash(Fraction(num, den)) and str(x) == str(Fraction(num, den))
+
+
+small_denominator = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                              st.integers(min_value=1, max_value=30))
+LARGE_PRIME_SET = (Fraction(1, LARGE_PRIME), Fraction(-2, 3), Fraction(1, 2),
+                   1, Fraction(5, LARGE_PRIME), Fraction(1, 4))
+
+
+@st.composite
+def rational_sets(draw):
+    r, s, t, *seeds = draw(st.lists(small_denominator, min_size=6, max_size=6))
+    if draw(st.booleans()):
+        t = 0
+    if draw(st.booleans()):
+        seeds = [0, 0, 0]
+    return (r, s, t, *seeds)
+
+
+@example(values=LARGE_PRIME_SET, n=40, n0=30, length=5)
+@given(values=rational_sets(), n=st.integers(min_value=0, max_value=80),
+       n0=st.integers(min_value=0, max_value=80), length=st.integers(min_value=0, max_value=8))
+def test_rational_terms_match_the_fraction_recurrence(values, n, n0, length):
+    """Slices from 0 and past 0 and single terms equal the plain recurrence,
+    and every Fraction among them is in lowest terms."""
+    p = SeqParams(*values)
+    want = oracle_terms(values, max(n, n0 + length) + 1)
+    got = [seq_slice(p, 0, n), seq_slice(p, n0, length), [seq_term(p, n)]]
+    assert got == [want[:n], want[n0:n0 + length], [want[n]]]
+    for terms in got:
+        assert_normalized(terms)
+
+
+def test_a_large_prime_denominator_runs_the_fraction_loop(monkeypatch):
+    def no_int_kernel(*args):
+        raise AssertionError("int kernel used")
+
+    monkeypatch.setattr(sequences, "_factored_terms", no_int_kernel)
+    start = time.perf_counter()
+    assert seq_slice(SeqParams(*LARGE_PRIME_SET), 0, 60) == oracle_terms(LARGE_PRIME_SET, 60)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(AssertionError, match="int kernel used"):
+        seq_slice(SeqParams(Fraction(1, 1021), 1, 1, 0, 1, 1), 0, 4)
