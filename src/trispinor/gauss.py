@@ -41,13 +41,14 @@ class _Exact:
         if len(components) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
                             f"components, got {len(components)}")
-        object.__setattr__(self, "_c", tuple(map(self._coerce, components)))
+        _set_components(self, tuple(map(self._coerce, components)))
 
     @classmethod
-    def _make(cls, components):
-        """Internal constructor: the components are already coerced."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "_c", tuple(components))
+    def _make(cls, components, _new=object.__new__):
+        """Internal constructor: the components are already coerced. It calls the
+        bound object.__new__ and _c slot setter, past __init__ and __setattr__."""
+        self = _new(cls)
+        _set_components(self, tuple(components))
         return self
 
     def _lift(self, other: object):
@@ -101,6 +102,9 @@ class _Exact:
         return f"{type(self).__name__}({', '.join(parts)})"
 
 
+_set_components = _Exact._c.__set__
+
+
 def _coerce(value: object) -> GaussScalar | None:
     if isinstance(value, GaussScalar):
         return value
@@ -125,9 +129,10 @@ class GaussScalar(_Exact, fields="re im", coerce=rat):
     _lift = staticmethod(_coerce)
 
     def __mul__(self, other: GaussScalar | Rational):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GaussScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self._c
         c, d = other._c
         return GaussScalar._make((a * c - b * d, a * d + b * c))

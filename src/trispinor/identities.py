@@ -48,6 +48,7 @@ from .sequences import (TRIBONACCI, SeqParams, companion_matrix, companion_power
                         seq_slice)
 from .spinors import (
     C,
+    SpinMatrix2,
     Spinor,
     bilinear_form,
     breve,
@@ -204,10 +205,10 @@ def verify_conjugate_relations(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     v = seq_slice(p, 0, nmax + 4)
     for n in range(nmax + 1):
         a = spinor_window(v, n)
-        conj = complex_conjugate(a)
-        yield Comparison(n, C @ mate(a), conj, "C@mate: ")
-        yield Comparison(n, I * cartan_conjugate(a), mate(a), "i*cartan: ")
-        yield Comparison(n, I * (C @ cartan_conjugate(a)), conj, "i*C@cartan: ")
+        conj, mated, cartan = complex_conjugate(a), mate(a), cartan_conjugate(a)
+        yield Comparison(n, C @ mated, conj, "C@mate: ")
+        yield Comparison(n, I * cartan, mated, "i*cartan: ")
+        yield Comparison(n, I * (C @ cartan), conj, "i*C@cartan: ")
 
 
 def norm_forms(a: Spinor) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
@@ -275,9 +276,11 @@ def _doubled_components(rng: random.Random) -> tuple[int, ...]:
     return tuple(rng.randint(-9, 9) * (2 // rng.choice((1, 1, 2))) for _ in range(4))
 
 
-def _triple_sides(a: Quaternion, b: Quaternion, c: Quaternion) -> tuple[Spinor, Spinor]:
-    """sigma(a*b*c) and -(breve(a) @ breve(b)) @ sigma(c), each computed on its own."""
-    return sigma(qmul(qmul(a, b), c)), -(breve(a) @ breve(b) @ sigma(c))
+def _triple_sides(a: Quaternion, b: Quaternion, c: Quaternion, breve_a: SpinMatrix2,
+                  breve_b: SpinMatrix2) -> tuple[Spinor, Spinor]:
+    """sigma(a*b*c) and -(breve(a) @ breve(b)) @ sigma(c), each computed on its own;
+    the spinor side right to left, breve_a @ (breve_b @ sigma(c)), from the given breves."""
+    return sigma(qmul(qmul(a, b), c)), -(breve_a @ (breve_b @ sigma(c)))
 
 
 @_register(IdentityId.TRIPLE_PRODUCT_MAP)
@@ -298,14 +301,22 @@ def verify_triple_product_map(seed: int, trials: int = 1000) -> Iterator[Compari
     for trial in range(trials):
         doubled = [_doubled_components(rng) for _ in range(3)]
         a, b, c = (Quaternion(*q) for q in doubled)
-        lhs, rhs = _triple_sides(a, b, c)
+        lhs, rhs = _triple_sides(a, b, c, breve(a), breve(b))
         halves = guard and any(x % 2 for q in doubled for x in q)
         if halves or lhs != rhs:
             guard = guard and not halves
             a, b, c = (Fraction(1, 2) * q for q in (a, b, c))
-            lhs, rhs = _triple_sides(a, b, c)
+            lhs, rhs = _triple_sides(a, b, c, breve(a), breve(b))
         yield Comparison(trial, lhs, rhs, note=lambda: f"a={a}, b={b}, c={c}")
     return f"{trials} random triples, seed {seed}"
+
+
+def _windows(p: SeqParams, v: list[Rational], count: int) -> tuple[list, list, list, list]:
+    """Q(m), K(m) = s*Q(m+1) + t*Q(m), breve(Q(m)) and breve(K(m)) for m below
+    count, each read once off a list v of at least count + 4 terms from V(0)."""
+    q = [quat_window(v, m) for m in range(count)]
+    k = [k_window(p, v, m) for m in range(count)]
+    return q, k, [breve(x) for x in q], [breve(x) for x in k]
 
 
 @_register(IdentityId.SPINOR_MATRIX_BEHAVIOR)
@@ -314,15 +325,12 @@ def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> Iterator[Compariso
     original: middle-column entries are the matching linear combinations of
     representation matrices, and window triple products map to negated
     matrix products."""
-    v = seq_slice(p, 0, nmax + 8)
+    q, k, breve_q, breve_k = _windows(p, seq_slice(p, 0, nmax + 8), nmax + 4)
     for n in range(nmax + 1):
-        yield Comparison(n, breve(k_window(p, v, n)),
-                         p.s * breve(quat_window(v, n + 1)) + p.t * breve(quat_window(v, n)),
+        yield Comparison(n, breve_k[n], p.s * breve_q[n + 1] + p.t * breve_q[n],
                          note="middle-column linearity")
-        a, c = quat_window(v, n), quat_window(v, n + 3)
         for b in (n, n + 2):
-            k_b = k_window(p, v, b)
-            yield Comparison(n, *_triple_sides(a, k_b, c),
+            yield Comparison(n, *_triple_sides(q[n], k[b], q[n + 3], breve_q[n], breve_k[b]),
                              note=f"window triple product, middle index {b}")
 
 
@@ -342,17 +350,18 @@ _DET_TERMS = (
 _DET_REFERENCE = Spinor(GaussScalar(-4, 4), GaussScalar(4, -4))
 
 
-def _det_sides(p: SeqParams, v: list[Rational], n: int
+def _det_sides(windows: tuple[list, list, list, list], n: int
                ) -> tuple[tuple[Spinor, Quaternion], tuple[Spinor, Quaternion]]:
-    """(spinor, quaternion) values of the combination at shift n, read off a
-    list v of terms from V(0), under the shifted and the fixed reading."""
+    """(spinor, quaternion) values of the combination at shift n, read off
+    the windows of the first n + 5 shifts, under the shifted and the fixed
+    reading. The spinor products are taken right to left."""
+    q, k, breve_q, breve_k = windows
     indices = [(n + da, n + db, n + dc) for da, db, dc in _DET_TERMS]
     indices.append(indices[4][:2] + (4,))
     spin, quat = [], []
     for ia, ik, ic in indices:
-        a, k, c = quat_window(v, ia), k_window(p, v, ik), quat_window(v, ic)
-        spin.append(breve(a) @ breve(k) @ sigma(c))
-        quat.append(qmul(qmul(a, k), c))
+        spin.append(breve_q[ia] @ (breve_k[ik] @ sigma(q[ic])))
+        quat.append(qmul(qmul(q[ia], k[ik]), q[ic]))
     return tuple(tuple(x[0] + x[1] + x[2] - x[3] - x[fifth] - x[5] for x in (spin, quat))
                  for fifth in (4, 6))
 
@@ -366,7 +375,7 @@ def determinant_combination_values(
     read as n+4 by default; with fixed_final_index=True it stays 4 for every
     n. The two sides always satisfy spinor = -sigma(quaternion).
     """
-    return _det_sides(p, seq_slice(p, 0, n + 10), n)[fixed_final_index]
+    return _det_sides(_windows(p, seq_slice(p, 0, n + 10), n + 5), n)[fixed_final_index]
 
 
 @_register(IdentityId.DETERMINANT_COMBINATION)
@@ -385,8 +394,8 @@ def verify_determinant_combination(p: SeqParams, nmax: int) -> Iterator[Comparis
         raise UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"
         )
-    v = seq_slice(p, 0, nmax + 10)
-    sides = [_det_sides(p, v, n) for n in range(nmax + 1)]
+    windows = _windows(p, seq_slice(p, 0, nmax + 10), nmax + 5)
+    sides = [_det_sides(windows, n) for n in range(nmax + 1)]
     for fixed in (False, True):
         reading = "fixed-final-index" if fixed else "shifted"
         note = f"{reading} reading: spinor vs quaternion sides differ"

@@ -117,9 +117,12 @@ def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
     """Right-multiply a 3x3 matrix of quaternions by an exact scalar 3x3 matrix.
 
     Scalars commute with quaternions, so each result entry is a scalar
-    combination of the row's quaternions; no Hamilton products occur.
+    combination of the row's quaternions; no Hamilton products occur. mat_mul3
+    multiplies each rational component plane (the entries' q0, q1, q2, q3) by m,
+    and each of the 9 results is built once from its four plane entries.
     """
-    return mat_mul3(rows, m)  # type: ignore[arg-type,return-value]
+    planes = [mat_mul3([[q._c[k] for q in row] for row in rows], m) for k in range(4)]
+    return tuple(tuple(map(Quaternion._make, zip(*plane_rows))) for plane_rows in zip(*planes))
 
 
 def u_companion(p: SeqParams) -> SeqParams:

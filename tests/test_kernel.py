@@ -17,10 +17,19 @@ VALUES = [
     SpinMatrix2(GaussScalar(0, 1), 2, GaussScalar(Fraction(3, 4), -1), 0),
 ]
 IDS = [type(v).__name__ for v in VALUES]
+# The same types built by arithmetic, which allocates through _make and
+# never runs __init__.
+MADE = [
+    GaussScalar(Fraction(1, 2), -3) * GaussScalar(Fraction(1, 3), 1),
+    Quaternion(1, Fraction(-2, 3), 0, 4) * Quaternion(0, 1, 2, 3),
+    SpinMatrix2(1, 2, 3, GaussScalar(0, 1)) @ Spinor(GaussScalar(2, 1), 5),
+    SpinMatrix2(GaussScalar(0, 1), 2, GaussScalar(Fraction(3, 4), -1), 0) @ SpinMatrix2(1, 2, 3, 4),
+]
+MADE_IDS = [f"{name}-made" for name in IDS]
 FIRST_FIELD = {"GaussScalar": "re", "Quaternion": "q0", "Spinor": "c1", "SpinMatrix2": "a11"}
 
 
-@pytest.mark.parametrize("value", VALUES, ids=IDS)
+@pytest.mark.parametrize("value", VALUES + MADE, ids=IDS + MADE_IDS)
 @pytest.mark.parametrize("roundtrip", [
     lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy,
 ], ids=["pickle", "copy", "deepcopy"])
@@ -31,7 +40,7 @@ def test_roundtrip_gives_an_equal_value(value, roundtrip):
     assert str(again) == str(value)
 
 
-@pytest.mark.parametrize("value", VALUES, ids=IDS)
+@pytest.mark.parametrize("value", VALUES + MADE, ids=IDS + MADE_IDS)
 def test_values_are_immutable(value):
     before = str(value)
     name = FIRST_FIELD[type(value).__name__]
@@ -127,3 +136,37 @@ def test_operands_of_other_types_are_refused():
         Quaternion(1, 2, 3)
     with pytest.raises(TypeError):
         Spinor(0.5, 1)
+
+
+def test_gauss_scalar_product_stays_exact_and_normal():
+    # No part here is integral with a Fraction factor: such a part stays a
+    # Fraction (see test_arithmetic_keeps_exact_component_types).
+    z, w = GaussScalar(Fraction(1, 2), -3), GaussScalar(2, -3)
+    products = {
+        "GaussScalar": (z * GaussScalar(Fraction(1, 3), 1), (Fraction(19, 6), Fraction(-1, 2))),
+        "Gaussian integer": (w * GaussScalar(1, 4), (14, 5)),
+        "int": (w * 4, (8, -12)),
+        "reflected int": (4 * w, (8, -12)),
+        "Fraction": (z * Fraction(1, 5), (Fraction(1, 10), Fraction(-3, 5))),
+        "bool": (w * True, (2, -3)),
+    }
+    for name, (product, parts) in products.items():
+        assert type(product) is GaussScalar, name
+        assert (product.re, product.im) == parts, name
+        _assert_exact(product.re, product.im)
+
+
+def test_gauss_scalar_times_a_spinor_or_matrix_scales_it():
+    # GaussScalar.__mul__ declines these operands, so the other operand's
+    # scaling runs and multiplies each component by i.
+    i = GaussScalar(0, 1)
+    s = Spinor(GaussScalar(2, 1), 5)
+    assert i * s == s * i == Spinor(GaussScalar(-1, 2), GaussScalar(0, 5))
+    m = SpinMatrix2(1, GaussScalar(0, 2), -3, 0)
+    assert i * m == m * i == SpinMatrix2(GaussScalar(0, 1), -2, GaussScalar(0, -3), 0)
+
+
+@pytest.mark.parametrize("other", [0.5, Quaternion(1, 2, 3, 4)], ids=["float", "Quaternion"])
+def test_gauss_scalar_refuses_a_float_or_quaternion_factor(other):
+    with pytest.raises(TypeError):
+        GaussScalar(1) * other

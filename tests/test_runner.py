@@ -73,7 +73,10 @@ def _negated_norm(s):
 # the doubled triple, and those of the binet, genfunc and u_decomposition rows
 # before the Binet functions shared one power sum. The last two rows pin that
 # summation and norm evaluate the exported sum_window and spinor_norm. The
-# recurrence has no row: every primitive it calls feeds both of its sides.
+# two rows after them were recorded before the spinor sides were multiplied
+# right to left and the windows were read once per check: they pin that each
+# side still fails alone, with the same witness. The recurrence has no row:
+# every primitive it calls feeds both of its sides.
 FAULTS = [
     ("conjugates", "mate", _negated_mate, 0,
      "C@mate: [-2+0i; -1+1i]", "[2+0i; 1-1i]", ""),
@@ -114,6 +117,12 @@ FAULTS = [
      "seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
     ("norm", "spinor_norm", _negated_norm, 0,
      "conjugate pairing: -6+0i", "6+0i", ""),
+    ("spinor_matrix", "qmul", _swapped_qmul, 0,
+     "[-214-72i; -98-104i]", "[-204-70i; -100-122i]",
+     "window triple product, middle index 0"),
+    ("determinant", "breve", _affine_breve, 0,
+     "[-2+14i; 6-8i]", "[-4+4i; 4-4i]",
+     "shifted reading: spinor vs quaternion sides differ"),
 ]
 # A row's id is its identity; a later row of the same identity adds its fault.
 FAULT_IDS = [ident if [f[0] for f in FAULTS].index(ident) == i
