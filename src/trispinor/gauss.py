@@ -19,23 +19,29 @@ def rat(x: object) -> Rational:
 
 
 class _Exact:
-    """Immutable vector of exact components, stored in one tuple.
+    """Immutable vector of exact components, stored in one tuple ``_c``.
 
-    A subclass names its components and the function that coerces each one
-    as class keywords: ``fields="q0 q1 q2 q3", coerce=rat``. The public
-    constructor coerces every component once; arithmetic builds its results
-    with ``_make``, which does not. ``==`` holds between values of one type
-    with equal components, after ``_lift`` has converted the other operand.
+    A subclass names its fields and the function that coerces each one as
+    class keywords: ``fields="q0 q1 q2 q3", coerce=rat``. A field is one
+    component here, and two, (re, im), in `_GaussEntries`. The constructor
+    coerces every field once; arithmetic builds its results with ``_make``,
+    which does not. ``==`` holds between values of one type with equal
+    components, after ``_lift`` has converted the other operand.
     """
 
     __slots__ = ("_c",)
 
-    def __init_subclass__(cls, *, fields: str, coerce, **kwargs) -> None:
+    def __init_subclass__(cls, *, fields: str, coerce=None, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(fields.split())
-        cls._coerce = staticmethod(coerce)
+        if coerce:  # otherwise the base's coercion is kept
+            cls._coerce = staticmethod(coerce)
         for i, name in enumerate(cls._fields):
-            setattr(cls, name, property(lambda self, i=i: self._c[i]))
+            setattr(cls, name, cls._field(i))
+
+    @staticmethod
+    def _field(i: int) -> property:
+        return property(lambda self: self._c[i])
 
     def __init__(self, *components: object) -> None:
         if len(components) != len(self._fields):
@@ -98,7 +104,7 @@ class _Exact:
         return type(self), self._c
 
     def __repr__(self) -> str:
-        parts = (str(c) if isinstance(c, Fraction) else repr(c) for c in self._c)
+        parts = (str(c) if isinstance(c, Fraction) else repr(c) for c in self.__reduce__()[1])
         return f"{type(self).__name__}({', '.join(parts)})"
 
 
@@ -178,3 +184,33 @@ def as_gauss(value: GaussScalar | Rational) -> GaussScalar:
 ZERO = GaussScalar(0)
 ONE = GaussScalar(1)
 I = GaussScalar(0, 1)
+
+
+class _GaussEntries(_Exact, fields="", coerce=as_gauss):
+    """An _Exact whose fields are Gaussian rationals, stored flat as the (re, im)
+    of each in turn, so arithmetic runs on rationals and builds one object per
+    result. Fields, constructor, repr and pickle show GaussScalar entries."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _field(i: int) -> property:
+        return property(lambda self: GaussScalar._make(self._c[2 * i:2 * i + 2]))
+
+    def __init__(self, *entries: GaussScalar | Rational) -> None:
+        super().__init__(*entries)
+        _set_components(self, tuple(x for z in self._c for x in z._c))
+
+    def __mul__(self, k):
+        """Scaling: every entry times k, a Gaussian or a plain rational."""
+        k = rat(k) if isinstance(k, (int, Fraction)) else as_gauss(k)
+        if type(k) is not GaussScalar:
+            return self._make([k * c for c in self._c])
+        x, y = k._c
+        pairs = zip(*[iter(self._c)] * 2)
+        return self._make([z for a, b in pairs for z in (a * x - b * y, a * y + b * x)])
+
+    __rmul__ = __mul__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)

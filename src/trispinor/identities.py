@@ -465,17 +465,19 @@ def verify_u_decomposition(p: SeqParams, nmax: int) -> Iterator[Comparison]:
 @_register(IdentityId.MATRIX_POWER_SHIFT)
 def verify_matrix_power_shift(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """Right-multiplying the window matrix at shift 0 by the n-th companion
-    power lands exactly on the window matrix at shift n."""
+    power lands exactly on the window matrix at shift n, whose rows are
+    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)) read once."""
     v = seq_slice(p, 0, nmax + 8)
     base = qv_window(p, v)
+    rows = [(quat_window(v, m + 2), k_window(p, v, m), p.t * quat_window(v, m + 1))
+            for m in range(nmax + 3)]
+    cells = [(i, j, f"entry({i},{j})=") for i, j in itertools.product(range(3), repeat=2)]
     step = companion_matrix(p)
     power = companion_power(p, 0)
     for n in range(nmax + 1):
         product = qv_right_multiply(base, power)
-        target = qv_window(p, v, n)
-        for i, j in itertools.product(range(3), repeat=2):
-            label = f"entry({i},{j})="
-            yield Comparison(n, product[i][j], target[i][j], label, label)
+        for i, j, label in cells:
+            yield Comparison(n, product[i][j], rows[n + 2 - i][j], label, label)
         power = mat_mul3(power, step)
 
 

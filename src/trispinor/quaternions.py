@@ -70,7 +70,7 @@ def qnorm(q: Quaternion) -> Rational:
 def quat_window(v: Sequence[Rational], n: int = 0) -> Quaternion:
     """Quaternion (v[n], v[n+1], v[n+2], v[n+3]) of four consecutive terms,
     read off a list of terms."""
-    return Quaternion(v[n], v[n + 1], v[n + 2], v[n + 3])
+    return Quaternion._make(map(rat, (v[n], v[n + 1], v[n + 2], v[n + 3])))
 
 
 def k_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:

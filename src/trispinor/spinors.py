@@ -5,13 +5,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .gauss import GaussScalar, I, Rational, _Exact, as_gauss
+from .gauss import GaussScalar, I, Rational, _GaussEntries, rat
 from .quaternions import Quaternion
 from .sequences import SeqParams, seq_slice
 
 
-class Spinor(_Exact, fields="c1 c2", coerce=as_gauss):
-    """Column of two Gaussian rationals."""
+class Spinor(_GaussEntries, fields="c1 c2"):
+    """Column of two Gaussian rationals, stored flat as (re c1, im c1, re c2,
+    im c2)."""
 
     __slots__ = ()
 
@@ -19,23 +20,32 @@ class Spinor(_Exact, fields="c1 c2", coerce=as_gauss):
         return f"[{self.c1}; {self.c2}]"
 
 
-class SpinMatrix2(_Exact, fields="a11 a12 a21 a22", coerce=as_gauss):
-    """2x2 matrix of Gaussian rationals; ``@`` multiplies matrices or applies
-    the matrix to a spinor column."""
+class SpinMatrix2(_GaussEntries, fields="a11 a12 a21 a22"):
+    """2x2 matrix of Gaussian rationals, stored flat row by row; ``@``
+    multiplies matrices or applies the matrix to a spinor column."""
 
     __slots__ = ()
 
     def __matmul__(self, other: SpinMatrix2 | Spinor):
-        a11, a12, a21, a22 = self._c
-        if isinstance(other, Spinor):
-            c1, c2 = other._c
-            return Spinor._make((a11 * c1 + a12 * c2, a21 * c1 + a22 * c2))
-        b11, b12, b21, b22 = other._c
-        return SpinMatrix2._make((a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-                                  a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
+        # (re, im) pairs: a11 = (a, b), a12 = (c, d), a21 = (e, f), a22 = (g, h); those of
+        # a spinor operand are (w, x) and (y, z), those of a matrix operand (p, q) to (v, w).
+        a, b, c, d, e, f, g, h = self._c
+        if type(other) is Spinor:
+            w, x, y, z = other._c
+            return Spinor._make((a * w - b * x + c * y - d * z, a * x + b * w + c * z + d * y,
+                                 e * w - f * x + g * y - h * z, e * x + f * w + g * z + h * y))
+        if type(other) is not SpinMatrix2:
+            return NotImplemented
+        p, q, r, s, t, u, v, w = other._c
+        return SpinMatrix2._make((
+            a * p - b * q + c * t - d * u, a * q + b * p + c * u + d * t,
+            a * r - b * s + c * v - d * w, a * s + b * r + c * w + d * v,
+            e * p - f * q + g * t - h * u, e * q + f * p + g * u + h * t,
+            e * r - f * s + g * v - h * w, e * s + f * r + g * w + h * v,
+        ))
 
     def transpose(self) -> SpinMatrix2:
-        return SpinMatrix2._make((self.a11, self.a21, self.a12, self.a22))
+        return SpinMatrix2._make(self._c[i] for i in (0, 1, 4, 5, 2, 3, 6, 7))
 
     def __str__(self) -> str:
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"
@@ -48,17 +58,18 @@ C = SpinMatrix2(0, 1, -1, 0)
 def sigma(q: Quaternion) -> Spinor:
     """Linear injective image of a quaternion: [q3 + i*q0; q1 + i*q2]."""
     q0, q1, q2, q3 = q._c
-    return Spinor._make((GaussScalar._make((q3, q0)), GaussScalar._make((q1, q2))))
+    return Spinor._make((q3, q0, q1, q2))
 
 
 def sigma_inv(s: Spinor) -> Quaternion:
     """Inverse of sigma on its image: recovers (q0, q1, q2, q3)."""
-    return Quaternion._make((s.c1.im, s.c2.re, s.c2.im, s.c1.re))
+    return Quaternion._make(s._c[1:] + s._c[:1])
 
 
 def complex_conjugate(s: Spinor) -> Spinor:
     """Componentwise complex conjugate."""
-    return Spinor._make((s.c1.conjugate(), s.c2.conjugate()))
+    w, x, y, z = s._c
+    return Spinor._make((w, -x, y, -z))
 
 
 def cartan_conjugate(s: Spinor) -> Spinor:
@@ -75,15 +86,14 @@ def breve(q: Quaternion) -> SpinMatrix2:
     """2x2 representation of a quaternion; its first column is sigma(q) and
     sigma(p * q) = -i * breve(p) @ sigma(q)."""
     q0, q1, q2, q3 = q._c
-    return SpinMatrix2._make((
-        GaussScalar._make((q3, q0)), GaussScalar._make((q1, -q2)),
-        GaussScalar._make((q1, q2)), GaussScalar._make((-q3, q0)),
-    ))
+    return SpinMatrix2._make((q3, q0, q1, -q2, q1, q2, -q3, q0))
 
 
 def spinor_dot(u: Spinor, v: Spinor) -> GaussScalar:
     """Plain bilinear pairing u1*v1 + u2*v2 (no conjugation)."""
-    return u.c1 * v.c1 + u.c2 * v.c2
+    a, b, c, d = u._c
+    w, x, y, z = v._c
+    return GaussScalar._make((a * w - b * x + c * y - d * z, a * x + b * w + c * z + d * y))
 
 
 def bilinear_form(row: Spinor, m: SpinMatrix2, col: Spinor) -> GaussScalar:
@@ -101,7 +111,7 @@ def spinor_window(v: Sequence[Rational], n: int = 0) -> Spinor:
     read off a list of terms. It is built from the terms themselves, not as
     sigma of the window quaternion, so that checks comparing the two stay
     independent."""
-    return Spinor(GaussScalar(v[n + 3], v[n]), GaussScalar(v[n + 1], v[n + 2]))
+    return Spinor._make(map(rat, (v[n + 3], v[n], v[n + 1], v[n + 2])))
 
 
 def trib_spinor(p: SeqParams, n: int) -> Spinor:

@@ -102,11 +102,13 @@ def test_arithmetic_keeps_exact_component_types():
     m = SpinMatrix2(1, 2, 3, 4)
     s = Spinor(1, GaussScalar(0, 1))
     for result in (s + s, s - s, -s, 2 * s, s * GaussScalar(0, 1), m @ s):
-        assert all(type(c) is GaussScalar for c in (result.c1, result.c2))
-        _assert_exact(*(x for c in result._c for x in (c.re, c.im)))
+        entries = (result.c1, result.c2)
+        assert all(type(c) is GaussScalar for c in entries)
+        _assert_exact(*(x for c in entries for x in (c.re, c.im)))
     for result in (m + m, m - m, -m, m * 2, m @ m):
-        assert all(type(c) is GaussScalar for c in (result.a11, result.a12, result.a21, result.a22))
-        _assert_exact(*(x for c in result._c for x in (c.re, c.im)))
+        entries = (result.a11, result.a12, result.a21, result.a22)
+        assert all(type(c) is GaussScalar for c in entries)
+        _assert_exact(*(x for c in entries for x in (c.re, c.im)))
 
 
 def test_equality_needs_the_same_type():
@@ -136,6 +138,9 @@ def test_operands_of_other_types_are_refused():
         Quaternion(1, 2, 3)
     with pytest.raises(TypeError):
         Spinor(0.5, 1)
+    for other in (2, Quaternion(1, 2, 3, 4)):
+        with pytest.raises(TypeError):
+            SpinMatrix2(1, 2, 3, 4) @ other
 
 
 def test_gauss_scalar_product_stays_exact_and_normal():
@@ -170,3 +175,47 @@ def test_gauss_scalar_times_a_spinor_or_matrix_scales_it():
 def test_gauss_scalar_refuses_a_float_or_quaternion_factor(other):
     with pytest.raises(TypeError):
         GaussScalar(1) * other
+
+
+# repr, str and protocol-2 pickle of a spinor and a matrix, each also after a
+# product, recorded while the entries were stored as GaussScalar objects: the
+# flat storage keeps what is printed and what is pickled.
+_SPINOR = Spinor(GaussScalar(Fraction(1, 2), -3), 5)
+_MATRIX = SpinMatrix2(GaussScalar(0, 1), 2, Fraction(3, 4), -1)
+PINNED = [
+    (_SPINOR, "Spinor(GaussScalar(1/2, -3), GaussScalar(5, 0))", "[1/2-3i; 5+0i]",
+     b"\x80\x02ctrispinor.spinors\nSpinor\nq\x00ctrispinor.gauss\nGaussScalar\nq\x01"
+     b"cfractions\nFraction\nq\x02K\x01K\x02\x86q\x03Rq\x04J\xfd\xff\xff\xff\x86q\x05Rq\x06"
+     b"h\x01K\x05K\x00\x86q\x07Rq\x08\x86q\tRq\n."),
+    (_MATRIX, "SpinMatrix2(GaussScalar(0, 1), GaussScalar(2, 0), GaussScalar(3/4, 0), "
+     "GaussScalar(-1, 0))", "[[0+1i, 2+0i], [3/4+0i, -1+0i]]",
+     b"\x80\x02ctrispinor.spinors\nSpinMatrix2\nq\x00(ctrispinor.gauss\nGaussScalar\nq\x01"
+     b"K\x00K\x01\x86q\x02Rq\x03h\x01K\x02K\x00\x86q\x04Rq\x05h\x01cfractions\nFraction\nq\x06"
+     b"K\x03K\x04\x86q\x07Rq\x08K\x00\x86q\tRq\nh\x01J\xff\xff\xff\xffK\x00\x86q\x0bRq\x0c"
+     b"tq\rRq\x0e."),
+    (_MATRIX @ _SPINOR, "Spinor(GaussScalar(13, 1/2), GaussScalar(-37/8, -9/4))",
+     "[13+1/2i; -37/8-9/4i]",
+     b"\x80\x02ctrispinor.spinors\nSpinor\nq\x00ctrispinor.gauss\nGaussScalar\nq\x01"
+     b"cfractions\nFraction\nq\x02K\rK\x01\x86q\x03Rq\x04h\x02K\x01K\x02\x86q\x05Rq\x06"
+     b"\x86q\x07Rq\x08h\x01h\x02J\xdb\xff\xff\xffK\x08\x86q\tRq\nh\x02J\xf7\xff\xff\xffK\x04"
+     b"\x86q\x0bRq\x0c\x86q\rRq\x0e\x86q\x0fRq\x10."),
+    (_MATRIX @ _MATRIX, "SpinMatrix2(GaussScalar(1/2, 0), GaussScalar(-2, 2), "
+     "GaussScalar(-3/4, 3/4), GaussScalar(5/2, 0))",
+     "[[1/2+0i, -2+2i], [-3/4+3/4i, 5/2+0i]]",
+     b"\x80\x02ctrispinor.spinors\nSpinMatrix2\nq\x00(ctrispinor.gauss\nGaussScalar\nq\x01"
+     b"cfractions\nFraction\nq\x02K\x01K\x02\x86q\x03Rq\x04h\x02K\x00K\x01\x86q\x05Rq\x06"
+     b"\x86q\x07Rq\x08h\x01J\xfe\xff\xff\xffK\x02\x86q\tRq\nh\x01h\x02J\xfd\xff\xff\xffK\x04"
+     b"\x86q\x0bRq\x0ch\x02K\x03K\x04\x86q\rRq\x0e\x86q\x0fRq\x10h\x01h\x02K\x05K\x02\x86q\x11"
+     b"Rq\x12h\x02K\x00K\x01\x86q\x13Rq\x14\x86q\x15Rq\x16tq\x17Rq\x18."),
+]
+
+
+@pytest.mark.parametrize("value, text, printed, pickled", PINNED,
+                         ids=["Spinor", "SpinMatrix2", "matrix@spinor", "matrix@matrix"])
+def test_repr_str_and_pickle_are_pinned(value, text, printed, pickled):
+    assert repr(value) == text and str(value) == printed
+    # The recorded pickle loads on every supported Python (Fraction pickles
+    # differently across versions, so the bytes of a new dump are not compared).
+    for again in (pickle.loads(pickled), pickle.loads(pickle.dumps(value))):
+        assert type(again) is type(value) and again == value
+        assert repr(again) == text and str(again) == printed

@@ -22,6 +22,7 @@ from trispinor import (
     seq_slice,
     sigma,
     sigma_inv,
+    spinor_dot,
     spinor_norm,
     trib_quaternion,
     trib_spinor,
@@ -172,6 +173,53 @@ rational_quaternions = st.builds(Quaternion, rationals, rationals, rationals, ra
 @given(a=rational_quaternions, b=rational_quaternions, c=rational_quaternions)
 def test_triple_product_on_rational_triples(a, b, c):
     assert sigma(qmul(qmul(a, b), c)) == -(breve(a) @ breve(b) @ sigma(c))
+
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+small_gauss = st.builds(GaussScalar, small_rationals, small_rationals)
+general_spinors = st.builds(Spinor, small_gauss, small_gauss)
+general_matrices = st.builds(SpinMatrix2, small_gauss, small_gauss, small_gauss, small_gauss)
+
+
+@given(m=general_matrices, m2=general_matrices, s=general_spinors, s2=general_spinors,
+       k=st.integers(-9, 9), f=small_rationals, z=small_gauss)
+def test_spinor_and_matrix_operations_match_gauss_scalar_arithmetic(m, m2, s, s2, k, f, z):
+    # General Gaussian-rational entries, not quaternion images: each result
+    # against the same expression in GaussScalar arithmetic on the public fields.
+    (a11, a12), (a21, a22) = (m.a11, m.a12), (m.a21, m.a22)
+    (b11, b12), (b21, b22) = (m2.a11, m2.a12), (m2.a21, m2.a22)
+    cases = [
+        (m @ s, Spinor(a11 * s.c1 + a12 * s.c2, a21 * s.c1 + a22 * s.c2)),
+        (m @ m2, SpinMatrix2(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)),
+        (m.transpose(), SpinMatrix2(a11, a21, a12, a22)),
+        (complex_conjugate(s), Spinor(s.c1.conjugate(), s.c2.conjugate())),
+        (spinor_dot(s, s2), s.c1 * s2.c1 + s.c2 * s2.c2),
+    ]
+    for x in (k, f, z):
+        cases += [(x * s, Spinor(s.c1 * x, s.c2 * x)), (s * x, Spinor(s.c1 * x, s.c2 * x)),
+                  (x * m, SpinMatrix2(a11 * x, a12 * x, a21 * x, a22 * x))]
+    for got, want in cases:
+        assert type(got) is type(want)
+        assert got == want and str(got) == str(want)
+
+
+def test_products_and_images_build_no_gauss_scalar(monkeypatch):
+    q = Quaternion(1, Fraction(-2, 3), 0, 4)
+    s = Spinor(GaussScalar(Fraction(1, 2), -3), 5)
+    m, m2 = breve(q), SpinMatrix2(GaussScalar(0, 1), 2, Fraction(3, 4), -1)
+    expected = [m @ s, m @ m2, breve(q), sigma(q)]
+    built = []
+    make, init = GaussScalar._make.__func__, GaussScalar.__init__
+    monkeypatch.setattr(GaussScalar, "_make",
+                        classmethod(lambda cls, c: built.append(c) or make(cls, c)))
+    monkeypatch.setattr(GaussScalar, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    assert [m @ s, m @ m2, breve(q), sigma(q)] == expected
+    assert built == []
+    # The counter sees two constructors and a product.
+    GaussScalar(2) * GaussScalar(0, 1)
+    assert len(built) == 3
 
 
 def test_c_matrix_squares_to_minus_identity():
