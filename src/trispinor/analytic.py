@@ -4,10 +4,9 @@ spinors, plus exact generating-function series expansion."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .gauss import GaussScalar, Rational
 from .sequences import SeqParams, seq_slice
@@ -19,8 +18,7 @@ class DegenerateRoots(ArithmeticError):
     root-based closed forms divide by root differences and are unusable."""
 
 
-@dataclass(frozen=True)
-class CubicRoots:
+class CubicRoots(NamedTuple):
     """Roots of x^3 - r*x^2 - s*x - t, with alpha the root of greatest real
     part (ties broken by greater imaginary part)."""
 
@@ -33,8 +31,7 @@ class CubicRoots:
         return (self.alpha, self.omega1, self.omega2)
 
 
-@dataclass(frozen=True)
-class BinetConstants:
+class BinetConstants(NamedTuple):
     """Seed-interpolation constants of the closed form.
 
     P = v2 - (omega1 + omega2)*v1 + omega1*omega2*v0, and Q, R likewise with

@@ -33,7 +33,8 @@ from .spinors import Spinor, trib_spinor
 # Largest --index, --order and term --nmax: genfunc --order 10000 takes 4 s
 # on a 2-core x86-64 VM.
 MAX_TERMS = 10_000
-# Largest verify/suite --nmax: the tribonacci suite at 1000 takes 1.0-1.2 s there.
+# Largest verify/suite --nmax: the tribonacci suite at 1000 takes 0.44-0.45 s there
+# (3 fresh processes).
 MAX_CHECK_NMAX = 1_000
 # Largest bit size of a numerator or denominator among the terms a check
 # reads; verify --identity binet --params 1e400,1,1,0,1,1 reaches 77k bits at

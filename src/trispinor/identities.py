@@ -19,11 +19,9 @@ the check up in the registry.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
@@ -88,8 +86,7 @@ class Status(Enum):
     SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """First counterexample of a failed check, rendered for replay."""
 
     n: int
@@ -97,8 +94,7 @@ class Witness:
     rhs: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: IdentityId
     params: SeqParams | None
     span: tuple[int, int]
@@ -160,9 +156,9 @@ def _run(identity: IdentityId, checks: Iterator[Comparison], p: SeqParams | None
             return VerificationReport(identity, p, span, Status.FAIL, witness, note)
 
 
-# IdentityId -> (verify function, smallest nmax it accepts, largest nmax
-# run_identity passes to it)
-_REGISTRY: dict[IdentityId, tuple[Callable[..., VerificationReport], int, float]] = {}
+# IdentityId -> (verify function, its parameter names, smallest nmax it
+# accepts, largest nmax run_identity passes to it)
+_REGISTRY: dict[IdentityId, tuple[Callable[..., VerificationReport], tuple, int, float]] = {}
 
 
 def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
@@ -170,19 +166,18 @@ def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
     """Register a comparison generator as the check of `identity` and return
     it bound to the runner, as the public verify function."""
     def register(gen: Callable[..., Iterator[Comparison]]):
-        signature = inspect.signature(gen)
-
         @functools.wraps(gen)
         def verify(*args, **kwargs) -> VerificationReport:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            a = bound.arguments
+            # Calling gen binds the arguments, or raises TypeError; the unstarted
+            # generator's frame holds just the bound arguments, defaults included.
+            checks = gen(*args, **kwargs)
+            a = checks.gi_frame.f_locals
             _validate(a, least)
             span = (0, a["trials"] - 1) if "trials" in a else (0, a["nmax"])
-            return _run(identity, gen(**a), a.get("p"), span, passed)
+            return _run(identity, checks, a.get("p"), span, passed)
 
-        verify.__signature__ = signature.replace(return_annotation="VerificationReport")
-        _REGISTRY[identity] = (verify, least, cap)
+        names = gen.__code__.co_varnames[:gen.__code__.co_argcount]
+        _REGISTRY[identity] = (verify, names, least, cap)
         return verify
     return register
 
@@ -271,9 +266,18 @@ def verify_genfunc_agreement(p: SeqParams, nmax: int) -> Iterator[Comparison]:
 
 
 def _doubled_components(rng: random.Random) -> tuple[int, ...]:
-    """Twice the components k/d of a random quaternion, k in [-9, 9] and d
-    in {1, 2}: integers."""
-    return tuple(rng.randint(-9, 9) * (2 // rng.choice((1, 1, 2))) for _ in range(4))
+    """Twice the components k/d of a random quaternion, k in [-9, 9] and d in
+    {1, 2}: integers, from the getrandbits draws of randint(-9, 9) and choice((1, 1, 2))."""
+    bits, out = rng.getrandbits, []
+    for _ in range(4):
+        k = bits(5)
+        while k >= 19:
+            k = bits(5)
+        j = bits(2)
+        while j == 3:
+            j = bits(2)
+        out.append((k - 9) * (1 if j == 2 else 2))
+    return tuple(out)
 
 
 def _triple_sides(a: Quaternion, b: Quaternion, c: Quaternion, breve_a: SpinMatrix2,
@@ -300,7 +304,7 @@ def verify_triple_product_map(seed: int, trials: int = 1000) -> Iterator[Compari
     guard = True
     for trial in range(trials):
         doubled = [_doubled_components(rng) for _ in range(3)]
-        a, b, c = (Quaternion(*q) for q in doubled)
+        a, b, c = map(Quaternion._make, doubled)
         lhs, rhs = _triple_sides(a, b, c, breve(a), breve(b))
         halves = guard and any(x % 2 for q in doubled for x in q)
         if halves or lhs != rhs:
@@ -494,11 +498,11 @@ def run_identity(
     (degenerate delta or roots, unsupported preset) and float overflow into
     skip reports."""
     _validate({"nmax": nmax, "tol": tol, "trials": trials})
-    verify, least, cap = _REGISTRY[identity]
+    verify, names, least, cap = _REGISTRY[identity]
     given = {"p": p, "nmax": max(min(nmax, cap), least), "seed": seed, "tol": tol,
              "trials": trials}
     try:
-        return verify(**{name: given[name] for name in inspect.signature(verify).parameters})
+        return verify(**{name: given[name] for name in names})
     except (DegenerateDelta, DegenerateRoots, UnsupportedParams, OverflowError) as exc:
         return VerificationReport(
             identity, p, (0, given["nmax"]), Status.SKIPPED,

@@ -3,9 +3,8 @@ consecutive terms of a third-order recurrence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .gauss import Rational, _Exact, rat
 from .sequences import Matrix3, SeqParams, mat_mul3, seq_slice
@@ -74,8 +73,10 @@ def quat_window(v: Sequence[Rational], n: int = 0) -> Quaternion:
 
 
 def k_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
-    """s*Q(n+1) + t*Q(n), with the window quaternions read off a list of terms."""
-    return p.s * quat_window(v, n + 1) + p.t * quat_window(v, n)
+    """s*Q(n+1) + t*Q(n), summed component by component from a list of terms."""
+    s, t = p.s, p.t
+    a, b, c, d, e = map(rat, (v[n], v[n + 1], v[n + 2], v[n + 3], v[n + 4]))
+    return Quaternion._make((s * b + t * a, s * c + t * b, s * d + t * c, s * e + t * d))
 
 
 def sum_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
@@ -145,8 +146,7 @@ def quat_u_decomposition(p: SeqParams, n: int) -> Quaternion:
     return u_window(p, seq_slice(p, 0, 6), seq_slice(u_companion(p), n, 3))
 
 
-@dataclass(frozen=True)
-class SummationCorrection:
+class SummationCorrection(NamedTuple):
     """Constants of the closed-form partial sum:
 
     delta = r + s + t - 1,

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .gauss import Rational, rat
 
@@ -27,26 +26,24 @@ class UnknownPreset(ValueError):
     """Raised for preset names this library does not define."""
 
 
-@dataclass(frozen=True)
-class SeqParams:
-    """Recurrence coefficients (r, s, t) and seed values (v0, v1, v2)."""
+_SeqFields = NamedTuple("_SeqFields", [(f, Rational) for f in ("r", "s", "t", "v0", "v1", "v2")])
 
-    r: Rational
-    s: Rational
-    t: Rational
-    v0: Rational
-    v1: Rational
-    v2: Rational
 
-    def __post_init__(self) -> None:
-        for name in ("r", "s", "t", "v0", "v1", "v2"):
-            object.__setattr__(self, name, rat(getattr(self, name)))
+class SeqParams(_SeqFields):
+    """Recurrence coefficients (r, s, t) and seed values (v0, v1, v2), each coerced
+    by rat on every route: the constructor, _make, _replace, pickle and copy."""
+
+    __slots__ = ()
+
+    def __new__(cls, r, s, t, v0, v1, v2) -> SeqParams:
+        return super().__new__(cls, *map(rat, (r, s, t, v0, v1, v2)))
+
+    @classmethod
+    def _make(cls, iterable) -> SeqParams:
+        return cls(*iterable)
 
     def __str__(self) -> str:
-        return (
-            f"(r={self.r}, s={self.s}, t={self.t}; "
-            f"v0={self.v0}, v1={self.v1}, v2={self.v2})"
-        )
+        return "(r={}, s={}, t={}; v0={}, v1={}, v2={})".format(*self)
 
 
 TRIBONACCI = SeqParams(1, 1, 1, 0, 1, 1)

@@ -121,6 +121,18 @@ def test_triple_product_runs_on_integers_but_one_trial(monkeypatch):
     assert len(fraction_calls) == 2
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3, 10, 42, 2**31 - 1, 123456789])
+def test_triple_product_draws_the_randint_choice_stream(seed):
+    # The reference is the draw as first written; the draw from getrandbits
+    # must yield the same components, in the same order, from the same state.
+    reference, drawn = random.Random(seed), random.Random(seed)
+    for _ in range(3000):
+        want = tuple(reference.randint(-9, 9) * (2 // reference.choice((1, 1, 2)))
+                     for _ in range(4))
+        assert identities._doubled_components(drawn) == want
+    assert drawn.getstate() == reference.getstate()
+
+
 def test_spinor_matrix_behavior_reports():
     assert verify_spinor_matrix_behavior(TRIB, 30).status is Status.EXACT_PASS
     rng = random.Random(6)

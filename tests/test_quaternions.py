@@ -23,6 +23,7 @@ from trispinor import (
     trib_quaternion,
     trib_spinor,
 )
+from trispinor.quaternions import k_window, quat_window
 
 TRIB = preset("tribonacci")
 
@@ -207,3 +208,16 @@ def test_partial_sum_matches_direct_sum():
             total = total + trib_quaternion(p, n)
             if n % 17 == 0 or n == 200:
                 assert quat_partial_sum(p, n) == total
+
+
+@pytest.mark.parametrize("p", [TRIB, SeqParams(-3, 2, 5, 1, -4, 2),
+                               SeqParams(Fraction(4, 3), Fraction(5, 4), 5, Fraction(3, 2),
+                                         Fraction(-3, 4), Fraction(1, 4))])
+def test_k_window_is_the_scaled_window_sum(p):
+    v = seq_slice(p, 0, 30)
+    for n in range(26):
+        want = p.s * quat_window(v, n + 1) + p.t * quat_window(v, n)
+        got = k_window(p, v, n)
+        assert got == want
+        assert [type(x) for x in got._c] == [type(x) for x in want._c]
+    assert k_window(p, [Fraction(x) for x in v]) == k_window(p, v)
