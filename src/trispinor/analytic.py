@@ -188,11 +188,8 @@ def genfunc_spinor_series(p: SeqParams, order: int) -> tuple[Spinor, ...]:
     coeffs: list[Spinor] = []
     for k in range(order):
         acc = numerator[k] if k < 3 else zero
-        if k >= 1:
-            acc = acc + p.r * coeffs[k - 1]
-        if k >= 2:
-            acc = acc + p.s * coeffs[k - 2]
-        if k >= 3:
-            acc = acc + p.t * coeffs[k - 3]
+        # r*coeffs[k-1] + s*coeffs[k-2] + t*coeffs[k-3], as far as they exist
+        for c, prev in zip((p.r, p.s, p.t), coeffs[:-4:-1]):
+            acc = acc + c * prev
         coeffs.append(acc)
     return tuple(coeffs)

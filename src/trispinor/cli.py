@@ -67,7 +67,7 @@ def _spinor_json(s: Spinor) -> dict[str, dict[str, str]]:
 def _params_json(p: SeqParams | None) -> dict[str, str] | None:
     if p is None:
         return None
-    return {name: str(getattr(p, name)) for name in ("r", "s", "t", "v0", "v1", "v2")}
+    return {name: str(getattr(p, name)) for name in p._fields}
 
 
 def report_to_dict(r: VerificationReport) -> dict:
@@ -133,51 +133,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser) -> None:
+    def add(name: str, text: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=text)
         group = sp.add_mutually_exclusive_group()
         group.add_argument("--preset", metavar="NAME",
                            help="named parameter set (default: tribonacci)")
         group.add_argument("--params", metavar="CSV",
                            help="explicit r,s,t,V0,V1,V2 (integers or fractions like 3/2)")
         sp.add_argument("--json", action="store_true", help="emit JSON")
+        return sp
 
-    p_term = sub.add_parser("term", help="sequence term V(n), or V(0..nmax)")
-    add_common(p_term)
+    p_term = add("term", "sequence term V(n), or V(0..nmax)")
     which = p_term.add_mutually_exclusive_group(required=True)
     which.add_argument("-n", "--index", type=int)
     which.add_argument("--nmax", type=int)
 
-    p_quat = sub.add_parser("quaternion", help="window quaternion at index n")
-    add_common(p_quat)
-    p_quat.add_argument("-n", "--index", type=int, required=True)
+    for name, text in (("quaternion", "window quaternion at index n"),
+                       ("spinor", "window spinor at index n"),
+                       ("binet", "root-based closed-form spinor at index n")):
+        indexed = add(name, text)
+        indexed.add_argument("-n", "--index", type=int, required=True)
+        if name == "binet":
+            indexed.add_argument("--tol", type=float, default=1e-9)
 
-    p_spin = sub.add_parser("spinor", help="window spinor at index n")
-    add_common(p_spin)
-    p_spin.add_argument("-n", "--index", type=int, required=True)
+    add("genfunc", "generating-function series coefficients").add_argument(
+        "--order", type=int, default=8, metavar="N", help="number of coefficients (default 8)")
 
-    p_binet = sub.add_parser("binet", help="root-based closed-form spinor at index n")
-    add_common(p_binet)
-    p_binet.add_argument("-n", "--index", type=int, required=True)
-    p_binet.add_argument("--tol", type=float, default=1e-9)
-
-    p_gen = sub.add_parser("genfunc", help="generating-function series coefficients")
-    add_common(p_gen)
-    p_gen.add_argument("--order", type=int, default=8, metavar="N",
-                       help="number of coefficients (default 8)")
-
-    p_verify = sub.add_parser("verify", help="check one identity")
-    add_common(p_verify)
-    p_verify.add_argument("--identity", required=True,
-                          choices=[i.value for i in IdentityId])
-    p_verify.add_argument("--nmax", type=int, default=50)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
-
-    p_suite = sub.add_parser("suite", help="check every identity")
-    add_common(p_suite)
-    p_suite.add_argument("--nmax", type=int, default=50)
-    p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--tol", type=float, default=1e-9)
+    p_verify = add("verify", "check one identity")
+    p_verify.add_argument("--identity", required=True, choices=[i.value for i in IdentityId])
+    for checks in (p_verify, add("suite", "check every identity")):
+        checks.add_argument("--nmax", type=int, default=50)
+        checks.add_argument("--seed", type=int, default=0)
+        checks.add_argument("--tol", type=float, default=1e-9)
 
     return parser
 
@@ -197,7 +184,7 @@ def _cmd_term(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
 
 def _cmd_quaternion(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     q = trib_quaternion(p, _bounded(args.index, "index", MAX_TERMS))
-    return (render_json({name: str(getattr(q, name)) for name in ("q0", "q1", "q2", "q3")})
+    return (render_json({name: str(getattr(q, name)) for name in q._fields})
             if args.json else f"{q}\n"), 0
 
 

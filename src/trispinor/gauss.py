@@ -25,8 +25,9 @@ class _Exact:
     class keywords: ``fields="q0 q1 q2 q3", coerce=rat``. A field is one
     component here, and two, (re, im), in `_GaussEntries`. The constructor
     coerces every field once; arithmetic builds its results with ``_make``,
-    which does not. ``==`` holds between values of one type with equal
-    components, after ``_lift`` has converted the other operand.
+    which does not. The kernel shares +, -, negation, ==, hash and pickle;
+    each type defines its own ``*``. ``==`` holds between values of one type
+    with equal components, after ``_lift`` has converted the other operand.
     """
 
     __slots__ = ("_c",)
@@ -78,13 +79,6 @@ class _Exact:
     def __neg__(self):
         return self._make(map(neg, self._c))
 
-    def __mul__(self, k):
-        """Scaling: every component times the scalar k, coerced like one."""
-        k = self._coerce(k)
-        return self._make([k * c for c in self._c])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         other = self._lift(other)
         return NotImplemented if other is None else self._c == other._c
@@ -135,10 +129,9 @@ class GaussScalar(_Exact, fields="re im", coerce=rat):
     _lift = staticmethod(_coerce)
 
     def __mul__(self, other: GaussScalar | Rational):
-        if type(other) is not GaussScalar:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
         a, b = self._c
         c, d = other._c
         return GaussScalar._make((a * c - b * d, a * d + b * c))
@@ -181,8 +174,6 @@ def as_gauss(value: GaussScalar | Rational) -> GaussScalar:
     return coerced
 
 
-ZERO = GaussScalar(0)
-ONE = GaussScalar(1)
 I = GaussScalar(0, 1)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .analytic import DegenerateRoots, binet_spinor, cubic_roots, genfunc_spinor_series
-from .gauss import GaussScalar, I, Rational
+from .gauss import GaussScalar, I, Rational, rat
 from .quaternions import (
     DegenerateDelta,
     Quaternion,
@@ -436,7 +436,7 @@ def verify_summation(p: SeqParams, nmax: int) -> Iterator[Comparison]:
         raise DegenerateDelta()
     v = seq_slice(p, 0, nmax + 6)
     derived = sigma(corr.omega)
-    stated = spinor_window([(p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2]
+    stated = spinor_window([rat((p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2])
                             for j in range(4)])
     # (scaled running sum, closed form without its constant) for every n
     sides: list[tuple[Spinor, Spinor]] = []

@@ -31,17 +31,18 @@ class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=rat):
     def __mul__(self, other: Quaternion | Rational) -> Quaternion:
         if isinstance(other, Quaternion):
             return qmul(self, other)
-        return super().__mul__(other)
+        return self.__rmul__(other)
+
+    def __rmul__(self, k: Rational) -> Quaternion:
+        """Scaling: every component times the scalar k, coerced by rat."""
+        k = rat(k)
+        return self._make([k * c for c in self._c])
 
     def __str__(self) -> str:
         return f"({self.q0}, {self.q1}, {self.q2}, {self.q3})"
 
 
-ZERO = Quaternion(0, 0, 0, 0)
 ONE = Quaternion(1, 0, 0, 0)
-E1 = Quaternion(0, 1, 0, 0)
-E2 = Quaternion(0, 0, 1, 0)
-E3 = Quaternion(0, 0, 0, 1)
 
 
 def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
@@ -68,14 +69,16 @@ def qnorm(q: Quaternion) -> Rational:
 
 def quat_window(v: Sequence[Rational], n: int = 0) -> Quaternion:
     """Quaternion (v[n], v[n+1], v[n+2], v[n+3]) of four consecutive terms,
-    read off a list of terms."""
-    return Quaternion._make(map(rat, (v[n], v[n + 1], v[n + 2], v[n + 3])))
+    read off a list of terms as seq_slice returns them, each an int or a
+    Fraction in lowest terms: the terms are the components, unchanged."""
+    return Quaternion._make(v[n:n + 4])
 
 
 def k_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
-    """s*Q(n+1) + t*Q(n), summed component by component from a list of terms."""
+    """s*Q(n+1) + t*Q(n), summed component by component from a list of terms
+    as seq_slice returns them."""
     s, t = p.s, p.t
-    a, b, c, d, e = map(rat, (v[n], v[n + 1], v[n + 2], v[n + 3], v[n + 4]))
+    a, b, c, d, e = v[n:n + 5]
     return Quaternion._make((s * b + t * a, s * c + t * b, s * d + t * c, s * e + t * d))
 
 
@@ -176,4 +179,5 @@ def quat_partial_sum(p: SeqParams, n: int) -> Quaternion:
     corr = summation_correction(p)
     if corr.delta == 0:
         raise DegenerateDelta()
-    return (Fraction(1) / corr.delta) * (sum_window(p, seq_slice(p, n, 6)) + corr.omega)
+    total = sum_window(p, seq_slice(p, n, 6)) + corr.omega
+    return Quaternion(*(Fraction(x) / corr.delta for x in total._c))

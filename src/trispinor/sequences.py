@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial, gcd, prod
+from math import prod
 from typing import Iterator, NamedTuple
 
 from .gauss import Rational, rat
@@ -17,9 +17,8 @@ Matrix3 = tuple[
 
 
 # Largest prime factor of a denominator for which a rational set runs on int;
-# above it the Fraction loop runs. Every prime up to it divides _SMOOTH.
+# above it the Fraction loop runs.
 _TRIAL_BOUND = 1 << 10
-_SMOOTH = factorial(_TRIAL_BOUND)
 
 
 class UnknownPreset(ValueError):
@@ -87,16 +86,13 @@ def _direct_terms(p: SeqParams, a: Rational, b: Rational, c: Rational) -> Iterat
 
 def _small_factors(d: int) -> dict[int, int] | None:
     """The prime factors of d and their exponents, or None if one of them
-    exceeds _TRIAL_BOUND."""
-    rest = d
-    while (g := gcd(rest, _SMOOTH)) > 1:
-        rest //= g
-    if rest > 1:
-        return None
+    exceeds _TRIAL_BOUND: trial division stops at the first divisor past it."""
     factors, q = {}, 2
     while d > 1:
         if q * q > d:
             q = d
+        if q > _TRIAL_BOUND:
+            return None
         while d % q == 0:
             factors[q] = factors.get(q, 0) + 1
             d //= q

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .gauss import GaussScalar, I, Rational, _GaussEntries, rat
+from .gauss import GaussScalar, I, Rational, _GaussEntries
 from .quaternions import Quaternion
 from .sequences import SeqParams, seq_slice
 
@@ -108,10 +108,11 @@ def spinor_norm(s: Spinor) -> GaussScalar:
 
 def spinor_window(v: Sequence[Rational], n: int = 0) -> Spinor:
     """Spinor [v[n+3] + i*v[n]; v[n+1] + i*v[n+2]] of four consecutive terms,
-    read off a list of terms. It is built from the terms themselves, not as
-    sigma of the window quaternion, so that checks comparing the two stay
-    independent."""
-    return Spinor._make(map(rat, (v[n + 3], v[n], v[n + 1], v[n + 2])))
+    read off a list of terms as seq_slice returns them, each an int or a
+    Fraction in lowest terms: the terms are the components, unchanged. It is built
+    from the terms themselves, not as sigma of the window quaternion, so that
+    checks comparing the two stay independent."""
+    return Spinor._make((v[n + 3], v[n], v[n + 1], v[n + 2]))
 
 
 def trib_spinor(p: SeqParams, n: int) -> Spinor:

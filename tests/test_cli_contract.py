@@ -1,6 +1,7 @@
 """The CLI contract: counts are bounded, and any argv ends in exit 0, 1 or 2
 with one error line, never a traceback."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -197,3 +198,73 @@ def test_any_argv_exits_0_1_or_2(argv):
         assert err.count("\n") == 1 and err.startswith("error: ")
     else:
         assert err == ""
+
+
+# Every option of every subcommand, in declaration order: option strings, dest,
+# default, type, required, choices, metavar and help (the -h action aside).
+_SOURCE_OPTIONS = [
+    (("--preset",), "preset", None, None, False, None, "NAME",
+     "named parameter set (default: tribonacci)"),
+    (("--params",), "params", None, None, False, None, "CSV",
+     "explicit r,s,t,V0,V1,V2 (integers or fractions like 3/2)"),
+    (("--json",), "json", False, None, False, None, None, "emit JSON"),
+]
+_INDEX = (("-n", "--index"), "index", None, int, True, None, None, None)
+_TOL = (("--tol",), "tol", 1e-9, float, False, None, None, None)
+_CHECK_OPTIONS = [
+    (("--nmax",), "nmax", 50, int, False, None, None, None),
+    (("--seed",), "seed", 0, int, False, None, None, None),
+    _TOL,
+]
+_IDENTITY_NAMES = ["recurrence", "conjugates", "norm", "binet", "genfunc", "triple_product",
+                   "spinor_matrix", "determinant", "summation", "u_decomposition",
+                   "matrix_power"]
+OPTION_TABLE = {
+    "term": _SOURCE_OPTIONS + [
+        (("-n", "--index"), "index", None, int, False, None, None, None),
+        (("--nmax",), "nmax", None, int, False, None, None, None),
+    ],
+    "quaternion": _SOURCE_OPTIONS + [_INDEX],
+    "spinor": _SOURCE_OPTIONS + [_INDEX],
+    "binet": _SOURCE_OPTIONS + [_INDEX, _TOL],
+    "genfunc": _SOURCE_OPTIONS + [
+        (("--order",), "order", 8, int, False, None, "N", "number of coefficients (default 8)"),
+    ],
+    "verify": _SOURCE_OPTIONS + [
+        (("--identity",), "identity", None, None, True, _IDENTITY_NAMES, None, None),
+    ] + _CHECK_OPTIONS,
+    "suite": _SOURCE_OPTIONS + _CHECK_OPTIONS,
+}
+SUBCOMMAND_HELP = [
+    ("term", "sequence term V(n), or V(0..nmax)"),
+    ("quaternion", "window quaternion at index n"),
+    ("spinor", "window spinor at index n"),
+    ("binet", "root-based closed-form spinor at index n"),
+    ("genfunc", "generating-function series coefficients"),
+    ("verify", "check one identity"),
+    ("suite", "check every identity"),
+]
+# The option strings of each subcommand's mutually exclusive groups, and
+# whether the group is required.
+EXCLUSIVE_GROUPS = {name: [(("--preset", "--params"), False)] for name in OPTION_TABLE}
+EXCLUSIVE_GROUPS["term"].append((("-n", "--index", "--nmax"), True))
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action
+
+
+def test_each_subcommand_declares_its_pinned_options():
+    sub = _subparsers(cli.build_parser())
+    assert (sub.dest, sub.required) == ("command", True)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == SUBCOMMAND_HELP
+    assert list(sub.choices) == list(OPTION_TABLE)
+    for name, parser in sub.choices.items():
+        got = [(tuple(a.option_strings), a.dest, a.default, a.type, a.required,
+                a.choices, a.metavar, a.help)
+               for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert got == OPTION_TABLE[name], name
+        groups = [(tuple(s for a in g._group_actions for s in a.option_strings), g.required)
+                  for g in parser._mutually_exclusive_groups]
+        assert groups == EXCLUSIVE_GROUPS[name], name

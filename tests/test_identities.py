@@ -24,6 +24,7 @@ from trispinor import (
     random_params,
     run_identity,
     run_suite,
+    seq_slice,
     sigma,
     summation_correction,
     trib_spinor,
@@ -262,3 +263,26 @@ def test_run_suite_skips_where_inapplicable():
     reports = run_suite(TRIPLE_ROOT, nmax=20, seed=0)
     by_id = {r.identity: r for r in reports}
     assert by_id[IdentityId.BINET_AGREEMENT].status is Status.SKIPPED
+
+
+@pytest.mark.parametrize("p", [TRIB, SeqParams(Fraction(1, 2), Fraction(1, 2), 1, 2, 0, 1),
+                               SeqParams(Fraction(1, 1031), 1, 1, 0, 1, 1)])
+def test_summation_seed_window_constant_is_exact_terms(monkeypatch, p):
+    """The seed-window candidate (r+s)*V(j) + (r-1)*V(j+1) - V(j+2), j = 0..3, is
+    a spinor of ints where integral and of non-integral Fractions otherwise."""
+    built, original = [], identities.spinor_window
+
+    def recording(v, n=0):
+        s = original(v, n)
+        if len(v) == 4:
+            built.append(s)
+        return s
+
+    monkeypatch.setattr(identities, "spinor_window", recording)
+    assert verify_summation(p, 5).status is Status.EXACT_PASS
+    (stated,) = built
+    v = seq_slice(p, 0, 6)
+    want = [(p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2] for j in range(4)]
+    assert list(stated._c) == [want[3], want[0], want[1], want[2]]
+    for x in stated._c:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1)

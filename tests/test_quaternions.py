@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,7 @@ from trispinor import (
     trib_spinor,
 )
 from trispinor.quaternions import k_window, quat_window
+from trispinor.spinors import spinor_window
 
 TRIB = preset("tribonacci")
 
@@ -221,3 +223,53 @@ def test_k_window_is_the_scaled_window_sum(p):
         assert got == want
         assert [type(x) for x in got._c] == [type(x) for x in want._c]
     assert k_window(p, [Fraction(x) for x in v]) == k_window(p, v)
+
+
+def _is_exact_term(x):
+    """An int, or a Fraction in lowest terms that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1
+                              and gcd(x.numerator, x.denominator) == 1)
+
+
+WINDOW_SETS = [
+    TRIB,
+    SeqParams(-3, 2, 5, 1, -4, 2),
+    SeqParams(Fraction(1, 2), Fraction(1, 2), 1, 2, 0, 1),
+    # A denominator with a prime factor above 1024: the Fraction loop.
+    SeqParams(Fraction(1, 1031), 1, 1, 0, Fraction(2, 3), 1),
+]
+
+
+@pytest.mark.parametrize("p", WINDOW_SETS)
+@pytest.mark.parametrize("n0", [0, 7])
+def test_windows_keep_the_terms_and_their_types(p, n0):
+    """Read off seq_slice, the window quaternion and spinor hold the terms
+    themselves, each an int or a non-integral Fraction in lowest terms; the
+    components of k_window have the types of s*V(m+1) + t*V(m) on them."""
+    v = seq_slice(p, n0, 14)
+    assert all(map(_is_exact_term, v))
+    for n in range(10):
+        q, s, k = quat_window(v, n), spinor_window(v, n), k_window(p, v, n)
+        assert list(q._c) == v[n:n + 4]
+        assert [type(x) for x in q._c] == [type(x) for x in v[n:n + 4]]
+        assert list(s._c) == [v[n + 3], v[n], v[n + 1], v[n + 2]]
+        assert [type(x) for x in s._c] == [type(v[n + i]) for i in (3, 0, 1, 2)]
+        want = [p.s * v[m + 1] + p.t * v[m] for m in range(n, n + 4)]
+        assert list(k._c) == want
+        assert [type(x) for x in k._c] == [type(x) for x in want]
+
+
+def test_partial_sum_components_are_exact_terms():
+    """quat_partial_sum keeps rat's rule: int components when integral, and it
+    equals the running sum of the window quaternions."""
+    rational = SeqParams(Fraction(4, 3), Fraction(5, 4), 5, Fraction(3, 2),
+                         Fraction(-3, 4), Fraction(1, 4))
+    for p in (TRIB, rational):
+        total = Quaternion(0, 0, 0, 0)
+        for n in range(11):
+            total = total + trib_quaternion(p, n)
+            got = quat_partial_sum(p, n)
+            assert got == total
+            assert all(map(_is_exact_term, got._c)), (p, n, got._c)
+            if p == TRIB:
+                assert all(type(x) is int for x in got._c)

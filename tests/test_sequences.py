@@ -211,3 +211,22 @@ def test_a_large_prime_denominator_runs_the_fraction_loop(monkeypatch):
     assert time.perf_counter() - start < 0.5
     with pytest.raises(AssertionError, match="int kernel used"):
         seq_slice(SeqParams(Fraction(1, 1021), 1, 1, 0, 1, 1), 0, 4)
+
+
+@pytest.mark.parametrize("d, factors", [
+    (1, {}),
+    (1021, {1021: 1}),
+    (2**5000 * 3**3000, {2: 5000, 3: 3000}),
+    (2 * 3**4 * 1021**2, {2: 1, 3: 4, 1021: 2}),
+    (1031, None),
+    (2 * 1031, None),
+    (1031**2, None),
+    # 4,300 digits with no prime factor at or below 1024.
+    (1031**1427, None),
+])
+def test_small_factors_stop_past_the_trial_bound(d, factors):
+    start = time.perf_counter()
+    assert sequences._small_factors(d) == factors
+    assert time.perf_counter() - start < 0.1
+    if d == 1031**1427:
+        assert len(str(d)) == 4300
