@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import islice
 
 from .analytic import DegenerateRoots, binet_spinor, genfunc_spinor_series
-from .gauss import GaussScalar
 from .identities import (
     IdentityId,
     Status,
@@ -28,13 +27,13 @@ from .identities import (
 )
 from .quaternions import trib_quaternion
 from .sequences import SeqParams, _iter_terms, preset, seq_slice, seq_term
-from .spinors import Spinor, trib_spinor
+from .spinors import trib_spinor
 
-# Largest --index, --order and term --nmax: genfunc --order 10000 takes 4 s
-# on a 2-core x86-64 VM.
+# Largest --index, --order and term --nmax: genfunc --order 10000 takes 2.3-2.5 s
+# on a 2-core x86-64 VM (Intel Xeon, CPython 3.11.7; 6 fresh processes).
 MAX_TERMS = 10_000
-# Largest verify/suite --nmax: the tribonacci suite at 1000 takes 0.44-0.45 s there
-# (3 fresh processes).
+# Largest verify/suite --nmax: the tribonacci suite at 1000 takes 1.0-1.1 s on the
+# same VM, measured in the same session (6 fresh processes).
 MAX_CHECK_NMAX = 1_000
 # Largest bit size of a numerator or denominator among the terms a check
 # reads; verify --identity binet --params 1e400,1,1,0,1,1 reaches 77k bits at
@@ -56,30 +55,26 @@ def render_json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _gauss_json(value: GaussScalar) -> dict[str, str]:
-    return {"re": str(value.re), "im": str(value.im)}
-
-
-def _spinor_json(s: Spinor) -> dict[str, dict[str, str]]:
-    return {"c1": _gauss_json(s.c1), "c2": _gauss_json(s.c2)}
-
-
-def _params_json(p: SeqParams | None) -> dict[str, str] | None:
-    if p is None:
+def _exact_json(value: object) -> object:
+    """None as null; a value with _fields (SeqParams, Quaternion, GaussScalar,
+    Spinor) as an object of its fields, recursively; anything else as its str."""
+    if value is None:
         return None
-    return {name: str(getattr(p, name)) for name in p._fields}
+    if not hasattr(value, "_fields"):
+        return str(value)
+    return {name: _exact_json(getattr(value, name)) for name in value._fields}
 
 
 def report_to_dict(r: VerificationReport) -> dict:
     out = {
         "identity": r.identity.value,
-        "params": _params_json(r.params),
-        "range": [r.span[0], r.span[1]],
+        "params": _exact_json(r.params),
+        "range": list(r.span),
         "status": r.status.value,
         "note": r.note,
     }
     if r.witness is not None:
-        out["witness"] = {"n": r.witness.n, "lhs": r.witness.lhs, "rhs": r.witness.rhs}
+        out["witness"] = r.witness._asdict()
     return out
 
 
@@ -184,13 +179,12 @@ def _cmd_term(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
 
 def _cmd_quaternion(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     q = trib_quaternion(p, _bounded(args.index, "index", MAX_TERMS))
-    return (render_json({name: str(getattr(q, name)) for name in q._fields})
-            if args.json else f"{q}\n"), 0
+    return (render_json(_exact_json(q)) if args.json else f"{q}\n"), 0
 
 
 def _cmd_spinor(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     s = trib_spinor(p, _bounded(args.index, "index", MAX_TERMS))
-    return (render_json(_spinor_json(s)) if args.json else f"{s}\n"), 0
+    return (render_json(_exact_json(s)) if args.json else f"{s}\n"), 0
 
 
 def _cmd_binet(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
@@ -219,7 +213,7 @@ def _cmd_genfunc(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     if args.json:
         return render_json({
             "order": len(series),
-            "coefficients": [_spinor_json(s) for s in series],
+            "coefficients": [_exact_json(s) for s in series],
         }), 0
     return "".join(f"{k}: {s}\n" for k, s in enumerate(series)), 0
 

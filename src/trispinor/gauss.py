@@ -142,14 +142,12 @@ class GaussScalar(_Exact, fields="re im", coerce=rat):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._c
         c, d = other._c
         n = c * c + d * d
         if n == 0:
             raise ZeroDivisionError("division by zero")
-        # Fraction(num, n), not num / n: two ints would divide to a float.
-        return GaussScalar._make((rat(Fraction(a * c + b * d, n)),
-                                  rat(Fraction(b * c - a * d, n))))
+        # Fraction(x, n), not x / n: two ints would divide to a float.
+        return GaussScalar._make([rat(Fraction(x, n)) for x in (self * other.conjugate())._c])
 
     def conjugate(self) -> GaussScalar:
         return GaussScalar._make((self.re, -self.im))

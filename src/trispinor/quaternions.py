@@ -76,10 +76,10 @@ def quat_window(v: Sequence[Rational], n: int = 0) -> Quaternion:
 
 def k_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
     """s*Q(n+1) + t*Q(n), summed component by component from a list of terms
-    as seq_slice returns them."""
+    as seq_slice returns them; each component is coerced by rat."""
     s, t = p.s, p.t
     a, b, c, d, e = v[n:n + 5]
-    return Quaternion._make((s * b + t * a, s * c + t * b, s * d + t * c, s * e + t * d))
+    return Quaternion._make(map(rat, (s * b + t * a, s * c + t * b, s * d + t * c, s * e + t * d)))
 
 
 def sum_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:

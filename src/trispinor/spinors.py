@@ -27,8 +27,8 @@ class SpinMatrix2(_GaussEntries, fields="a11 a12 a21 a22"):
     __slots__ = ()
 
     def __matmul__(self, other: SpinMatrix2 | Spinor):
-        # (re, im) pairs: a11 = (a, b), a12 = (c, d), a21 = (e, f), a22 = (g, h); those of
-        # a spinor operand are (w, x) and (y, z), those of a matrix operand (p, q) to (v, w).
+        # (re, im) pairs: a11 = (a, b), a12 = (c, d), a21 = (e, f), a22 = (g, h); those
+        # of a spinor are (w, x) and (y, z). A matrix operand is taken column by column.
         a, b, c, d, e, f, g, h = self._c
         if type(other) is Spinor:
             w, x, y, z = other._c
@@ -37,12 +37,8 @@ class SpinMatrix2(_GaussEntries, fields="a11 a12 a21 a22"):
         if type(other) is not SpinMatrix2:
             return NotImplemented
         p, q, r, s, t, u, v, w = other._c
-        return SpinMatrix2._make((
-            a * p - b * q + c * t - d * u, a * q + b * p + c * u + d * t,
-            a * r - b * s + c * v - d * w, a * s + b * r + c * w + d * v,
-            e * p - f * q + g * t - h * u, e * q + f * p + g * u + h * t,
-            e * r - f * s + g * v - h * w, e * s + f * r + g * w + h * v,
-        ))
+        left, right = self @ Spinor._make((p, q, t, u)), self @ Spinor._make((r, s, v, w))
+        return SpinMatrix2._make(left._c[:2] + right._c[:2] + left._c[2:] + right._c[2:])
 
     def transpose(self) -> SpinMatrix2:
         return SpinMatrix2._make(self._c[i] for i in (0, 1, 4, 5, 2, 3, 6, 7))

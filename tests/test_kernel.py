@@ -89,6 +89,24 @@ def test_division_stays_exact():
         _assert_exact(z.re, z.im)
 
 
+def test_division_by_zero_and_by_gaussian_rationals():
+    x = GaussScalar(Fraction(1, 2), -3)
+    for zero in (0, GaussScalar(0, 0)):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            x / zero
+    reals = (0, 1, -2, 7, Fraction(1, 2), Fraction(-3, 4))
+    imags = (0, 3, Fraction(2, 3), -1)
+    values = [GaussScalar(a, b) for a in reals for b in imags]
+    for x in values:
+        for y in values + [7, Fraction(-3, 4)]:
+            if y == 0:
+                continue
+            z = x / y
+            assert type(z) is GaussScalar
+            _assert_exact(z.re, z.im)
+            assert z * y == x
+
+
 def test_arithmetic_keeps_exact_component_types():
     q = Quaternion(1, 2, 3, 4)
     for result in (q + q, q - q, -q, 2 * q, q * q):

@@ -245,7 +245,7 @@ WINDOW_SETS = [
 def test_windows_keep_the_terms_and_their_types(p, n0):
     """Read off seq_slice, the window quaternion and spinor hold the terms
     themselves, each an int or a non-integral Fraction in lowest terms; the
-    components of k_window have the types of s*V(m+1) + t*V(m) on them."""
+    components of k_window are s*V(m+1) + t*V(m), by the same rule."""
     v = seq_slice(p, n0, 14)
     assert all(map(_is_exact_term, v))
     for n in range(10):
@@ -256,7 +256,11 @@ def test_windows_keep_the_terms_and_their_types(p, n0):
         assert [type(x) for x in s._c] == [type(v[n + i]) for i in (3, 0, 1, 2)]
         want = [p.s * v[m + 1] + p.t * v[m] for m in range(n, n + 4)]
         assert list(k._c) == want
-        assert [type(x) for x in k._c] == [type(x) for x in want]
+        assert all(map(_is_exact_term, k._c))
+    # 1/2 * V(1) + 1 * V(0) = 1/2 * 0 + 2 on these parameters: the int 2.
+    k = k_quaternion(SeqParams(Fraction(1, 2), Fraction(1, 2), 1, 2, 0, 1), 0)
+    assert k._c == (2, Fraction(1, 2), Fraction(9, 4), Fraction(27, 8))
+    assert type(k.q0) is int
 
 
 def test_partial_sum_components_are_exact_terms():

@@ -71,12 +71,14 @@ def _negated_norm(s):
 # rhs, note). The expected strings were recorded before the runner existed;
 # those of the two rows after the summation row before triple_product ran on
 # the doubled triple, and those of the binet, genfunc and u_decomposition rows
-# before the Binet functions shared one power sum. The last two rows pin that
-# summation and norm evaluate the exported sum_window and spinor_norm. The
-# two rows after them were recorded before the spinor sides were multiplied
-# right to left and the windows were read once per check: they pin that each
-# side still fails alone, with the same witness. The recurrence has no row:
-# every primitive it calls feeds both of its sides.
+# before the Binet functions shared one power sum. The sum_window and
+# spinor_norm rows pin that summation and norm evaluate the exported
+# functions. The two rows after them were recorded before the spinor sides
+# were multiplied right to left and the windows were read once per check:
+# they pin that each side still fails alone, with the same witness. The
+# recurrence reads every window through spinor_window: a window shifted by
+# [1; 0] moves its lhs by one shift and its rhs by r+s+t = 3 shifts, so the
+# check fails at n = 0.
 FAULTS = [
     ("conjugates", "mate", _negated_mate, 0,
      "C@mate: [-2+0i; -1+1i]", "[2+0i; 1-1i]", ""),
@@ -123,6 +125,8 @@ FAULTS = [
     ("determinant", "breve", _affine_breve, 0,
      "[-2+14i; 6-8i]", "[-4+4i; 4-4i]",
      "shifted reading: spinor vs quaternion sides differ"),
+    ("recurrence", "spinor_window", _bumped_window, 0,
+     "[14+2i; 4+7i]", "[16+2i; 4+7i]", ""),
 ]
 # A row's id is its identity; a later row of the same identity adds its fault.
 FAULT_IDS = [ident if [f[0] for f in FAULTS].index(ident) == i

@@ -202,6 +202,9 @@ def test_spinor_and_matrix_operations_match_gauss_scalar_arithmetic(m, m2, s, s2
     for got, want in cases:
         assert type(got) is type(want)
         assert got == want and str(got) == str(want)
+    # The two products keep the component types of the GaussScalar formula.
+    for got, want in cases[:2]:
+        assert [type(x) for x in got._c] == [type(x) for x in want._c]
 
 
 def test_products_and_images_build_no_gauss_scalar(monkeypatch):
