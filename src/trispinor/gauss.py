@@ -191,13 +191,14 @@ class _GaussEntries(_Exact, fields="", coerce=as_gauss):
         _set_components(self, tuple(x for z in self._c for x in z._c))
 
     def __mul__(self, k):
-        """Scaling: every entry times k, a Gaussian or a plain rational."""
+        """Scaling: every entry times k, a Gaussian or a plain rational; each
+        rational of the result is coerced by rat."""
         k = rat(k) if isinstance(k, (int, Fraction)) else as_gauss(k)
         if type(k) is not GaussScalar:
-            return self._make([k * c for c in self._c])
+            return self._make([rat(k * c) for c in self._c])
         x, y = k._c
         pairs = zip(*[iter(self._c)] * 2)
-        return self._make([z for a, b in pairs for z in (a * x - b * y, a * y + b * x)])
+        return self._make([rat(z) for a, b in pairs for z in (a * x - b * y, a * y + b * x)])
 
     __rmul__ = __mul__
 

@@ -173,7 +173,8 @@ def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
             checks = gen(*args, **kwargs)
             a = checks.gi_frame.f_locals
             _validate(a, least)
-            span = (0, a["trials"] - 1) if "trials" in a else (0, a["nmax"])
+            span = ((0, len(_BASIS_TRIPLES) + a["trials"] - 1) if "trials" in a
+                    else (0, a["nmax"]))
             return _run(identity, checks, a.get("p"), span, passed)
 
         names = gen.__code__.co_varnames[:gen.__code__.co_argcount]
@@ -265,21 +266,6 @@ def verify_genfunc_agreement(p: SeqParams, nmax: int) -> Iterator[Comparison]:
         yield Comparison(k, series[k], spinor_window(v, k))
 
 
-def _doubled_components(rng: random.Random) -> tuple[int, ...]:
-    """Twice the components k/d of a random quaternion, k in [-9, 9] and d in
-    {1, 2}: integers, from the getrandbits draws of randint(-9, 9) and choice((1, 1, 2))."""
-    bits, out = rng.getrandbits, []
-    for _ in range(4):
-        k = bits(5)
-        while k >= 19:
-            k = bits(5)
-        j = bits(2)
-        while j == 3:
-            j = bits(2)
-        out.append((k - 9) * (1 if j == 2 else 2))
-    return tuple(out)
-
-
 def _triple_sides(a: Quaternion, b: Quaternion, c: Quaternion, breve_a: SpinMatrix2,
                   breve_b: SpinMatrix2) -> tuple[Spinor, Spinor]:
     """sigma(a*b*c) and -(breve(a) @ breve(b)) @ sigma(c), each computed on its own;
@@ -287,32 +273,38 @@ def _triple_sides(a: Quaternion, b: Quaternion, c: Quaternion, breve_a: SpinMatr
     return sigma(qmul(qmul(a, b), c)), -(breve_a @ (breve_b @ sigma(c)))
 
 
-@_register(IdentityId.TRIPLE_PRODUCT_MAP)
-def verify_triple_product_map(seed: int, trials: int = 1000) -> Iterator[Comparison]:
-    """sigma(a*b*c) = -(breve(a) @ breve(b)) @ sigma(c) for random exact
-    quaternion triples; an identity of the representation, parameter-free.
+# The 64 triples of the basis quaternions 1, i, j, k, the last one varying fastest.
+_BASIS_TRIPLES = list(itertools.product((Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
+                                         Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)),
+                                        repeat=3))
 
-    The drawn components are multiples of 1/2, and the check runs on the
-    doubled triple (2a, 2b, 2c), whose components are integers: both sides are
-    trilinear, so each is 8 times its value on (a, b, c), the verdict is the
-    same, and int arithmetic is several times faster than Fraction arithmetic.
-    A mismatch, and the first trial with a component that is not an integer,
-    are evaluated again on (a, b, c), so a witness keeps the drawn scale and a
-    fault that shows only on Fraction input is still seen.
-    """
+# Seeded random triples triple_product draws after its basis triples, by default.
+TRIALS = 16
+
+
+def _random_triples(seed: int, trials: int) -> Iterator[tuple[Quaternion, ...]]:
+    """trials triples of quaternions with components k/d, k in [-9, 9] and d in {1, 2}."""
     rng = random.Random(seed)
-    guard = True
-    for trial in range(trials):
-        doubled = [_doubled_components(rng) for _ in range(3)]
-        a, b, c = map(Quaternion._make, doubled)
-        lhs, rhs = _triple_sides(a, b, c, breve(a), breve(b))
-        halves = guard and any(x % 2 for q in doubled for x in q)
-        if halves or lhs != rhs:
-            guard = guard and not halves
-            a, b, c = (Fraction(1, 2) * q for q in (a, b, c))
-            lhs, rhs = _triple_sides(a, b, c, breve(a), breve(b))
-        yield Comparison(trial, lhs, rhs, note=lambda: f"a={a}, b={b}, c={c}")
-    return f"{trials} random triples, seed {seed}"
+    for _ in range(trials):
+        yield tuple(Quaternion(*(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2)))
+                                 for _ in range(4))) for _ in range(3))
+
+
+@_register(IdentityId.TRIPLE_PRODUCT_MAP)
+def verify_triple_product_map(seed: int, trials: int = TRIALS) -> Iterator[Comparison]:
+    """sigma(a*b*c) = -(breve(a) @ breve(b)) @ sigma(c), an identity of the
+    representation, parameter-free.
+
+    Comparisons 0-63 are the 64 triples of basis quaternions. Both sides are
+    trilinear over Q as written, so agreement there proves the identity for
+    every triple of rational quaternions. The trials seeded random triples
+    that follow guard against a fault that is not trilinear.
+    """
+    triples = itertools.chain(_BASIS_TRIPLES, _random_triples(seed, trials))
+    for n, (a, b, c) in enumerate(triples):
+        yield Comparison(n, *_triple_sides(a, b, c, breve(a), breve(b)),
+                         note=lambda: f"a={a}, b={b}, c={c}")
+    return f"{len(_BASIS_TRIPLES)} basis triples and {trials} random triples, seed {seed}"
 
 
 def _windows(p: SeqParams, v: list[Rational], count: int) -> tuple[list, list, list, list]:
@@ -492,7 +484,7 @@ def run_identity(
     nmax: int = 50,
     seed: int = 0,
     tol: float = 1e-9,
-    trials: int = 1000,
+    trials: int = TRIALS,
 ) -> VerificationReport:
     """Run one identity check, converting parameter-dependent refusals
     (degenerate delta or roots, unsupported preset) and float overflow into

@@ -34,9 +34,9 @@ class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=rat):
         return self.__rmul__(other)
 
     def __rmul__(self, k: Rational) -> Quaternion:
-        """Scaling: every component times the scalar k, coerced by rat."""
+        """Scaling: every component times the scalar k, each product coerced by rat."""
         k = rat(k)
-        return self._make([k * c for c in self._c])
+        return self._make([rat(k * c) for c in self._c])
 
     def __str__(self) -> str:
         return f"({self.q0}, {self.q1}, {self.q2}, {self.q3})"

@@ -2,8 +2,8 @@
 and the output of the value subcommands (term, quaternion, spinor, genfunc,
 binet), compared byte for byte with the files under tests/golden/.
 
-The files pin statuses, spans, witnesses, notes (float noise included) and
-the random draw order of triple_product. The cubic solver is pure Python, so
+The files pin statuses, spans, witnesses and notes (float noise and
+triple_product's seed included). The cubic solver is pure Python, so
 the float noise depends only on CPython float arithmetic, not on a linear
 algebra library. Regenerate them with `PYTHONPATH=src python
 tests/test_golden.py` only for an intended change of output.

@@ -214,14 +214,17 @@ def test_partial_sum_matches_direct_sum():
 
 @pytest.mark.parametrize("p", [TRIB, SeqParams(-3, 2, 5, 1, -4, 2),
                                SeqParams(Fraction(4, 3), Fraction(5, 4), 5, Fraction(3, 2),
-                                         Fraction(-3, 4), Fraction(1, 4))])
+                                         Fraction(-3, 4), Fraction(1, 4)),
+                               SeqParams(Fraction(1, 2), Fraction(1, 2), 1, 2, 0, 1),
+                               SeqParams(1, 1, Fraction(1, 2), 2, 4, 6)])
 def test_k_window_is_the_scaled_window_sum(p):
+    # Scaling and k_window keep rat's rule; a sum of two scaled windows may not.
     v = seq_slice(p, 0, 30)
     for n in range(26):
-        want = p.s * quat_window(v, n + 1) + p.t * quat_window(v, n)
+        scaled = p.s * quat_window(v, n + 1), p.t * quat_window(v, n)
         got = k_window(p, v, n)
-        assert got == want
-        assert [type(x) for x in got._c] == [type(x) for x in want._c]
+        assert got == scaled[0] + scaled[1]
+        assert all(_is_exact_term(x) for q in (got, *scaled) for x in q._c)
     assert k_window(p, [Fraction(x) for x in v]) == k_window(p, v)
 
 

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from trispinor import IdentityId, SeqParams, Status, Witness, preset, run_identity
+from trispinor import IdentityId, SeqParams, Status, preset, run_identity
 from trispinor import identities, quaternions
 from trispinor.analytic import binet_spinor
 from trispinor.cli import main
@@ -69,16 +69,17 @@ def _negated_norm(s):
 
 # (identity, operation replaced, faulty replacement, expected witness n, lhs,
 # rhs, note). The expected strings were recorded before the runner existed;
-# those of the two rows after the summation row before triple_product ran on
-# the doubled triple, and those of the binet, genfunc and u_decomposition rows
-# before the Binet functions shared one power sum. The sum_window and
-# spinor_norm rows pin that summation and norm evaluate the exported
-# functions. The two rows after them were recorded before the spinor sides
-# were multiplied right to left and the windows were read once per check:
-# they pin that each side still fails alone, with the same witness. The
-# recurrence reads every window through spinor_window: a window shifted by
-# [1; 0] moves its lhs by one shift and its rhs by r+s+t = 3 shifts, so the
-# check fails at n = 0.
+# those of the binet, genfunc and u_decomposition rows before the Binet
+# functions shared one power sum. In the three triple_product rows a swapped
+# qmul and an affine breve fail on a basis triple (n < 64), while a floored
+# qmul is exact on int and fails only in the seeded draws (n >= 64). The
+# sum_window and spinor_norm rows pin that summation and norm evaluate the
+# exported functions. The two rows after them were recorded before the
+# spinor sides were multiplied right to left and the windows were read once
+# per check: they pin that each side still fails alone, with the same
+# witness. The recurrence reads every window through spinor_window: a window
+# shifted by [1; 0] moves its lhs by one shift and its rhs by r+s+t = 3
+# shifts, so the check fails at n = 0.
 FAULTS = [
     ("conjugates", "mate", _negated_mate, 0,
      "C@mate: [-2+0i; -1+1i]", "[2+0i; 1-1i]", ""),
@@ -89,9 +90,9 @@ FAULTS = [
     ("spinor_matrix", "breve", _affine_breve, 0,
      "[[7+1i, 2-3i], [2+3i, -6+1i]]", "[[8+1i, 2-3i], [2+3i, -6+1i]]",
      "middle-column linearity"),
-    ("triple_product", "qmul", _swapped_qmul, 0,
-     "[-935/4-1417/4i; 939-1735/4i]", "[-451/4-1053/4i; 754+3097/4i]",
-     "a=(-1, 8, 1, 3), b=(9, -9, -1/2, -2), c=(3, 8, 3/2, -5)"),
+    ("triple_product", "qmul", _swapped_qmul, 6,
+     "[-1+0i; 0+0i]", "[1+0i; 0+0i]",
+     "a=(1, 0, 0, 0), b=(0, 1, 0, 0), c=(0, 0, 1, 0)"),
     ("determinant", "qmul", _swapped_qmul, 0,
      "[-4+4i; 4-4i]", "[-4+0i; -4+0i]",
      "shifted reading: spinor vs quaternion sides differ"),
@@ -100,9 +101,9 @@ FAULTS = [
      "sigma(omega) constant [-5+0i; -1-3i] fails; "
      "seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
     ("triple_product", "breve", _affine_breve, 0,
-     "[-451/4-1053/4i; 754+3097/4i]", "[-6-879/4i; 797+3021/4i]",
-     "a=(-1, 8, 1, 3), b=(9, -9, -1/2, -2), c=(3, 8, 3/2, -5)"),
-    ("triple_product", "qmul", _floored_qmul, 0,
+     "[0+1i; 0+0i]", "[2+0i; 0+0i]",
+     "a=(1, 0, 0, 0), b=(1, 0, 0, 0), c=(1, 0, 0, 0)"),
+    ("triple_product", "qmul", _floored_qmul, 64,
      "[-107-260i; 751+769i]", "[-451/4-1053/4i; 754+3097/4i]",
      "a=(-1, 8, 1, 3), b=(9, -9, -1/2, -2), c=(3, 8, 3/2, -5)"),
     ("binet", "binet_spinor", _scaled_binet, 0,
@@ -140,20 +141,33 @@ def test_injected_fault_reports_first_mismatch(monkeypatch, ident, attr, faulty,
     monkeypatch.setattr(identities, attr, faulty)
     report = run_identity(IdentityId(ident), TRIB, nmax=10, seed=3, trials=50)
     assert report.status is Status.FAIL
-    assert report.span == ((0, 49) if ident == "triple_product" else (0, 10))
+    assert report.span == ((0, 113) if ident == "triple_product" else (0, 10))
     assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (n, lhs, rhs)
     assert report.note == note
 
 
-def test_triple_product_witness_keeps_the_drawn_scale(monkeypatch):
-    # Trial 0 of seed 10 draws only integer components, so it is no guard
-    # trial: its mismatch is found on the doubled triple and reported at the
-    # drawn scale. The strings were recorded before triple_product ran on the
-    # doubled triple.
-    monkeypatch.setattr(identities, "qmul", _swapped_qmul)
-    report = identities.verify_triple_product_map(10, 5)
-    assert report.witness == Witness(0, "[479-216i; -448-7i]", "[-213-656i; 32-11i]")
-    assert report.note == "a=(9, 4, 9, -3), b=(6, -4, 7, 1), c=(-1, 2, 4, 2)"
+def _wrong_kk_qmul(a, b):
+    """Wrong only for the product k*k, which it takes to be 1."""
+    return ONE if a == b == Quaternion(0, 0, 0, 1) else qmul(a, b)
+
+
+def test_triple_product_finds_a_fault_on_one_basis_product(monkeypatch):
+    # One random triple almost never multiplies k by k; the basis triples do,
+    # first at (1, k, k).
+    monkeypatch.setattr(identities, "qmul", _wrong_kk_qmul)
+    report = identities.verify_triple_product_map(0, trials=1)
+    assert report.status is Status.FAIL
+    assert report.witness.n == 15
+    assert report.note == "a=(1, 0, 0, 0), b=(0, 0, 0, 1), c=(0, 0, 0, 1)"
+
+
+def test_triple_product_draws_catch_a_fault_exact_on_integers(monkeypatch):
+    # A floored qmul is not trilinear and agrees on every basis triple: only
+    # the seeded draws at the drawn scale can find it.
+    monkeypatch.setattr(identities, "qmul", _floored_qmul)
+    for seed in range(2000):
+        report = identities.verify_triple_product_map(seed)
+        assert report.status is Status.FAIL and report.witness.n >= 64, seed
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])

@@ -205,6 +205,9 @@ def test_spinor_and_matrix_operations_match_gauss_scalar_arithmetic(m, m2, s, s2
     # The two products keep the component types of the GaussScalar formula.
     for got, want in cases[:2]:
         assert [type(x) for x in got._c] == [type(x) for x in want._c]
+    # Scaling keeps rat's rule: each rational of the result is an int when integral.
+    for got, _ in cases[5:]:
+        assert all(type(x) is int or x.denominator > 1 for x in got._c)
 
 
 def test_products_and_images_build_no_gauss_scalar(monkeypatch):
