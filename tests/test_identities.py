@@ -115,9 +115,8 @@ def test_spinor_matrix_behavior_reports():
 
 def test_determinant_combination_values_agree():
     for n in range(6):
-        for fixed in (False, True):
-            spin_val, quat_val = determinant_combination_values(TRIB, n, fixed)
-            assert spin_val == -sigma(quat_val)
+        spin_val, quat_val = determinant_combination_values(TRIB, n)
+        assert spin_val == -sigma(quat_val)
     # The shifted reading is the constant one.
     reference = Spinor(GaussScalar(-4, 4), GaussScalar(4, -4))
     for n in range(6):
@@ -129,9 +128,19 @@ def test_determinant_combination_report():
     report = verify_determinant_combination(TRIB, 20)
     assert report.status is Status.EXACT_PASS
     assert "equals reference" in report.note
-    assert "varies with n" in report.note
     with pytest.raises(UnsupportedParams):
         verify_determinant_combination(JAC, 5)
+
+
+def _raising_qmul(a, b):
+    raise AssertionError("the determinant check reads no Hamilton product")
+
+
+def test_determinant_check_reads_only_the_spinor_side(monkeypatch):
+    # The map from Hamilton products to spinor products is triple_product's
+    # proof; the determinant compares the spinor side with the constant alone.
+    monkeypatch.setattr(identities, "qmul", _raising_qmul)
+    assert verify_determinant_combination(TRIB, 20).status is Status.EXACT_PASS
 
 
 def test_summation_report_tribonacci():

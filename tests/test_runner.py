@@ -13,7 +13,8 @@ from trispinor.cli import main
 from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, qmul,
                                    summation_correction, u_window)
 from trispinor.sequences import companion_power
-from trispinor.spinors import SpinMatrix2, Spinor, breve, mate, spinor_norm, spinor_window
+from trispinor.spinors import (SpinMatrix2, Spinor, breve, mate, sigma, spinor_norm,
+                               spinor_window)
 
 TRIB = preset("tribonacci")
 HUGE_R = SeqParams(10**400, 1, 1, 0, 1, 1)
@@ -54,6 +55,10 @@ def _bumped_window(v, n=0):
     return spinor_window(v, n) + Spinor(1, 0)
 
 
+def _bumped_sigma(q):
+    return sigma(q) + Spinor(1, 0)
+
+
 def _shifted_u_window(p, v, u, n=0):
     return u_window(p, v, u, n) + ONE
 
@@ -79,7 +84,9 @@ def _negated_norm(s):
 # per check: they pin that each side still fails alone, with the same
 # witness. The recurrence reads every window through spinor_window: a window
 # shifted by [1; 0] moves its lhs by one shift and its rhs by r+s+t = 3
-# shifts, so the check fails at n = 0.
+# shifts, so the check fails at n = 0. The determinant compares its spinor
+# side with a constant: a fault in either spinor-side primitive, sigma or
+# breve, moves its lhs at n = 0.
 FAULTS = [
     ("conjugates", "mate", _negated_mate, 0,
      "C@mate: [-2+0i; -1+1i]", "[2+0i; 1-1i]", ""),
@@ -93,9 +100,9 @@ FAULTS = [
     ("triple_product", "qmul", _swapped_qmul, 6,
      "[-1+0i; 0+0i]", "[1+0i; 0+0i]",
      "a=(1, 0, 0, 0), b=(0, 1, 0, 0), c=(0, 0, 1, 0)"),
-    ("determinant", "qmul", _swapped_qmul, 0,
-     "[-4+4i; 4-4i]", "[-4+0i; -4+0i]",
-     "shifted reading: spinor vs quaternion sides differ"),
+    ("determinant", "sigma", _bumped_sigma, 0,
+     "[-4-8i; 4+0i]", "[-4+4i; 4-4i]",
+     "final index n+4: spinor side differs from reference"),
     ("summation", "summation_correction", _shifted_omega, 0,
      "[4+0i; 2+2i]", "[4+1i; 2+2i]",
      "sigma(omega) constant [-5+0i; -1-3i] fails; "
@@ -125,7 +132,7 @@ FAULTS = [
      "window triple product, middle index 0"),
     ("determinant", "breve", _affine_breve, 0,
      "[-2+14i; 6-8i]", "[-4+4i; 4-4i]",
-     "shifted reading: spinor vs quaternion sides differ"),
+     "final index n+4: spinor side differs from reference"),
     ("recurrence", "spinor_window", _bumped_window, 0,
      "[14+2i; 4+7i]", "[16+2i; 4+7i]", ""),
 ]
