@@ -3,7 +3,7 @@ of the sequence and builds the companion power once, so a check costs
 O(nmax) term evaluations rather than O(nmax^2).
 
 The pass starts at V(0) and iterates the recurrence, so the brute-force side
-of a check never goes through the companion power, the closed form that
+of a check never goes through the power kernel, the residue of x^n that
 seq_slice uses to jump to a later start."""
 
 import pytest
@@ -40,17 +40,17 @@ def test_identity_reads_one_pass(monkeypatch, identity):
 
 
 def test_suite_does_not_read_terms_through_the_companion_power(monkeypatch):
-    """A wrong companion power in the sequence module moves no report: the
+    """A wrong power kernel in the sequence module moves no report: the
     slices the checks read start at V(0) and are iterated only."""
-    companion_power = sequences.companion_power
+    power_residue = sequences._power_residue
 
     def shifted_power(p, n):
-        return companion_power(p, n + 1)
+        return power_residue(p, n + 1)
 
     def render(reports):
         return [(r.identity, r.status, r.note, r.witness) for r in reports]
 
     before = render(run_suite(TRIBONACCI, nmax=40, seed=1))
-    monkeypatch.setattr(sequences, "companion_power", shifted_power)
+    monkeypatch.setattr(sequences, "_power_residue", shifted_power)
     assert seq_term(TRIBONACCI, 5) != 7  # the fault is live: a term past 0 jumps through it
     assert render(run_suite(TRIBONACCI, nmax=40, seed=1)) == before

@@ -230,3 +230,85 @@ def test_small_factors_stop_past_the_trial_bound(d, factors):
     assert time.perf_counter() - start < 0.1
     if d == 1031**1427:
         assert len(str(d)) == 4300
+
+
+SMOOTH_SET = (Fraction(4, 3), Fraction(5, 4), 5, Fraction(3, 2), Fraction(-3, 4), Fraction(1, 4))
+# D = 2 makes 8*t an integer, but the denominators grow like 2^(n/3): a jump
+# strips about 2n/3 factors of 2 from each numerator.
+SLOW_DENOMINATOR_SET = (1, 1, Fraction(1, 2), 0, 1, 1)
+DEEP_SETS = [(1, 1, 1, 0, 1, 1), (3, -2, 5, 1, -4, 2), SMOOTH_SET,
+             (Fraction(1, 2), Fraction(-3, 4), 0, Fraction(2, 3), 1, Fraction(-5, 6)),
+             SLOW_DENOMINATOR_SET]
+
+
+def assert_lowest_terms(values):
+    """assert_normalized without str, which refuses ints past 4,300 digits."""
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1
+                                  and gcd(x.numerator, x.denominator) == 1
+                                  and hash(x) == hash(Fraction(x.numerator, x.denominator)))
+
+
+def test_a_jump_on_a_smooth_rational_set_continues_on_int(monkeypatch):
+    calls = []
+    factored_terms = sequences._factored_terms
+
+    def recording(*args):
+        calls.append(args)
+        return factored_terms(*args)
+
+    monkeypatch.setattr(sequences, "_factored_terms", recording)
+    assert seq_slice(SeqParams(*SMOOTH_SET), 100, 10) == oracle_terms(SMOOTH_SET, 110)[100:]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("values, starts", [(v, (1000, 4096)) for v in DEEP_SETS]
+                         + [(LARGE_PRIME_SET, (300,))], ids=str)
+def test_deep_jumps_match_the_forward_pass(values, starts):
+    """Deep terms, spinors and slices read off a jump equal the pass from V(0),
+    each term an int when integral and a Fraction in lowest terms otherwise."""
+    p = SeqParams(*values)
+    forward = seq_slice(p, 0, max(starts) + 6)
+    for n0 in starts:
+        window = seq_slice(p, n0, 6)
+        assert window == forward[n0:n0 + 6]
+        assert seq_term(p, n0) == forward[n0]
+        assert trib_spinor(p, n0) == spinor_window(forward, n0)
+        assert_lowest_terms(window + [seq_term(p, n0)] + list(trib_spinor(p, n0)._c))
+    assert_lowest_terms(forward)
+
+
+@pytest.mark.parametrize("values, nmax", [((3, -2, 5, 1, -4, 2), 1000), (SMOOTH_SET, 1000),
+                                          (SLOW_DENOMINATOR_SET, 1000), (LARGE_PRIME_SET, 300)],
+                         ids=str)
+def test_companion_power_is_the_product_of_companion_matrices(values, nmax):
+    """All nine entries of companion_power(p, n) equal C*C*...*C built by
+    forward mat_mul3 products, at n <= 64 and at nmax, in lowest terms."""
+    p = SeqParams(*values)
+    step, power = companion_matrix(p), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for n in range(nmax + 1):
+        if n <= 64 or n == nmax:
+            got = companion_power(p, n)
+            assert got == power
+            assert_lowest_terms([x for row in got for x in row])
+        power = sequences.mat_mul3(power, step)
+
+
+@pytest.mark.parametrize("values", [SMOOTH_SET, SLOW_DENOMINATOR_SET, LARGE_PRIME_SET,
+                                    (1, Fraction(1, 2), 1, Fraction(1, 1031), 0, 1)], ids=str)
+def test_a_jump_factors_only_the_sets_own_denominators(monkeypatch, values):
+    """Trial division of a jumped denominator (thousands of bits deep) would
+    cost more than the jump: its primes are known from p's denominators."""
+    p = SeqParams(*values)
+    largest = max(x.denominator for x in p)
+    factored = []
+    small_factors = sequences._small_factors
+
+    def recording(d):
+        factored.append(d)
+        return small_factors(d)
+
+    monkeypatch.setattr(sequences, "_small_factors", recording)
+    n = 300 if values is LARGE_PRIME_SET else 1000
+    seq_term(p, n), trib_spinor(p, n), seq_slice(p, n, 6), companion_power(p, n)
+    assert factored and max(factored) <= largest
