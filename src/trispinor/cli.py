@@ -32,8 +32,8 @@ from .spinors import trib_spinor
 # Largest --index, --order and term --nmax: genfunc --order 10000 takes 2.3-2.5 s
 # on a 2-core x86-64 VM (Intel Xeon, CPython 3.11.7; 6 fresh processes).
 MAX_TERMS = 10_000
-# Largest verify/suite --nmax: the tribonacci suite at 1000 takes 0.6 s on the same
-# VM, the median of 6 fresh processes (each 0.4-0.8 s).
+# Largest verify/suite --nmax: the tribonacci suite at 1000 takes 0.4 s on the same
+# VM, the median of 6 fresh processes (each 0.36-0.56 s).
 MAX_CHECK_NMAX = 1_000
 # Largest bit size of a numerator or denominator among the terms a check
 # reads; verify --identity binet --params 1e400,1,1,0,1,1 reaches 77k bits at

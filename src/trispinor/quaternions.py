@@ -85,8 +85,9 @@ def k_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
 def sum_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
     """Q(n+2) + (1-r)*Q(n+1) + t*Q(n), with the window quaternions read off a
     list of terms: the closed-form partial sum, scaled by delta, without its
-    constant omega."""
-    return quat_window(v, n + 2) + (1 - p.r) * quat_window(v, n + 1) + p.t * quat_window(v, n)
+    constant omega. Summed component by component; each component is coerced by rat."""
+    r1, t = 1 - p.r, p.t
+    return Quaternion._make(rat(v[m + 2] + r1 * v[m + 1] + t * v[m]) for m in range(n, n + 4))
 
 
 def trib_quaternion(p: SeqParams, n: int) -> Quaternion:
@@ -138,9 +139,12 @@ def u_window(p: SeqParams, v: Sequence[Rational], u: Sequence[Rational],
              n: int = 0) -> Quaternion:
     """Q(2)*u[n+2] + (s*Q(1) + t*Q(0))*u[n+1] + t*Q(1)*u[n], where Q(m) is
     quat_window(v, m) of a list v of terms from V(0), and u is a list of
-    terms of the companion sequence U."""
-    return (u[n + 2] * quat_window(v, 2) + u[n + 1] * k_window(p, v)
-            + (p.t * u[n]) * quat_window(v, 1))
+    terms of the companion sequence U. Summed component by component; each
+    component is coerced by rat."""
+    s, t = p.s, p.t
+    a, b, c = u[n + 2], u[n + 1], t * u[n]
+    return Quaternion._make(rat(a * v[m + 2] + b * (s * v[m + 1] + t * v[m]) + c * v[m + 1])
+                            for m in range(4))
 
 
 def quat_u_decomposition(p: SeqParams, n: int) -> Quaternion:

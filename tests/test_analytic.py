@@ -231,6 +231,15 @@ def test_genfunc_series_matches_windows():
         assert series[k] == trib_spinor(TRIB, k)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: binet_number(TRIB, -1), "index must be nonnegative"),
+    (lambda: genfunc_spinor_series(TRIB, -1), "order must be nonnegative"),
+])
+def test_negative_index_and_order_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_genfunc_series_empty():
     assert genfunc_spinor_series(TRIB, 0) == ()
 

@@ -133,7 +133,7 @@ def test_determinant_combination_report():
 
 
 def _raising_qmul(a, b):
-    raise AssertionError("the determinant check reads no Hamilton product")
+    raise AssertionError("no per-parameter-set check reads a Hamilton product")
 
 
 def test_determinant_check_reads_only_the_spinor_side(monkeypatch):
@@ -141,6 +141,13 @@ def test_determinant_check_reads_only_the_spinor_side(monkeypatch):
     # proof; the determinant compares the spinor side with the constant alone.
     monkeypatch.setattr(identities, "qmul", _raising_qmul)
     assert verify_determinant_combination(TRIB, 20).status is Status.EXACT_PASS
+
+
+def test_spinor_matrix_check_reads_no_hamilton_product(monkeypatch):
+    # Window triple products are instances of triple_product's proof; the
+    # check keeps only the middle column's linearity.
+    monkeypatch.setattr(identities, "qmul", _raising_qmul)
+    assert verify_spinor_matrix_behavior(TRIB, 20).status is Status.EXACT_PASS
 
 
 def test_summation_report_tribonacci():

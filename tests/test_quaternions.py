@@ -24,7 +24,7 @@ from trispinor import (
     trib_quaternion,
     trib_spinor,
 )
-from trispinor.quaternions import k_window, quat_window
+from trispinor.quaternions import k_window, quat_window, sum_window, u_companion, u_window
 from trispinor.spinors import spinor_window
 
 TRIB = preset("tribonacci")
@@ -264,6 +264,23 @@ def test_windows_keep_the_terms_and_their_types(p, n0):
     k = k_quaternion(SeqParams(Fraction(1, 2), Fraction(1, 2), 1, 2, 0, 1), 0)
     assert k._c == (2, Fraction(1, 2), Fraction(9, 4), Fraction(27, 8))
     assert type(k.q0) is int
+
+
+@pytest.mark.parametrize("p", WINDOW_SETS + [SeqParams(Fraction(5, 2), 1, Fraction(-1, 2), -4,
+                                                        Fraction(3, 2), 0)])
+def test_summed_windows_keep_rats_rule(p):
+    """sum_window and u_window sum component by component and coerce each sum
+    by rat, as k_window does: a sum that is integral is an int. On the last set
+    quat_u_decomposition(p, 1) sums Fractions to integral values."""
+    v = seq_slice(p, 0, 16)
+    u = seq_slice(u_companion(p), 0, 13)
+    for n in range(10):
+        total = sum_window(p, v, n)
+        assert total == (quat_window(v, n + 2) + (1 - p.r) * quat_window(v, n + 1)
+                         + p.t * quat_window(v, n))
+        assert u_window(p, v, u, n) == quat_window(v, n + 2)
+        for q in (total, u_window(p, v, u, n), quat_u_decomposition(p, n)):
+            assert all(map(_is_exact_term, q._c)), (n, q._c)
 
 
 def test_partial_sum_components_are_exact_terms():

@@ -10,7 +10,7 @@ from trispinor import IdentityId, SeqParams, Status, preset, run_identity
 from trispinor import identities, quaternions
 from trispinor.analytic import binet_spinor
 from trispinor.cli import main
-from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, qmul,
+from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, k_window, qmul,
                                    summation_correction, u_window)
 from trispinor.sequences import companion_power
 from trispinor.spinors import (SpinMatrix2, Spinor, breve, mate, sigma, spinor_norm,
@@ -59,6 +59,10 @@ def _bumped_sigma(q):
     return sigma(q) + Spinor(1, 0)
 
 
+def _shifted_k_window(p, v, n=0):
+    return k_window(p, v, n) + ONE
+
+
 def _shifted_u_window(p, v, u, n=0):
     return u_window(p, v, u, n) + ONE
 
@@ -79,10 +83,12 @@ def _negated_norm(s):
 # qmul and an affine breve fail on a basis triple (n < 64), while a floored
 # qmul is exact on int and fails only in the seeded draws (n >= 64). The
 # sum_window and spinor_norm rows pin that summation and norm evaluate the
-# exported functions. The two rows after them were recorded before the
-# spinor sides were multiplied right to left and the windows were read once
-# per check: they pin that each side still fails alone, with the same
-# witness. The recurrence reads every window through spinor_window: a window
+# exported functions. spinor_matrix reads no Hamilton product: a shifted
+# k_window moves only its lhs, breve(K(n)), so it fails at n = 0, and a
+# swapped qmul fails the suite through triple_product alone. The
+# determinant's breve row was recorded before the spinor sides were
+# multiplied right to left and the windows were read once per check: it
+# pins that the witness stayed the same. The recurrence reads every window through spinor_window: a window
 # shifted by [1; 0] moves its lhs by one shift and its rhs by r+s+t = 3
 # shifts, so the check fails at n = 0. The determinant compares its spinor
 # side with a constant: a fault in either spinor-side primitive, sigma or
@@ -127,9 +133,9 @@ FAULTS = [
      "seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
     ("norm", "spinor_norm", _negated_norm, 0,
      "conjugate pairing: -6+0i", "6+0i", ""),
-    ("spinor_matrix", "qmul", _swapped_qmul, 0,
-     "[-214-72i; -98-104i]", "[-204-70i; -100-122i]",
-     "window triple product, middle index 0"),
+    ("spinor_matrix", "k_window", _shifted_k_window, 0,
+     "[[6+2i, 2-3i], [2+3i, -6+2i]]", "[[6+1i, 2-3i], [2+3i, -6+1i]]",
+     "middle-column linearity"),
     ("determinant", "breve", _affine_breve, 0,
      "[-2+14i; 6-8i]", "[-4+4i; 4-4i]",
      "final index n+4: spinor side differs from reference"),
@@ -146,9 +152,9 @@ FAULT_IDS = [ident if [f[0] for f in FAULTS].index(ident) == i
 def test_injected_fault_reports_first_mismatch(monkeypatch, ident, attr, faulty,
                                                n, lhs, rhs, note):
     monkeypatch.setattr(identities, attr, faulty)
-    report = run_identity(IdentityId(ident), TRIB, nmax=10, seed=3, trials=50)
+    report = run_identity(IdentityId(ident), TRIB, nmax=10, seed=3)
     assert report.status is Status.FAIL
-    assert report.span == ((0, 113) if ident == "triple_product" else (0, 10))
+    assert report.span == ((0, 79) if ident == "triple_product" else (0, 10))
     assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (n, lhs, rhs)
     assert report.note == note
 

@@ -54,6 +54,15 @@ def test_slices():
         seq_term(TRIB, -1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: seq_slice(TRIB, 0, -1), "length must be nonnegative"),
+    (lambda: companion_power(TRIB, -1), "exponent must be nonnegative"),
+])
+def test_negative_length_and_exponent_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_aux_terms():
     assert seq_term(SeqParams(1, 1, 1, 0, 0, 1), 2) == 1
     assert seq_term(SeqParams(1, 1, 1, 0, 0, 1), 4) == 2
