@@ -344,12 +344,16 @@ def _det_combine(terms: list):
     return terms[0] + terms[1] + terms[2] - terms[3] - terms[4] - terms[5]
 
 
-def _det_spinor(windows: tuple[list, list, list, list], n: int) -> Spinor:
+def _det_spinor(windows: tuple[list, list, list, list], n: int, inner: dict) -> Spinor:
     """The spinor side of the combination at shift n, read off the windows of
-    the first n + 5 shifts. The products are taken right to left."""
+    the first n + 5 shifts. The products are taken right to left; inner keeps
+    each breve(K(b)) @ sigma(Q(c)) by (b, c), since a shift repeats two of the
+    six its predecessor took."""
     q, _, breve_q, breve_k = windows
-    return _det_combine([breve_q[n + da] @ (breve_k[n + db] @ sigma(q[n + dc]))
-                         for da, db, dc in _DET_TERMS])
+    for _, db, dc in _DET_TERMS:
+        if (n + db, n + dc) not in inner:
+            inner[n + db, n + dc] = breve_k[n + db] @ sigma(q[n + dc])
+    return _det_combine([breve_q[n + da] @ inner[n + db, n + dc] for da, db, dc in _DET_TERMS])
 
 
 def determinant_combination_values(p: SeqParams, n: int) -> tuple[Spinor, Quaternion]:
@@ -363,7 +367,7 @@ def determinant_combination_values(p: SeqParams, n: int) -> tuple[Spinor, Quater
     q, k = windows[:2]
     quat = _det_combine([qmul(qmul(q[n + da], k[n + db]), q[n + dc])
                          for da, db, dc in _DET_TERMS])
-    return _det_spinor(windows, n), quat
+    return _det_spinor(windows, n, {}), quat
 
 
 @_register(IdentityId.DETERMINANT_COMBINATION)
@@ -375,9 +379,9 @@ def verify_determinant_combination(p: SeqParams, nmax: int) -> Iterator[Comparis
         raise UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"
         )
-    windows = _windows(p, seq_slice(p, 0, nmax + 10), nmax + 5)
+    windows, inner = _windows(p, seq_slice(p, 0, nmax + 10), nmax + 5), {}
     for n in range(nmax + 1):
-        yield Comparison(n, _det_spinor(windows, n), _DET_REFERENCE,
+        yield Comparison(n, _det_spinor(windows, n, inner), _DET_REFERENCE,
                          note="final index n+4: spinor side differs from reference")
     return f"final index n+4: spinor side equals reference {_DET_REFERENCE} on [0..{nmax}]"
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, product
-from math import prod
-from typing import Iterator, NamedTuple
+from math import lcm, prod
+from typing import Iterator, NamedTuple, Sequence
 
 from .gauss import Rational, rat
 
@@ -65,49 +65,71 @@ def preset(name: str) -> SeqParams:
 
 def _iter_terms(p: SeqParams, n0: int = 0) -> Iterator[Rational]:
     """Terms from V(n0) on, each an int when integral and a Fraction in lowest
-    terms otherwise. A start past 0 jumps to the window at n0 (_jump); from 0
-    the terms are iterated only. A rational set whose denominators factor
-    below _TRIAL_BOUND runs on int (_factored_terms), any other on Fraction."""
-    window = [p.v0, p.v1, p.v2]
-    rational = Fraction in map(type, (p.r, p.s, p.t, *window))
-    factors = [_small_factors(x.denominator) if rational else {} for x in (p.t, p.s, p.r, *window)]
+    terms otherwise. A start past 0 jumps to the window at n0 on int; from 0
+    the terms are iterated only. Only the recurrence of a rational set with a
+    denominator prime above _TRIAL_BOUND runs on Fraction; any other rational
+    set continues on int (_factored_terms)."""
+    if Fraction not in map(type, p):
+        return _direct_terms(p, *(_int_window(p[:3], p[3:], n0) if n0 else p[3:]))
+    factors = [_small_factors(x.denominator) for x in (p.t, p.s, p.r, *p[3:])]
+    window = p[3:]
     if n0:
         window, factors[3:] = _jump(p, n0, factors)
-    if rational and None not in factors:
+    if None not in factors:
         return _factored_terms(p, factors, window)
-    return map(rat, _direct_terms(p, *window)) if rational else _direct_terms(p, *window)
+    return map(rat, _direct_terms(p, *window))
+
+
+def _int_window(coefs: Sequence[int], seeds: Sequence[int], n: int) -> list[int]:
+    """U(n), U(n+1), U(n+2) of the int recurrence with coefficients coefs and
+    seeds U(0), U(1), U(2): two steps to U(4), then three dot products with
+    the residue of x^n (_power_residue)."""
+    r, s, t = coefs
+    u0, u1, u2 = seeds
+    u3 = r * u2 + s * u1 + t * u0
+    u4 = r * u3 + s * u2 + t * u1
+    b0, b1, b2 = _power_residue(coefs, n)
+    return [b0 * u0 + b1 * u1 + b2 * u2, b0 * u1 + b1 * u2 + b2 * u3, b0 * u2 + b1 * u3 + b2 * u4]
 
 
 def _jump(p: SeqParams, n0: int, factors: list[dict[int, int] | None]
           ) -> tuple[list[Rational], list[dict[int, int] | None]]:
-    """The window V(n0), V(n0+1), V(n0+2) and the prime exponents of its
-    denominators (factors[3:] unless all of p's denominators factor). With L the
-    lcm of the seed denominators and D the least scale that makes D*r, D^2*s and
-    D^3*t integers (each 1 if its factors are unknown), U(m) = L*D^m*V(m) is the
-    sequence of the set (D*r, D^2*s, D^3*t; L*V0, L*D*V1, L*D^2*V2), on int when
-    all factor, read off the power kernel. L*D^m is never factored: each
-    exponent drops by its prime's power in U(m), stripped as q^(2^i) from the
-    largest i down."""
+    """The window V(n0), V(n0+1), V(n0+2) of a rational set and the prime
+    exponents of its denominators (factors[3:] if a denominator of p does not
+    factor). U(m) = L*D^m*V(m) is jumped on int (_int_window), its coefficients
+    D*r, D^2*s, D^3*t and seeds read off numerators and denominators by exact
+    division. L is the lcm of the seed denominators; D is the least scale that
+    makes those coefficients ints, or the lcm of their denominators if one does
+    not factor. L*D^m is never factored: the exponent of 2 drops by the
+    trailing zeros of U(m), and that of an odd prime q that divides U(m) by its
+    power in U(m), stripped as q^(2^i) from the largest i down."""
     coefs, seeds = factors[:3], factors[3:]
-    scale = {q: max(-(-f.get(q, 0) // k) for k, f in zip((3, 2, 1), coefs))
-             for q in set().union(*coefs)} if None not in coefs else {}
-    lcm = {q: max(f.get(q, 0) for f in seeds) for q in set().union(*seeds)} if None not in seeds else {}
-    d, big_l = (prod(q**e for q, e in x.items()) for x in (scale, lcm))
-    scaled = p if d == big_l == 1 else SeqParams(
-        d * p.r, d**2 * p.s, d**3 * p.t, *(big_l * d**k * x for k, x in enumerate(p[3:])))
-    u, (b0, b1, b2) = list(islice(_iter_terms(scaled), 5)), _power_residue(scaled, n0)
-    window = [b0 * u[j] + b1 * u[j + 1] + b2 * u[j + 2] for j in range(3)]
+    if None in factors:
+        d, big_l = lcm(*(x.denominator for x in p[:3])), lcm(*(x.denominator for x in p[3:]))
+    else:
+        scale = {q: max(-(-f.get(q, 0) // k) for k, f in zip((3, 2, 1), coefs))
+                 for q in set().union(*coefs)}
+        lcm_exps = {q: max(f.get(q, 0) for f in seeds) for q in set().union(*seeds)}
+        d, big_l = (prod(q**e for q, e in x.items()) for x in (scale, lcm_exps))
+    scales = (d, d * d, d**3, big_l, big_l * d, big_l * d * d)
+    u = [x.numerator * (m // x.denominator) for x, m in zip(p, scales)]
+    window = _int_window(u[:3], u[3:], n0)
     if None in factors:
         return [rat(Fraction(w, big_l * d ** (n0 + j))) for j, w in enumerate(window)], seeds
     exponents = [{}, {}, {}]
-    for j, q in product(range(3), lcm.keys() | scale.keys()):
-        w, e, powers = window[j], lcm.get(q, 0) + (n0 + j) * scale.get(q, 0), [q]
-        while 1 << len(powers) <= e and w % powers[-1] == 0:
-            powers.append(powers[-1] ** 2)
-        for i in reversed(range(len(powers))):
-            quotient, rest = divmod(w, powers[i])
-            if 1 << i <= e and not rest:
-                w, e = quotient, e - (1 << i)
+    for j, q in product(range(3), lcm_exps.keys() | scale.keys()):
+        w, e = window[j], lcm_exps.get(q, 0) + (n0 + j) * scale.get(q, 0)
+        if q == 2:
+            k = min(e, (w & -w).bit_length() - 1) if w else e
+            w, e = w >> k, e - k
+        elif w % q == 0:
+            powers = [q]
+            while 1 << len(powers) <= e and w % powers[-1] == 0:
+                powers.append(powers[-1] ** 2)
+            for i in reversed(range(len(powers))):
+                quotient, rest = divmod(w, powers[i])
+                if 1 << i <= e and not rest:
+                    w, e = quotient, e - (1 << i)
         window[j], exponents[j][q] = w, e
     return [_lowest(w, prod(q**e for q, e in x.items())) for w, x in zip(window, exponents)], exponents
 
@@ -141,7 +163,8 @@ def _factored_terms(p: SeqParams, factors: list[dict[int, int]],
     term is an int over prime powers: the next one is summed over the largest
     power of each prime among its three products, and each prime is divided
     out while it divides the sum, so that the term is in lowest terms without
-    a gcd."""
+    a gcd. The window comes first, so that a single term sets nothing up."""
+    yield from window
     primes = sorted(set().union(*factors))
     modulus = prod(primes)
     # Per prime: the exponents of t, s and r, and of the window, oldest first.
@@ -150,7 +173,6 @@ def _factored_terms(p: SeqParams, factors: list[dict[int, int]],
     kt, ks, kr = (x.numerator for x in (p.t, p.s, p.r))
     a, b, c = (x.numerator for x in window)
     den = window[2].denominator
-    yield from window
     while True:
         mt, ms, mr, tops = kt, ks, kr, []
         for q, (et, es, er), (ea, eb, ec) in zip(primes, coef_exps, exps):
@@ -215,19 +237,19 @@ def mat_mul3(a: Matrix3, b: Matrix3) -> Matrix3:
             (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8))
 
 
-def _power_residue(p: SeqParams, n: int) -> tuple[Rational, Rational, Rational]:
-    """The power kernel: the residue (b0, b1, b2) of x^n modulo the
-    characteristic polynomial x^3 - r*x^2 - s*x - t, by squaring a residue of
-    degree 2 (Fiduccia, SIAM J. Comput. 14, 1985), so that
-    V(n+j) = b0*V(j) + b1*V(j+1) + b2*V(j+2)."""
+def _power_residue(p: Sequence[int], n: int) -> tuple[int, int, int]:
+    """The power kernel: the residue (b0, b1, b2) of x^n modulo x^3 - r*x^2 - s*x - t
+    for the ints r, s, t that p starts with, by squaring residues of degree 2 (Fiduccia,
+    SIAM J. Comput. 14, 1985), so that V(n+j) = b0*V(j) + b1*V(j+1) + b2*V(j+2)."""
+    r, s, t = p[:3]
     a0, a1, a2 = 1, 0, 0
     for bit in bin(n)[2:]:
         e4 = a2 * a2
-        e3 = 2 * a1 * a2 + e4 * p.r  # the square's x^4 term, reduced to x^3 and below
-        a0, a1, a2 = (a0 * a0 + e3 * p.t, 2 * a0 * a1 + e4 * p.t + e3 * p.s,
-                      a1 * a1 + 2 * a0 * a2 + e4 * p.s + e3 * p.r)
+        e3 = 2 * a1 * a2 + e4 * r  # the square's x^4 term, reduced to x^3 and below
+        a0, a1, a2 = (a0 * a0 + e3 * t, 2 * a0 * a1 + e4 * t + e3 * s,
+                      a1 * a1 + 2 * a0 * a2 + e4 * s + e3 * r)
         if bit == "1":
-            a0, a1, a2 = a2 * p.t, a0 + a2 * p.s, a1 + a2 * p.r
+            a0, a1, a2 = a2 * t, a0 + a2 * s, a1 + a2 * r
     return a0, a1, a2
 
 

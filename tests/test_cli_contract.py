@@ -79,6 +79,18 @@ def test_term_nmax_meets_the_digit_limit_before_the_slice(monkeypatch):
         2, "", f"error: output limit exceeded: a value has more than {limit} digits\n")
 
 
+def test_a_deep_term_of_a_large_prime_set_meets_the_digit_limit_fast():
+    """V(2000) of a set with a 31-digit denominator prime has about 61,000
+    digits. Its jump runs on int, so the refusal comes in well under a second."""
+    large_prime = 10**30 + 57
+    params = f"1/{large_prime},-2/3,1/2,1,5/{large_prime},1/4"
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    assert run(["term", "-n", "2000", "--params", params]) == (
+        2, "", f"error: output limit exceeded: a value has more than {limit} digits\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_genfunc_meets_the_digit_limit_before_the_series(monkeypatch):
     def no_series(*args):
         raise AssertionError("genfunc_spinor_series called")

@@ -321,3 +321,30 @@ def test_a_jump_factors_only_the_sets_own_denominators(monkeypatch, values):
     n = 300 if values is LARGE_PRIME_SET else 1000
     seq_term(p, n), trib_spinor(p, n), seq_slice(p, n, 6), companion_power(p, n)
     assert factored and max(factored) <= largest
+
+
+@pytest.mark.parametrize("values", [(3, -2, 5, 1, -4, 2), SMOOTH_SET, LARGE_PRIME_SET], ids=str)
+def test_the_power_kernel_squares_ints_on_every_set(monkeypatch, values):
+    """A rational set is scaled to int coefficients before its jump, also with
+    a denominator prime above the trial bound, so the kernel never squares a
+    Fraction, and an integer set factors nothing; the jumped terms equal the
+    pass from V(0)."""
+    received, factored = [], []
+    power_residue, small_factors = sequences._power_residue, sequences._small_factors
+
+    def recording_power(p, n):
+        received.extend([*p, n])
+        return power_residue(p, n)
+
+    def recording_factors(d):
+        factored.append(d)
+        return small_factors(d)
+
+    monkeypatch.setattr(sequences, "_power_residue", recording_power)
+    monkeypatch.setattr(sequences, "_small_factors", recording_factors)
+    p = SeqParams(*values)
+    forward = seq_slice(p, 0, 84)
+    assert [seq_term(p, 40), *seq_slice(p, 60, 6)] == [forward[40], *forward[60:66]]
+    assert trib_spinor(p, 80) == spinor_window(forward, 80)
+    assert received and all(type(x) is int for x in received)
+    assert bool(factored) is (Fraction in map(type, p))
