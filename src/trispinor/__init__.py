@@ -82,72 +82,7 @@ from .spinors import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinetConstants",
-    "C",
-    "CubicRoots",
-    "DegenerateDelta",
-    "DegenerateRoots",
-    "GaussScalar",
-    "IdentityId",
-    "Quaternion",
-    "SeqParams",
-    "SpinMatrix2",
-    "Spinor",
-    "Status",
-    "SummationCorrection",
-    "THIRD_ORDER_JACOBSTHAL",
-    "TRIBONACCI",
-    "UnknownPreset",
-    "UnsupportedParams",
-    "VerificationReport",
-    "Witness",
-    "bilinear_form",
-    "binet_constants",
-    "binet_number",
-    "binet_quaternion",
-    "binet_spinor",
-    "breve",
-    "cartan_conjugate",
-    "companion_matrix",
-    "companion_power",
-    "complex_conjugate",
-    "cubic_roots",
-    "determinant_combination_values",
-    "genfunc_numerator",
-    "genfunc_spinor_series",
-    "k_quaternion",
-    "mate",
-    "norm_forms",
-    "preset",
-    "qconj",
-    "qmul",
-    "qnorm",
-    "quat_partial_sum",
-    "quat_u_decomposition",
-    "qv_matrix",
-    "qv_right_multiply",
-    "random_params",
-    "run_identity",
-    "run_suite",
-    "seq_slice",
-    "seq_term",
-    "sigma",
-    "sigma_inv",
-    "spinor_dot",
-    "spinor_norm",
-    "summation_correction",
-    "trib_quaternion",
-    "trib_spinor",
-    "verify_binet",
-    "verify_conjugate_relations",
-    "verify_determinant_combination",
-    "verify_genfunc_agreement",
-    "verify_matrix_power_shift",
-    "verify_norm_equality",
-    "verify_spinor_matrix_behavior",
-    "verify_spinor_recurrence",
-    "verify_summation",
-    "verify_triple_product_map",
-    "verify_u_decomposition",
-]
+# The public API is every name imported above; the submodules that those
+# imports bind here, such as analytic, are left out.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, type(analytic)))

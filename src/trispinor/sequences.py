@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, product
-from math import lcm, prod
+from itertools import islice
+from math import gcd, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .gauss import Rational, rat
@@ -14,11 +14,6 @@ Matrix3 = tuple[
     tuple[Rational, Rational, Rational],
     tuple[Rational, Rational, Rational],
 ]
-
-
-# Largest prime factor of a denominator for which a rational set runs on int;
-# above it the Fraction loop runs.
-_TRIAL_BOUND = 1 << 10
 
 
 class UnknownPreset(ValueError):
@@ -64,20 +59,11 @@ def preset(name: str) -> SeqParams:
 
 
 def _iter_terms(p: SeqParams, n0: int = 0) -> Iterator[Rational]:
-    """Terms from V(n0) on, each an int when integral and a Fraction in lowest
-    terms otherwise. A start past 0 jumps to the window at n0 on int; from 0
-    the terms are iterated only. Only the recurrence of a rational set with a
-    denominator prime above _TRIAL_BOUND runs on Fraction; any other rational
-    set continues on int (_factored_terms)."""
+    """Terms from V(n0) on, on int for every set, each an int when integral and
+    a Fraction in lowest terms otherwise. Only a start past 0 jumps."""
     if Fraction not in map(type, p):
         return _direct_terms(p, *(_int_window(p[:3], p[3:], n0) if n0 else p[3:]))
-    factors = [_small_factors(x.denominator) for x in (p.t, p.s, p.r, *p[3:])]
-    window = p[3:]
-    if n0:
-        window, factors[3:] = _jump(p, n0, factors)
-    if None not in factors:
-        return _factored_terms(p, factors, window)
-    return map(rat, _direct_terms(p, *window))
+    return _rational_terms(p, n0)
 
 
 def _int_window(coefs: Sequence[int], seeds: Sequence[int], n: int) -> list[int]:
@@ -92,104 +78,117 @@ def _int_window(coefs: Sequence[int], seeds: Sequence[int], n: int) -> list[int]
     return [b0 * u0 + b1 * u1 + b2 * u2, b0 * u1 + b1 * u2 + b2 * u3, b0 * u2 + b1 * u3 + b2 * u4]
 
 
-def _jump(p: SeqParams, n0: int, factors: list[dict[int, int] | None]
-          ) -> tuple[list[Rational], list[dict[int, int] | None]]:
-    """The window V(n0), V(n0+1), V(n0+2) of a rational set and the prime
-    exponents of its denominators (factors[3:] if a denominator of p does not
-    factor). U(m) = L*D^m*V(m) is jumped on int (_int_window), its coefficients
-    D*r, D^2*s, D^3*t and seeds read off numerators and denominators by exact
-    division. L is the lcm of the seed denominators; D is the least scale that
-    makes those coefficients ints, or the lcm of their denominators if one does
-    not factor. L*D^m is never factored: the exponent of 2 drops by the
-    trailing zeros of U(m), and that of an odd prime q that divides U(m) by its
-    power in U(m), stripped as q^(2^i) from the largest i down."""
-    coefs, seeds = factors[:3], factors[3:]
-    if None in factors:
-        d, big_l = lcm(*(x.denominator for x in p[:3])), lcm(*(x.denominator for x in p[3:]))
-    else:
-        scale = {q: max(-(-f.get(q, 0) // k) for k, f in zip((3, 2, 1), coefs))
-                 for q in set().union(*coefs)}
-        lcm_exps = {q: max(f.get(q, 0) for f in seeds) for q in set().union(*seeds)}
-        d, big_l = (prod(q**e for q, e in x.items()) for x in (scale, lcm_exps))
-    scales = (d, d * d, d**3, big_l, big_l * d, big_l * d * d)
-    u = [x.numerator * (m // x.denominator) for x, m in zip(p, scales)]
-    window = _int_window(u[:3], u[3:], n0)
-    if None in factors:
-        return [rat(Fraction(w, big_l * d ** (n0 + j))) for j, w in enumerate(window)], seeds
-    exponents = [{}, {}, {}]
-    for j, q in product(range(3), lcm_exps.keys() | scale.keys()):
-        w, e = window[j], lcm_exps.get(q, 0) + (n0 + j) * scale.get(q, 0)
-        if q == 2:
-            k = min(e, (w & -w).bit_length() - 1) if w else e
-            w, e = w >> k, e - k
-        elif w % q == 0:
-            powers = [q]
-            while 1 << len(powers) <= e and w % powers[-1] == 0:
-                powers.append(powers[-1] ** 2)
-            for i in reversed(range(len(powers))):
-                quotient, rest = divmod(w, powers[i])
-                if 1 << i <= e and not rest:
-                    w, e = quotient, e - (1 << i)
-        window[j], exponents[j][q] = w, e
-    return [_lowest(w, prod(q**e for q, e in x.items())) for w, x in zip(window, exponents)], exponents
-
-
 def _direct_terms(p: SeqParams, a: Rational, b: Rational, c: Rational) -> Iterator[Rational]:
     while True:
         yield a
         a, b, c = b, c, p.r * c + p.s * b + p.t * a
 
 
-def _small_factors(d: int) -> dict[int, int] | None:
-    """The prime factors of d and their exponents, or None if one of them
-    exceeds _TRIAL_BOUND: trial division stops at the first divisor past it."""
-    factors, q = {}, 2
-    while d > 1:
-        if q * q > d:
-            q = d
-        if q > _TRIAL_BOUND:
-            return None
-        while d % q == 0:
-            factors[q] = factors.get(q, 0) + 1
-            d //= q
-        q += 1
-    return factors
+def _coprime_base(xs: Sequence[int]) -> list[int]:
+    """Pairwise coprime ints above 1 whose powers make up each x in xs: two
+    that share g > 1 give way to g and their cofactors until none share (the
+    plain form of Bernstein's refinement, J. Algorithms 54, 2005)."""
+    base, todo = [], list(set(xs) - {1})
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
 
 
-def _factored_terms(p: SeqParams, factors: list[dict[int, int]],
-                    window: list[Rational]) -> Iterator[Rational]:
-    """The terms from a window of a set whose denominators, those of t, s, r
-    and of the window's terms in factors, have small prime factors only. A
-    term is an int over prime powers: the next one is summed over the largest
-    power of each prime among its three products, and each prime is divided
-    out while it divides the sum, so that the term is in lowest terms without
-    a gcd. The window comes first, so that a single term sets nothing up."""
-    yield from window
-    primes = sorted(set().union(*factors))
-    modulus = prod(primes)
-    # Per prime: the exponents of t, s and r, and of the window, oldest first.
-    coef_exps = [[f.get(q, 0) for f in factors[:3]] for q in primes]
-    exps = [[f.get(q, 0) for f in factors[3:]] for q in primes]
-    kt, ks, kr = (x.numerator for x in (p.t, p.s, p.r))
-    a, b, c = (x.numerator for x in window)
-    den = window[2].denominator
+def _exponent(q: int, d: int) -> int:
+    """The exponent of q > 1 in d > 0."""
+    return d.bit_length() - _strip(d, q, d.bit_length())[1] if d % q == 0 else 0
+
+
+def _strip(w: int, q: int, e: int) -> tuple[int, int]:
+    """w / q^k and e - k for the largest k <= e for which q^k divides w: one
+    shift for a power of 2, else divisions by q^(2^i) from the largest i down."""
+    if w and q & (q - 1) == 0:
+        bits = q.bit_length() - 1
+        k = min(e, ((w & -w).bit_length() - 1) // bits)
+        return w >> k * bits, e - k
+    powers = [q]
+    while 1 << len(powers) <= e and w % powers[-1] == 0:
+        powers.append(powers[-1] ** 2)
+    for i in reversed(range(len(powers))):
+        quotient, rest = divmod(w, powers[i])
+        if 1 << i <= e and not rest:
+            w, e = quotient, e - (1 << i)
+    return w, e
+
+
+def _rational_terms(p: SeqParams, n0: int) -> Iterator[Rational]:
+    """The terms of a rational set from V(n0) on, as int numerators over powers
+    of a coprime base of the denominators of t, s, r and the seeds. A jump reads
+    U(m) = L*D^m*V(m) (_int_window), D and L the least power products of the
+    base that make D*r, D^2*s, D^3*t and L*V(0..2) ints. No term takes a gcd
+    with its denominator: each base element is divided out while it divides,
+    and split (lowest) where it divides only in part."""
+    dens = [x.denominator for x in (p.t, p.s, p.r, *p[3:])]
+    base = [2 if q & (q - 1) == 0 else q for q in _coprime_base(dens)]
+    # Per base element (2 for a power of 2, so that D is least): its exponents in
+    # the denominators of t, s and r, the window's, oldest first, and the next's.
+    cols = [[_exponent(q, d) for d in dens] + [0] for q in base]
+
+    def lowest(w: int, slot: int) -> tuple[int, int]:
+        """w and the denominator whose exponents are in slot, in lowest terms. A
+        base element q that shares just a part g with w gives way to the base of g, q/g."""
+        rest = w % prod(base)
+        for i, q in enumerate(base):
+            col = cols[i]
+            if col[slot] and rest % q == 0:
+                w, col[slot] = _strip(w, q, col[slot])
+                rest = w % prod(base)
+            part = gcd(rest, q) if col[slot] else 1
+            if part > 1:
+                xs = _coprime_base([part, q // part])
+                base[i:i + 1] = xs
+                cols[i:i + 1] = ([_exponent(x, q) * e for e in col] for x in xs)
+                return lowest(w, slot)
+        return w, prod(q ** col[slot] for q, col in zip(base, cols))
+
+    kt, ks, kr, *window = (x.numerator for x in (p.t, p.s, p.r, *p[3:]))
+    if n0:
+        scale = [max(-(-col[0] // 3), -(-col[1] // 2), col[2]) for col in cols]
+        seed_exps = [max(col[3:6]) for col in cols]
+        d, big_l = (prod(q**e for q, e in zip(base, x)) for x in (scale, seed_exps))
+        scales = (d, d * d, d**3, big_l, big_l * d, big_l * d * d)
+        u = [x.numerator * (m // x.denominator) for x, m in zip(p, scales)]
+        window = _int_window(u[:3], u[3:], n0)
+        for col, k, e in zip(cols, scale, seed_exps):
+            col[3:6] = (e + (n0 + j) * k for j in range(3))
+        for j in range(3):
+            window[j], den = lowest(window[j], 3 + j)
+            yield _lowest(window[j], den)
+    else:
+        den = p.v2.denominator
+        yield from p[3:]
+    (a, b, c), modulus = window, prod(base)
     while True:
-        mt, ms, mr, tops = kt, ks, kr, []
-        for q, (et, es, er), (ea, eb, ec) in zip(primes, coef_exps, exps):
+        mt, ms, mr = kt, ks, kr
+        for q, col in zip(base, cols):
+            et, es, er, ea, eb, ec, _ = col
             xa, xb, xc = et + ea, es + eb, er + ec
-            top = max(xa, xb, xc)
+            col[6] = top = max(xa, xb, xc)
             mt, ms, mr = mt * q ** (top - xa), ms * q ** (top - xb), mr * q ** (top - xc)
-            tops.append(top)
         w = mt * a + ms * b + mr * c
         rest = w % modulus
-        for i, q in enumerate(primes):
-            while tops[i] and rest % q == 0:
-                w //= q
-                tops[i] -= 1
+        for q, col in zip(base, cols):
+            while col[6] and rest % q == 0:
+                w, col[6] = w // q, col[6] - 1
                 rest = w % modulus
-        for q, top, e in zip(primes, tops, exps):
-            den = den * q ** (top - e[2]) if top >= e[2] else den // q ** (e[2] - top)
-            e[:] = e[1], e[2], top
+            _, _, _, _, eb, ec, top = col
+            den = den * q ** (top - ec) if top >= ec else den // q ** (ec - top)
+            col[3:6] = eb, ec, top
+        if gcd(rest, modulus) > 1:
+            (w, den), modulus = lowest(w, 5), prod(base)
         a, b, c = b, c, w
         yield _lowest(w, den)
 

@@ -1,6 +1,7 @@
 """Every parameter-dependent identity reads its windows from one forward pass
-of the sequence and builds the companion power once, so a check costs
-O(nmax) term evaluations rather than O(nmax^2).
+of the sequence, so a check costs O(nmax) term evaluations rather than
+O(nmax^2); matrix_power carries its product by the companion matrix from one
+n to the next.
 
 The pass starts at V(0) and iterates the recurrence, so the brute-force side
 of a check never goes through the power kernel, the residue of x^n that
@@ -17,26 +18,20 @@ PARAMETER_DEPENDENT = [i for i in IdentityId if i is not IdentityId.TRIPLE_PRODU
 
 @pytest.mark.parametrize("identity", PARAMETER_DEPENDENT, ids=lambda i: i.value)
 def test_identity_reads_one_pass(monkeypatch, identity):
-    slices, powers = [], []
-    seq_slice, companion_power = identities.seq_slice, identities.companion_power
+    slices = []
+    seq_slice = identities.seq_slice
 
     def recording_slice(p, n0, length):
         slices.append((n0, length))
         return seq_slice(p, n0, length)
 
-    def recording_power(p, n):
-        powers.append(n)
-        return companion_power(p, n)
-
     monkeypatch.setattr(identities, "seq_slice", recording_slice)
-    monkeypatch.setattr(identities, "companion_power", recording_power)
     report = run_identity(identity, TRIBONACCI, nmax=NMAX)
     assert report.status is not Status.FAIL
     # Terms iterated over all slices: one pass over the window, plus the
     # companion sequence for u_decomposition.
     assert sum(n0 + length for n0, length in slices) <= 2 * (NMAX + 10)
     assert all(n0 == 0 for n0, _ in slices)
-    assert len(powers) <= 1
 
 
 def test_suite_does_not_read_terms_through_the_companion_power(monkeypatch):

@@ -12,7 +12,6 @@ from trispinor.analytic import binet_spinor
 from trispinor.cli import main
 from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, k_window, qmul,
                                    summation_correction, u_window)
-from trispinor.sequences import companion_power
 from trispinor.spinors import (SpinMatrix2, Spinor, breve, mate, sigma, spinor_norm,
                                spinor_window)
 
@@ -24,8 +23,8 @@ def _negated_mate(s):
     return -mate(s)
 
 
-def _shifted_power(p, n):
-    return companion_power(p, n + 1)
+def _shifted_qv_window(p, v, n=0):
+    return quaternions.qv_window(p, v, n + 1)
 
 
 def _affine_breve(q):
@@ -92,13 +91,15 @@ def _negated_norm(s):
 # shifted by [1; 0] moves its lhs by one shift and its rhs by r+s+t = 3
 # shifts, so the check fails at n = 0. The determinant compares its spinor
 # side with a constant: a fault in either spinor-side primitive, sigma or
-# breve, moves its lhs at n = 0.
+# breve, moves its lhs at n = 0. matrix_power carries its product by the
+# companion matrix from the window matrix at shift 0: shifting that window by
+# one gives the witness that a companion power shifted by one gave before.
 FAULTS = [
     ("conjugates", "mate", _negated_mate, 0,
      "C@mate: [-2+0i; -1+1i]", "[2+0i; 1-1i]", ""),
     ("norm", "mate", _negated_mate, 0,
      "mate pairing: -6+0i", "6+0i", ""),
-    ("matrix_power", "companion_power", _shifted_power, 0,
+    ("matrix_power", "qv_window", _shifted_qv_window, 0,
      "entry(0,0)=(7, 13, 24, 44)", "entry(0,0)=(4, 7, 13, 24)", ""),
     ("spinor_matrix", "breve", _affine_breve, 0,
      "[[7+1i, 2-3i], [2+3i, -6+1i]]", "[[8+1i, 2-3i], [2+3i, -6+1i]]",

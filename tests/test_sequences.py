@@ -160,7 +160,7 @@ def test_terms_are_exact_rationals():
     assert all(type(x) in (int, Fraction) for x in seq_slice(q, 0, 50) + seq_slice(q, 40, 10))
 
 
-# A prime above every trial divisor: a set with this denominator runs on Fraction.
+# A 100-bit prime: no trial division would find it, and the term path does none.
 LARGE_PRIME = 10**30 + 57
 
 
@@ -210,35 +210,78 @@ def test_rational_terms_match_the_fraction_recurrence(values, n, n0, length):
         assert_normalized(terms)
 
 
-def test_a_large_prime_denominator_runs_the_fraction_loop(monkeypatch):
-    def no_int_kernel(*args):
-        raise AssertionError("int kernel used")
-
-    monkeypatch.setattr(sequences, "_factored_terms", no_int_kernel)
+def test_a_large_prime_denominator_is_a_base_element_like_any_other():
+    """A denominator with no small prime factor needs no factoring: its
+    terms are exact, quickly."""
     start = time.perf_counter()
     assert seq_slice(SeqParams(*LARGE_PRIME_SET), 0, 60) == oracle_terms(LARGE_PRIME_SET, 60)
     assert time.perf_counter() - start < 0.5
-    with pytest.raises(AssertionError, match="int kernel used"):
-        seq_slice(SeqParams(Fraction(1, 1021), 1, 1, 0, 1, 1), 0, 4)
 
 
-@pytest.mark.parametrize("d, factors", [
-    (1, {}),
-    (1021, {1021: 1}),
-    (2**5000 * 3**3000, {2: 5000, 3: 3000}),
-    (2 * 3**4 * 1021**2, {2: 1, 3: 4, 1021: 2}),
-    (1031, None),
-    (2 * 1031, None),
-    (1031**2, None),
-    # 4,300 digits with no prime factor at or below 1024.
-    (1031**1427, None),
-])
-def test_small_factors_stop_past_the_trial_bound(d, factors):
+def test_a_large_prime_set_reaches_a_thousand_terms_in_time():
+    p = SeqParams(*LARGE_PRIME_SET)
     start = time.perf_counter()
-    assert sequences._small_factors(d) == factors
-    assert time.perf_counter() - start < 0.1
-    if d == 1031**1427:
-        assert len(str(d)) == 4300
+    forward = seq_slice(p, 0, 1000)
+    assert time.perf_counter() - start < 2
+    # Fractions in lowest terms are equal only if their fields are.
+    assert forward[-3:] == seq_slice(p, 997, 3)
+
+
+def test_a_large_prime_set_jumps_to_term_ten_thousand_in_time():
+    p = SeqParams(*LARGE_PRIME_SET)
+    start = time.perf_counter()
+    term = seq_term(p, 10000)
+    assert time.perf_counter() - start < 1
+    assert type(term) is Fraction
+
+
+# Denominators whose prime factors are shared in part, up to the 4,300-digit
+# 1031^1427, which has no prime factor at or below 1024. It is drawn for the
+# seeds only: as a denominator of r, s or t it would make the Fraction
+# recurrence, the oracle, take minutes.
+SHARED_DENOMINATORS = [6, 12, 36, 30, 2 * 1031, 1031 * 1033, (10**12 + 39) * (10**9 + 7)]
+SEED_DENOMINATORS = SHARED_DENOMINATORS + [1031**1427]
+
+
+# Six denominators 6: V(3) = 3/36 = 1/12 shares only 3 with 6, which splits the base {6}.
+SIXES_SET = (Fraction(1, 6),) * 6
+
+
+def shared_denominator_sets(count, seed):
+    rng = random.Random(seed)
+    yield SIXES_SET
+    for _ in range(count):
+        yield tuple(Fraction(rng.randint(-9, 9), rng.choice(SHARED_DENOMINATORS if i < 3
+                                                            else SEED_DENOMINATORS))
+                    for i in range(6))
+
+
+def test_terms_over_shared_denominators_match_the_fraction_recurrence():
+    """From 0 and after a jump, each term equals the plain recurrence, as an
+    int when it is integral."""
+    for values in shared_denominator_sets(24, 21):
+        p = SeqParams(*values)
+        want = oracle_terms(values, 68)
+        for n0 in (0, 1, 2, 3, 7, 60):
+            got = seq_slice(p, n0, 8)
+            assert got == want[n0:n0 + 8], (values, n0)
+            assert [type(x) for x in got] == [int if x.denominator == 1 else Fraction
+                                              for x in want[n0:n0 + 8]], (values, n0)
+            assert_lowest_terms(got)
+
+
+def test_a_base_element_that_divides_a_term_in_part_is_split(monkeypatch):
+    bases = []
+    coprime_base = sequences._coprime_base
+
+    def recording(xs):
+        base = coprime_base(xs)
+        bases.append(sorted(base))
+        return base
+
+    monkeypatch.setattr(sequences, "_coprime_base", recording)
+    assert seq_slice(SeqParams(*SIXES_SET), 0, 20) == oracle_terms(SIXES_SET, 20)
+    assert bases == [[6], [2, 3]]
 
 
 SMOOTH_SET = (Fraction(4, 3), Fraction(5, 4), 5, Fraction(3, 2), Fraction(-3, 4), Fraction(1, 4))
@@ -259,16 +302,15 @@ def assert_lowest_terms(values):
 
 
 def test_a_jump_on_a_smooth_rational_set_continues_on_int(monkeypatch):
-    calls = []
-    factored_terms = sequences._factored_terms
+    """The jump and the steps after it add and multiply no Fraction."""
+    p, want = SeqParams(*SMOOTH_SET), oracle_terms(SMOOTH_SET, 110)[100:]
 
-    def recording(*args):
-        calls.append(args)
-        return factored_terms(*args)
+    def no_fraction_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic")
 
-    monkeypatch.setattr(sequences, "_factored_terms", recording)
-    assert seq_slice(SeqParams(*SMOOTH_SET), 100, 10) == oracle_terms(SMOOTH_SET, 110)[100:]
-    assert len(calls) == 1
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, no_fraction_arithmetic)
+    assert seq_slice(p, 100, 10) == want
 
 
 @pytest.mark.parametrize("values, starts", [(v, (1000, 4096)) for v in DEEP_SETS]
@@ -306,18 +348,19 @@ def test_companion_power_is_the_product_of_companion_matrices(values, nmax):
 @pytest.mark.parametrize("values", [SMOOTH_SET, SLOW_DENOMINATOR_SET, LARGE_PRIME_SET,
                                     (1, Fraction(1, 2), 1, Fraction(1, 1031), 0, 1)], ids=str)
 def test_a_jump_factors_only_the_sets_own_denominators(monkeypatch, values):
-    """Trial division of a jumped denominator (thousands of bits deep) would
-    cost more than the jump: its primes are known from p's denominators."""
+    """A jumped denominator is thousands of bits deep, and its base elements
+    are known from p's denominators: the base builder only ever sees those
+    and their divisors."""
     p = SeqParams(*values)
     largest = max(x.denominator for x in p)
     factored = []
-    small_factors = sequences._small_factors
+    coprime_base = sequences._coprime_base
 
-    def recording(d):
-        factored.append(d)
-        return small_factors(d)
+    def recording(xs):
+        factored.extend(xs)
+        return coprime_base(xs)
 
-    monkeypatch.setattr(sequences, "_small_factors", recording)
+    monkeypatch.setattr(sequences, "_coprime_base", recording)
     n = 300 if values is LARGE_PRIME_SET else 1000
     seq_term(p, n), trib_spinor(p, n), seq_slice(p, n, 6), companion_power(p, n)
     assert factored and max(factored) <= largest
@@ -326,22 +369,22 @@ def test_a_jump_factors_only_the_sets_own_denominators(monkeypatch, values):
 @pytest.mark.parametrize("values", [(3, -2, 5, 1, -4, 2), SMOOTH_SET, LARGE_PRIME_SET], ids=str)
 def test_the_power_kernel_squares_ints_on_every_set(monkeypatch, values):
     """A rational set is scaled to int coefficients before its jump, also with
-    a denominator prime above the trial bound, so the kernel never squares a
-    Fraction, and an integer set factors nothing; the jumped terms equal the
+    a large prime denominator, so the kernel never squares a Fraction, and an
+    integer set builds no base of denominators; the jumped terms equal the
     pass from V(0)."""
     received, factored = [], []
-    power_residue, small_factors = sequences._power_residue, sequences._small_factors
+    power_residue, coprime_base = sequences._power_residue, sequences._coprime_base
 
     def recording_power(p, n):
         received.extend([*p, n])
         return power_residue(p, n)
 
-    def recording_factors(d):
-        factored.append(d)
-        return small_factors(d)
+    def recording_base(xs):
+        factored.extend(xs)
+        return coprime_base(xs)
 
     monkeypatch.setattr(sequences, "_power_residue", recording_power)
-    monkeypatch.setattr(sequences, "_small_factors", recording_factors)
+    monkeypatch.setattr(sequences, "_coprime_base", recording_base)
     p = SeqParams(*values)
     forward = seq_slice(p, 0, 84)
     assert [seq_term(p, 40), *seq_slice(p, 60, 6)] == [forward[40], *forward[60:66]]
