@@ -160,9 +160,13 @@ _REGISTRY: dict[IdentityId, tuple[Callable[..., VerificationReport], tuple, int,
 
 
 def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
-              passed: Status = Status.EXACT_PASS):
+              passed: Status = Status.EXACT_PASS, basis: int = 0, last: float = math.inf):
     """Register a comparison generator as the check of `identity` and return
-    it bound to the runner, as the public verify function."""
+    it bound to the runner, as the public verify function.
+
+    The generator numbers its comparisons from 0: first `basis` of them on a
+    fixed basis, then its seeded draws, or else the windows at n up to
+    min(nmax, last). The report's span covers them all."""
     def register(gen: Callable[..., Iterator[Comparison]]):
         @functools.wraps(gen)
         def verify(*args, **kwargs) -> VerificationReport:
@@ -171,8 +175,7 @@ def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
             checks = gen(*args, **kwargs)
             a = checks.gi_frame.f_locals
             _validate(a, least)
-            span = ((0, len(_BASIS_TRIPLES) + a["trials"] - 1) if "trials" in a
-                    else (0, a["nmax"]))
+            span = (0, basis + (a["trials"] - 1 if "trials" in a else min(a["nmax"], last)))
             return _run(identity, checks, a.get("p"), span, passed)
 
         names = gen.__code__.co_varnames[:gen.__code__.co_argcount]
@@ -192,17 +195,42 @@ def verify_spinor_recurrence(p: SeqParams, nmax: int) -> Iterator[Comparison]:
                          + p.t * spinor_window(v, n))
 
 
-@_register(IdentityId.CONJUGATE_RELATIONS)
+# The basis spinors [1; 0], [i; 0], [0; 1] and [0; i], on int.
+_BASIS_SPINORS = [Spinor(1, 0), Spinor(I, 0), Spinor(0, 1), Spinor(0, I)]
+
+# The unit term windows, and the polarization points of Q^4 as quaternions on
+# int: the units e_i, then the sums e_i + e_j for i < j.
+_UNIT_WINDOWS = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+_POLARIZATION_POINTS = ([Quaternion(*e) for e in _UNIT_WINDOWS]
+                        + [Quaternion(*a) + Quaternion(*b)
+                           for a, b in itertools.combinations(_UNIT_WINDOWS, 2)])
+
+# A check proved on a basis then compares the set's windows at n <= min(nmax, 3).
+_LAST_WINDOW = 3
+
+
+@_register(IdentityId.CONJUGATE_RELATIONS, basis=len(_BASIS_SPINORS), last=_LAST_WINDOW)
 def verify_conjugate_relations(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """The three conjugation operators interlock: C @ mate = conjugate,
-    i * cartan = mate, i * (C @ cartan) = conjugate."""
-    v = seq_slice(p, 0, nmax + 4)
-    for n in range(nmax + 1):
-        a = spinor_window(v, n)
+    i * cartan = mate, i * (C @ cartan) = conjugate.
+
+    Comparisons 0-3 are the basis spinors [1; 0], [i; 0], [0; 1] and [0; i].
+    Every operator is Q-linear in a spinor's four rational components as
+    written, so agreement there proves the relations for every spinor. The
+    set's windows at n <= min(nmax, 3) follow, from comparison 4 on: they
+    guard against a fault that is not linear.
+    """
+    last = min(nmax, _LAST_WINDOW)
+    v = seq_slice(p, 0, last + 4)
+    spinors = itertools.chain(
+        ((f"basis spinor {a}", a) for a in _BASIS_SPINORS),
+        ((f"window n={n}", spinor_window(v, n)) for n in range(last + 1)))
+    for n, (what, a) in enumerate(spinors):
         conj, mated, cartan = complex_conjugate(a), mate(a), cartan_conjugate(a)
-        yield Comparison(n, C @ mated, conj, "C@mate: ")
-        yield Comparison(n, I * cartan, mated, "i*cartan: ")
-        yield Comparison(n, I * (C @ cartan), conj, "i*C@cartan: ")
+        yield Comparison(n, C @ mated, conj, "C@mate: ", note=what)
+        yield Comparison(n, I * cartan, mated, "i*cartan: ", note=what)
+        yield Comparison(n, I * (C @ cartan), conj, "i*C@cartan: ", note=what)
+    return f"{len(_BASIS_SPINORS)} basis spinors and the windows on [0..{last}]"
 
 
 def norm_forms(a: Spinor) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
@@ -218,17 +246,41 @@ def norm_forms(a: Spinor) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
     )
 
 
-@_register(IdentityId.NORM_EQUALITY)
+_NORM_LABELS = ("conjugate pairing: ", "mate pairing: ", "cartan pairing: ")
+_NORM_BASIS = len(_POLARIZATION_POINTS) + len(_UNIT_WINDOWS)
+
+
+@_register(IdentityId.NORM_EQUALITY, basis=_NORM_BASIS, last=_LAST_WINDOW)
 def verify_norm_equality(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """All three spinor norm forms equal the quaternion norm
-    V(n)^2 + V(n+1)^2 + V(n+2)^2 + V(n+3)^2, exactly."""
-    v = seq_slice(p, 0, nmax + 4)
-    for n in range(nmax + 1):
+    V(n)^2 + V(n+1)^2 + V(n+2)^2 + V(n+3)^2, exactly.
+
+    Comparisons 0-9 set the three norm forms of sigma(q) against qnorm(q) at
+    the polarization points e_i and e_i + e_j of Q^4. Each side is a
+    quadratic form on Q^4 as written, and two quadratic forms that agree
+    there agree everywhere. Comparisons 10-13 check spinor_window(u) =
+    sigma(quat_window(u)) on the four unit windows; both readers are linear
+    in four terms, so every spinor window is sigma of its quaternion window,
+    and the norm equality holds at every n. The set's windows at
+    n <= min(nmax, 3) follow, from comparison 14 on: they guard against a
+    fault that is not quadratic.
+    """
+    for n, q in enumerate(_POLARIZATION_POINTS):
+        target = GaussScalar(qnorm(q))
+        for label, value in zip(_NORM_LABELS, norm_forms(sigma(q))):
+            yield Comparison(n, value, target, label, note=f"polarization point {q}")
+    for n, u in enumerate(_UNIT_WINDOWS, len(_POLARIZATION_POINTS)):
+        yield Comparison(n, spinor_window(u), sigma(quat_window(u)),
+                         note=f"unit window {u}")
+    last = min(nmax, _LAST_WINDOW)
+    v = seq_slice(p, 0, last + 4)
+    for n in range(last + 1):
         forms = norm_forms(spinor_window(v, n))
         target = GaussScalar(qnorm(quat_window(v, n)))
-        for label, value in zip(("conjugate pairing: ", "mate pairing: ",
-                                 "cartan pairing: "), forms):
-            yield Comparison(n, value, target, label)
+        for label, value in zip(_NORM_LABELS, forms):
+            yield Comparison(_NORM_BASIS + n, value, target, label, note=f"window n={n}")
+    return (f"{len(_POLARIZATION_POINTS)} polarization points, {len(_UNIT_WINDOWS)} unit "
+            f"windows and the windows on [0..{last}]")
 
 
 # Float error grows with the dominant root's power: run_identity caps the range.
@@ -283,7 +335,7 @@ def _random_triples(seed: int, trials: int) -> Iterator[tuple[Quaternion, ...]]:
                                  for _ in range(4))) for _ in range(3))
 
 
-@_register(IdentityId.TRIPLE_PRODUCT_MAP)
+@_register(IdentityId.TRIPLE_PRODUCT_MAP, basis=len(_BASIS_TRIPLES))
 def verify_triple_product_map(seed: int, trials: int = TRIALS) -> Iterator[Comparison]:
     """sigma(a*b*c) = -(breve(a) @ breve(b)) @ sigma(c), an identity of the
     representation, parameter-free.

@@ -1,12 +1,18 @@
+import itertools
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trispinor import identities
+from trispinor.gauss import I
+from trispinor.quaternions import quat_window
+from trispinor.spinors import spinor_window
 from trispinor import (
     DegenerateDelta,
+    C,
     GaussScalar,
     IdentityId,
     Quaternion,
@@ -15,9 +21,13 @@ from trispinor import (
     Status,
     UnsupportedParams,
     binet_spinor,
+    cartan_conjugate,
+    complex_conjugate,
     determinant_combination_values,
+    mate,
     norm_forms,
     preset,
+    qnorm,
     quat_partial_sum,
     qv_matrix,
     random_params,
@@ -67,6 +77,63 @@ def test_norm_equality_reports_and_spots():
     assert norm_forms(trib_spinor(TRIB, 1)) == (GaussScalar(22),) * 3
     assert verify_norm_equality(TRIB, 60).status is Status.EXACT_PASS
     assert verify_norm_equality(SeqParams(1, 1, 1, 0, 0, 0), 10).status is Status.EXACT_PASS
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 3, 4, 60])
+def test_conjugates_and_norm_span_their_basis_and_windows(nmax):
+    last = min(nmax, 3)
+    conj, norm = verify_conjugate_relations(TRIB, nmax), verify_norm_equality(TRIB, nmax)
+    assert (conj.span, conj.note) == ((0, 4 + last),
+                                      f"4 basis spinors and the windows on [0..{last}]")
+    assert (norm.span, norm.note) == (
+        (0, 14 + last),
+        f"10 polarization points, 4 unit windows and the windows on [0..{last}]")
+
+
+def _rank(rows: list[list[Fraction]]) -> int:
+    """Rank of a matrix over Q, by Gaussian elimination."""
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_the_bases_span_what_they_prove():
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert identities._UNIT_WINDOWS == units
+    assert [a._c for a in identities._BASIS_SPINORS] == units
+    # A quadratic form on Q^4 is fixed by its 10 coefficients of x_i*x_j, i <= j:
+    # the points determine it when those monomials, evaluated there, have rank 10.
+    points = [q._c for q in identities._POLARIZATION_POINTS]
+    assert len(set(points)) == 10
+    pairs = list(itertools.combinations_with_replacement(range(4), 2))
+    assert _rank([[Fraction(x[i] * x[j]) for i, j in pairs] for x in points]) == 10
+
+
+small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.one_of(st.tuples(*[st.integers(-5, 5)] * 6), st.tuples(*[small_rationals] * 6)))
+def test_a_basis_proof_agrees_with_the_per_n_comparisons(values):
+    """The per-n comparisons the two checks made before their basis proofs,
+    run here to nmax 30, hold wherever the checks report exact_pass."""
+    p, nmax = SeqParams(*values), 30
+    v = seq_slice(p, 0, nmax + 4)
+    assert verify_conjugate_relations(p, nmax).status is Status.EXACT_PASS
+    assert verify_norm_equality(p, nmax).status is Status.EXACT_PASS
+    for n in range(nmax + 1):
+        a = spinor_window(v, n)
+        conj, mated, cartan = complex_conjugate(a), mate(a), cartan_conjugate(a)
+        assert C @ mated == conj and I * cartan == mated and I * (C @ cartan) == conj
+        assert norm_forms(a) == (GaussScalar(qnorm(quat_window(v, n))),) * 3
 
 
 def test_binet_reports():

@@ -3,20 +3,23 @@
 the mapping of float overflow."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from trispinor import IdentityId, SeqParams, Status, preset, run_identity
+from trispinor import GaussScalar, IdentityId, SeqParams, Status, preset, run_identity
 from trispinor import identities, quaternions
 from trispinor.analytic import binet_spinor
 from trispinor.cli import main
 from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, k_window, qmul,
                                    summation_correction, u_window)
-from trispinor.spinors import (SpinMatrix2, Spinor, breve, mate, sigma, spinor_norm,
-                               spinor_window)
+from trispinor.spinors import (SpinMatrix2, Spinor, breve, complex_conjugate, mate, sigma,
+                               spinor_norm, spinor_window)
 
 TRIB = preset("tribonacci")
 HUGE_R = SeqParams(10**400, 1, 1, 0, 1, 1)
+RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+                     1, Fraction(-1, 2), Fraction(2, 5))
 
 
 def _negated_mate(s):
@@ -75,12 +78,31 @@ def _negated_norm(s):
     return -spinor_norm(s)
 
 
-# (identity, operation replaced, faulty replacement, expected witness n, lhs,
-# rhs, note). The expected strings were recorded before the runner existed;
-# those of the binet, genfunc and u_decomposition rows before the Binet
-# functions shared one power sum. In the three triple_product rows a swapped
-# qmul and an affine breve fail on a basis triple (n < 64), while a floored
-# qmul is exact on int and fails only in the seeded draws (n >= 64). The
+def _floored(z):
+    return GaussScalar(math.floor(z.re), math.floor(z.im))
+
+
+def _floored_conjugate(s):
+    """Exact on integer components, wrong on a Fraction one."""
+    return complex_conjugate(Spinor(_floored(s.c1), _floored(s.c2)))
+
+
+def _floored_norm(s):
+    """Exact on integer components, wrong where the norm is a Fraction."""
+    return _floored(spinor_norm(s))
+
+
+# (identity, operation replaced, faulty replacement, expected span, witness
+# n, lhs, rhs, note). The expected strings were recorded before the runner
+# existed; those of the binet, genfunc and u_decomposition rows before the
+# Binet functions shared one power sum. In the three triple_product rows a
+# swapped qmul and an affine breve fail on a basis triple (n < 64), while a
+# floored qmul is exact on int and fails only in the seeded draws (n >= 64).
+# conjugates and norm are proved on a basis before the set's windows: the
+# four basis spinors (n < 4), then the windows at n <= 3; the ten polarization
+# points (n < 10) and the four unit windows (10 <= n < 14), then the windows.
+# A negated mate or spinor_norm fails on the first basis element, [1; 0] or
+# e_0, and a window bumped by [1; 0] fails on the first unit window. The
 # sum_window and spinor_norm rows pin that summation and norm evaluate the
 # exported functions. spinor_matrix reads no Hamilton product: a shifted
 # k_window moves only its lhs, breve(K(n)), so it fails at n = 0, and a
@@ -95,52 +117,54 @@ def _negated_norm(s):
 # companion matrix from the window matrix at shift 0: shifting that window by
 # one gives the witness that a companion power shifted by one gave before.
 FAULTS = [
-    ("conjugates", "mate", _negated_mate, 0,
-     "C@mate: [-2+0i; -1+1i]", "[2+0i; 1-1i]", ""),
-    ("norm", "mate", _negated_mate, 0,
-     "mate pairing: -6+0i", "6+0i", ""),
-    ("matrix_power", "qv_window", _shifted_qv_window, 0,
+    ("conjugates", "mate", _negated_mate, (0, 7), 0,
+     "C@mate: [-1+0i; 0+0i]", "[1+0i; 0+0i]", "basis spinor [1+0i; 0+0i]"),
+    ("norm", "mate", _negated_mate, (0, 17), 0,
+     "mate pairing: -1+0i", "1+0i", "polarization point (1, 0, 0, 0)"),
+    ("matrix_power", "qv_window", _shifted_qv_window, (0, 10), 0,
      "entry(0,0)=(7, 13, 24, 44)", "entry(0,0)=(4, 7, 13, 24)", ""),
-    ("spinor_matrix", "breve", _affine_breve, 0,
+    ("spinor_matrix", "breve", _affine_breve, (0, 10), 0,
      "[[7+1i, 2-3i], [2+3i, -6+1i]]", "[[8+1i, 2-3i], [2+3i, -6+1i]]",
      "middle-column linearity"),
-    ("triple_product", "qmul", _swapped_qmul, 6,
+    ("triple_product", "qmul", _swapped_qmul, (0, 79), 6,
      "[-1+0i; 0+0i]", "[1+0i; 0+0i]",
      "a=(1, 0, 0, 0), b=(0, 1, 0, 0), c=(0, 0, 1, 0)"),
-    ("determinant", "sigma", _bumped_sigma, 0,
+    ("determinant", "sigma", _bumped_sigma, (0, 10), 0,
      "[-4-8i; 4+0i]", "[-4+4i; 4-4i]",
      "final index n+4: spinor side differs from reference"),
-    ("summation", "summation_correction", _shifted_omega, 0,
+    ("summation", "summation_correction", _shifted_omega, (0, 10), 0,
      "[4+0i; 2+2i]", "[4+1i; 2+2i]",
      "sigma(omega) constant [-5+0i; -1-3i] fails; "
      "seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
-    ("triple_product", "breve", _affine_breve, 0,
+    ("triple_product", "breve", _affine_breve, (0, 79), 0,
      "[0+1i; 0+0i]", "[2+0i; 0+0i]",
      "a=(1, 0, 0, 0), b=(1, 0, 0, 0), c=(1, 0, 0, 0)"),
-    ("triple_product", "qmul", _floored_qmul, 64,
+    ("triple_product", "qmul", _floored_qmul, (0, 79), 64,
      "[-107-260i; 751+769i]", "[-451/4-1053/4i; 754+3097/4i]",
      "a=(-1, 8, 1, 3), b=(9, -9, -1/2, -2), c=(3, 8, 3/2, -5)"),
-    ("binet", "binet_spinor", _scaled_binet, 0,
+    ("binet", "binet_spinor", _scaled_binet, (0, 10), 0,
      "[2.000002-9.71446117992e-17j; 1.000001+1.000001j]", "[2+0i; 1+1i]",
      "relative error 1.000e-06 exceeds tol 1.0e-09"),
     # The series reads analytic's own spinor_window: the fault moves the rhs only.
-    ("genfunc", "spinor_window", _bumped_window, 0,
+    ("genfunc", "spinor_window", _bumped_window, (0, 10), 0,
      "[2+0i; 1+1i]", "[3+0i; 1+1i]", ""),
-    ("u_decomposition", "u_window", _shifted_u_window, 0,
+    ("u_decomposition", "u_window", _shifted_u_window, (0, 10), 0,
      "(2, 2, 4, 7)", "(1, 2, 4, 7)", ""),
-    ("summation", "sum_window", _shifted_sum_window, 0,
+    ("summation", "sum_window", _shifted_sum_window, (0, 10), 0,
      "[4+0i; 2+2i]", "[4+1i; 2+2i]",
      "sigma(omega) constant [-5-1i; -1-3i] fails; "
      "seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
-    ("norm", "spinor_norm", _negated_norm, 0,
-     "conjugate pairing: -6+0i", "6+0i", ""),
-    ("spinor_matrix", "k_window", _shifted_k_window, 0,
+    ("norm", "spinor_norm", _negated_norm, (0, 17), 0,
+     "conjugate pairing: -1+0i", "1+0i", "polarization point (1, 0, 0, 0)"),
+    ("norm", "spinor_window", _bumped_window, (0, 17), 10,
+     "[1+1i; 0+0i]", "[0+1i; 0+0i]", "unit window (1, 0, 0, 0)"),
+    ("spinor_matrix", "k_window", _shifted_k_window, (0, 10), 0,
      "[[6+2i, 2-3i], [2+3i, -6+2i]]", "[[6+1i, 2-3i], [2+3i, -6+1i]]",
      "middle-column linearity"),
-    ("determinant", "breve", _affine_breve, 0,
+    ("determinant", "breve", _affine_breve, (0, 10), 0,
      "[-2+14i; 6-8i]", "[-4+4i; 4-4i]",
      "final index n+4: spinor side differs from reference"),
-    ("recurrence", "spinor_window", _bumped_window, 0,
+    ("recurrence", "spinor_window", _bumped_window, (0, 10), 0,
      "[14+2i; 4+7i]", "[16+2i; 4+7i]", ""),
 ]
 # A row's id is its identity; a later row of the same identity adds its fault.
@@ -149,13 +173,13 @@ FAULT_IDS = [ident if [f[0] for f in FAULTS].index(ident) == i
              for i, (ident, _, faulty, *_) in enumerate(FAULTS)]
 
 
-@pytest.mark.parametrize("ident, attr, faulty, n, lhs, rhs, note", FAULTS, ids=FAULT_IDS)
-def test_injected_fault_reports_first_mismatch(monkeypatch, ident, attr, faulty,
+@pytest.mark.parametrize("ident, attr, faulty, span, n, lhs, rhs, note", FAULTS, ids=FAULT_IDS)
+def test_injected_fault_reports_first_mismatch(monkeypatch, ident, attr, faulty, span,
                                                n, lhs, rhs, note):
     monkeypatch.setattr(identities, attr, faulty)
     report = run_identity(IdentityId(ident), TRIB, nmax=10, seed=3)
     assert report.status is Status.FAIL
-    assert report.span == ((0, 79) if ident == "triple_product" else (0, 10))
+    assert report.span == span
     assert (report.witness.n, report.witness.lhs, report.witness.rhs) == (n, lhs, rhs)
     assert report.note == note
 
@@ -182,6 +206,21 @@ def test_triple_product_draws_catch_a_fault_exact_on_integers(monkeypatch):
     for seed in range(2000):
         report = identities.verify_triple_product_map(seed)
         assert report.status is Status.FAIL and report.witness.n >= 64, seed
+
+
+@pytest.mark.parametrize("ident, attr, faulty, basis", [
+    ("conjugates", "complex_conjugate", _floored_conjugate, 4),
+    ("norm", "spinor_norm", _floored_norm, 14),
+])
+def test_the_sets_windows_catch_a_fault_exact_on_integers(monkeypatch, ident, attr,
+                                                          faulty, basis):
+    # A floored operation is not linear or quadratic, yet agrees on every
+    # int basis element: only the windows of a rational set can find it.
+    monkeypatch.setattr(identities, attr, faulty)
+    assert run_identity(IdentityId(ident), TRIB, nmax=10).status is Status.EXACT_PASS
+    report = run_identity(IdentityId(ident), RATIONAL, nmax=10)
+    assert report.status is Status.FAIL
+    assert report.witness.n == basis and report.note == "window n=0"
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
