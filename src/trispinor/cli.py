@@ -18,6 +18,7 @@ from itertools import islice
 
 from .analytic import DegenerateRoots, binet_spinor, genfunc_spinor_series
 from .identities import (
+    _REGISTRY,
     IdentityId,
     Status,
     VerificationReport,
@@ -228,12 +229,12 @@ def _reports(args: argparse.Namespace, reports: list[VerificationReport]) -> tup
     return text, 1 if any(r.status is Status.FAIL for r in reports) else 0
 
 
-def _check_nmax(args: argparse.Namespace, p: SeqParams) -> int:
-    """--nmax, if it is in range and no term a check reads, up to V(nmax+10),
-    has a numerator or denominator of more than MAX_OPERAND_BITS bits. The
-    pass from V(0) stops at the first such term, before any larger one."""
+def _check_nmax(args: argparse.Namespace, p: SeqParams, last: float = float("inf")) -> int:
+    """--nmax, if it is in range and no term the checks read, V(0) to
+    V(min(nmax, last) + 10), has a numerator or denominator of more than
+    MAX_OPERAND_BITS bits, last being their last window. The pass stops at the first."""
     nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
-    for n, v in enumerate(islice(_iter_terms(p), nmax + 11)):
+    for n, v in enumerate(islice(_iter_terms(p), min(nmax, last) + 11)):
         bits = max(v.numerator.bit_length(), v.denominator.bit_length())
         if bits > MAX_OPERAND_BITS:
             raise ValueError(f"operands are limited to {MAX_OPERAND_BITS} bits: V({n}) has {bits}")
@@ -241,9 +242,9 @@ def _check_nmax(args: argparse.Namespace, p: SeqParams) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
-    nmax = _check_nmax(args, p)
-    return _reports(args, [run_identity(IdentityId(args.identity), p, nmax=nmax,
-                                        seed=args.seed, tol=args.tol)])
+    identity = IdentityId(args.identity)
+    nmax = _check_nmax(args, p, _REGISTRY[identity][-1])
+    return _reports(args, [run_identity(identity, p, nmax=nmax, seed=args.seed, tol=args.tol)])
 
 
 def _cmd_suite(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:

@@ -155,8 +155,8 @@ def _run(identity: IdentityId, checks: Iterator[Comparison], p: SeqParams | None
 
 
 # IdentityId -> (verify function, its parameter names, smallest nmax it
-# accepts, largest nmax run_identity passes to it)
-_REGISTRY: dict[IdentityId, tuple[Callable[..., VerificationReport], tuple, int, float]] = {}
+# accepts, largest nmax run_identity passes to it, last window it compares)
+_REGISTRY: dict[IdentityId, tuple[Callable, tuple, int, float, float]] = {}
 
 
 def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
@@ -179,7 +179,7 @@ def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
             return _run(identity, checks, a.get("p"), span, passed)
 
         names = gen.__code__.co_varnames[:gen.__code__.co_argcount]
-        _REGISTRY[identity] = (verify, names, least, cap)
+        _REGISTRY[identity] = (verify, names, least, cap, last)
         return verify
     return register
 
@@ -198,9 +198,10 @@ def verify_spinor_recurrence(p: SeqParams, nmax: int) -> Iterator[Comparison]:
 # The basis spinors [1; 0], [i; 0], [0; 1] and [0; i], on int.
 _BASIS_SPINORS = [Spinor(1, 0), Spinor(I, 0), Spinor(0, 1), Spinor(0, I)]
 
-# The unit term windows, and the polarization points of Q^4 as quaternions on
-# int: the units e_i, then the sums e_i + e_j for i < j.
+# The unit term windows of four terms and of five, and the polarization points
+# of Q^4 as quaternions on int: the units e_i, then the sums e_i + e_j for i < j.
 _UNIT_WINDOWS = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+_UNIT_K_WINDOWS = [tuple(int(i == j) for j in range(5)) for i in range(5)]
 _POLARIZATION_POINTS = ([Quaternion(*e) for e in _UNIT_WINDOWS]
                         + [Quaternion(*a) + Quaternion(*b)
                            for a, b in itertools.combinations(_UNIT_WINDOWS, 2)])
@@ -361,19 +362,30 @@ def _windows(p: SeqParams, v: list[Rational], count: int) -> tuple[list, list, l
     return q, k, [breve(x) for x in q], [breve(x) for x in k]
 
 
-@_register(IdentityId.SPINOR_MATRIX_BEHAVIOR)
+@_register(IdentityId.SPINOR_MATRIX_BEHAVIOR, basis=len(_UNIT_K_WINDOWS), last=_LAST_WINDOW)
 def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """The 2x2-matrix image of the window matrix keeps its middle column's
     linearity: breve(K(n)) = s*breve(Q(n+1)) + t*breve(Q(n)), the lhs from
     the summed quaternion K(n), the rhs from the two window images.
 
+    Comparisons 0-4 are the five unit term windows. For a fixed p both sides
+    are Q-linear in the terms V(n)..V(n+4) as written, so agreement there
+    proves the relation at every n. The set's windows at n <= min(nmax, 3)
+    follow, from comparison 5 on: they guard against a fault that is not linear.
+
     Products of window entries are not checked per n: that a triple product
     maps to the negated matrix product is an instance of the correspondence
     triple_product proves for every triple of rational quaternions."""
-    _, _, breve_q, breve_k = _windows(p, seq_slice(p, 0, nmax + 6), nmax + 2)
-    for n in range(nmax + 1):
-        yield Comparison(n, breve_k[n], p.s * breve_q[n + 1] + p.t * breve_q[n],
-                         note="middle-column linearity")
+    for n, u in enumerate(_UNIT_K_WINDOWS):
+        yield Comparison(n, breve(k_window(p, u)),
+                         p.s * breve(quat_window(u, 1)) + p.t * breve(quat_window(u)),
+                         note=f"unit window {u}")
+    last = min(nmax, _LAST_WINDOW)
+    _, _, breve_q, breve_k = _windows(p, seq_slice(p, 0, last + 6), last + 2)
+    for n in range(last + 1):
+        yield Comparison(len(_UNIT_K_WINDOWS) + n, breve_k[n],
+                         p.s * breve_q[n + 1] + p.t * breve_q[n], note=f"window n={n}")
+    return f"{len(_UNIT_K_WINDOWS)} unit windows and the windows on [0..{last}]"
 
 
 # Index offsets (da, db, dc) of the six-term determinant-style combination;
@@ -486,7 +498,8 @@ def verify_u_decomposition(p: SeqParams, nmax: int) -> Iterator[Comparison]:
 def verify_matrix_power_shift(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """Right-multiplying the window matrix at shift 0 by the companion matrix
     n times lands exactly on the window matrix at shift n, whose rows are
-    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)) read once."""
+    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)) read once.
+    The two are compared whole, and entry by entry only where they differ."""
     v = seq_slice(p, 0, nmax + 8)
     rows = [(quat_window(v, m + 2), k_window(p, v, m), p.t * quat_window(v, m + 1))
             for m in range(nmax + 3)]
@@ -494,8 +507,10 @@ def verify_matrix_power_shift(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     step = companion_matrix(p)
     product = qv_window(p, v)
     for n in range(nmax + 1):
-        for i, j, label in cells:
-            yield Comparison(n, product[i][j], rows[n + 2 - i][j], label, label)
+        window = (rows[n + 2], rows[n + 1], rows[n])
+        if product != window:
+            for i, j, label in cells:
+                yield Comparison(n, product[i][j], window[i][j], label, label)
         product = qv_right_multiply(product, step)
 
 
@@ -511,7 +526,7 @@ def run_identity(
     (degenerate delta or roots, unsupported preset) and float overflow into
     skip reports."""
     _validate({"nmax": nmax, "tol": tol})
-    verify, names, least, cap = _REGISTRY[identity]
+    verify, names, least, cap, _ = _REGISTRY[identity]
     given = {"p": p, "nmax": max(min(nmax, cap), least), "seed": seed, "tol": tol,
              "trials": TRIALS}
     try:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .gauss import Rational, _Exact, rat
-from .sequences import Matrix3, SeqParams, mat_mul3, seq_slice
+from .sequences import Matrix3, SeqParams, seq_slice
 
 
 class DegenerateDelta(ArithmeticError):
@@ -122,12 +122,16 @@ def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
     """Right-multiply a 3x3 matrix of quaternions by an exact scalar 3x3 matrix.
 
     Scalars commute with quaternions, so each result entry is a scalar
-    combination of the row's quaternions; no Hamilton products occur. mat_mul3
-    multiplies each rational component plane (the entries' q0, q1, q2, q3) by m,
-    and each of the 9 results is built once from its four plane entries.
+    combination of the row's quaternions; no Hamilton products occur. Each of
+    the 9 results is built once, component by component, from the row's three
+    quaternions zipped over their components.
     """
-    planes = [mat_mul3([[q._c[k] for q in row] for row in rows], m) for k in range(4)]
-    return tuple(tuple(map(Quaternion._make, zip(*plane_rows))) for plane_rows in zip(*planes))
+    (m0, m1, m2), (m3, m4, m5), (m6, m7, m8) = m
+    make = Quaternion._make
+    return tuple([(make([x * m0 + y * m3 + z * m6 for x, y, z in xyz]),
+                   make([x * m1 + y * m4 + z * m7 for x, y, z in xyz]),
+                   make([x * m2 + y * m5 + z * m8 for x, y, z in xyz]))
+                  for xyz in [tuple(zip(a._c, b._c, c._c)) for a, b, c in rows]])
 
 
 def u_companion(p: SeqParams) -> SeqParams:

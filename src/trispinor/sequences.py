@@ -226,16 +226,6 @@ def companion_matrix(p: SeqParams) -> Matrix3:
     return ((p.r, p.s, p.t), (1, 0, 0), (0, 1, 0))
 
 
-def mat_mul3(a: Matrix3, b: Matrix3) -> Matrix3:
-    """The 3x3 product a*b. Its three products are added directly, so the
-    entries of a may also be quaternions scaled by the rationals of b."""
-    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
-    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
-    return ((a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8),
-            (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8),
-            (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8))
-
-
 def _power_residue(p: Sequence[int], n: int) -> tuple[int, int, int]:
     """The power kernel: the residue (b0, b1, b2) of x^n modulo x^3 - r*x^2 - s*x - t
     for the ints r, s, t that p starts with, by squaring residues of degree 2 (Fiduccia,

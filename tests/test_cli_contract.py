@@ -121,8 +121,9 @@ def test_bad_params_line_is_bounded_in_bytes(piece):
 
 
 def test_operands_past_the_bit_bound_exit_2_at_once():
-    """verify and suite read the size of the terms up to V(nmax+10) before
-    any check, and stop at the first one past the bound."""
+    """verify and suite read the size of the terms their checks read, up to
+    V(nmax+10) at most, before any check, and stop at the first one past the
+    bound."""
     params = "9" * 4300 + ",1,1,0,1,1"
     for argv in (["verify", "--identity", "norm", "--nmax", "50", "--params", params],
                  ["suite", "--params", params]):
@@ -132,6 +133,19 @@ def test_operands_past_the_bit_bound_exit_2_at_once():
         assert (code, out) == (2, "")
         assert re.fullmatch(rf"error: operands are limited to {MAX_OPERAND_BITS} bits: "
                             r"V\(\d+\) has \d+\n", err)
+
+
+def test_verify_bounds_only_the_terms_its_identity_reads():
+    """conjugates compares the windows at n <= 3 after its basis: verify sizes
+    V(0) to V(13) and runs, while suite still sizes every term to V(nmax+10)."""
+    params = "9" * 100 + ",1,1,0,1,1"
+    start = time.perf_counter()
+    code, out, err = run(["verify", "--identity", "conjugates", "--nmax", "1000",
+                          "--params", params])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "") and "exact_pass" in out
+    assert run(["suite", "--nmax", "1000", "--params", params]) == (
+        2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(397) has 131217\n")
 
 
 def _cap_memory():

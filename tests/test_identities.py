@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from trispinor import identities
 from trispinor.gauss import I
-from trispinor.quaternions import quat_window
-from trispinor.spinors import spinor_window
+from trispinor.quaternions import k_window, quat_window
+from trispinor.spinors import breve, spinor_window
 from trispinor import (
     DegenerateDelta,
     C,
@@ -117,6 +117,23 @@ def test_the_bases_span_what_they_prove():
     assert _rank([[Fraction(x[i] * x[j]) for i, j in pairs] for x in points]) == 10
 
 
+@pytest.mark.parametrize("nmax", [0, 1, 2, 3, 4, 60])
+def test_spinor_matrix_spans_its_unit_windows_and_windows(nmax):
+    last = min(nmax, 3)
+    report = verify_spinor_matrix_behavior(TRIB, nmax)
+    assert report.status is Status.EXACT_PASS
+    assert (report.span, report.note) == ((0, 5 + last),
+                                          f"5 unit windows and the windows on [0..{last}]")
+
+
+def test_the_unit_term_windows_span_q5():
+    # Both sides are linear in the five terms K(n) reads: the unit windows
+    # must be a basis of Q^5.
+    windows = identities._UNIT_K_WINDOWS
+    assert len(windows) == 5 and all(len(u) == 5 for u in windows)
+    assert _rank([[Fraction(x) for x in u] for u in windows]) == 5
+
+
 small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
 
@@ -134,6 +151,19 @@ def test_a_basis_proof_agrees_with_the_per_n_comparisons(values):
         conj, mated, cartan = complex_conjugate(a), mate(a), cartan_conjugate(a)
         assert C @ mated == conj and I * cartan == mated and I * (C @ cartan) == conj
         assert norm_forms(a) == (GaussScalar(qnorm(quat_window(v, n))),) * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.one_of(st.tuples(*[st.integers(-5, 5)] * 6), st.tuples(*[small_rationals] * 6)))
+def test_the_unit_window_proof_agrees_with_the_per_n_comparison(values):
+    """The per-n comparison spinor_matrix made before its unit-window proof,
+    run here to nmax 30, holds wherever the check reports exact_pass."""
+    p, nmax = SeqParams(*values), 30
+    v = seq_slice(p, 0, nmax + 6)
+    assert verify_spinor_matrix_behavior(p, nmax).status is Status.EXACT_PASS
+    for n in range(nmax + 1):
+        assert breve(k_window(p, v, n)) == (p.s * breve(quat_window(v, n + 1))
+                                            + p.t * breve(quat_window(v, n)))
 
 
 def test_binet_reports():

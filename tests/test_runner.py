@@ -92,6 +92,11 @@ def _floored_norm(s):
     return _floored(spinor_norm(s))
 
 
+def _floored_k_window(p, v, n=0):
+    """Exact on integer terms, wrong on a Fraction one."""
+    return k_window(p, [math.floor(x) for x in v[n:n + 5]])
+
+
 # (identity, operation replaced, faulty replacement, expected span, witness
 # n, lhs, rhs, note). The expected strings were recorded before the runner
 # existed; those of the binet, genfunc and u_decomposition rows before the
@@ -104,16 +109,19 @@ def _floored_norm(s):
 # A negated mate or spinor_norm fails on the first basis element, [1; 0] or
 # e_0, and a window bumped by [1; 0] fails on the first unit window. The
 # sum_window and spinor_norm rows pin that summation and norm evaluate the
-# exported functions. spinor_matrix reads no Hamilton product: a shifted
-# k_window moves only its lhs, breve(K(n)), so it fails at n = 0, and a
-# swapped qmul fails the suite through triple_product alone. The
-# determinant's breve row was recorded before the spinor sides were
-# multiplied right to left and the windows were read once per check: it
-# pins that the witness stayed the same. The recurrence reads every window through spinor_window: a window
-# shifted by [1; 0] moves its lhs by one shift and its rhs by r+s+t = 3
-# shifts, so the check fails at n = 0. The determinant compares its spinor
-# side with a constant: a fault in either spinor-side primitive, sigma or
-# breve, moves its lhs at n = 0. matrix_power carries its product by the
+# exported functions. spinor_matrix is proved on the five unit term windows
+# (n < 5), then compares the windows at n <= 3 (5 <= n < 9). An affine breve
+# or a shifted k_window fails on the first unit window, (1, 0, 0, 0, 0): a
+# shifted k_window moves only its lhs, breve(K). spinor_matrix reads no
+# Hamilton product, so a swapped qmul fails the suite through triple_product
+# alone. The determinant's breve row was recorded before the spinor sides
+# were multiplied right to left and the windows were read once per check: it
+# pins that the witness stayed the same. The recurrence reads every window
+# through spinor_window: a window shifted by [1; 0] moves its lhs by one
+# shift and its rhs by r+s+t = 3 shifts, so the check fails at n = 0. The
+# determinant compares its spinor side with a constant: a fault in either
+# spinor-side primitive, sigma or breve, moves its lhs at n = 0. matrix_power
+# compares its whole window matrix at each n and carries its product by the
 # companion matrix from the window matrix at shift 0: shifting that window by
 # one gives the witness that a companion power shifted by one gave before.
 FAULTS = [
@@ -123,9 +131,9 @@ FAULTS = [
      "mate pairing: -1+0i", "1+0i", "polarization point (1, 0, 0, 0)"),
     ("matrix_power", "qv_window", _shifted_qv_window, (0, 10), 0,
      "entry(0,0)=(7, 13, 24, 44)", "entry(0,0)=(4, 7, 13, 24)", ""),
-    ("spinor_matrix", "breve", _affine_breve, (0, 10), 0,
-     "[[7+1i, 2-3i], [2+3i, -6+1i]]", "[[8+1i, 2-3i], [2+3i, -6+1i]]",
-     "middle-column linearity"),
+    ("spinor_matrix", "breve", _affine_breve, (0, 8), 0,
+     "[[1+1i, 0+0i], [0+0i, 0+1i]]", "[[2+1i, 0+0i], [0+0i, 0+1i]]",
+     "unit window (1, 0, 0, 0, 0)"),
     ("triple_product", "qmul", _swapped_qmul, (0, 79), 6,
      "[-1+0i; 0+0i]", "[1+0i; 0+0i]",
      "a=(1, 0, 0, 0), b=(0, 1, 0, 0), c=(0, 0, 1, 0)"),
@@ -158,9 +166,9 @@ FAULTS = [
      "conjugate pairing: -1+0i", "1+0i", "polarization point (1, 0, 0, 0)"),
     ("norm", "spinor_window", _bumped_window, (0, 17), 10,
      "[1+1i; 0+0i]", "[0+1i; 0+0i]", "unit window (1, 0, 0, 0)"),
-    ("spinor_matrix", "k_window", _shifted_k_window, (0, 10), 0,
-     "[[6+2i, 2-3i], [2+3i, -6+2i]]", "[[6+1i, 2-3i], [2+3i, -6+1i]]",
-     "middle-column linearity"),
+    ("spinor_matrix", "k_window", _shifted_k_window, (0, 8), 0,
+     "[[0+2i, 0+0i], [0+0i, 0+2i]]", "[[0+1i, 0+0i], [0+0i, 0+1i]]",
+     "unit window (1, 0, 0, 0, 0)"),
     ("determinant", "breve", _affine_breve, (0, 10), 0,
      "[-2+14i; 6-8i]", "[-4+4i; 4-4i]",
      "final index n+4: spinor side differs from reference"),
@@ -211,16 +219,40 @@ def test_triple_product_draws_catch_a_fault_exact_on_integers(monkeypatch):
 @pytest.mark.parametrize("ident, attr, faulty, basis", [
     ("conjugates", "complex_conjugate", _floored_conjugate, 4),
     ("norm", "spinor_norm", _floored_norm, 14),
+    ("spinor_matrix", "k_window", _floored_k_window, 5),
 ])
 def test_the_sets_windows_catch_a_fault_exact_on_integers(monkeypatch, ident, attr,
                                                           faulty, basis):
     # A floored operation is not linear or quadratic, yet agrees on every
-    # int basis element: only the windows of a rational set can find it.
+    # int basis element or unit window: only the windows of a rational set
+    # can find it.
     monkeypatch.setattr(identities, attr, faulty)
     assert run_identity(IdentityId(ident), TRIB, nmax=10).status is Status.EXACT_PASS
     report = run_identity(IdentityId(ident), RATIONAL, nmax=10)
     assert report.status is Status.FAIL
     assert report.witness.n == basis and report.note == "window n=0"
+
+
+def test_matrix_power_reports_the_first_differing_entry(monkeypatch):
+    # A product that goes wrong in one entry from its 20th step on: the
+    # window matrix at n = 20 differs from the carried product there alone,
+    # and the witness names that entry, after the five entries before it agree.
+    calls = []
+
+    def late_fault(rows, m):
+        calls.append(None)
+        product = quaternions.qv_right_multiply(rows, m)
+        if len(calls) < 20:
+            return product
+        row = product[1]
+        return product[0], (row[0], row[1], row[2] + ONE), product[2]
+
+    monkeypatch.setattr(identities, "qv_right_multiply", late_fault)
+    report = run_identity(IdentityId.MATRIX_POWER_SHIFT, TRIB, nmax=30)
+    assert report.status is Status.FAIL and report.span == (0, 30)
+    assert report.witness == (20, "entry(1,2)=(223318, 410744, 755476, 1389537)",
+                              "entry(1,2)=(223317, 410744, 755476, 1389537)")
+    assert report.note == ""
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])

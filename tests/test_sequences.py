@@ -334,7 +334,7 @@ def test_deep_jumps_match_the_forward_pass(values, starts):
                          ids=str)
 def test_companion_power_is_the_product_of_companion_matrices(values, nmax):
     """All nine entries of companion_power(p, n) equal C*C*...*C built by
-    forward mat_mul3 products, at n <= 64 and at nmax, in lowest terms."""
+    forward 3x3 products, at n <= 64 and at nmax, in lowest terms."""
     p = SeqParams(*values)
     step, power = companion_matrix(p), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for n in range(nmax + 1):
@@ -342,7 +342,8 @@ def test_companion_power_is_the_product_of_companion_matrices(values, nmax):
             got = companion_power(p, n)
             assert got == power
             assert_lowest_terms([x for row in got for x in row])
-        power = sequences.mat_mul3(power, step)
+        power = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*step))
+                      for row in power)
 
 
 @pytest.mark.parametrize("values", [SMOOTH_SET, SLOW_DENOMINATOR_SET, LARGE_PRIME_SET,
