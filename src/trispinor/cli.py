@@ -232,7 +232,7 @@ def _reports(args: argparse.Namespace, reports: list[VerificationReport]) -> tup
 def _check_nmax(args: argparse.Namespace, p: SeqParams, last: float = float("inf")) -> int:
     """--nmax, if it is in range and no term the checks read, V(0) to
     V(min(nmax, last) + 10), has a numerator or denominator of more than
-    MAX_OPERAND_BITS bits, last being their last window. The pass stops at the first."""
+    MAX_OPERAND_BITS bits, last bounding the windows they read. The pass stops at the first."""
     nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
     for n, v in enumerate(islice(_iter_terms(p), min(nmax, last) + 11)):
         bits = max(v.numerator.bit_length(), v.denominator.bit_length())
@@ -243,7 +243,7 @@ def _check_nmax(args: argparse.Namespace, p: SeqParams, last: float = float("inf
 
 def _cmd_verify(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     identity = IdentityId(args.identity)
-    nmax = _check_nmax(args, p, _REGISTRY[identity][-1])
+    nmax = _check_nmax(args, p, min(_REGISTRY[identity][3:]))  # the cap on nmax and the last window
     return _reports(args, [run_identity(identity, p, nmax=nmax, seed=args.seed, tol=args.tol)])
 
 

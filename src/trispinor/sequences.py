@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import cycle, islice
 from math import gcd, prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -127,14 +127,14 @@ def _strip(w: int, q: int, e: int) -> tuple[int, int]:
 def _rational_terms(p: SeqParams, n0: int) -> Iterator[Rational]:
     """The terms of a rational set from V(n0) on, as int numerators over powers
     of a coprime base of the denominators of t, s, r and the seeds. A jump reads
-    U(m) = L*D^m*V(m) (_int_window), D and L the least power products of the
-    base that make D*r, D^2*s, D^3*t and L*V(0..2) ints. No term takes a gcd
-    with its denominator: each base element is divided out while it divides,
-    and split (lowest) where it divides only in part."""
+    U(m) = L*D^m*V(m) for m = n0 .. n0+3 (_int_window, then one step), D and L
+    the least power products of the base that make D*r, D^2*s, D^3*t and
+    L*V(0..2) ints, and strips each base element from U(m) while it divides,
+    splitting one that divides only in part (lowest). Then _scaled_steps."""
     dens = [x.denominator for x in (p.t, p.s, p.r, *p[3:])]
     base = [2 if q & (q - 1) == 0 else q for q in _coprime_base(dens)]
     # Per base element (2 for a power of 2, so that D is least): its exponents in
-    # the denominators of t, s and r, the window's, oldest first, and the next's.
+    # the denominators of t, s and r, then in those of the window, oldest first.
     cols = [[_exponent(q, d) for d in dens] + [0] for q in base]
 
     def lowest(w: int, slot: int) -> tuple[int, int]:
@@ -154,7 +154,6 @@ def _rational_terms(p: SeqParams, n0: int) -> Iterator[Rational]:
                 return lowest(w, slot)
         return w, prod(q ** col[slot] for q, col in zip(base, cols))
 
-    kt, ks, kr, *window = (x.numerator for x in (p.t, p.s, p.r, *p[3:]))
     if n0:
         scale = [max(-(-col[0] // 3), -(-col[1] // 2), col[2]) for col in cols]
         seed_exps = [max(col[3:6]) for col in cols]
@@ -162,35 +161,64 @@ def _rational_terms(p: SeqParams, n0: int) -> Iterator[Rational]:
         scales = (d, d * d, d**3, big_l, big_l * d, big_l * d * d)
         u = [x.numerator * (m // x.denominator) for x, m in zip(p, scales)]
         window = _int_window(u[:3], u[3:], n0)
+        window.append(u[0] * window[2] + u[1] * window[1] + u[2] * window[0])
         for col, k, e in zip(cols, scale, seed_exps):
-            col[3:6] = (e + (n0 + j) * k for j in range(3))
-        for j in range(3):
-            window[j], den = lowest(window[j], 3 + j)
-            yield _lowest(window[j], den)
+            col[3:7] = (e + (n0 + j) * k for j in range(4))
+        for j in range(4):
+            window[j] = _lowest(*lowest(window[j], 3 + j))
+            yield window[j]
+        window, cols = window[1:], [col[:3] + col[4:] for col in cols]
     else:
-        den = p.v2.denominator
-        yield from p[3:]
-    (a, b, c), modulus = window, prod(base)
-    while True:
-        mt, ms, mr = kt, ks, kr
-        for q, col in zip(base, cols):
-            et, es, er, ea, eb, ec, _ = col
-            xa, xb, xc = et + ea, es + eb, er + ec
-            col[6] = top = max(xa, xb, xc)
-            mt, ms, mr = mt * q ** (top - xa), ms * q ** (top - xb), mr * q ** (top - xc)
-        w = mt * a + ms * b + mr * c
-        rest = w % modulus
-        for q, col in zip(base, cols):
-            while col[6] and rest % q == 0:
-                w, col[6] = w // q, col[6] - 1
-                rest = w % modulus
-            _, _, _, _, eb, ec, top = col
-            den = den * q ** (top - ec) if top >= ec else den // q ** (ec - top)
-            col[3:6] = eb, ec, top
-        if gcd(rest, modulus) > 1:
-            (w, den), modulus = lowest(w, 5), prod(base)
-        a, b, c = b, c, w
-        yield _lowest(w, den)
+        window = p[3:]
+        yield from window
+    yield from _scaled_steps(p, window, base, cols)
+
+
+def _scaled_steps(p: SeqParams, window: Sequence[Rational], base: list[int],
+                  cols: list[list[int]]) -> Iterator[Rational]:
+    """The terms of p after the window V(0..2), cols[i] holding the exponents of
+    base[i] in the denominators of t, s, r and the window. The window stays on
+    int as U(i) = L(i)*V(i), L(i) the product over the base of q^(ceil(k*i) + c):
+    k = max(e_r, e_s/2, e_t/3) is the steepest slope of the Newton polygon of
+    x^3 - r*x^2 - s*x - t at q (Koblitz, GTM 58, ch. IV), kept in sixths, and c
+    the least offset that makes U(0..2) ints, so that U's multipliers are ints
+    of period 1, 2, 3 or 6. Residues modulo a power of the base below 2^30 give
+    each term's gcd with its scale: only a gcd above 1 divides the term, and the
+    part of it that the window's three terms share divides the window."""
+    sixths = [max(6 * er, 3 * es, 2 * et) for et, es, er, *_ in cols]
+    # growth[i] is L(i) / L(i - 1) for i mod 6, and scales are L(0..2).
+    growth, scales = [1] * 6, [1, 1, 1]
+    for q, k, col in zip(base, sixths, cols):
+        up = [-(-k * i // 6) for i in range(-1, 6)]  # ceil(k*i) from i = -1
+        offset = max(col[3] - up[1], col[4] - up[2], col[5] - up[3])
+        for i in range(6):
+            growth[i] *= q ** (up[i + 1] - up[i])
+        for j in range(3):
+            scales[j] *= q ** (up[j + 1] + offset)
+    a, b, c = [x.numerator * (m // x.denominator) for x, m in zip(window, scales)]
+    r, s, t, scale = *p[:3], scales[2]
+    steps = []
+    for i in (3, 4, 5, 0, 1, 2)[:6 // gcd(6, *sixths)]:  # the multipliers' period
+        g0, g1, g2 = growth[i], growth[i - 1], growth[i - 2]
+        steps.append((r.numerator * g0 // r.denominator, s.numerator * g0 * g1 // s.denominator,
+                      t.numerator * g0 * g1 * g2 // t.denominator, g0))
+    root = prod(base)
+    modulus = root ** max(1, 29 // (root - 1).bit_length())
+    ar, br, cr, sr = a % modulus, b % modulus, c % modulus, scale % modulus
+    for mr, ms, mt, ml in cycle(steps):
+        a, b, c = b, c, mr * c + ms * b + mt * a
+        ar, br, cr = br, cr, (mr * cr + ms * br + mt * ar) % modulus
+        scale, sr = scale * ml, sr * ml % modulus
+        g, num, den = gcd(cr, sr, modulus), c, scale
+        if g > 1 and (h := gcd(g, ar, br)) > 1:
+            a, b, c, scale = a // h, b // h, c // h, scale // h
+            ar, br, cr, sr = a % modulus, b % modulus, c % modulus, scale % modulus
+            g, num, den = gcd(cr, sr, modulus), c, scale
+        while g > 1:
+            num, den = num // g, den // g
+            # g is the whole gcd unless it holds all of modulus's power of a prime.
+            g = 1 if modulus % (g * root) == 0 else gcd(num % modulus, den % modulus, modulus)
+        yield _lowest(num, den)
 
 
 def _lowest(w: int, den: int) -> Rational:

@@ -148,6 +148,18 @@ def test_verify_bounds_only_the_terms_its_identity_reads():
         2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(397) has 131217\n")
 
 
+def test_verify_bounds_binet_by_the_nmax_cap():
+    """run_identity caps binet at nmax 30: verify sizes V(0) to V(40) and runs,
+    while suite still sizes every term to V(nmax+10)."""
+    params = "9" * 100 + ",1,1,0,1,1"
+    start = time.perf_counter()
+    code, out, err = run(["verify", "--identity", "binet", "--nmax", "1000", "--params", params])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "") and out.startswith("binet") and "n=[0..30]" in out
+    assert run(["suite", "--nmax", "1000", "--params", params]) == (
+        2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(397) has 131217\n")
+
+
 def _cap_memory():
     # Before the bound, 1e99999999999 built a 41 GB integer: fail instead.
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -243,7 +243,8 @@ SHARED_DENOMINATORS = [6, 12, 36, 30, 2 * 1031, 1031 * 1033, (10**12 + 39) * (10
 SEED_DENOMINATORS = SHARED_DENOMINATORS + [1031**1427]
 
 
-# Six denominators 6: V(3) = 3/36 = 1/12 shares only 3 with 6, which splits the base {6}.
+# Six denominators 6: V(3) = 3/36 = 1/12 shares only 3 with 6. A jump splits the
+# base {6} to reduce it; a step divides it by its gcd with the scale.
 SIXES_SET = (Fraction(1, 6),) * 6
 
 
@@ -280,8 +281,45 @@ def test_a_base_element_that_divides_a_term_in_part_is_split(monkeypatch):
         return base
 
     monkeypatch.setattr(sequences, "_coprime_base", recording)
-    assert seq_slice(SeqParams(*SIXES_SET), 0, 20) == oracle_terms(SIXES_SET, 20)
+    p, want = SeqParams(*SIXES_SET), oracle_terms(SIXES_SET, 20)
+    jumped = seq_slice(p, 3, 17)
     assert bases == [[6], [2, 3]]
+    from_zero = seq_slice(p, 0, 20)
+    assert jumped == want[3:] and from_zero == want
+    assert_lowest_terms(jumped + from_zero)
+
+
+@given(values=st.lists(st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                                  st.sampled_from([1, 2, 3, 4, 6, 9, 12, LARGE_PRIME])),
+                       min_size=6, max_size=6),
+       n0=st.sampled_from([0, 1, 7, 60]), length=st.integers(min_value=0, max_value=30))
+def test_slices_match_the_fraction_recurrence_term_types_included(values, n0, length):
+    """After the seeds or a jump, each step's term equals the plain recurrence:
+    an int when integral, else a Fraction in lowest terms."""
+    want = oracle_terms(values, n0 + length)[n0:]
+    got = seq_slice(SeqParams(*values), n0, length)
+    assert got == want
+    assert [type(x) for x in got] == [int if x.denominator == 1 else Fraction for x in want]
+    assert_lowest_terms(got)
+
+
+# Sets whose scale can run ahead of their denominators. r = 4/3 and s = -1/3 give
+# 3 the slope 1: every term of the first set is 1, so only the window divisions
+# keep its terms from growing as 3^n; the second set's terms tend to 13/12, as
+# 3^-n. On the third the jump's D = 3 outgrows its denominators, 3^(n/3).
+@pytest.mark.parametrize("values", [(Fraction(4, 3), Fraction(-1, 3), 0, 1, 1, 1),
+                                    (Fraction(4, 3), Fraction(-1, 3), 0, Fraction(1, 6),
+                                     Fraction(5, 6), 1),
+                                    (1, 1, Fraction(1, 3), 0, 1, 1)], ids=str)
+def test_a_slice_whose_scale_outgrows_its_denominators_stays_linear(values):
+    """The window is divided once its three terms share a factor with the
+    scale, so that 4,000 terms take milliseconds, not seconds."""
+    p = SeqParams(*values)
+    start = time.perf_counter()
+    forward = seq_slice(p, 0, 4000)
+    assert time.perf_counter() - start < 0.5
+    assert forward[:60] == oracle_terms(values, 60) and forward[-3:] == seq_slice(p, 3997, 3)
+    assert_lowest_terms(forward)
 
 
 SMOOTH_SET = (Fraction(4, 3), Fraction(5, 4), 5, Fraction(3, 2), Fraction(-3, 4), Fraction(1, 4))
