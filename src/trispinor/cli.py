@@ -37,8 +37,8 @@ MAX_TERMS = 10_000
 # VM, the median of 6 fresh processes (each 0.36-0.56 s).
 MAX_CHECK_NMAX = 1_000
 # Largest bit size of a numerator or denominator among the terms a check
-# reads; verify --identity binet --params 1e400,1,1,0,1,1 reaches 77k bits at
-# the default nmax.
+# reads; suite --params 1e400,1,1,0,1,1 reads V(60), 77,069 bits, at the default
+# nmax, and verify --identity binet, bounded by its cap, V(40), 50,494 bits.
 MAX_OPERAND_BITS = 1 << 17
 
 

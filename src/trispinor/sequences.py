@@ -62,20 +62,39 @@ def _iter_terms(p: SeqParams, n0: int = 0) -> Iterator[Rational]:
     """Terms from V(n0) on, on int for every set, each an int when integral and
     a Fraction in lowest terms otherwise. Only a start past 0 jumps."""
     if Fraction not in map(type, p):
-        return _direct_terms(p, *(_int_window(p[:3], p[3:], n0) if n0 else p[3:]))
+        return _direct_terms(p, *(_jump([p[:3]], p[3:], n0) if n0 else p[3:]))
     return _rational_terms(p, n0)
 
 
-def _int_window(coefs: Sequence[int], seeds: Sequence[int], n: int) -> list[int]:
-    """U(n), U(n+1), U(n+2) of the int recurrence with coefficients coefs and
-    seeds U(0), U(1), U(2): two steps to U(4), then three dot products with
-    the residue of x^n (_power_residue)."""
-    r, s, t = coefs
-    u0, u1, u2 = seeds
-    u3 = r * u2 + s * u1 + t * u0
-    u4 = r * u3 + s * u2 + t * u1
-    b0, b1, b2 = _power_residue(coefs, n)
-    return [b0 * u0 + b1 * u1 + b2 * u2, b0 * u1 + b1 * u2 + b2 * u3, b0 * u2 + b1 * u3 + b2 * u4]
+def _jump(steps: Sequence[Sequence[int]], seeds: Sequence[int], n: int) -> list[int]:
+    """U(n), U(n+1), U(n+2) of the int recurrence with seeds U(0), U(1), U(2)
+    whose step to U(x+3) multiplies U(x+2), U(x+1), U(x) by steps[x % P], P the
+    period len(steps). For n = P*m + j the window at n is b0*W(j) + b1*W(j+P) +
+    b2*W(j+2P), W(x) the window at x, 2P + j steps from the seeds: (b0, b1, b2)
+    is the residue of x^m (_power_residue) modulo the characteristic polynomial
+    of one period's product (Cayley-Hamilton), whose coefficients are its trace,
+    minus the sum of its principal 2x2 minors and the product of the t multipliers.
+    For P = 1 they are the step's own multipliers."""
+    period = len(steps)
+    m, j = divmod(n, period)
+    u = [*seeds]
+    for x in range(j + 2 * period):
+        mr, ms, mt = steps[x % period]
+        u.append(mr * u[-1] + ms * u[-2] + mt * u[-3])
+    poly = steps[0]
+    if period > 1:
+        cols = []  # one period on from each unit window: the columns of the product
+        for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            for mr, ms, mt in steps:
+                w = w[1], w[2], mr * w[2] + ms * w[1] + mt * w[0]
+            cols.append(w)
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols
+        minors = a0 * b1 - a1 * b0 + a0 * c2 - a2 * c0 + b1 * c2 - b2 * c1
+        poly = a0 + b1 + c2, -minors, prod(step[2] for step in steps)
+    b0, b1, b2 = _power_residue(poly, m)
+    k, l = j + period, j + 2 * period
+    return [b0 * u[j] + b1 * u[k] + b2 * u[l], b0 * u[j + 1] + b1 * u[k + 1] + b2 * u[l + 1],
+            b0 * u[j + 2] + b1 * u[k + 2] + b2 * u[l + 2]]
 
 
 def _direct_terms(p: SeqParams, a: Rational, b: Rational, c: Rational) -> Iterator[Rational]:
@@ -125,100 +144,73 @@ def _strip(w: int, q: int, e: int) -> tuple[int, int]:
 
 
 def _rational_terms(p: SeqParams, n0: int) -> Iterator[Rational]:
-    """The terms of a rational set from V(n0) on, as int numerators over powers
-    of a coprime base of the denominators of t, s, r and the seeds. A jump reads
-    U(m) = L*D^m*V(m) for m = n0 .. n0+3 (_int_window, then one step), D and L
-    the least power products of the base that make D*r, D^2*s, D^3*t and
-    L*V(0..2) ints, and strips each base element from U(m) while it divides,
-    splitting one that divides only in part (lowest). Then _scaled_steps."""
+    """The terms of a rational set from V(n0) on. The window stays on int as
+    U(i) = L(i)*V(i), L(i) the product over a coprime base of the denominators
+    of t, s, r and the seeds of q^(ceil(k*i) + c): k = max(e_r, e_s/2, e_t/3) is
+    the steepest slope of the Newton polygon of x^3 - r*x^2 - s*x - t at q
+    (Koblitz, GTM 58, ch. IV), kept in sixths, and c the least offset that makes
+    U(0..2) ints, so that U's multipliers are ints of period 1, 2, 3 or 6. A
+    start past 0 jumps there (_jump) and divides the window by the part its three
+    terms share with L(n0): their gcd with the modulus below, or, if that may hide
+    more, each q's power up to its exponent in L(n0) (_strip). Residues modulo a
+    power of the base below 2^30 give each term's gcd with its scale: only a gcd
+    above 1 divides the term, and the part of it that the window's three terms
+    share divides the window."""
     dens = [x.denominator for x in (p.t, p.s, p.r, *p[3:])]
+    # A power of 2 is taken as 2, so that its slope is finest.
     base = [2 if q & (q - 1) == 0 else q for q in _coprime_base(dens)]
-    # Per base element (2 for a power of 2, so that D is least): its exponents in
-    # the denominators of t, s and r, then in those of the window, oldest first.
-    cols = [[_exponent(q, d) for d in dens] + [0] for q in base]
-
-    def lowest(w: int, slot: int) -> tuple[int, int]:
-        """w and the denominator whose exponents are in slot, in lowest terms. A
-        base element q that shares just a part g with w gives way to the base of g, q/g."""
-        rest = w % prod(base)
-        for i, q in enumerate(base):
-            col = cols[i]
-            if col[slot] and rest % q == 0:
-                w, col[slot] = _strip(w, q, col[slot])
-                rest = w % prod(base)
-            part = gcd(rest, q) if col[slot] else 1
-            if part > 1:
-                xs = _coprime_base([part, q // part])
-                base[i:i + 1] = xs
-                cols[i:i + 1] = ([_exponent(x, q) * e for e in col] for x in xs)
-                return lowest(w, slot)
-        return w, prod(q ** col[slot] for q, col in zip(base, cols))
-
-    if n0:
-        scale = [max(-(-col[0] // 3), -(-col[1] // 2), col[2]) for col in cols]
-        seed_exps = [max(col[3:6]) for col in cols]
-        d, big_l = (prod(q**e for q, e in zip(base, x)) for x in (scale, seed_exps))
-        scales = (d, d * d, d**3, big_l, big_l * d, big_l * d * d)
-        u = [x.numerator * (m // x.denominator) for x, m in zip(p, scales)]
-        window = _int_window(u[:3], u[3:], n0)
-        window.append(u[0] * window[2] + u[1] * window[1] + u[2] * window[0])
-        for col, k, e in zip(cols, scale, seed_exps):
-            col[3:7] = (e + (n0 + j) * k for j in range(4))
-        for j in range(4):
-            window[j] = _lowest(*lowest(window[j], 3 + j))
-            yield window[j]
-        window, cols = window[1:], [col[:3] + col[4:] for col in cols]
-    else:
-        window = p[3:]
-        yield from window
-    yield from _scaled_steps(p, window, base, cols)
-
-
-def _scaled_steps(p: SeqParams, window: Sequence[Rational], base: list[int],
-                  cols: list[list[int]]) -> Iterator[Rational]:
-    """The terms of p after the window V(0..2), cols[i] holding the exponents of
-    base[i] in the denominators of t, s, r and the window. The window stays on
-    int as U(i) = L(i)*V(i), L(i) the product over the base of q^(ceil(k*i) + c):
-    k = max(e_r, e_s/2, e_t/3) is the steepest slope of the Newton polygon of
-    x^3 - r*x^2 - s*x - t at q (Koblitz, GTM 58, ch. IV), kept in sixths, and c
-    the least offset that makes U(0..2) ints, so that U's multipliers are ints
-    of period 1, 2, 3 or 6. Residues modulo a power of the base below 2^30 give
-    each term's gcd with its scale: only a gcd above 1 divides the term, and the
-    part of it that the window's three terms share divides the window."""
-    sixths = [max(6 * er, 3 * es, 2 * et) for et, es, er, *_ in cols]
-    # growth[i] is L(i) / L(i - 1) for i mod 6, and scales are L(0..2).
-    growth, scales = [1] * 6, [1, 1, 1]
-    for q, k, col in zip(base, sixths, cols):
-        up = [-(-k * i // 6) for i in range(-1, 6)]  # ceil(k*i) from i = -1
-        offset = max(col[3] - up[1], col[4] - up[2], col[5] - up[3])
+    # growth[i] is L(i + 1) / L(i) for i mod 6, seeds L(0..2), and caps the
+    # base's exponents in L(n0).
+    growth, seeds, caps, sixths = [1] * 6, [1, 1, 1], [], []
+    for q in base:
+        et, es, er, e0, e1, e2 = [_exponent(q, d) for d in dens]
+        k = max(6 * er, 3 * es, 2 * et)
+        up = [-(-k * i // 6) for i in range(7)]  # ceil(k*i)
+        offset = max(e0, e1 - up[1], e2 - up[2])
         for i in range(6):
             growth[i] *= q ** (up[i + 1] - up[i])
         for j in range(3):
-            scales[j] *= q ** (up[j + 1] + offset)
-    a, b, c = [x.numerator * (m // x.denominator) for x, m in zip(window, scales)]
-    r, s, t, scale = *p[:3], scales[2]
-    steps = []
-    for i in (3, 4, 5, 0, 1, 2)[:6 // gcd(6, *sixths)]:  # the multipliers' period
-        g0, g1, g2 = growth[i], growth[i - 1], growth[i - 2]
-        steps.append((r.numerator * g0 // r.denominator, s.numerator * g0 * g1 // s.denominator,
-                      t.numerator * g0 * g1 * g2 // t.denominator, g0))
+            seeds[j] *= q ** (up[j] + offset)
+        caps.append(-(-k * n0 // 6) + offset)
+        sixths.append(k)
+    r, s, t = p[:3]
+    steps = []  # steps[x] makes U(i + 3) from U(i) for i = x mod the multipliers' period
+    for x in range(6 // gcd(6, *sixths)):
+        g0, g1, g2 = growth[x], growth[(x + 1) % 6], growth[(x + 2) % 6]
+        steps.append((r.numerator * g2 // r.denominator, s.numerator * g1 * g2 // s.denominator,
+                      t.numerator * g0 * g1 * g2 // t.denominator))
+    window = [x.numerator * (m // x.denominator) for x, m in zip(p[3:], seeds)]
+    scale = prod(q**e for q, e in zip(base, caps))
     root = prod(base)
     modulus = root ** max(1, 29 // (root - 1).bit_length())
+    a, b, c = _jump(steps, window, n0) if n0 else window
     ar, br, cr, sr = a % modulus, b % modulus, c % modulus, scale % modulus
-    for mr, ms, mt, ml in cycle(steps):
-        a, b, c = b, c, mr * c + ms * b + mt * a
-        ar, br, cr = br, cr, (mr * cr + ms * br + mt * ar) % modulus
-        scale, sr = scale * ml, sr * ml % modulus
-        g, num, den = gcd(cr, sr, modulus), c, scale
-        if g > 1 and (h := gcd(g, ar, br)) > 1:
+    if modulus % (gcd(ar, br, cr, sr, modulus) * root):
+        # The window may share more with its scale than the residues show, as
+        # after a jump: strip each q from its terms up to its exponent in L(n0).
+        shared = 1
+        for q, e in zip(base, caps):
+            for w in a, b, c:
+                if e:
+                    e -= _strip(w, q, e)[1]
+            shared *= q**e
+        a, b, c, scale = a // shared, b // shared, c // shared, scale // shared
+        ar, br, cr, sr = a % modulus, b % modulus, c % modulus, scale % modulus
+    for (mr, ms, mt), ml in islice(cycle(zip(steps, growth)), n0 % len(steps), None):
+        g = gcd(ar, sr, modulus)
+        if g > 1 and (h := gcd(g, br, cr)) > 1:
             a, b, c, scale = a // h, b // h, c // h, scale // h
             ar, br, cr, sr = a % modulus, b % modulus, c % modulus, scale % modulus
-            g, num, den = gcd(cr, sr, modulus), c, scale
+            g = gcd(ar, sr, modulus)
+        num, den = a, scale
         while g > 1:
             num, den = num // g, den // g
             # g is the whole gcd unless it holds all of modulus's power of a prime.
             g = 1 if modulus % (g * root) == 0 else gcd(num % modulus, den % modulus, modulus)
         yield _lowest(num, den)
+        a, b, c = b, c, mr * c + ms * b + mt * a
+        ar, br, cr = br, cr, (mr * cr + ms * br + mt * ar) % modulus
+        scale, sr = scale * ml, sr * ml % modulus
 
 
 def _lowest(w: int, den: int) -> Rational:
