@@ -33,8 +33,8 @@ from .spinors import trib_spinor
 # Largest --index, --order and term --nmax: genfunc --order 10000 takes 2.3-2.5 s
 # on a 2-core x86-64 VM (Intel Xeon, CPython 3.11.7; 6 fresh processes).
 MAX_TERMS = 10_000
-# Largest verify/suite --nmax: the tribonacci suite at 1000 takes 0.4 s on the same
-# VM, the median of 6 fresh processes (each 0.36-0.56 s).
+# Largest verify/suite --nmax: the tribonacci suite at 1000 takes 0.16 s on the same
+# VM, the median of 7 fresh processes (each 0.13-0.19 s).
 MAX_CHECK_NMAX = 1_000
 # Largest bit size of a numerator or denominator among the terms a check
 # reads; suite --params 1e400,1,1,0,1,1 reads V(60), 77,069 bits, at the default
@@ -243,7 +243,9 @@ def _check_nmax(args: argparse.Namespace, p: SeqParams, last: float = float("inf
 
 def _cmd_verify(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     identity = IdentityId(args.identity)
-    nmax = _check_nmax(args, p, min(_REGISTRY[identity][3:]))  # the cap on nmax and the last window
+    # By name: a sequence check's order bounds what it proves, not what it reads.
+    entry = _REGISTRY[identity]
+    nmax = _check_nmax(args, p, min(entry.cap, entry.last))
     return _reports(args, [run_identity(identity, p, nmax=nmax, seed=args.seed, tol=args.tol)])
 
 

@@ -42,7 +42,7 @@ from .quaternions import (
     u_companion,
     u_window,
 )
-from .sequences import TRIBONACCI, SeqParams, companion_matrix, seq_slice
+from .sequences import TRIBONACCI, SeqParams, companion_matrix, companion_power, seq_slice
 from .spinors import (
     C,
     Spinor,
@@ -154,19 +154,24 @@ def _run(identity: IdentityId, checks: Iterator[Comparison], p: SeqParams | None
             return VerificationReport(identity, p, span, Status.FAIL, witness, note)
 
 
-# IdentityId -> (verify function, its parameter names, smallest nmax it
-# accepts, largest nmax run_identity passes to it, last window it compares)
-_REGISTRY: dict[IdentityId, tuple[Callable, tuple, int, float, float]] = {}
+# A registered check: its verify function, its parameter names, the smallest
+# nmax it accepts, the largest nmax run_identity passes to it, the last window
+# it compares and, for a sequence check, its order.
+_Entry = NamedTuple("_Entry", [("verify", Callable), ("names", tuple), ("least", int),
+                               ("cap", float), ("last", float), ("order", "int | None")])
+_REGISTRY: dict[IdentityId, _Entry] = {}
 
 
 def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
-              passed: Status = Status.EXACT_PASS, basis: int = 0, last: float = math.inf):
+              passed: Status = Status.EXACT_PASS, basis: int = 0, last: float = math.inf,
+              order: int | None = None):
     """Register a comparison generator as the check of `identity` and return
     it bound to the runner, as the public verify function.
 
     The generator numbers its comparisons from 0: first `basis` of them on a
     fixed basis, then its seeded draws, or else the windows at n up to
-    min(nmax, last). The report's span covers them all."""
+    min(nmax, last); a sequence check of the given order compares only the
+    indices _depth picks among them. The report's span covers them all."""
     def register(gen: Callable[..., Iterator[Comparison]]):
         @functools.wraps(gen)
         def verify(*args, **kwargs) -> VerificationReport:
@@ -179,20 +184,42 @@ def _register(identity: IdentityId, *, least: int = 0, cap: float = math.inf,
             return _run(identity, checks, a.get("p"), span, passed)
 
         names = gen.__code__.co_varnames[:gen.__code__.co_argcount]
-        _REGISTRY[identity] = (verify, names, least, cap, last)
+        _REGISTRY[identity] = _Entry(verify, names, least, cap, last, order)
         return verify
     return register
 
 
-@_register(IdentityId.SPINOR_RECURRENCE, least=3)
+# The two sides of a sequence check are polynomials in window terms, so for a
+# fixed p their difference obeys a linear recurrence of an order d known in
+# advance: 3 if linear, one more for a partial sum or a constant, 10 for degree
+# 3 (Kauers & Paule, The Concrete Tetrahedron, ch. 4). If it vanishes at
+# n < d, it vanishes at every n. A guard at the last n reads the deepest window.
+_LINEAR_ORDER = 3
+_SUM_ORDER = 4  # summation: a partial sum, and a constant
+_DET_ORDER = 11  # the determinant: degree 3, and a constant
+
+
+def _depth(order: int, last: int) -> tuple[list[int], str]:
+    """The indices a sequence check of this order compares up to last, n < order
+    and the guard at last, or only 0..last if last < order; and its note."""
+    proof = f"n=0..{order - 1} prove every n"
+    if last < order:
+        return [*range(last + 1)], f"order {order}: only [0..{last}] compared; {proof}"
+    return [*range(order), last], f"order {order}: {proof}; guard at n={last}"
+
+
+@_register(IdentityId.SPINOR_RECURRENCE, least=3, order=_LINEAR_ORDER)
 def verify_spinor_recurrence(p: SeqParams, nmax: int) -> Iterator[Comparison]:
-    """A(n+3) = r*A(n+2) + s*A(n+1) + t*A(n), exact, for all windows up to nmax."""
+    """A(n+3) = r*A(n+2) + s*A(n+1) + t*A(n), exact, up to the last window
+    A(nmax): the guard is at n = nmax-3."""
     v = seq_slice(p, 0, nmax + 4)
-    for n in range(nmax - 2):
+    indices, note = _depth(_LINEAR_ORDER, nmax - 3)
+    for n in indices:
         yield Comparison(n, spinor_window(v, n + 3),
                          p.r * spinor_window(v, n + 2)
                          + p.s * spinor_window(v, n + 1)
                          + p.t * spinor_window(v, n))
+    return note
 
 
 # The basis spinors [1; 0], [i; 0], [0; 1] and [0; i], on int.
@@ -309,14 +336,16 @@ def verify_binet(p: SeqParams, nmax: int, tol: float = 1e-9) -> Iterator[Compari
     return f"max relative error {worst:.3e} at n={worst_n} (tol {tol:.1e})"
 
 
-@_register(IdentityId.GENFUNC_AGREEMENT)
+@_register(IdentityId.GENFUNC_AGREEMENT, order=_LINEAR_ORDER)
 def verify_genfunc_agreement(p: SeqParams, nmax: int) -> Iterator[Comparison]:
-    """Power-series coefficients of the rational generating function equal
-    the directly iterated spinors, exactly."""
+    """Power-series coefficients of the rational generating function, by long
+    division to nmax, equal the directly iterated spinors, exactly."""
     series = genfunc_spinor_series(p, nmax + 1)
     v = seq_slice(p, 0, nmax + 4)
-    for k in range(nmax + 1):
+    indices, note = _depth(_LINEAR_ORDER, nmax)
+    for k in indices:
         yield Comparison(k, series[k], spinor_window(v, k))
+    return note
 
 
 # The 64 triples of the basis quaternions 1, i, j, k, the last one varying fastest.
@@ -354,14 +383,6 @@ def verify_triple_product_map(seed: int, trials: int = TRIALS) -> Iterator[Compa
     return f"{len(_BASIS_TRIPLES)} basis triples and {trials} random triples, seed {seed}"
 
 
-def _windows(p: SeqParams, v: list[Rational], count: int) -> tuple[list, list, list, list]:
-    """Q(m), K(m) = s*Q(m+1) + t*Q(m), breve(Q(m)) and breve(K(m)) for m below
-    count, each read once off a list v of at least count + 4 terms from V(0)."""
-    q = [quat_window(v, m) for m in range(count)]
-    k = [k_window(p, v, m) for m in range(count)]
-    return q, k, [breve(x) for x in q], [breve(x) for x in k]
-
-
 @_register(IdentityId.SPINOR_MATRIX_BEHAVIOR, basis=len(_UNIT_K_WINDOWS), last=_LAST_WINDOW)
 def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """The 2x2-matrix image of the window matrix keeps its middle column's
@@ -381,9 +402,10 @@ def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> Iterator[Compariso
                          p.s * breve(quat_window(u, 1)) + p.t * breve(quat_window(u)),
                          note=f"unit window {u}")
     last = min(nmax, _LAST_WINDOW)
-    _, _, breve_q, breve_k = _windows(p, seq_slice(p, 0, last + 6), last + 2)
+    v = seq_slice(p, 0, last + 6)
+    breve_q = [breve(quat_window(v, m)) for m in range(last + 2)]
     for n in range(last + 1):
-        yield Comparison(len(_UNIT_K_WINDOWS) + n, breve_k[n],
+        yield Comparison(len(_UNIT_K_WINDOWS) + n, breve(k_window(p, v, n)),
                          p.s * breve_q[n + 1] + p.t * breve_q[n], note=f"window n={n}")
     return f"{len(_UNIT_K_WINDOWS)} unit windows and the windows on [0..{last}]"
 
@@ -409,16 +431,13 @@ def _det_combine(terms: list):
     return terms[0] + terms[1] + terms[2] - terms[3] - terms[4] - terms[5]
 
 
-def _det_spinor(windows: tuple[list, list, list, list], n: int, inner: dict) -> Spinor:
-    """The spinor side of the combination at shift n, read off the windows of
-    the first n + 5 shifts. The products are taken right to left; inner keeps
-    each breve(K(b)) @ sigma(Q(c)) by (b, c), since a shift repeats two of the
-    six its predecessor took."""
-    q, _, breve_q, breve_k = windows
-    for _, db, dc in _DET_TERMS:
-        if (n + db, n + dc) not in inner:
-            inner[n + db, n + dc] = breve_k[n + db] @ sigma(q[n + dc])
-    return _det_combine([breve_q[n + da] @ inner[n + db, n + dc] for da, db, dc in _DET_TERMS])
+def _det_spinor(p: SeqParams, v: list[Rational], n: int) -> Spinor:
+    """The spinor side of the combination at shift n, read off a list v of
+    terms from V(0); each product is taken right to left."""
+    q = [quat_window(v, n + m) for m in range(5)]
+    breve_q = [breve(x) for x in q]
+    breve_k = [breve(k_window(p, v, n + m)) for m in range(3)]
+    return _det_combine([breve_q[da] @ (breve_k[db] @ sigma(q[dc])) for da, db, dc in _DET_TERMS])
 
 
 def determinant_combination_values(p: SeqParams, n: int) -> tuple[Spinor, Quaternion]:
@@ -428,37 +447,39 @@ def determinant_combination_values(p: SeqParams, n: int) -> tuple[Spinor, Quater
     Hamilton products of the windows. The two sides satisfy
     spinor = -sigma(quaternion).
     """
-    windows = _windows(p, seq_slice(p, 0, n + 10), n + 5)
-    q, k = windows[:2]
-    quat = _det_combine([qmul(qmul(q[n + da], k[n + db]), q[n + dc])
-                         for da, db, dc in _DET_TERMS])
-    return _det_spinor(windows, n, {}), quat
+    v = seq_slice(p, 0, n + 10)
+    quat = _det_combine([qmul(qmul(quat_window(v, n + da), k_window(p, v, n + db)),
+                              quat_window(v, n + dc)) for da, db, dc in _DET_TERMS])
+    return _det_spinor(p, v, n), quat
 
 
-@_register(IdentityId.DETERMINANT_COMBINATION)
+@_register(IdentityId.DETERMINANT_COMBINATION, order=_DET_ORDER)
 def verify_determinant_combination(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """The paper's Cassini-like formula for tribonacci: the six-term
     determinant-style combination of window matrices, its fifth term's final
-    index read as n+4, has the spinor side 4*[-1+i; 1-i] for every n <= nmax."""
+    index read as n+4, has the spinor side 4*[-1+i; 1-i] for every n."""
     if p != TRIBONACCI:
         raise UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"
         )
-    windows, inner = _windows(p, seq_slice(p, 0, nmax + 10), nmax + 5), {}
-    for n in range(nmax + 1):
-        yield Comparison(n, _det_spinor(windows, n, inner), _DET_REFERENCE,
+    v = seq_slice(p, 0, nmax + 10)
+    indices, note = _depth(_DET_ORDER, nmax)
+    for n in indices:
+        yield Comparison(n, _det_spinor(p, v, n), _DET_REFERENCE,
                          note="final index n+4: spinor side differs from reference")
-    return f"final index n+4: spinor side equals reference {_DET_REFERENCE} on [0..{nmax}]"
+    return f"final index n+4: spinor side equals reference {_DET_REFERENCE}; {note}"
 
 
-@_register(IdentityId.SUMMATION_CLOSED_FORM)
+@_register(IdentityId.SUMMATION_CLOSED_FORM, order=_SUM_ORDER)
 def verify_summation(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """delta * (A(0) + ... + A(n)) = A(n+2) + (1-r)*A(n+1) + t*A(n) + c,
     checked against the direct running sum for both candidate constants:
     the sigma image of the quaternion correction omega, and the alternative
     seed-window vector. The right side is sigma of sum_window, the closed
-    form quat_partial_sum evaluates. Status reflects the sigma(omega)
-    candidate; the outcome for both is recorded in the note."""
+    form quat_partial_sum evaluates, and the running sum runs to nmax. Each
+    candidate is of order 4, so its first mismatch, if any, lies at n <= 3.
+    Status reflects the sigma(omega) candidate; the outcome for both is
+    recorded in the note."""
     corr = summation_correction(p)
     if corr.delta == 0:
         raise DegenerateDelta()
@@ -466,52 +487,57 @@ def verify_summation(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     derived = sigma(corr.omega)
     stated = spinor_window([rat((p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2])
                             for j in range(4)])
-    # (scaled running sum, closed form without its constant) for every n
-    sides: list[tuple[Spinor, Spinor]] = []
-    running = Spinor(GaussScalar(0), GaussScalar(0))
-    for n in range(nmax + 1):
-        running = running + spinor_window(v, n)
-        sides.append((corr.delta * running, sigma(sum_window(p, v, n))))
+    running = list(itertools.accumulate(spinor_window(v, n) for n in range(nmax + 1)))
+    indices, depth_note = _depth(_SUM_ORDER, nmax)
+    # (n, scaled running sum, closed form without its constant) at each compared n
+    sides = [(n, corr.delta * running[n], sigma(sum_window(p, v, n))) for n in indices]
     # The seed-window candidate is data: its first mismatch goes in the note.
-    miss = next((n for n, (lhs, base) in enumerate(sides) if lhs != base + stated), None)
+    miss = next((n for n, lhs, base in sides if lhs != base + stated), None)
     stated_text = (
         f"seed-window constant {stated}: also exact" if miss is None
         else f"seed-window constant {stated}: first mismatch at n={miss}"
     )
     note = f"sigma(omega) constant {derived} fails; {stated_text}"
-    for n, (lhs, base) in enumerate(sides):
+    for n, lhs, base in sides:
         yield Comparison(n, lhs, base + derived, note=note)
-    return f"sigma(omega) constant {derived}: exact on [0..{nmax}]; {stated_text}"
+    return f"sigma(omega) constant {derived}: exact; {depth_note}; {stated_text}"
 
 
-@_register(IdentityId.U_DECOMPOSITION)
+@_register(IdentityId.U_DECOMPOSITION, order=_LINEAR_ORDER)
 def verify_u_decomposition(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """The companion-sequence combination reproduces the window quaternion
     two steps ahead: quat_u_decomposition(p, n) = Q(n+2), exactly."""
     v = seq_slice(p, 0, nmax + 6)
     u = seq_slice(u_companion(p), 0, nmax + 3)
-    for n in range(nmax + 1):
+    indices, note = _depth(_LINEAR_ORDER, nmax)
+    for n in indices:
         yield Comparison(n, u_window(p, v, u, n), quat_window(v, n + 2))
+    return note
 
 
-@_register(IdentityId.MATRIX_POWER_SHIFT)
+@_register(IdentityId.MATRIX_POWER_SHIFT, order=_LINEAR_ORDER)
 def verify_matrix_power_shift(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """Right-multiplying the window matrix at shift 0 by the companion matrix
     n times lands exactly on the window matrix at shift n, whose rows are
-    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)) read once.
+    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)). Below the
+    order the product is carried one step at a time; the guard's takes the
+    companion power by the power kernel, sharing no step with the slice.
     The two are compared whole, and entry by entry only where they differ."""
     v = seq_slice(p, 0, nmax + 8)
-    rows = [(quat_window(v, m + 2), k_window(p, v, m), p.t * quat_window(v, m + 1))
-            for m in range(nmax + 3)]
     cells = [(i, j, f"entry({i},{j})=") for i, j in itertools.product(range(3), repeat=2)]
-    step = companion_matrix(p)
-    product = qv_window(p, v)
-    for n in range(nmax + 1):
-        window = (rows[n + 2], rows[n + 1], rows[n])
+    product = start = qv_window(p, v)
+    indices, note = _depth(_LINEAR_ORDER, nmax)
+    for n in indices:
+        if n >= _LINEAR_ORDER:
+            product = qv_right_multiply(start, companion_power(p, n))
+        elif n:
+            product = qv_right_multiply(product, companion_matrix(p))
+        window = tuple((quat_window(v, m + 2), k_window(p, v, m), p.t * quat_window(v, m + 1))
+                       for m in (n + 2, n + 1, n))
         if product != window:
             for i, j, label in cells:
                 yield Comparison(n, product[i][j], window[i][j], label, label)
-        product = qv_right_multiply(product, step)
+    return note
 
 
 def run_identity(
@@ -526,11 +552,11 @@ def run_identity(
     (degenerate delta or roots, unsupported preset) and float overflow into
     skip reports."""
     _validate({"nmax": nmax, "tol": tol})
-    verify, names, least, cap, _ = _REGISTRY[identity]
-    given = {"p": p, "nmax": max(min(nmax, cap), least), "seed": seed, "tol": tol,
-             "trials": TRIALS}
+    entry = _REGISTRY[identity]
+    given = {"p": p, "nmax": max(min(nmax, entry.cap), entry.least), "seed": seed,
+             "tol": tol, "trials": TRIALS}
     try:
-        return verify(**{name: given[name] for name in names})
+        return entry.verify(**{name: given[name] for name in entry.names})
     except (DegenerateDelta, DegenerateRoots, UnsupportedParams, OverflowError) as exc:
         return VerificationReport(
             identity, p, (0, given["nmax"]), Status.SKIPPED,

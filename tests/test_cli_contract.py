@@ -148,6 +148,18 @@ def test_verify_bounds_only_the_terms_its_identity_reads():
         2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(397) has 131217\n")
 
 
+@pytest.mark.parametrize("identity", ["matrix_power", "determinant", "summation"])
+def test_verify_sizes_a_sequence_check_to_its_guard(identity):
+    """A sequence check compares n below its order and a guard at nmax, which
+    reads V(nmax) and beyond: verify sizes every term to V(nmax+10), as suite
+    does, whatever the order bound."""
+    params = "9" * 100 + ",1,1,0,1,1"
+    start = time.perf_counter()
+    assert run(["verify", "--identity", identity, "--nmax", "1000", "--params", params]) == (
+        2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(397) has 131217\n")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_verify_bounds_binet_by_the_nmax_cap():
     """run_identity caps binet at nmax 30: verify sizes V(0) to V(40) and runs,
     while suite still sizes every term to V(nmax+10)."""

@@ -1,11 +1,15 @@
 """Every parameter-dependent identity reads its windows from one forward pass
 of the sequence, so a check costs O(nmax) term evaluations rather than
-O(nmax^2); matrix_power carries its product by the companion matrix from one
-n to the next.
+O(nmax^2). A sequence check compares only the windows at n below its order
+and its guard at nmax; matrix_power carries its product by the companion
+matrix for n < 3.
 
 The pass starts at V(0) and iterates the recurrence, so the brute-force side
 of a check never goes through the power kernel, the residue of x^n that
-seq_slice uses to jump to a later start."""
+seq_slice uses to jump to a later start. One side does, on purpose:
+matrix_power's guard multiplies the window matrix at shift 0 by
+companion_power(p, nmax), a jump by the power kernel that shares no step
+with the slice."""
 
 import pytest
 
@@ -34,9 +38,10 @@ def test_identity_reads_one_pass(monkeypatch, identity):
     assert all(n0 == 0 for n0, _ in slices)
 
 
-def test_suite_does_not_read_terms_through_the_companion_power(monkeypatch):
-    """A wrong power kernel in the sequence module moves no report: the
-    slices the checks read start at V(0) and are iterated only."""
+def test_only_matrix_powers_guard_reads_terms_through_the_companion_power(monkeypatch):
+    """A wrong power kernel in the sequence module FAILs matrix_power at
+    n = nmax, its guard, and moves no other report: the slices the checks
+    read start at V(0) and are iterated only."""
     power_residue = sequences._power_residue
 
     def shifted_power(p, n):
@@ -48,4 +53,8 @@ def test_suite_does_not_read_terms_through_the_companion_power(monkeypatch):
     before = render(run_suite(TRIBONACCI, nmax=40, seed=1))
     monkeypatch.setattr(sequences, "_power_residue", shifted_power)
     assert seq_term(TRIBONACCI, 5) != 7  # the fault is live: a term past 0 jumps through it
-    assert render(run_suite(TRIBONACCI, nmax=40, seed=1)) == before
+    after = run_suite(TRIBONACCI, nmax=40, seed=1)
+    (power,) = [r for r in after if r.identity is IdentityId.MATRIX_POWER_SHIFT]
+    assert power.status is Status.FAIL and power.witness.n == 40 and power.span == (0, 40)
+    assert [row for row in render(after) if row[0] is not IdentityId.MATRIX_POWER_SHIFT] == [
+        row for row in before if row[0] is not IdentityId.MATRIX_POWER_SHIFT]

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from trispinor import GaussScalar, IdentityId, SeqParams, Status, preset, run_identity
+from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_matrix,
+                       companion_power, preset, run_identity)
 from trispinor import identities, quaternions
 from trispinor.analytic import binet_spinor
 from trispinor.cli import main
@@ -234,25 +235,28 @@ def test_the_sets_windows_catch_a_fault_exact_on_integers(monkeypatch, ident, at
 
 
 def test_matrix_power_reports_the_first_differing_entry(monkeypatch):
-    # A product that goes wrong in one entry from its 20th step on: the
-    # window matrix at n = 20 differs from the carried product there alone,
-    # and the witness names that entry, after the five entries before it agree.
-    calls = []
+    # A product that goes wrong in one entry when it multiplies by a companion
+    # power other than the companion matrix itself: the two steps carried for
+    # n = 1 and 2 stay right, and the guard's product, the window matrix at
+    # shift 0 times C^30, differs from the window matrix at n = 30 there
+    # alone. The witness names that entry, after the five entries before it agree.
+    matrices = []
 
-    def late_fault(rows, m):
-        calls.append(None)
+    def guard_fault(rows, m):
+        matrices.append(m)
         product = quaternions.qv_right_multiply(rows, m)
-        if len(calls) < 20:
+        if m == companion_matrix(TRIB):
             return product
         row = product[1]
         return product[0], (row[0], row[1], row[2] + ONE), product[2]
 
-    monkeypatch.setattr(identities, "qv_right_multiply", late_fault)
+    monkeypatch.setattr(identities, "qv_right_multiply", guard_fault)
     report = run_identity(IdentityId.MATRIX_POWER_SHIFT, TRIB, nmax=30)
     assert report.status is Status.FAIL and report.span == (0, 30)
-    assert report.witness == (20, "entry(1,2)=(223318, 410744, 755476, 1389537)",
-                              "entry(1,2)=(223317, 410744, 755476, 1389537)")
+    assert report.witness == (30, "entry(1,2)=(98950097, 181997601, 334745777, 615693474)",
+                              "entry(1,2)=(98950096, 181997601, 334745777, 615693474)")
     assert report.note == ""
+    assert matrices == [companion_matrix(TRIB)] * 2 + [companion_power(TRIB, 30)]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
