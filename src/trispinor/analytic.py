@@ -1,14 +1,15 @@
 """Closed-form (root-based) evaluation of recurrence terms, quaternions and
-spinors, plus exact generating-function series expansion."""
+spinors, plus the exact generating function: its series expansion, and one
+coefficient at a time."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from .gauss import GaussScalar, Rational
+from .gauss import GaussScalar, Rational, rat
 from .sequences import SeqParams, seq_slice
 from .spinors import Spinor, spinor_window
 
@@ -176,6 +177,39 @@ def genfunc_numerator(p: SeqParams) -> tuple[Spinor, Spinor, Spinor]:
     v = seq_slice(p, 0, 6)
     a0, a1, a2 = (spinor_window(v, k) for k in range(3))
     return (a0, a1 - p.r * a0, a2 - p.r * a1 - p.s * a0)
+
+
+def genfunc_coefficient(numerator: Sequence[Spinor], p: SeqParams, n: int) -> Spinor:
+    """The coefficient of x^n in N(x)/Q(x), Q = 1 - r*x - s*x^2 - t*x^3 and N
+    the numerator genfunc_numerator(p) returns, in O(log n) products on int
+    (Bostan & Mori, SOSA 2021): N(x)/Q(x) = N(x)Q(-x) / Q(x)Q(-x), whose
+    denominator is even, so the coefficient is that of n // 2 in the even or
+    odd half of N(x)Q(-x) over the even half of Q(x)Q(-x). Q is scaled to int
+    by the lcm of the denominators of r, s and t, each of N's four rational
+    component polynomials by the lcm of N's; each component becomes one
+    Fraction at the end, and none on an integer set. Equals trib_spinor(p, n)."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    d = math.lcm(*(c.denominator for c in p[:3]))
+    q0, q1, q2, q3 = d, *(-c.numerator * (d // c.denominator) for c in p[:3])
+    polys = list(zip(*(a._c for a in numerator)))
+    e = math.lcm(*(c.denominator for poly in polys for c in poly))
+    polys = [[c.numerator * (e // c.denominator) for c in poly] for poly in polys]
+    while n > 1:
+        # The even or the odd half of N(x)Q(-x), for each component.
+        if n & 1:
+            polys = [(a1 * q0 - a0 * q1, a1 * q2 - a2 * q1 - a0 * q3, -a2 * q3)
+                     for a0, a1, a2 in polys]
+        else:
+            polys = [(a0 * q0, a2 * q0 - a1 * q1 + a0 * q2, a2 * q2 - a1 * q3)
+                     for a0, a1, a2 in polys]
+        q0, q1, q2, q3 = q0 * q0, 2 * q0 * q2 - q1 * q1, q2 * q2 - 2 * q1 * q3, -q3 * q3
+        n >>= 1
+    # The coefficient of x^0 in N/Q is a0/q0, that of x^1 (a1*q0 - a0*q1)/q0^2;
+    # a component is d/e times it, and on an integer set d = e = q0 = 1.
+    den = e * q0 ** (n + 1)
+    nums = [d * (a1 * q0 - a0 * q1 if n else a0) for a0, a1, _ in polys]
+    return Spinor._make(x if den == 1 else rat(Fraction(x, den)) for x in nums)
 
 
 def genfunc_spinor_series(p: SeqParams, order: int) -> tuple[Spinor, ...]:

@@ -2,7 +2,7 @@
 quaternions and their spinor images together.
 
 Every check compares a closed form against an independent brute-force
-evaluation (direct recurrence iteration, running sums, Hamilton products) and
+evaluation (direct recurrence iteration, direct sums, Hamilton products) and
 returns a structured report. Checks over exact values demand exact equality;
 a failing check carries a counterexample witness that can be replayed through
 the public operations.
@@ -26,7 +26,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .analytic import DegenerateRoots, binet_spinor, cubic_roots, genfunc_spinor_series
+from .analytic import (DegenerateRoots, binet_spinor, cubic_roots, genfunc_coefficient,
+                       genfunc_numerator)
 from .gauss import GaussScalar, I, Rational, rat
 from .quaternions import (
     DegenerateDelta,
@@ -250,10 +251,11 @@ def verify_conjugate_relations(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """
     last = min(nmax, _LAST_WINDOW)
     v = seq_slice(p, 0, last + 4)
-    spinors = itertools.chain(
-        ((f"basis spinor {a}", a) for a in _BASIS_SPINORS),
-        ((f"window n={n}", spinor_window(v, n)) for n in range(last + 1)))
-    for n, (what, a) in enumerate(spinors):
+    basis = len(_BASIS_SPINORS)
+    spinors = itertools.chain(_BASIS_SPINORS, (spinor_window(v, m) for m in range(last + 1)))
+    for n, a in enumerate(spinors):
+        # The note's text is built only on a failure, as in triple_product.
+        what = lambda: f"basis spinor {a}" if n < basis else f"window n={n - basis}"
         conj, mated, cartan = complex_conjugate(a), mate(a), cartan_conjugate(a)
         yield Comparison(n, C @ mated, conj, "C@mate: ", note=what)
         yield Comparison(n, I * cartan, mated, "i*cartan: ", note=what)
@@ -293,20 +295,23 @@ def verify_norm_equality(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     n <= min(nmax, 3) follow, from comparison 14 on: they guard against a
     fault that is not quadratic.
     """
+    # Each note's text is built only on a failure, as in triple_product.
     for n, q in enumerate(_POLARIZATION_POINTS):
         target = GaussScalar(qnorm(q))
+        what = lambda: f"polarization point {q}"
         for label, value in zip(_NORM_LABELS, norm_forms(sigma(q))):
-            yield Comparison(n, value, target, label, note=f"polarization point {q}")
+            yield Comparison(n, value, target, label, note=what)
     for n, u in enumerate(_UNIT_WINDOWS, len(_POLARIZATION_POINTS)):
         yield Comparison(n, spinor_window(u), sigma(quat_window(u)),
-                         note=f"unit window {u}")
+                         note=lambda: f"unit window {u}")
     last = min(nmax, _LAST_WINDOW)
     v = seq_slice(p, 0, last + 4)
     for n in range(last + 1):
         forms = norm_forms(spinor_window(v, n))
         target = GaussScalar(qnorm(quat_window(v, n)))
         for label, value in zip(_NORM_LABELS, forms):
-            yield Comparison(_NORM_BASIS + n, value, target, label, note=f"window n={n}")
+            yield Comparison(_NORM_BASIS + n, value, target, label,
+                             note=lambda: f"window n={n}")
     return (f"{len(_POLARIZATION_POINTS)} polarization points, {len(_UNIT_WINDOWS)} unit "
             f"windows and the windows on [0..{last}]")
 
@@ -338,13 +343,15 @@ def verify_binet(p: SeqParams, nmax: int, tol: float = 1e-9) -> Iterator[Compari
 
 @_register(IdentityId.GENFUNC_AGREEMENT, order=_LINEAR_ORDER)
 def verify_genfunc_agreement(p: SeqParams, nmax: int) -> Iterator[Comparison]:
-    """Power-series coefficients of the rational generating function, by long
-    division to nmax, equal the directly iterated spinors, exactly."""
-    series = genfunc_spinor_series(p, nmax + 1)
+    """Power-series coefficients of the rational generating function equal
+    the directly iterated spinors, exactly. Each coefficient compared is read
+    off the generating function by itself, in O(log k) products on int
+    (genfunc_coefficient); the windows come from the slice's forward steps."""
+    numerator = genfunc_numerator(p)
     v = seq_slice(p, 0, nmax + 4)
     indices, note = _depth(_LINEAR_ORDER, nmax)
     for k in indices:
-        yield Comparison(k, series[k], spinor_window(v, k))
+        yield Comparison(k, genfunc_coefficient(numerator, p, k), spinor_window(v, k))
     return note
 
 
@@ -473,13 +480,15 @@ def verify_determinant_combination(p: SeqParams, nmax: int) -> Iterator[Comparis
 @_register(IdentityId.SUMMATION_CLOSED_FORM, order=_SUM_ORDER)
 def verify_summation(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     """delta * (A(0) + ... + A(n)) = A(n+2) + (1-r)*A(n+1) + t*A(n) + c,
-    checked against the direct running sum for both candidate constants:
-    the sigma image of the quaternion correction omega, and the alternative
-    seed-window vector. The right side is sigma of sum_window, the closed
-    form quat_partial_sum evaluates, and the running sum runs to nmax. Each
-    candidate is of order 4, so its first mismatch, if any, lies at n <= 3.
-    Status reflects the sigma(omega) candidate; the outcome for both is
-    recorded in the note."""
+    checked against the direct sum for both candidate constants: the sigma
+    image of the quaternion correction omega, and the alternative seed-window
+    vector. The right side is sigma of sum_window, the closed form
+    quat_partial_sum evaluates. The left side sums terms, not spinors:
+    component j of A(0) + ... + A(n) reads V(j) + ... + V(j+n), a difference
+    of two prefix sums of the slice's terms, so the sum is the spinor window
+    of the prefix sums at n+1 less the one at 0. Each candidate is of order
+    4, so its first mismatch, if any, lies at n <= 3. Status reflects the
+    sigma(omega) candidate; the outcome for both is recorded in the note."""
     corr = summation_correction(p)
     if corr.delta == 0:
         raise DegenerateDelta()
@@ -487,10 +496,13 @@ def verify_summation(p: SeqParams, nmax: int) -> Iterator[Comparison]:
     derived = sigma(corr.omega)
     stated = spinor_window([rat((p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2])
                             for j in range(4)])
-    running = list(itertools.accumulate(spinor_window(v, n) for n in range(nmax + 1)))
+    # prefix[m] = V(0) + ... + V(m-1)
+    prefix = list(itertools.accumulate(v[:nmax + 4], initial=0))
+    first = spinor_window(prefix)
     indices, depth_note = _depth(_SUM_ORDER, nmax)
-    # (n, scaled running sum, closed form without its constant) at each compared n
-    sides = [(n, corr.delta * running[n], sigma(sum_window(p, v, n))) for n in indices]
+    # (n, scaled direct sum, closed form without its constant) at each compared n
+    sides = [(n, corr.delta * (spinor_window(prefix, n + 1) - first), sigma(sum_window(p, v, n)))
+             for n in indices]
     # The seed-window candidate is data: its first mismatch goes in the note.
     miss = next((n for n, lhs, base in sides if lhs != base + stated), None)
     stated_text = (

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trispinor import analytic
 from trispinor import (
     CubicRoots,
     DegenerateRoots,
@@ -26,6 +27,7 @@ from trispinor import (
     seq_slice,
     trib_spinor,
 )
+from trispinor.analytic import genfunc_coefficient
 
 TRIB = preset("tribonacci")
 JAC = preset("third_order_jacobsthal")
@@ -234,6 +236,8 @@ def test_genfunc_series_matches_windows():
 @pytest.mark.parametrize("call, message", [
     (lambda: binet_number(TRIB, -1), "index must be nonnegative"),
     (lambda: genfunc_spinor_series(TRIB, -1), "order must be nonnegative"),
+    pytest.param(lambda: genfunc_coefficient(genfunc_numerator(TRIB), TRIB, -1),
+                 "index must be nonnegative", id="genfunc_coefficient"),
 ])
 def test_negative_index_and_order_raise(call, message):
     with pytest.raises(ValueError, match=message):
@@ -251,6 +255,44 @@ def test_genfunc_series_random_params_exact():
         series = genfunc_spinor_series(p, 64)
         for k in (0, 1, 2, 3, 17, 40, 63):
             assert series[k] == trib_spinor(p, k)
+
+
+small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.one_of(st.tuples(*[st.integers(-5, 5)] * 6), st.tuples(*[small_rationals] * 6)))
+def test_genfunc_coefficient_equals_the_long_division(values):
+    """Bostan-Mori on int reads the same coefficients as the long division,
+    and renders them the same."""
+    p = SeqParams(*values)
+    numerator = genfunc_numerator(p)
+    coefficients = [genfunc_coefficient(numerator, p, k) for k in range(70)]
+    series = genfunc_spinor_series(p, 70)
+    assert coefficients == list(series)
+    assert list(map(str, coefficients)) == list(map(str, series))
+
+
+RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+                     1, Fraction(-1, 2), Fraction(2, 5))
+
+
+@pytest.mark.parametrize("n", [1000, 4096])
+@pytest.mark.parametrize("p", [TRIB, RATIONAL], ids=str)
+def test_genfunc_coefficient_deep(p, n):
+    assert genfunc_coefficient(genfunc_numerator(p), p, n) == trib_spinor(p, n)
+
+
+def test_genfunc_coefficient_builds_no_fraction_on_an_integer_set(monkeypatch):
+    p = SeqParams(3, -2, 5, 1, -4, 2)
+    numerator = genfunc_numerator(p)
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+    monkeypatch.setattr(analytic, "Fraction", no_fraction)
+    coefficient = genfunc_coefficient(numerator, p, 1000)
+    assert coefficient == trib_spinor(p, 1000)
+    assert {type(c) for c in coefficient._c} == {int}
 
 
 @pytest.mark.parametrize("r, s, t, expected", [

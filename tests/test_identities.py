@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trispinor import identities
+from trispinor import identities, sequences
 from trispinor.gauss import I
 from trispinor.quaternions import k_window, quat_window
 from trispinor.spinors import breve, spinor_window
@@ -192,6 +192,36 @@ def test_genfunc_reports():
     rng = random.Random(4)
     for _ in range(5):
         assert verify_genfunc_agreement(random_params(rng), 40).status is Status.EXACT_PASS
+
+
+def _no_jump(*args):
+    raise AssertionError("jumped by the power kernel")
+
+
+@pytest.mark.parametrize("p", [SeqParams(3, -2, 5, 1, -4, 2),
+                               SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+                                         1, Fraction(-1, 2), Fraction(2, 5))], ids=str)
+def test_genfunc_reads_no_jump(monkeypatch, p):
+    """genfunc's coefficients are read off the generating function by
+    Bostan-Mori and its windows off the slice: neither side jumps by the
+    power kernel that seq_term, trib_spinor and companion_power share."""
+    monkeypatch.setattr(sequences, "_jump", _no_jump)
+    monkeypatch.setattr(sequences, "_power_residue", _no_jump)
+    monkeypatch.setattr(identities, "companion_power", _no_jump)
+    assert run_identity(IdentityId.GENFUNC_AGREEMENT, p, nmax=60).status is Status.EXACT_PASS
+
+
+def test_genfunc_guard_catches_a_coefficient_wrong_at_nmax(monkeypatch):
+    coefficient = identities.genfunc_coefficient
+
+    def wrong_at_60(numerator, p, n):
+        value = coefficient(numerator, p, n)
+        return value + Spinor(1, 0) if n == 60 else value
+    monkeypatch.setattr(identities, "genfunc_coefficient", wrong_at_60)
+    report = run_identity(IdentityId.GENFUNC_AGREEMENT, TRIB, nmax=60)
+    assert report.status is Status.FAIL
+    assert report.witness.n == 60
+    assert report.witness.rhs == str(trib_spinor(TRIB, 60))
 
 
 def test_triple_product_reports():

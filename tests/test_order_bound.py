@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from trispinor import (IdentityId, SeqParams, Status, TRIBONACCI, identities, run_identity,
                        seq_slice)
-from trispinor.analytic import genfunc_spinor_series
+from trispinor.analytic import genfunc_coefficient
 from trispinor.quaternions import ONE, qv_right_multiply, sum_window, u_window
 from trispinor.spinors import Spinor
 
@@ -43,11 +43,14 @@ def _sides(identity: IdentityId, p: SeqParams, depth: int = DEPTH) -> tuple[list
                 [p.r * m.spinor_window(v, n + 2) + p.s * m.spinor_window(v, n + 1)
                  + p.t * m.spinor_window(v, n) for n in ns])
     if identity is IdentityId.GENFUNC_AGREEMENT:
-        return list(m.genfunc_spinor_series(p, depth + 1)), [m.spinor_window(v, n) for n in ns]
+        numerator = m.genfunc_numerator(p)
+        return ([m.genfunc_coefficient(numerator, p, n) for n in ns],
+                [m.spinor_window(v, n) for n in ns])
     if identity is IdentityId.SUMMATION_CLOSED_FORM:
         corr = m.summation_correction(p)
-        running = itertools.accumulate(m.spinor_window(v, n) for n in ns)
-        return ([corr.delta * x for x in running],
+        prefix = list(itertools.accumulate(v, initial=0))
+        return ([corr.delta * (m.spinor_window(prefix, n + 1) - m.spinor_window(prefix))
+                 for n in ns],
                 [m.sigma(m.sum_window(p, v, n)) + m.sigma(corr.omega) for n in ns])
     if identity is IdentityId.U_DECOMPOSITION:
         u = seq_slice(m.u_companion(p), 0, depth + 3)
@@ -147,17 +150,11 @@ def _guard_20(rows, m):
     return product[0], (product[1][0], product[1][1], product[1][2] + ONE), product[2]
 
 
-def _series_20(p, order):
-    series = list(genfunc_spinor_series(p, order))
-    series[20] = series[20] + Spinor(1, 0)
-    return tuple(series)
-
-
 # (identity, operation replaced, faulty replacement, the side it moves: 0 lhs, 1 rhs)
 LATE_FAULTS = [
     ("u_decomposition", "u_window", _at_20(u_window, ONE), 0),
     ("summation", "sum_window", _at_20(sum_window, ONE), 1),
-    ("genfunc", "genfunc_spinor_series", _series_20, 0),
+    ("genfunc", "genfunc_coefficient", _at_20(genfunc_coefficient, Spinor(1, 0)), 0),
     ("matrix_power", "qv_right_multiply", _guard_20, 0),
 ]
 
