@@ -18,11 +18,11 @@ from itertools import islice
 
 from .analytic import DegenerateRoots, binet_spinor, genfunc_spinor_series
 from .identities import (
-    _REGISTRY,
     IdentityId,
     Status,
     VerificationReport,
     check_tolerance,
+    read_depth,
     run_identity,
     run_suite,
 )
@@ -229,12 +229,13 @@ def _reports(args: argparse.Namespace, reports: list[VerificationReport]) -> tup
     return text, 1 if any(r.status is Status.FAIL for r in reports) else 0
 
 
-def _check_nmax(args: argparse.Namespace, p: SeqParams, last: float = float("inf")) -> int:
-    """--nmax, if it is in range and no term the checks read, V(0) to
-    V(min(nmax, last) + 10), has a numerator or denominator of more than
-    MAX_OPERAND_BITS bits, last bounding the windows they read. The pass stops at the first."""
+def _check_nmax(args: argparse.Namespace, p: SeqParams, identity: IdentityId | None = None) -> int:
+    """--nmax, if it is in range and no term the checks read, V(0) to V(d + 10),
+    d = read_depth(identity, nmax) or nmax for every identity, has a numerator
+    or denominator of more than MAX_OPERAND_BITS bits. The pass stops at the first."""
     nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
-    for n, v in enumerate(islice(_iter_terms(p), min(nmax, last) + 11)):
+    depth = nmax if identity is None else read_depth(identity, nmax)
+    for n, v in enumerate(islice(_iter_terms(p), depth + 11)):
         bits = max(v.numerator.bit_length(), v.denominator.bit_length())
         if bits > MAX_OPERAND_BITS:
             raise ValueError(f"operands are limited to {MAX_OPERAND_BITS} bits: V({n}) has {bits}")
@@ -243,9 +244,8 @@ def _check_nmax(args: argparse.Namespace, p: SeqParams, last: float = float("inf
 
 def _cmd_verify(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     identity = IdentityId(args.identity)
-    # By name: a sequence check's order bounds what it proves, not what it reads.
-    entry = _REGISTRY[identity]
-    nmax = _check_nmax(args, p, min(entry.cap, entry.last))
+    # A sequence check's order bounds what it proves, not what it reads.
+    nmax = _check_nmax(args, p, identity)
     return _reports(args, [run_identity(identity, p, nmax=nmax, seed=args.seed, tol=args.tol)])
 
 

@@ -203,11 +203,11 @@ def _rational_terms(p: SeqParams, n0: int) -> Iterator[Rational]:
             ar, br, cr, sr = a % modulus, b % modulus, c % modulus, scale % modulus
             g = gcd(ar, sr, modulus)
         num, den = a, scale
-        while g > 1:
+        while num and g > 1:  # a zero term is 0 at once, whatever its scale
             num, den = num // g, den // g
             # g is the whole gcd unless it holds all of modulus's power of a prime.
             g = 1 if modulus % (g * root) == 0 else gcd(num % modulus, den % modulus, modulus)
-        yield _lowest(num, den)
+        yield _lowest(num, den) if num else 0
         a, b, c = b, c, mr * c + ms * b + mt * a
         ar, br, cr = br, cr, (mr * cr + ms * br + mt * ar) % modulus
         scale, sr = scale * ml, sr * ml % modulus

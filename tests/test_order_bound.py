@@ -3,11 +3,11 @@
 A sequence check compares its two sides at n = 0..d-1, which proves the
 identity for every n if each side, as a sequence in n, obeys a linear
 recurrence of order at most d, and one guard at nmax. The oracle here
-computes each side's per-n values to n = 60 the way the check's own
-primitives do, one n at a time, and bounds the Hankel rank of every
-component sequence by d: a sequence obeys a recurrence of order d exactly
-when its Hankel matrices have rank at most d. A fault that bites only
-between d and nmax passes the check; the oracle is what catches it.
+evaluates the check's own declared sides at every n to n = 60, one n at a
+time, and bounds the Hankel rank of every component sequence by d: a
+sequence obeys a recurrence of order d exactly when its Hankel matrices
+have rank at most d. A fault that bites only between d and nmax passes the
+check; the oracle is what catches it.
 """
 
 import itertools
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from trispinor import (IdentityId, SeqParams, Status, TRIBONACCI, identities, run_identity,
                        seq_slice)
 from trispinor.analytic import genfunc_coefficient
-from trispinor.quaternions import ONE, qv_right_multiply, sum_window, u_window
+from trispinor.quaternions import ONE, qv_right_multiply, qv_window, sum_window, u_window
 from trispinor.spinors import Spinor
 
 DEPTH = 60
@@ -33,40 +33,14 @@ SEQUENCE_CHECKS = [IdentityId.SPINOR_RECURRENCE, IdentityId.GENFUNC_AGREEMENT,
 
 
 def _sides(identity: IdentityId, p: SeqParams, depth: int = DEPTH) -> tuple[list, list]:
-    """(lhs, rhs) of a sequence check at n = 0..depth, one n at a time, each
-    read through the identities module as the check reads it."""
-    m = identities
-    v = seq_slice(p, 0, depth + 10)
+    """(lhs, rhs) of a sequence check at n = 0..depth, one n at a time, by the
+    check's own sides on a run at nmax depth + 3, whose slice reaches the
+    recurrence's last window."""
+    d, nmax = identities._IDENTITIES[identity], depth + 3
+    (part,) = d.parts
+    run = identities._Run(p, nmax, seq_slice(p, 0, d.terms(nmax)), 0, identities.TRIALS, {})
     ns = range(depth + 1)
-    if identity is IdentityId.SPINOR_RECURRENCE:
-        return ([m.spinor_window(v, n + 3) for n in ns],
-                [p.r * m.spinor_window(v, n + 2) + p.s * m.spinor_window(v, n + 1)
-                 + p.t * m.spinor_window(v, n) for n in ns])
-    if identity is IdentityId.GENFUNC_AGREEMENT:
-        numerator = m.genfunc_numerator(p)
-        return ([m.genfunc_coefficient(numerator, p, n) for n in ns],
-                [m.spinor_window(v, n) for n in ns])
-    if identity is IdentityId.SUMMATION_CLOSED_FORM:
-        corr = m.summation_correction(p)
-        prefix = list(itertools.accumulate(v, initial=0))
-        return ([corr.delta * (m.spinor_window(prefix, n + 1) - m.spinor_window(prefix))
-                 for n in ns],
-                [m.sigma(m.sum_window(p, v, n)) + m.sigma(corr.omega) for n in ns])
-    if identity is IdentityId.U_DECOMPOSITION:
-        u = seq_slice(m.u_companion(p), 0, depth + 3)
-        return [m.u_window(p, v, u, n) for n in ns], [m.quat_window(v, n + 2) for n in ns]
-    if identity is IdentityId.MATRIX_POWER_SHIFT:
-        # Carried by the companion matrix below the order, jumped to above it.
-        start = m.qv_window(p, v)
-        carried = list(itertools.accumulate([m.companion_matrix(p)] * 2, m.qv_right_multiply,
-                                            initial=start))
-        lhs = carried + [m.qv_right_multiply(start, m.companion_power(p, n)) for n in ns[3:]]
-        rows = [(m.quat_window(v, k + 2), m.k_window(p, v, k), p.t * m.quat_window(v, k + 1))
-                for k in range(depth + 3)]
-        return lhs, [(rows[n + 2], rows[n + 1], rows[n]) for n in ns]
-    if identity is IdentityId.DETERMINANT_COMBINATION:
-        return [m._det_spinor(p, v, n) for n in ns], [m._DET_REFERENCE] * (depth + 1)
-    raise AssertionError(identity)
+    return [part.lhs(run, n) for n in ns], [part.rhs(run, n) for n in ns]
 
 
 def _components(values: list) -> list[tuple[Fraction, ...]]:
@@ -103,13 +77,13 @@ def _hankel_rank(seq: tuple[Fraction, ...], height: int) -> int:
 def _side_ranks(identity: IdentityId, p: SeqParams) -> tuple[int, int]:
     """The largest Hankel rank, with d + 1 rows, of a component sequence of
     each side to n = 60, d the check's declared order."""
-    height = identities._REGISTRY[identity].order + 1
+    height = identities._IDENTITIES[identity].order + 1
     return tuple(max(_hankel_rank(seq, height) for seq in _components(side))
                  for side in _sides(identity, p))
 
 
 def test_the_sequence_checks_declare_their_order():
-    orders = {i: e.order for i, e in identities._REGISTRY.items() if e.order is not None}
+    orders = {i: e.order for i, e in identities._IDENTITIES.items() if e.order is not None}
     assert orders == {IdentityId.SPINOR_RECURRENCE: 3, IdentityId.GENFUNC_AGREEMENT: 3,
                       IdentityId.U_DECOMPOSITION: 3, IdentityId.MATRIX_POWER_SHIFT: 3,
                       IdentityId.SUMMATION_CLOSED_FORM: 4, IdentityId.DETERMINANT_COMBINATION: 11}
@@ -129,7 +103,7 @@ def test_the_rank_counts_a_recurrences_order():
 @pytest.mark.parametrize("p", SETS, ids=str)
 @pytest.mark.parametrize("identity", SEQUENCE_CHECKS, ids=lambda i: i.value)
 def test_each_side_obeys_a_recurrence_of_the_declared_order(identity, p):
-    order = identities._REGISTRY[identity].order
+    order = identities._IDENTITIES[identity].order
     lhs, rhs = _side_ranks(identity, p)
     assert lhs <= order and rhs <= order
 
@@ -167,7 +141,7 @@ def test_a_fault_between_the_order_and_the_guard_passes_the_check_not_the_oracle
     the check at nmax 60 compares n < d and n = 60 and passes, while the
     faulted side's component sequences leave every recurrence of order d."""
     identity = IdentityId(ident)
-    order = identities._REGISTRY[identity].order
+    order = identities._IDENTITIES[identity].order
     monkeypatch.setattr(identities, attr, faulty)
     assert run_identity(identity, TRIBONACCI, nmax=DEPTH).status is Status.EXACT_PASS
     ranks = _side_ranks(identity, TRIBONACCI)
@@ -188,8 +162,9 @@ def _per_n_statuses(p: SeqParams, nmax: int) -> dict[IdentityId, tuple]:
         if identity is IdentityId.SPINOR_RECURRENCE:
             lhs, rhs = lhs[:nmax - 2], rhs[:nmax - 2]
         if identity is IdentityId.MATRIX_POWER_SHIFT:
-            lhs = list(itertools.accumulate([identities.companion_matrix(p)] * nmax,
-                                            qv_right_multiply, initial=lhs[0]))
+            lhs = [tuple(itertools.chain(*m)) for m in itertools.accumulate(
+                [identities.companion_matrix(p)] * nmax, qv_right_multiply,
+                initial=qv_window(p, seq_slice(p, 0, 8)))]
         status = Status.EXACT_PASS if lhs == rhs else Status.FAIL
         clause = None
         if identity is IdentityId.SUMMATION_CLOSED_FORM:

@@ -235,6 +235,18 @@ def test_a_large_prime_set_jumps_to_term_ten_thousand_in_time():
     assert type(term) is Fraction
 
 
+def test_a_zero_term_costs_no_reduction_of_its_scale():
+    """r = s = 0 makes every term at n not 2 mod 3 zero, while the scale
+    reaches 3^(470*n/3): a zero term is the int 0 without dividing the scale."""
+    values = (0, 0, Fraction(1, 3**470), 0, 0, 1)
+    start = time.perf_counter()
+    got = seq_slice(SeqParams(*values), 0, 520)
+    assert time.perf_counter() - start < 1
+    want = oracle_terms(values, 520)
+    assert got == want
+    assert [type(x) for x in got] == [int if x.denominator == 1 else Fraction for x in want]
+
+
 # Denominators whose prime factors are shared in part, up to the 4,300-digit
 # 1031^1427, which has no prime factor at or below 1024. It is drawn for the
 # seeds only: as a denominator of r, s or t it would make the Fraction
