@@ -44,11 +44,12 @@ class BinetConstants(NamedTuple):
     R: complex
 
 
-def _exact_discriminant(r: Fraction, s: Fraction, t: Fraction) -> Fraction:
-    # Discriminant of x^3 + b*x^2 + c*x + d with b = -r, c = -s, d = -t;
-    # zero exactly when the cubic has a repeated root.
-    b, c, d = -r, -s, -t
-    return (18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2)
+class PowerSum(NamedTuple):
+    """A closed form's n-free part: roots x, weights w (V(n) = sum of w*x^n), columns."""
+
+    roots: tuple[complex, complex, complex]
+    weights: tuple[complex, complex, complex]
+    columns: tuple[tuple[complex, ...], ...]
 
 
 def _polish(f, df, z):
@@ -57,11 +58,11 @@ def _polish(f, df, z):
     return nxt if abs(f(nxt)) < abs(f(z)) else z
 
 
-def _solve(r: Fraction, s: Fraction, t: Fraction, disc: Fraction) -> list[complex]:
+def _solve(r: Rational, s: Rational, t: Rational, disc: Rational) -> list[complex]:
     """Roots of x^3 - r*x^2 - s*x - t, structured by the sign of `disc`."""
-    if disc == 0:  # a repeated root, rational like the coefficients
-        double = r / 3 if r * r + 3 * s == 0 else -(9 * t + r * s) / (2 * (r * r + 3 * s))
-        return [complex(double)] * 2 + [complex(r - 2 * double)]
+    if disc == 0:  # a repeated root num/den: on int, / rounds it as a Fraction's float
+        num, den = (r, 3) if r * r + 3 * s == 0 else (-(9 * t + r * s), 2 * (r * r + 3 * s))
+        return [complex(num / den)] * 2 + [complex((r * den - 2 * num) / den)]
     # x = 2^e * y with every coefficient of the cubic in y below 1 in size, so
     # its roots lie in |y| < 2. ldexp scales exactly and without overflow.
     e = math.frexp(max(abs(r), math.sqrt(abs(s)), abs(t) ** (1 / 3)))[1]
@@ -96,9 +97,7 @@ def _solve(r: Fraction, s: Fraction, t: Fraction, disc: Fraction) -> list[comple
     return [complex(math.ldexp(y.real, e), math.ldexp(y.imag, e)) for y in map(complex, ys)]
 
 
-def cubic_roots(
-    r: Rational, s: Rational, t: Rational
-) -> CubicRoots:
+def cubic_roots(r: Rational, s: Rational, t: Rational) -> CubicRoots:
     """Solve x^3 - r*x^2 - s*x - t = 0 in CPython floats: Durand-Kerner on
     the cubic scaled by a power of two, then Newton polish.
 
@@ -108,8 +107,11 @@ def cubic_roots(
     one real and an exactly conjugate pair if D < 0, exact rationals if D = 0.
     A numeric minimum-gap test additionally flags near-degenerate root sets.
     """
-    r, s, t = Fraction(r), Fraction(s), Fraction(t)
-    disc = _exact_discriminant(r, s, t)
+    # Exact tests on int; an int past float range is a Fraction, for its overflow message.
+    if not all(type(x) is int and x.bit_length() < 1000 for x in (r, s, t)):
+        r, s, t = Fraction(r), Fraction(s), Fraction(t)
+    # The discriminant: zero exactly when the cubic has a repeated root.
+    disc = r**2 * s**2 + 4 * s**3 - 4 * r**3 * t - 18 * r * s * t - 27 * t**2
     roots = sorted(_solve(r, s, t, disc), key=lambda z: (z.real, z.imag), reverse=True)
     scale = 1.0 + max(abs(z) for z in roots)
     min_gap = min(abs(a - b) for a, b in combinations(roots, 2))
@@ -118,8 +120,7 @@ def cubic_roots(
 
 
 def binet_constants(p: SeqParams, roots: CubicRoots | None = None) -> BinetConstants:
-    if roots is None:
-        roots = cubic_roots(p.r, p.s, p.t)
+    roots = roots or cubic_roots(p.r, p.s, p.t)
     if not roots.discriminant_ok:
         raise DegenerateRoots("repeated characteristic roots")
     a, w1, w2 = roots.as_tuple()
@@ -131,21 +132,26 @@ def binet_constants(p: SeqParams, roots: CubicRoots | None = None) -> BinetConst
     )
 
 
-def _power_sum(p: SeqParams, n: int, roots: CubicRoots | None,
+def _setup(p: SeqParams, roots: CubicRoots | None, column: Callable[..., tuple]) -> PowerSum:
+    """The power sum's n-free part, on the roots solved here unless given."""
+    roots = roots or cubic_roots(p.r, p.s, p.t)
+    const = binet_constants(p, roots)
+    a, w1, w2 = xs = roots.as_tuple()
+    weights = (const.P / ((a - w1) * (a - w2)), -const.Q / ((a - w1) * (w1 - w2)),
+               const.R / ((a - w2) * (w1 - w2)))
+    return PowerSum(xs, weights, tuple(map(column, xs)))
+
+
+def _power_sum(p: SeqParams, n: int, roots: CubicRoots | PowerSum | None,
                column: Callable[[complex], tuple[complex, ...]]) -> tuple[complex, ...]:
-    """The closed forms' one power sum: w*x^n*column(x) over the roots x (solved
-    here unless given), with the weights w that make V(n) the sum of w*x^n."""
+    """The closed forms' one power sum: w*x^n*column(x) over the roots x. Given a
+    PowerSum for this column, only the per-n step runs: a power per root, 3 products."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if roots is None:
-        roots = cubic_roots(p.r, p.s, p.t)
-    const = binet_constants(p, roots)
-    a, w1, w2 = roots.as_tuple()
-    ka = const.P / ((a - w1) * (a - w2)) * a**n
-    k1 = -const.Q / ((a - w1) * (w1 - w2)) * w1**n
-    k2 = const.R / ((a - w2) * (w1 - w2)) * w2**n
-    return tuple([0j + ka * ca + k1 * c1 + k2 * c2
-                  for ca, c1, c2 in zip(column(a), column(w1), column(w2))])
+    setup = roots if isinstance(roots, PowerSum) else _setup(p, roots, column)
+    (a, w1, w2), (ga, g1, g2) = setup.roots, setup.weights
+    ka, k1, k2 = ga * a**n, g1 * w1**n, g2 * w2**n
+    return tuple([0j + ka * ca + k1 * c1 + k2 * c2 for ca, c1, c2 in zip(*setup.columns)])
 
 
 def binet_number(p: SeqParams, n: int, roots: CubicRoots | None = None) -> complex:
@@ -159,12 +165,19 @@ def binet_quaternion(p: SeqParams, n: int, roots: CubicRoots | None = None
     return _power_sum(p, n, roots, lambda x: (1, x, x**2, x**3))  # type: ignore[return-value]
 
 
-def binet_spinor(p: SeqParams, n: int, roots: CubicRoots | None = None
+def _spinor_column(x: complex) -> tuple[complex, complex]:
+    return (x**3 + 1j, x + 1j * x**2)
+
+
+def binet_setup(p: SeqParams) -> PowerSum:
+    """binet_spinor's n-free part for p, to pass as its third argument."""
+    return _setup(p, None, _spinor_column)
+
+
+def binet_spinor(p: SeqParams, n: int, roots: CubicRoots | PowerSum | None = None
                  ) -> tuple[complex, complex]:
-    """Closed-form spinor: each root x contributes the column
-    [x^3 + i; x + i*x^2] weighted like the scalar closed form."""
-    return _power_sum(p, n, roots,
-                      lambda x: (x**3 + 1j, x + 1j * x**2))  # type: ignore[return-value]
+    """Closed-form spinor: root x's column [x^3 + i; x + i*x^2], weighted as for V(n)."""
+    return _power_sum(p, n, roots, _spinor_column)  # type: ignore[return-value]
 
 
 def genfunc_numerator(p: SeqParams) -> tuple[Spinor, Spinor, Spinor]:

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .analytic import (DegenerateRoots, binet_spinor, cubic_roots, genfunc_coefficient,
+from .analytic import (DegenerateRoots, binet_setup, binet_spinor, genfunc_coefficient,
                        genfunc_numerator)
 from .gauss import GaussScalar, I, Rational, rat
 from .quaternions import (
@@ -127,7 +127,7 @@ class _Run(NamedTuple):
     memo: dict
 
 
-def _once(c: _Run, key: str, f: Callable[[], object]):
+def _once(c: _Run, key: object, f: Callable[[], object]):
     """f(), computed once per run."""
     if key not in c.memo:
         c.memo[key] = f()
@@ -150,14 +150,14 @@ class _Part(NamedTuple):
 class _Identity(NamedTuple):
     """Its parts, in order; the length of its slice at nmax, none if it is
     parameter-free; a sequence check's order, whose one part compares the
-    indices _depth picks unless it has points; the refusal it raises on a set
-    it does not cover; its claim, the head and tail of a passing (True) or
-    failing note; and the largest nmax run_identity passes it."""
+    indices _depth picks unless it has points; what runs on the run before its slice
+    is read (before), returning the refusal to raise or None; its claim, the head and
+    tail of a passing (True) or failing note; and the largest nmax run_identity passes it."""
 
     parts: tuple[_Part, ...]
     terms: Callable[[int], int] | None
     order: int | None = None
-    requires: Callable[[SeqParams], Exception | None] | None = None
+    before: Callable[[_Run], Exception | None] | None = None
     claim: Callable[[_Run, bool], tuple[str, str]] | None = None
     last: float = math.inf
 
@@ -186,9 +186,10 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
     if trials < 1:
         raise ValueError("trials must be at least 1")
     d = _IDENTITIES[identity]
-    if d.requires and (refusal := d.requires(p)):
+    c = _Run(p, nmax, [], seed, trials, {})
+    if d.before and (refusal := d.before(c)):
         raise refusal
-    c = _Run(p, nmax, seq_slice(p, 0, d.terms(nmax)) if d.terms else [], seed, trials, {})
+    c = c._replace(v=seq_slice(p, 0, d.terms(nmax))) if d.terms else c
     params = p if d.terms else None
     points = [part.points(c) if part.points else _depth(d.order, nmax) for part in d.parts]
     span = (0, nmax if d.order else sum(len(items) for items, _ in points) - 1)
@@ -199,7 +200,7 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
             lhs, rhs = part.lhs(c, point), part.rhs(c, point)
             if isinstance(lhs, _Approx):
                 approx = True
-                for got, want in zip(lhs, (rhs.c1.to_complex(), rhs.c2.to_complex())):
+                for got, want in zip(lhs, rhs.to_complex()):
                     err = abs(got - want) / max(1.0, abs(want))
                     if err > worst:
                         worst, worst_n = err, n
@@ -406,17 +407,17 @@ def _summation_lhs(c: _Run, n: int) -> Spinor:
     # prefix[m] = V(0) + ... + V(m-1)
     prefix = _once(c, "prefix", lambda: list(itertools.accumulate(c.v[:c.nmax + 4], initial=0)))
     first = _once(c, "first", lambda: spinor_window(prefix))
-    return (c.p.r + c.p.s + c.p.t - 1) * (spinor_window(prefix, n + 1) - first)
+    return _once(c, ("lhs", n), lambda: (c.p.r + c.p.s + c.p.t - 1)
+                 * (spinor_window(prefix, n + 1) - first))
 
 
 def _summation_rhs(c: _Run, n: int) -> Spinor:
-    return sigma(sum_window(c.p, c.v, n)) + _once(
-        c, "derived", lambda: sigma(summation_correction(c.p).omega))
+    return _once(c, ("rhs", n), lambda: sigma(sum_window(c.p, c.v, n)) + _once(
+        c, "derived", lambda: sigma(summation_correction(c.p).omega)))
 
 
 def _summation_claim(c: _Run, passed: bool) -> tuple[str, str]:
-    # The seed-window candidate is data: its first mismatch goes in the note.
-    # The runner calls a claim after the rhs's first call, which set derived.
+    # The seed-window candidate is data; the sides' values and derived are kept.
     p, v, derived = c.p, c.v, c.memo["derived"]
     stated = spinor_window([rat((p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2])
                             for j in range(4)])
@@ -509,12 +510,13 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
     # Float error grows with the dominant root's power: run_identity caps the range.
     IdentityId.BINET_AGREEMENT: _Identity(
         (_Part(lambda c, n: _Approx(*binet_spinor(
-                   c.p, n, _once(c, "roots", lambda: cubic_roots(c.p.r, c.p.s, c.p.t)))),
+                   c.p, n, _once(c, "binet", lambda: binet_setup(c.p)))),
                lambda c, n: spinor_window(c.v, n),
                lambda c: ([*range(c.nmax + 1)],
                           "max relative error {worst:.3e} at n={worst_n} (tol {tol:.1e})"),
                what="relative error {worst:.3e} exceeds tol {tol:.1e}"),),
-        lambda nmax: nmax + 4, last=30),
+        lambda nmax: nmax + 4, last=30,
+        before=lambda c: _once(c, "binet", lambda: binet_setup(c.p)) and None),
     IdentityId.GENFUNC_AGREEMENT: _Identity(
         (_Part(lambda c, k: genfunc_coefficient(
                    _once(c, "numerator", lambda: genfunc_numerator(c.p)), c.p, k),
@@ -531,13 +533,13 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
     IdentityId.DETERMINANT_COMBINATION: _Identity(
         (_Part(lambda c, n: _det_spinor(c.p, c.v, n), lambda c, n: _DET_REFERENCE),),
         lambda nmax: nmax + 10, order=_DET_ORDER,
-        requires=lambda p: None if p == TRIBONACCI else UnsupportedParams(
+        before=lambda c: None if c.p == TRIBONACCI else UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"),
         claim=lambda c, passed: ("final index n+4: spinor side " + (
             f"equals reference {_DET_REFERENCE}" if passed else "differs from reference"), "")),
     IdentityId.SUMMATION_CLOSED_FORM: _Identity(
         (_Part(_summation_lhs, _summation_rhs),), lambda nmax: nmax + 6, order=_SUM_ORDER,
-        requires=lambda p: None if p.r + p.s + p.t != 1 else DegenerateDelta(),
+        before=lambda c: None if c.p.r + c.p.s + c.p.t != 1 else DegenerateDelta(),
         claim=_summation_claim),
     IdentityId.U_DECOMPOSITION: _Identity(
         (_Part(lambda c, n: u_window(c.p, c.v, _once(

@@ -98,9 +98,10 @@ def _jump(steps: Sequence[Sequence[int]], seeds: Sequence[int], n: int) -> list[
 
 
 def _direct_terms(p: SeqParams, a: Rational, b: Rational, c: Rational) -> Iterator[Rational]:
+    r, s, t = p[:3]
     while True:
         yield a
-        a, b, c = b, c, p.r * c + p.s * b + p.t * a
+        a, b, c = b, c, r * c + s * b + t * a
 
 
 def _coprime_base(xs: Sequence[int]) -> list[int]:

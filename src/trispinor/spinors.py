@@ -16,6 +16,10 @@ class Spinor(_GaussEntries, fields="c1 c2"):
 
     __slots__ = ()
 
+    def to_complex(self) -> tuple[complex, complex]:
+        w, x, y, z = map(float, self._c)
+        return complex(w, x), complex(y, z)
+
     def __str__(self) -> str:
         return f"[{self.c1}; {self.c2}]"
 

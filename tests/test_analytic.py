@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import itertools
 import math
 import random
 import subprocess
@@ -14,6 +16,7 @@ from trispinor import (
     CubicRoots,
     DegenerateRoots,
     GaussScalar,
+    IdentityId,
     SeqParams,
     Spinor,
     binet_constants,
@@ -24,6 +27,8 @@ from trispinor import (
     genfunc_numerator,
     genfunc_spinor_series,
     preset,
+    random_params,
+    run_identity,
     seq_slice,
     trib_spinor,
 )
@@ -308,3 +313,43 @@ def test_cubic_roots_order_on_an_exact_real_part_tie(r, s, t, expected):
     assert roots.omega1.imag == 0 and roots.omega2 == roots.alpha.conjugate()
     for got, want in zip(roots.as_tuple(), expected):
         assert abs(got - want) < 1e-12
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_floats_are_pinned():
+    # sha256 of the roots, the closed-form spinors and the binet reports, as the
+    # Fraction solver and the closed form rebuilt at every n computed them.
+    rng = random.Random(29)
+    triples = [*itertools.product(range(-5, 6), repeat=3)] + [
+        tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
+        for _ in range(300)]
+    assert _digest(repr(cubic_roots(*t)) for t in triples) == (
+        "cb7b88d2c3160cd1c4d90e0e5a5c880906e8cd5db5fd93716f3a944dbcf3f5ee")
+    # The parameter sweep's sets: 40 integer and 40 rational (denominators 1-3).
+    rng = random.Random(7)
+    sets = [random_params(rng) for _ in range(40)]
+    rng = random.Random(7)
+    sets += [SeqParams(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)))
+             for _ in range(40)]
+
+    def spinors(p):
+        try:
+            return [repr(binet_spinor(p, n)) for n in range(31)]
+        except ArithmeticError as exc:
+            return [f"{type(exc).__name__}: {exc}"]
+    assert _digest(line for p in sets for line in spinors(p)) == (
+        "93ca12a6c5d36d5f94db59a15811af0e34e32f4d65692b462965635e5d125035")
+    assert _digest(repr(run_identity(IdentityId.BINET_AGREEMENT, p, nmax=60))
+                   for p in sets) == (
+        "0f94f43df35ad8af078e5581f1065d95675a21c9532aae1ffb1b3d8d177dc0a2")
+
+
+def test_cubic_roots_builds_no_fraction_on_int(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+    monkeypatch.setattr(analytic, "Fraction", no_fraction)
+    for r, s, t in [(1, 1, 1), (3, -3, 1), (3, -4, 2), (0, 0, 0), (2, 0, -1)]:
+        cubic_roots(r, s, t)

@@ -3,12 +3,13 @@
 the mapping of float overflow."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_matrix,
-                       companion_power, preset, run_identity)
+                       companion_power, preset, run_identity, verify_binet)
 from trispinor import identities, quaternions
 from trispinor.analytic import binet_spinor
 from trispinor.cli import main
@@ -280,6 +281,55 @@ def test_overflow_skips():
     assert report.status is Status.SKIPPED
     assert report.span == (0, 8)
     assert report.note.startswith("skipped (OverflowError): ")
+
+
+INT_DIVISION = "integer division result too large for a float"
+
+
+@pytest.mark.parametrize("p, message", [
+    (HUGE_R, INT_DIVISION),
+    (SeqParams(1, 10**700, 1, 0, 1, 1), INT_DIVISION),
+    (SeqParams(1, 1, 10**1000, 0, 1, 1), INT_DIVISION),
+    (SeqParams(Fraction(10**400, 3), 1, 1, 0, 1, 1), INT_DIVISION),
+    (SeqParams(1, 1, 1, 10**400, 1, 1), "int too large to convert to float"),
+], ids=["r", "s", "t", "rational-r", "v0"])
+def test_overflow_note_names_the_conversion(p, message):
+    # A coefficient beyond float range overflows as a Fraction's conversion does,
+    # whether it is an int or not; a seed overflows as an int's.
+    report = run_identity(IdentityId.BINET_AGREEMENT, p, nmax=60)
+    assert report.status is Status.SKIPPED
+    assert report.note == f"skipped (OverflowError): {message}"
+
+
+def test_binet_refuses_an_overflowing_set_before_reading_its_slice():
+    # The slice to V(1004) of r = 10**400 holds ints of 400k digits; binet's
+    # set-up overflows before any of them is computed.
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match=INT_DIVISION):
+        verify_binet(HUGE_R, 1000)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("p, note", [
+    (TRIB, "sigma(omega) constant [-5-1i; -1-3i]: exact; order 4: n=0..3 prove every n; "
+           "guard at n=60; seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
+    # The seed-window candidate holds at every point, so the claim reads all five.
+    (SeqParams(1, 1, 1, 0, 0, 0),
+     "sigma(omega) constant [0+0i; 0+0i]: exact; order 4: n=0..3 prove every n; "
+     "guard at n=60; seed-window constant [0+0i; 0+0i]: also exact"),
+], ids=["tribonacci", "zero"])
+def test_summation_claim_reads_the_values_its_sides_computed(monkeypatch, p, note):
+    calls = []
+
+    def counted(p, v, n=0):
+        calls.append(n)
+        return quaternions.sum_window(p, v, n)
+
+    monkeypatch.setattr(identities, "sum_window", counted)
+    report = run_identity(IdentityId.SUMMATION_CLOSED_FORM, p, nmax=60)
+    assert report.status is Status.EXACT_PASS
+    assert calls == [0, 1, 2, 3, 60]
+    assert report.note == note
 
 
 def test_cli_verify_overflow_exits_0(capsys):
