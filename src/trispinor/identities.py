@@ -117,7 +117,7 @@ TRIALS = 16
 
 class _Run(NamedTuple):
     """What the sides of one check read: its arguments, the slice of terms
-    from V(0), and a memo of what a side computes once per run (_once)."""
+    from V(0), and a memo of what is computed once per run (_once, before)."""
 
     p: SeqParams | None
     nmax: int
@@ -509,14 +509,12 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
         lambda nmax: min(nmax, _LAST_WINDOW) + 4, last=_LAST_WINDOW),
     # Float error grows with the dominant root's power: run_identity caps the range.
     IdentityId.BINET_AGREEMENT: _Identity(
-        (_Part(lambda c, n: _Approx(*binet_spinor(
-                   c.p, n, _once(c, "binet", lambda: binet_setup(c.p)))),
+        (_Part(lambda c, n: _Approx(*binet_spinor(c.p, n, c.memo["binet"])),
                lambda c, n: spinor_window(c.v, n),
                lambda c: ([*range(c.nmax + 1)],
                           "max relative error {worst:.3e} at n={worst_n} (tol {tol:.1e})"),
                what="relative error {worst:.3e} exceeds tol {tol:.1e}"),),
-        lambda nmax: nmax + 4, last=30,
-        before=lambda c: _once(c, "binet", lambda: binet_setup(c.p)) and None),
+        lambda nmax: nmax + 4, last=30, before=lambda c: c.memo.update(binet=binet_setup(c.p))),
     IdentityId.GENFUNC_AGREEMENT: _Identity(
         (_Part(lambda c, k: genfunc_coefficient(
                    _once(c, "numerator", lambda: genfunc_numerator(c.p)), c.p, k),

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .gauss import GaussScalar, I, Rational, _GaussEntries
+from .gauss import GaussScalar, Rational, _GaussEntries
 from .quaternions import Quaternion
 from .sequences import SeqParams, seq_slice
 
@@ -73,13 +73,15 @@ def complex_conjugate(s: Spinor) -> Spinor:
 
 
 def cartan_conjugate(s: Spinor) -> Spinor:
-    """i * C @ conjugate(s) = [i*conj(c2); -i*conj(c1)]."""
-    return I * (C @ complex_conjugate(s))
+    """[i*conj(c2); -i*conj(c1)]; the conjugates check proves it is i * C @ conjugate(s)."""
+    w, x, y, z = s._c
+    return Spinor._make((z, y, -x, -w))
 
 
 def mate(s: Spinor) -> Spinor:
-    """-C @ conjugate(s) = [-conj(c2); conj(c1)]."""
-    return -(C @ complex_conjugate(s))
+    """[-conj(c2); conj(c1)]; the conjugates check proves it is -C @ conjugate(s)."""
+    w, x, y, z = s._c
+    return Spinor._make((-y, z, w, -x))
 
 
 def breve(q: Quaternion) -> SpinMatrix2:

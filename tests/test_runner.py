@@ -28,6 +28,16 @@ def _negated_mate(s):
     return -mate(s)
 
 
+def _mate_unconjugated_c1(s):
+    """[-conj(c2); c1]: mate with the conjugation of c1 dropped."""
+    return Spinor(-s.c2.conjugate(), s.c1)
+
+
+def _cartan_unconjugated_c2(s):
+    """[i*c2; -i*conj(c1)]: cartan_conjugate with the conjugation of c2 dropped."""
+    return Spinor(GaussScalar(0, 1) * s.c2, GaussScalar(0, -1) * s.c1.conjugate())
+
+
 def _shifted_qv_window(p, v, n=0):
     return quaternions.qv_window(p, v, n + 1)
 
@@ -126,6 +136,10 @@ def _floored_k_window(p, v, n=0):
 # compares its whole window matrix at each n and carries its product by the
 # companion matrix from the window matrix at shift 0: shifting that window by
 # one gives the witness that a companion power shifted by one gave before.
+# mate and cartan_conjugate are read off a spinor's components, not composed
+# from C and the complex conjugate: a formula that drops the conjugation of one
+# component agrees on the real basis spinors and fails conjugates on the
+# imaginary one of that component, [i; 0] (n = 1) or [0; i] (n = 3).
 FAULTS = [
     ("conjugates", "mate", _negated_mate, (0, 7), 0,
      "C@mate: [-1+0i; 0+0i]", "[1+0i; 0+0i]", "basis spinor [1+0i; 0+0i]"),
@@ -176,6 +190,10 @@ FAULTS = [
      "final index n+4: spinor side differs from reference"),
     ("recurrence", "spinor_window", _bumped_window, (0, 10), 0,
      "[14+2i; 4+7i]", "[16+2i; 4+7i]", ""),
+    ("conjugates", "mate", _mate_unconjugated_c1, (0, 7), 1,
+     "C@mate: [0+1i; 0+0i]", "[0-1i; 0+0i]", "basis spinor [0+1i; 0+0i]"),
+    ("conjugates", "cartan_conjugate", _cartan_unconjugated_c2, (0, 7), 3,
+     "i*cartan: [0-1i; 0+0i]", "[0+1i; 0+0i]", "basis spinor [0+0i; 0+1i]"),
 ]
 # A row's id is its identity; a later row of the same identity adds its fault.
 FAULT_IDS = [ident if [f[0] for f in FAULTS].index(ident) == i

@@ -131,6 +131,14 @@ def test_conjugation_interlock(s):
     assert I * (C @ cartan_conjugate(s)) == complex_conjugate(s)
 
 
+@given(s=spinors)
+def test_conjugations_equal_their_composed_forms(s):
+    # mate and cartan_conjugate are read off the components; these are the
+    # forms through C and the complex conjugate they replaced.
+    assert mate(s) == -(C @ complex_conjugate(s))
+    assert cartan_conjugate(s) == I * (C @ complex_conjugate(s))
+
+
 # ---------------------------------------------------------------- breve matrices
 
 def test_breve_values():
