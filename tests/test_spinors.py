@@ -133,8 +133,8 @@ def test_conjugation_interlock(s):
 
 @given(s=spinors)
 def test_conjugations_equal_their_composed_forms(s):
-    # mate and cartan_conjugate are read off the components; these are the
-    # forms through C and the complex conjugate they replaced.
+    # mate and cartan_conjugate are read off the components; their forms
+    # through C and the complex conjugate are pinned here as data.
     assert mate(s) == -(C @ complex_conjugate(s))
     assert cartan_conjugate(s) == I * (C @ complex_conjugate(s))
 
