@@ -232,10 +232,11 @@ def _reports(args: argparse.Namespace, reports: list[VerificationReport]) -> tup
 def _check_nmax(args: argparse.Namespace, p: SeqParams, identity: IdentityId | None = None) -> int:
     """--nmax, if it is in range and no term the checks read, V(0) to V(d + 10),
     d = read_depth(identity, nmax) or nmax for every identity, has a numerator
-    or denominator of more than MAX_OPERAND_BITS bits. The pass stops at the first."""
+    or denominator of more than MAX_OPERAND_BITS bits; a parameter-free check,
+    whose depth is None, reads none. The pass stops at the first."""
     nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
     depth = nmax if identity is None else read_depth(identity, nmax)
-    for n, v in enumerate(islice(_iter_terms(p), depth + 11)):
+    for n, v in enumerate(islice(_iter_terms(p), 0 if depth is None else depth + 11)):
         bits = max(v.numerator.bit_length(), v.denominator.bit_length())
         if bits > MAX_OPERAND_BITS:
             raise ValueError(f"operands are limited to {MAX_OPERAND_BITS} bits: V({n}) has {bits}")

@@ -156,9 +156,6 @@ class GaussScalar(_Exact, fields="re im", coerce=rat):
     def is_real(self) -> bool:
         return self.im == 0
 
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"

@@ -8,11 +8,11 @@ a failing check carries a counterexample witness that can be replayed through
 the public operations.
 
 Each identity is one declaration in _IDENTITIES: its parts, each two sides
-evaluated apart at the part's points, and a sequence check's order. One
-runner, _run, reads the slice once, compares the sides to the first mismatch
-and builds the span and the note by one rule; binet's float approximation
-and summation's seed-window candidate keep a small hook each. Sides look
-primitives up in this module's namespace when called.
+evaluated apart at the part's points, a sequence check's order, its depth and
+its reach. One runner, _run, reads the slice once, compares the sides to the
+first mismatch and builds the span and the note by one rule; binet's float
+approximation and summation's seed-window candidate keep a small hook each.
+Sides look primitives up in this module's namespace when called.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ TRIALS = 16
 
 
 class _Run(NamedTuple):
-    """What the sides of one check read: its arguments, the slice of terms
-    from V(0), and a memo of what is computed once per run (_once, before)."""
+    """What the sides of one check read: its arguments, nmax being the depth, the
+    slice of terms from V(0), and a memo of what is computed once per run (_once, before)."""
 
     p: SeqParams | None
     nmax: int
@@ -148,18 +148,19 @@ class _Part(NamedTuple):
 
 
 class _Identity(NamedTuple):
-    """Its parts, in order; the length of its slice at nmax, none if it is
-    parameter-free; a sequence check's order, whose one part compares the
-    indices _depth picks unless it has points; what runs on the run before its slice
-    is read (before), returning the refusal to raise or None; its claim, the head and
-    tail of a passing (True) or failing note; and the largest nmax run_identity passes it."""
+    """Its parts, in order; its reach, the terms read past the depth, None if it is
+    parameter-free; a sequence check's order, whose one part compares the indices _depth
+    picks to depth - least unless it has points; what runs on the run before its slice is
+    read (before), returning the refusal to raise or None; its claim, the head and tail
+    of a passing (True) or failing note; the depth's cap (last); and the least nmax."""
 
     parts: tuple[_Part, ...]
-    terms: Callable[[int], int] | None
+    reach: int | None
     order: int | None = None
     before: Callable[[_Run], Exception | None] | None = None
     claim: Callable[[_Run, bool], tuple[str, str]] | None = None
     last: float = math.inf
+    least: int = 0
 
 
 class _Approx(NamedTuple):
@@ -175,24 +176,29 @@ class _Approx(NamedTuple):
 
 def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0,
          trials: int = TRIALS, tol: float = 1e-9) -> VerificationReport:
-    """The runner. A sequence check numbers its comparisons by their index and
-    spans [0..nmax]; any other numbers them from 0 across its parts and spans
-    them all. A passing note is the claim's head, what the points were and
-    the claim's tail; a failing one has the failing point's note between.
-    Both may name an approximation's largest error (worst, at worst_n) and tol."""
+    """The runner. It checks to the depth min(nmax, last), the run's nmax, and reads
+    V(0) to V(depth + reach - 1). A sequence check numbers its comparisons by their
+    index and spans [0..depth]; any other numbers them from 0 across its parts and
+    spans them all. A passing note is the claim's head, what the points were and the
+    claim's tail; a failing one has the failing point's note between. Both may name
+    an approximation's largest error (worst, at worst_n) and tol."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     check_tolerance(tol)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     d = _IDENTITIES[identity]
-    c = _Run(p, nmax, [], seed, trials, {})
+    if nmax < d.least:
+        raise ValueError(f"nmax must be at least {d.least}")
+    depth = min(nmax, d.last)
+    c = _Run(p, depth, [], seed, trials, {})
     if d.before and (refusal := d.before(c)):
         raise refusal
-    c = c._replace(v=seq_slice(p, 0, d.terms(nmax))) if d.terms else c
-    params = p if d.terms else None
-    points = [part.points(c) if part.points else _depth(d.order, nmax) for part in d.parts]
-    span = (0, nmax if d.order else sum(len(items) for items, _ in points) - 1)
+    params = None if d.reach is None else p
+    c = c if d.reach is None else c._replace(v=seq_slice(p, 0, depth + d.reach))
+    points = [part.points(c) if part.points else _depth(d.order, depth - d.least)
+              for part in d.parts]
+    span = (0, depth if d.order else sum(len(items) for items, _ in points) - 1)
     approx, worst, worst_n, offset = False, 0.0, 0, 0
     for part, (items, _) in zip(d.parts, points):
         for i, point in enumerate(items):
@@ -237,11 +243,8 @@ _LAST_WINDOW = 3
 
 
 def _windows(read: Callable[[list, int], object] = lambda v, n: n):
-    """The points of the set's windows at n <= min(nmax, 3), each read off the slice."""
-    def points(c: _Run) -> tuple[list, str]:
-        last = min(c.nmax, _LAST_WINDOW)
-        return [read(c.v, n) for n in range(last + 1)], f"the windows on [0..{last}]"
-    return points
+    """The points of the set's windows to the depth, each read off the slice."""
+    return lambda c: ([read(c.v, n) for n in range(c.nmax + 1)], f"the windows on [0..{c.nmax}]")
 
 
 # The two sides of a sequence check are polynomials in window terms, so for a
@@ -263,14 +266,9 @@ def _depth(order: int, last: int) -> tuple[list[int], str]:
     return [*range(order), last], f"order {order}: {proof}; guard at n={last}"
 
 
-_RECURRENCE_LEAST = 3  # A(n+3) is compared with the windows before it: n <= nmax-3
-
-
 def verify_spinor_recurrence(p: SeqParams, nmax: int) -> VerificationReport:
     """A(n+3) = r*A(n+2) + s*A(n+1) + t*A(n), exact, up to the last window
-    A(nmax): the guard is at n = nmax-3."""
-    if nmax < _RECURRENCE_LEAST:
-        raise ValueError(f"nmax must be at least {_RECURRENCE_LEAST}")
+    A(nmax): the guard is at n = nmax-3, so nmax is at least 3."""
     return _run(IdentityId.SPINOR_RECURRENCE, p, nmax)
 
 
@@ -316,7 +314,8 @@ def verify_norm_equality(p: SeqParams, nmax: int) -> VerificationReport:
 
 def verify_binet(p: SeqParams, nmax: int, tol: float = 1e-9) -> VerificationReport:
     """Root-based closed form reproduces the exact spinors within a relative
-    tolerance; binet_spinor raises DegenerateRoots for (nearly) repeated roots."""
+    tolerance, to n = min(nmax, 30); binet_spinor raises DegenerateRoots for
+    (nearly) repeated roots."""
     return _run(IdentityId.BINET_AGREEMENT, p, nmax, tol=tol)
 
 
@@ -407,22 +406,22 @@ def _summation_lhs(c: _Run, n: int) -> Spinor:
     # prefix[m] = V(0) + ... + V(m-1)
     prefix = _once(c, "prefix", lambda: list(itertools.accumulate(c.v[:c.nmax + 4], initial=0)))
     first = _once(c, "first", lambda: spinor_window(prefix))
-    return _once(c, ("lhs", n), lambda: (c.p.r + c.p.s + c.p.t - 1)
-                 * (spinor_window(prefix, n + 1) - first))
+    return (c.p.r + c.p.s + c.p.t - 1) * (spinor_window(prefix, n + 1) - first)
 
 
 def _summation_rhs(c: _Run, n: int) -> Spinor:
-    return _once(c, ("rhs", n), lambda: sigma(sum_window(c.p, c.v, n)) + _once(
-        c, "derived", lambda: sigma(summation_correction(c.p).omega)))
+    return sigma(sum_window(c.p, c.v, n)) + _once(
+        c, "derived", lambda: sigma(summation_correction(c.p).omega))
 
 
 def _summation_claim(c: _Run, passed: bool) -> tuple[str, str]:
-    # The seed-window candidate is data; the sides' values and derived are kept.
+    # The seed-window candidate is data: after a pass, from n = 0, it holds iff stated == derived.
     p, v, derived = c.p, c.v, c.memo["derived"]
     stated = spinor_window([rat((p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2])
                             for j in range(4)])
-    miss = next((n for n in _depth(_SUM_ORDER, c.nmax)[0]
-                 if _summation_lhs(c, n) != _summation_rhs(c, n) - derived + stated), None)
+    miss = (None if stated == derived else 0) if passed else next(
+        (n for n in _depth(_SUM_ORDER, c.nmax)[0]
+         if _summation_lhs(c, n) != _summation_rhs(c, n) - derived + stated), None)
     return (f"sigma(omega) constant {derived}" + (": exact" if passed else " fails"),
             f"seed-window constant {stated}: also exact" if miss is None
             else f"seed-window constant {stated}: first mismatch at n={miss}")
@@ -487,16 +486,15 @@ _SPINOR_MATRIX = _Part(lambda c, w: breve(k_window(c.p, w[0], w[1])),
 _IDENTITIES: dict[IdentityId, _Identity] = {
     IdentityId.SPINOR_RECURRENCE: _Identity(
         (_Part(lambda c, n: spinor_window(c.v, n + 3),
-               lambda c, n: (c.p.r * spinor_window(c.v, n + 2)
-                             + c.p.s * spinor_window(c.v, n + 1) + c.p.t * spinor_window(c.v, n)),
-               lambda c: _depth(_LINEAR_ORDER, c.nmax - _RECURRENCE_LEAST)),),
-        lambda nmax: nmax + 4, order=_LINEAR_ORDER),
+               lambda c, n: (c.p.r * spinor_window(c.v, n + 2) + c.p.s * spinor_window(c.v, n + 1)
+                             + c.p.t * spinor_window(c.v, n))),),
+        4, order=_LINEAR_ORDER, least=3),  # A(n+3) is compared: n <= nmax-3
     IdentityId.CONJUGATE_RELATIONS: _Identity(
         (_CONJUGATES._replace(points=_basis(_BASIS_SPINORS, "basis spinors"),
                               what="basis spinor {1}"),
          _CONJUGATES._replace(points=_windows(lambda v, n: spinor_window(v, n)),
                               what="window n={0}")),
-        lambda nmax: min(nmax, _LAST_WINDOW) + 4, last=_LAST_WINDOW),
+        4, last=_LAST_WINDOW),
     IdentityId.NORM_EQUALITY: _Identity(
         (_Part(lambda c, q: norm_forms(sigma(q)), lambda c, q: (GaussScalar(qnorm(q)),) * 3,
                _basis(_POLARIZATION_POINTS, "polarization points"), _NORM_LABELS,
@@ -506,20 +504,20 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
          _Part(lambda c, n: norm_forms(spinor_window(c.v, n)),
                lambda c, n: (GaussScalar(qnorm(quat_window(c.v, n))),) * 3,
                _windows(), _NORM_LABELS, "window n={0}")),
-        lambda nmax: min(nmax, _LAST_WINDOW) + 4, last=_LAST_WINDOW),
-    # Float error grows with the dominant root's power: run_identity caps the range.
+        4, last=_LAST_WINDOW),
+    # Float error grows with the dominant root's power: the runner caps the range.
     IdentityId.BINET_AGREEMENT: _Identity(
         (_Part(lambda c, n: _Approx(*binet_spinor(c.p, n, c.memo["binet"])),
                lambda c, n: spinor_window(c.v, n),
                lambda c: ([*range(c.nmax + 1)],
                           "max relative error {worst:.3e} at n={worst_n} (tol {tol:.1e})"),
                what="relative error {worst:.3e} exceeds tol {tol:.1e}"),),
-        lambda nmax: nmax + 4, last=30, before=lambda c: c.memo.update(binet=binet_setup(c.p))),
+        4, last=30, before=lambda c: c.memo.update(binet=binet_setup(c.p))),
     IdentityId.GENFUNC_AGREEMENT: _Identity(
         (_Part(lambda c, k: genfunc_coefficient(
                    _once(c, "numerator", lambda: genfunc_numerator(c.p)), c.p, k),
                lambda c, k: spinor_window(c.v, k)),),
-        lambda nmax: nmax + 4, order=_LINEAR_ORDER),
+        4, order=_LINEAR_ORDER),
     IdentityId.TRIPLE_PRODUCT_MAP: _Identity(
         (_TRIPLE_PRODUCT._replace(points=_basis(_BASIS_TRIPLES, "basis triples")),
          _TRIPLE_PRODUCT._replace(points=_random_triples)), None),
@@ -527,44 +525,44 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
         (_SPINOR_MATRIX._replace(points=_basis([(u, 0) for u in _UNIT_K_WINDOWS],
                                                "unit windows"), what="unit window {1[0]}"),
          _SPINOR_MATRIX._replace(points=_windows(lambda v, n: (v, n)), what="window n={0}")),
-        lambda nmax: min(nmax, _LAST_WINDOW) + 6, last=_LAST_WINDOW),
+        6, last=_LAST_WINDOW),
     IdentityId.DETERMINANT_COMBINATION: _Identity(
         (_Part(lambda c, n: _det_spinor(c.p, c.v, n), lambda c, n: _DET_REFERENCE),),
-        lambda nmax: nmax + 10, order=_DET_ORDER,
+        10, order=_DET_ORDER,
         before=lambda c: None if c.p == TRIBONACCI else UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"),
         claim=lambda c, passed: ("final index n+4: spinor side " + (
             f"equals reference {_DET_REFERENCE}" if passed else "differs from reference"), "")),
     IdentityId.SUMMATION_CLOSED_FORM: _Identity(
-        (_Part(_summation_lhs, _summation_rhs),), lambda nmax: nmax + 6, order=_SUM_ORDER,
+        (_Part(_summation_lhs, _summation_rhs),), 6, order=_SUM_ORDER,
         before=lambda c: None if c.p.r + c.p.s + c.p.t != 1 else DegenerateDelta(),
         claim=_summation_claim),
     IdentityId.U_DECOMPOSITION: _Identity(
         (_Part(lambda c, n: u_window(c.p, c.v, _once(
                    c, "u", lambda: seq_slice(u_companion(c.p), 0, c.nmax + 3)), n),
                lambda c, n: quat_window(c.v, n + 2)),),
-        lambda nmax: nmax + 6, order=_LINEAR_ORDER),
+        6, order=_LINEAR_ORDER),
     IdentityId.MATRIX_POWER_SHIFT: _Identity(
         (_Part(_power_lhs, _power_rhs, labels=tuple(
             (f"entry({i},{j})=",) * 2 for i, j in itertools.product(range(3), repeat=2))),),
-        lambda nmax: nmax + 8, order=_LINEAR_ORDER),
+        8, order=_LINEAR_ORDER),
 }
 
 
-def read_depth(identity: IdentityId, nmax: int) -> int:
-    """The nmax run_identity checks identity to: a basis proof compares the
-    set's windows to n = 3 only, and binet stops at 30, where float error is small."""
-    return min(nmax, _IDENTITIES[identity].last)
+def read_depth(identity: IdentityId, nmax: int) -> int | None:
+    """min(nmax, last), the depth the runner checks identity to: 3 for a basis proof's
+    windows, 30 for binet's floats; None for a parameter-free check, which reads no terms."""
+    d = _IDENTITIES[identity]
+    return None if d.reach is None else min(nmax, d.last)
 
 
 def run_identity(identity: IdentityId, p: SeqParams, *, nmax: int = 50, seed: int = 0,
                  tol: float = 1e-9) -> VerificationReport:
-    """Run one identity check, converting parameter-dependent refusals
-    (degenerate delta or roots, unsupported preset) and float overflow into
-    skip reports."""
-    nmax = read_depth(identity, nmax)
-    if identity is IdentityId.SPINOR_RECURRENCE and nmax >= 0:
-        nmax = max(nmax, _RECURRENCE_LEAST)
+    """Run one identity check to the depth min(nmax, last), nmax raised to the
+    check's least first, converting parameter-dependent refusals (degenerate
+    delta or roots, unsupported preset) and float overflow into skip reports."""
+    d = _IDENTITIES[identity]
+    nmax = min(max(nmax, d.least) if nmax >= 0 else nmax, d.last)
     try:
         return _run(identity, p, nmax, seed, TRIALS, tol)
     except (DegenerateDelta, DegenerateRoots, UnsupportedParams, OverflowError) as exc:

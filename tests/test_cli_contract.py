@@ -172,6 +172,19 @@ def test_verify_bounds_binet_by_the_nmax_cap():
         2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(397) has 131217\n")
 
 
+def test_verify_sizes_nothing_for_a_parameter_free_check():
+    """triple_product reads no terms: verify sizes none of them and runs, while
+    suite still sizes every term to V(nmax+10)."""
+    params = "1e300,1,1,0,1,1"
+    start = time.perf_counter()
+    code, out, err = run(["verify", "--identity", "triple_product", "--nmax", "1000",
+                          "--params", params])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "") and out.startswith("triple_product   exact_pass")
+    assert run(["suite", "--nmax", "1000", "--params", params]) == (
+        2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(134) has 131549\n")
+
+
 def _cap_memory():
     # Before the bound, 1e99999999999 built a 41 GB integer: fail instead.
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

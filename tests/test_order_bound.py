@@ -38,7 +38,7 @@ def _sides(identity: IdentityId, p: SeqParams, depth: int = DEPTH) -> tuple[list
     recurrence's last window."""
     d, nmax = identities._IDENTITIES[identity], depth + 3
     (part,) = d.parts
-    run = identities._Run(p, nmax, seq_slice(p, 0, d.terms(nmax)), 0, identities.TRIALS, {})
+    run = identities._Run(p, nmax, seq_slice(p, 0, nmax + d.reach), 0, identities.TRIALS, {})
     ns = range(depth + 1)
     return [part.lhs(run, n) for n in ns], [part.rhs(run, n) for n in ns]
 

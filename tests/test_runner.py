@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_matrix,
-                       companion_power, preset, run_identity, verify_binet)
+                       companion_power, preset, run_identity, verify_binet,
+                       verify_spinor_recurrence)
 from trispinor import identities, quaternions
 from trispinor.analytic import binet_spinor
 from trispinor.cli import main
@@ -348,6 +349,47 @@ def test_summation_claim_reads_the_values_its_sides_computed(monkeypatch, p, not
     assert report.status is Status.EXACT_PASS
     assert calls == [0, 1, 2, 3, 60]
     assert report.note == note
+
+
+def _sum_window_wrong_at_60(p, v, n=0):
+    q = quaternions.sum_window(p, v, n)
+    return q + ONE if n == 60 else q
+
+
+@pytest.mark.parametrize("p, tail", [
+    # stated == derived: the candidate holds below the order and fails at the guard.
+    (SeqParams(1, 1, 1, 0, 0, 0), "seed-window constant [0+0i; 0+0i]: first mismatch at n=60"),
+    (TRIB, "seed-window constant [-3-1i; 0-2i]: first mismatch at n=0"),
+], ids=["zero", "tribonacci"])
+def test_a_failed_summation_claim_compares_the_candidate_at_every_point(monkeypatch, p, tail):
+    monkeypatch.setattr(identities, "sum_window", _sum_window_wrong_at_60)
+    report = run_identity(IdentityId.SUMMATION_CLOSED_FORM, p, nmax=60)
+    assert report.status is Status.FAIL and report.witness.n == 60
+    assert report.note.endswith(tail)
+
+
+def test_a_direct_binet_check_stops_at_its_cap():
+    report = verify_binet(TRIB, 100)
+    assert report == run_identity(IdentityId.BINET_AGREEMENT, TRIB, nmax=100)
+    assert report.span == (0, 30)
+
+
+def test_the_recurrence_reads_its_least_nmax(monkeypatch):
+    """A direct check refuses nmax below 3; run_identity raises nmax to 3, which
+    compares n = 0 alone, reading the windows at 3, 2, 1 and 0."""
+    with pytest.raises(ValueError, match="nmax must be at least 3"):
+        verify_spinor_recurrence(TRIB, 2)
+    calls = []
+
+    def counted(v, n=0):
+        calls.append(n)
+        return spinor_window(v, n)
+
+    monkeypatch.setattr(identities, "spinor_window", counted)
+    report = run_identity(IdentityId.SPINOR_RECURRENCE, TRIB, nmax=0)
+    assert (report.status, report.span) == (Status.EXACT_PASS, (0, 3))
+    assert report.note == "order 3: only [0..0] compared; n=0..2 prove every n"
+    assert calls == [3, 2, 1, 0]
 
 
 def test_cli_verify_overflow_exits_0(capsys):
