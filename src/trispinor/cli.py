@@ -22,11 +22,11 @@ from .identities import (
     Status,
     VerificationReport,
     check_tolerance,
-    read_depth,
+    read_terms,
     run_identity,
     run_suite,
 )
-from .quaternions import trib_quaternion
+from .quaternions import trib_quaternion, u_companion
 from .sequences import SeqParams, _iter_terms, preset, seq_slice, seq_term
 from .spinors import trib_spinor
 
@@ -36,9 +36,9 @@ MAX_TERMS = 10_000
 # Largest verify/suite --nmax: the tribonacci suite at 1000 takes 0.16 s on the same
 # VM, the median of 7 fresh processes (each 0.13-0.19 s).
 MAX_CHECK_NMAX = 1_000
-# Largest bit size of a numerator or denominator among the terms a check
-# reads; suite --params 1e400,1,1,0,1,1 reads V(60), 77,069 bits, at the default
-# nmax, and verify --identity binet, bounded by its cap, V(40), 50,494 bits.
+# Largest bit size of a numerator or denominator among the terms of V and U a
+# check reads; suite --params 1e400,1,1,0,1,1 reads V(59), 75,740 bits, at the
+# default nmax, and verify --identity binet, bounded by its cap, V(33), 41,192 bits.
 MAX_OPERAND_BITS = 1 << 17
 
 
@@ -229,29 +229,28 @@ def _reports(args: argparse.Namespace, reports: list[VerificationReport]) -> tup
     return text, 1 if any(r.status is Status.FAIL for r in reports) else 0
 
 
-def _check_nmax(args: argparse.Namespace, p: SeqParams, identity: IdentityId | None = None) -> int:
-    """--nmax, if it is in range and no term the checks read, V(0) to V(d + 10),
-    d = read_depth(identity, nmax) or nmax for every identity, has a numerator
-    or denominator of more than MAX_OPERAND_BITS bits; a parameter-free check,
-    whose depth is None, reads none. The pass stops at the first."""
+def _check_nmax(args: argparse.Namespace, p: SeqParams, checks: list[IdentityId]) -> int:
+    """--nmax, if it is in range and no term of V, then of its companion U, to the most
+    read_terms of the checks has a numerator or denominator of more than MAX_OPERAND_BITS
+    bits (every other sequence a check computes is U shifted and scaled); stops at the first."""
     nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
-    depth = nmax if identity is None else read_depth(identity, nmax)
-    for n, v in enumerate(islice(_iter_terms(p), 0 if depth is None else depth + 11)):
-        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
-        if bits > MAX_OPERAND_BITS:
-            raise ValueError(f"operands are limited to {MAX_OPERAND_BITS} bits: V({n}) has {bits}")
+    count = max(read_terms(identity, nmax) for identity in checks)
+    for name, seq in (("V", p), ("U", u_companion(p))):
+        for n, v in enumerate(islice(_iter_terms(seq), count)):
+            bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+            if bits > MAX_OPERAND_BITS:
+                raise ValueError(f"operands are limited to {MAX_OPERAND_BITS} bits: "
+                                 f"{name}({n}) has {bits}")
     return nmax
 
 
 def _cmd_verify(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
-    identity = IdentityId(args.identity)
-    # A sequence check's order bounds what it proves, not what it reads.
-    nmax = _check_nmax(args, p, identity)
+    nmax = _check_nmax(args, p, [identity := IdentityId(args.identity)])
     return _reports(args, [run_identity(identity, p, nmax=nmax, seed=args.seed, tol=args.tol)])
 
 
 def _cmd_suite(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
-    nmax = _check_nmax(args, p)
+    nmax = _check_nmax(args, p, list(IdentityId))
     return _reports(args, run_suite(p, nmax=nmax, seed=args.seed, tol=args.tol))
 
 

@@ -151,8 +151,8 @@ class _Identity(NamedTuple):
     """Its parts, in order; its reach, the terms read past the depth, None if it is
     parameter-free; a sequence check's order, whose one part compares the indices _depth
     picks to depth - least unless it has points; what runs on the run before its slice is
-    read (before), returning the refusal to raise or None; its claim, the head and tail
-    of a passing (True) or failing note; the depth's cap (last); and the least nmax."""
+    read (before), returning the refusal to raise or None; its claim, the head and tail of
+    a passing (True) or failing note; and the least nmax and the cap (last) that depth applies."""
 
     parts: tuple[_Part, ...]
     reach: int | None
@@ -161,6 +161,9 @@ class _Identity(NamedTuple):
     claim: Callable[[_Run, bool], tuple[str, str]] | None = None
     last: float = math.inf
     least: int = 0
+
+    def depth(self, nmax: int) -> int:
+        return min(max(nmax, self.least), self.last)
 
 
 class _Approx(NamedTuple):
@@ -177,11 +180,11 @@ class _Approx(NamedTuple):
 def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0,
          trials: int = TRIALS, tol: float = 1e-9) -> VerificationReport:
     """The runner. It checks to the depth min(nmax, last), the run's nmax, and reads
-    V(0) to V(depth + reach - 1). A sequence check numbers its comparisons by their
-    index and spans [0..depth]; any other numbers them from 0 across its parts and
-    spans them all. A passing note is the claim's head, what the points were and the
-    claim's tail; a failing one has the failing point's note between. Both may name
-    an approximation's largest error (worst, at worst_n) and tol."""
+    read_terms terms, V(0) to V(depth + reach - 1). A sequence check numbers its
+    comparisons by their index and spans [0..depth]; any other numbers them from 0
+    across its parts and spans them all. A passing note is the claim's head, what the
+    points were and the claim's tail; a failing one has the failing point's note
+    between. Both may name an approximation's largest error (worst, at worst_n) and tol."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     check_tolerance(tol)
@@ -190,12 +193,12 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
     d = _IDENTITIES[identity]
     if nmax < d.least:
         raise ValueError(f"nmax must be at least {d.least}")
-    depth = min(nmax, d.last)
+    depth = d.depth(nmax)
     c = _Run(p, depth, [], seed, trials, {})
     if d.before and (refusal := d.before(c)):
         raise refusal
     params = None if d.reach is None else p
-    c = c if d.reach is None else c._replace(v=seq_slice(p, 0, depth + d.reach))
+    c = c if d.reach is None else c._replace(v=seq_slice(p, 0, read_terms(identity, nmax)))
     points = [part.points(c) if part.points else _depth(d.order, depth - d.least)
               for part in d.parts]
     span = (0, depth if d.order else sum(len(items) for items, _ in points) - 1)
@@ -549,20 +552,18 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
 }
 
 
-def read_depth(identity: IdentityId, nmax: int) -> int | None:
-    """min(nmax, last), the depth the runner checks identity to: 3 for a basis proof's
-    windows, 30 for binet's floats; None for a parameter-free check, which reads no terms."""
+def read_terms(identity: IdentityId, nmax: int) -> int:
+    """How many terms from V(0) run_identity reads at nmax: the depth (at most 3 for a basis
+    proof's windows, 30 for binet's floats) plus reach; 0 for a parameter-free check."""
     d = _IDENTITIES[identity]
-    return None if d.reach is None else min(nmax, d.last)
+    return 0 if d.reach is None else d.depth(nmax) + d.reach
 
 
 def run_identity(identity: IdentityId, p: SeqParams, *, nmax: int = 50, seed: int = 0,
                  tol: float = 1e-9) -> VerificationReport:
-    """Run one identity check to the depth min(nmax, last), nmax raised to the
-    check's least first, converting parameter-dependent refusals (degenerate
-    delta or roots, unsupported preset) and float overflow into skip reports."""
-    d = _IDENTITIES[identity]
-    nmax = min(max(nmax, d.least) if nmax >= 0 else nmax, d.last)
+    """Run one identity check to its depth at nmax, converting parameter-dependent refusals
+    (degenerate delta or roots, unsupported preset) and float overflow into skip reports."""
+    nmax = _IDENTITIES[identity].depth(nmax) if nmax >= 0 else nmax
     try:
         return _run(identity, p, nmax, seed, TRIALS, tol)
     except (DegenerateDelta, DegenerateRoots, UnsupportedParams, OverflowError) as exc:

@@ -10,14 +10,17 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trispinor import cli
+from trispinor import TRIBONACCI, IdentityId, cli, identities
 from trispinor.cli import MAX_CHECK_NMAX, MAX_OPERAND_BITS, MAX_TERMS, main
+from trispinor.identities import read_terms
+from trispinor.quaternions import u_companion
 
 
 def run(argv):
@@ -122,10 +125,10 @@ def test_bad_params_line_is_bounded_in_bytes(piece):
 
 def test_operands_past_the_bit_bound_exit_2_at_once():
     """verify and suite read the size of the terms their checks read, up to
-    V(nmax+10) at most, before any check, and stop at the first one past the
-    bound."""
+    V(nmax+9) at most, before any check, and stop at the first one past the
+    bound. norm reads only V(0) to V(6) on that set, and runs."""
     params = "9" * 4300 + ",1,1,0,1,1"
-    for argv in (["verify", "--identity", "norm", "--nmax", "50", "--params", params],
+    for argv in (["verify", "--identity", "summation", "--nmax", "50", "--params", params],
                  ["suite", "--params", params]):
         start = time.perf_counter()
         code, out, err = run(argv)
@@ -133,11 +136,15 @@ def test_operands_past_the_bit_bound_exit_2_at_once():
         assert (code, out) == (2, "")
         assert re.fullmatch(rf"error: operands are limited to {MAX_OPERAND_BITS} bits: "
                             r"V\(\d+\) has \d+\n", err)
+    start = time.perf_counter()
+    code, out, err = run(["verify", "--identity", "norm", "--nmax", "50", "--params", params])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "") and out.startswith("norm             exact_pass")
 
 
 def test_verify_bounds_only_the_terms_its_identity_reads():
     """conjugates compares the windows at n <= 3 after its basis: verify sizes
-    V(0) to V(13) and runs, while suite still sizes every term to V(nmax+10)."""
+    V(0) to V(6) and runs, while suite still sizes every term to V(nmax+9)."""
     params = "9" * 100 + ",1,1,0,1,1"
     start = time.perf_counter()
     code, out, err = run(["verify", "--identity", "conjugates", "--nmax", "1000",
@@ -151,8 +158,8 @@ def test_verify_bounds_only_the_terms_its_identity_reads():
 @pytest.mark.parametrize("identity", ["matrix_power", "determinant", "summation"])
 def test_verify_sizes_a_sequence_check_to_its_guard(identity):
     """A sequence check compares n below its order and a guard at nmax, which
-    reads V(nmax) and beyond: verify sizes every term to V(nmax+10), as suite
-    does, whatever the order bound."""
+    reads V(nmax) and beyond: verify sizes every term to V(nmax + reach - 1), as
+    suite does to V(nmax+9), whatever the order bound."""
     params = "9" * 100 + ",1,1,0,1,1"
     start = time.perf_counter()
     assert run(["verify", "--identity", identity, "--nmax", "1000", "--params", params]) == (
@@ -161,8 +168,8 @@ def test_verify_sizes_a_sequence_check_to_its_guard(identity):
 
 
 def test_verify_bounds_binet_by_the_nmax_cap():
-    """run_identity caps binet at nmax 30: verify sizes V(0) to V(40) and runs,
-    while suite still sizes every term to V(nmax+10)."""
+    """run_identity caps binet at nmax 30: verify sizes V(0) to V(33) and runs,
+    while suite still sizes every term to V(nmax+9)."""
     params = "9" * 100 + ",1,1,0,1,1"
     start = time.perf_counter()
     code, out, err = run(["verify", "--identity", "binet", "--nmax", "1000", "--params", params])
@@ -174,7 +181,7 @@ def test_verify_bounds_binet_by_the_nmax_cap():
 
 def test_verify_sizes_nothing_for_a_parameter_free_check():
     """triple_product reads no terms: verify sizes none of them and runs, while
-    suite still sizes every term to V(nmax+10)."""
+    suite still sizes every term to V(nmax+9)."""
     params = "1e300,1,1,0,1,1"
     start = time.perf_counter()
     code, out, err = run(["verify", "--identity", "triple_product", "--nmax", "1000",
@@ -183,6 +190,68 @@ def test_verify_sizes_nothing_for_a_parameter_free_check():
     assert (code, err) == (0, "") and out.startswith("triple_product   exact_pass")
     assert run(["suite", "--nmax", "1000", "--params", params]) == (
         2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(134) has 131549\n")
+
+
+@pytest.mark.parametrize("argv, params, message", [
+    (["verify", "--identity", "u_decomposition"], "9" * 4300, "U(12) has 142843"),
+    (["verify", "--identity", "matrix_power"], "9" * 4300, "U(12) has 142843"),
+    (["verify", "--identity", "recurrence"], "1e40", "U(989) has 131150"),
+    (["suite"], "1e40", "U(989) has 131150"),
+], ids=["u_decomposition", "matrix_power", "recurrence", "suite"])
+def test_a_zero_seed_set_is_sized_by_its_companion_sequence(argv, params, message):
+    """Every V(n) of a zero-seed set is 0, while its companion U, which
+    u_decomposition and the companion power read, grows as r^n: verify and
+    suite size U to as many terms as V, after V. So even the recurrence, which
+    reads only V, is refused once U passes the bound within that count."""
+    start = time.perf_counter()
+    assert run([*argv, "--nmax", "1000", "--params", params + ",0,0,0,0,0"]) == (
+        2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: {message}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def _reads(monkeypatch, argv):
+    """Run argv on tribonacci: the terms the operand pass pulls from V and from
+    U, and the lengths of the slices from V(0) the checks read."""
+    pulled, slices = Counter(), []
+    iter_terms, seq_slice = cli._iter_terms, identities.seq_slice
+
+    def counted(p, *args):
+        for v in iter_terms(p, *args):
+            pulled[p] += 1
+            yield v
+
+    def recorded(p, n0, length):
+        if p == TRIBONACCI:
+            assert n0 == 0
+            slices.append(length)
+        return seq_slice(p, n0, length)
+
+    monkeypatch.setattr(cli, "_iter_terms", counted)
+    monkeypatch.setattr(identities, "seq_slice", recorded)
+    code, out, err = run([*argv, "--preset", "tribonacci"])
+    assert (code, err) == (0, "")
+    return pulled[TRIBONACCI], pulled[u_companion(TRIBONACCI)], slices
+
+
+_NMAXES = [0, 2, 3, 29, 30, 31, 50, 1000]
+
+
+@pytest.mark.parametrize("nmax", _NMAXES)
+@pytest.mark.parametrize("identity", [i.value for i in IdentityId])
+def test_verify_sizes_exactly_what_the_runner_reads(monkeypatch, identity, nmax):
+    """The operand pass pulls read_terms terms of V and of U, and the runner's
+    one slice from V(0) is as long; a parameter-free check reads none."""
+    v, u, slices = _reads(monkeypatch, ["verify", "--identity", identity, "--nmax", str(nmax)])
+    terms = read_terms(IdentityId(identity), nmax)
+    assert v == u == terms == sum(slices) and len(slices) == bool(terms)
+
+
+@pytest.mark.parametrize("nmax", _NMAXES)
+def test_suite_sizes_the_most_any_check_reads(monkeypatch, nmax):
+    """suite's operand pass pulls the most any check reads: V(0) to V(nmax+9),
+    the determinant's slice."""
+    v, u, slices = _reads(monkeypatch, ["suite", "--nmax", str(nmax)])
+    assert v == u == max(read_terms(i, nmax) for i in IdentityId) == max(slices) == nmax + 10
 
 
 def _cap_memory():
