@@ -205,7 +205,7 @@ def genfunc_coefficient(numerator: Sequence[Spinor], p: SeqParams, n: int) -> Sp
         raise ValueError("index must be nonnegative")
     d = math.lcm(*(c.denominator for c in p[:3]))
     q0, q1, q2, q3 = d, *(-c.numerator * (d // c.denominator) for c in p[:3])
-    polys = list(zip(*(a._c for a in numerator)))
+    polys = list(zip(*numerator))
     e = math.lcm(*(c.denominator for poly in polys for c in poly))
     polys = [[c.numerator * (e // c.denominator) for c in poly] for poly in polys]
     while n > 1:

@@ -1,12 +1,15 @@
 """Gaussian rationals: complex numbers with exact rational parts, and the
-exact value kernel that every value type of the package is built on."""
+exact value kernel that every value type of the package is built on: a value
+is the tuple of its stored rationals, never equal to a plain tuple, unordered."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, itemgetter, neg, sub
+from types import MethodType
 
 Rational = Fraction | int
+_tuple_eq = tuple.__eq__  # looked up once, not on every ==
 
 
 def rat(x: object) -> Rational:
@@ -18,23 +21,26 @@ def rat(x: object) -> Rational:
     return x.numerator if x.denominator == 1 else x
 
 
-class _Exact:
-    """Immutable vector of exact components, stored in one tuple ``_c``.
+class _Exact(tuple):
+    """Immutable vector of exact components: the tuple of its stored rationals.
 
     A subclass names its fields and the function that coerces each one as
     class keywords: ``fields="q0 q1 q2 q3", coerce=rat``. A field is one
     component here, and two, (re, im), in `_GaussEntries`. The constructor
     coerces every field once; arithmetic builds its results with ``_make``,
-    which does not. The kernel shares +, -, negation, ==, hash and pickle;
-    each type defines its own ``*``. ``==`` holds between values of one type
-    with equal components, after ``_lift`` has converted the other operand.
+    tuple.__new__ bound to the class, which does not. The kernel shares +, -,
+    negation, ==, hash and pickle; each type defines its own ``*``. ``==``
+    holds between values of one type with equal components, after ``_lift``
+    has converted the other operand. A value iterates over its stored rationals
+    and has their len, but never equals a tuple, is unordered and does not concatenate.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
     def __init_subclass__(cls, *, fields: str, coerce=None, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(fields.split())
+        # A bound method, not a classmethod: reading it builds no method object.
+        cls._fields, cls._make = tuple(fields.split()), MethodType(tuple.__new__, cls)
         if coerce:  # otherwise the base's coercion is kept
             cls._coerce = staticmethod(coerce)
         for i, name in enumerate(cls._fields):
@@ -42,21 +48,13 @@ class _Exact:
 
     @staticmethod
     def _field(i: int) -> property:
-        return property(lambda self: self._c[i])
+        return property(itemgetter(i))
 
-    def __init__(self, *components: object) -> None:
-        if len(components) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+    def __new__(cls, *components: object):
+        if len(components) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} "
                             f"components, got {len(components)}")
-        _set_components(self, tuple(map(self._coerce, components)))
-
-    @classmethod
-    def _make(cls, components, _new=object.__new__):
-        """Internal constructor: the components are already coerced. It calls the
-        bound object.__new__ and _c slot setter, past __init__ and __setattr__."""
-        self = _new(cls)
-        _set_components(self, tuple(components))
-        return self
+        return tuple.__new__(cls, map(cls._coerce, components))
 
     def _lift(self, other: object):
         """`other` as a value of this type, or None if it is not one."""
@@ -64,45 +62,49 @@ class _Exact:
 
     def __add__(self, other):
         other = self._lift(other)
-        return NotImplemented if other is None else self._make(map(add, self._c, other._c))
+        return NotImplemented if other is None else self._make(map(add, self, other))
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        if isinstance(other, tuple) and self._lift(other) is None:  # else tuple's + concatenates
+            raise TypeError(f"cannot add {type(self).__name__} to {type(other).__name__}")
+        return self.__add__(other)
 
     def __sub__(self, other):
         other = self._lift(other)
-        return NotImplemented if other is None else self._make(map(sub, self._c, other._c))
+        return NotImplemented if other is None else self._make(map(sub, self, other))
 
     def __rsub__(self, other):
         other = self._lift(other)
-        return NotImplemented if other is None else self._make(map(sub, other._c, self._c))
+        return NotImplemented if other is None else self._make(map(sub, other, self))
 
     def __neg__(self):
-        return self._make(map(neg, self._c))
+        return self._make(map(neg, self))
 
     def __eq__(self, other: object) -> bool:
-        other = self._lift(other)
-        return NotImplemented if other is None else self._c == other._c
+        lifted = other if type(other) is type(self) else self._lift(other)
+        if lifted is None:  # declined, tuple's == would compare the items
+            return False if isinstance(other, tuple) else NotImplemented
+        return _tuple_eq(self, lifted)
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's !=
+
+    def _unordered(self, other: object):
+        raise TypeError(f"{type(self).__name__} values are unordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __hash__(self) -> int:
         # A value whose later components are all zero hashes like its first
         # one, so a purely real GaussScalar hashes like the rational it equals.
-        first, *rest = self._c
-        return hash(first) if all(c == 0 for c in rest) else hash(self._c)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
+        first, *rest = self
+        return hash(first) if all(c == 0 for c in rest) else tuple.__hash__(self)
 
     def __reduce__(self):
-        return type(self), self._c
+        return type(self), tuple(self)
 
     def __repr__(self) -> str:
         parts = (str(c) if isinstance(c, Fraction) else repr(c) for c in self.__reduce__()[1])
         return f"{type(self).__name__}({', '.join(parts)})"
-
-
-_set_components = _Exact._c.__set__
 
 
 def _coerce(value: object) -> GaussScalar | None:
@@ -122,18 +124,19 @@ class GaussScalar(_Exact, fields="re im", coerce=rat):
 
     __slots__ = ()
 
-    def __init__(self, re: Rational, im: Rational = 0) -> None:
-        super().__init__(re, im)
+    def __new__(cls, re: Rational, im: Rational = 0) -> GaussScalar:
+        return tuple.__new__(cls, (rat(re), rat(im)))
 
     # +, - and == take plain ints and Fractions as purely real values.
     _lift = staticmethod(_coerce)
 
     def __mul__(self, other: GaussScalar | Rational):
-        other = _coerce(other)
+        # A spinor or matrix operand is declined at once: its scaling runs.
+        other = None if isinstance(other, _GaussEntries) else _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._c
-        c, d = other._c
+        a, b = self
+        c, d = other
         return GaussScalar._make((a * c - b * d, a * d + b * c))
 
     __rmul__ = __mul__
@@ -142,15 +145,16 @@ class GaussScalar(_Exact, fields="re im", coerce=rat):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        c, d = other._c
+        c, d = other
         n = c * c + d * d
         if n == 0:
             raise ZeroDivisionError("division by zero")
         # Fraction(x, n), not x / n: two ints would divide to a float.
-        return GaussScalar._make([rat(Fraction(x, n)) for x in (self * other.conjugate())._c])
+        return GaussScalar._make([rat(Fraction(x, n)) for x in self * other.conjugate()])
 
     def conjugate(self) -> GaussScalar:
-        return GaussScalar._make((self.re, -self.im))
+        re, im = self
+        return GaussScalar._make((re, -im))
 
     @property
     def is_real(self) -> bool:
@@ -181,21 +185,21 @@ class _GaussEntries(_Exact, fields="", coerce=as_gauss):
 
     @staticmethod
     def _field(i: int) -> property:
-        return property(lambda self: GaussScalar._make(self._c[2 * i:2 * i + 2]))
+        return property(lambda self: GaussScalar._make(self[2 * i:2 * i + 2]))
 
-    def __init__(self, *entries: GaussScalar | Rational) -> None:
-        super().__init__(*entries)
-        _set_components(self, tuple(x for z in self._c for x in z._c))
+    def __new__(cls, *entries: GaussScalar | Rational):
+        return tuple.__new__(cls, [x for z in super().__new__(cls, *entries) for x in z])
 
     def __mul__(self, k):
         """Scaling: every entry times k, a Gaussian or a plain rational; each
-        rational of the result is coerced by rat."""
-        k = rat(k) if isinstance(k, (int, Fraction)) else as_gauss(k)
-        if type(k) is not GaussScalar:
-            return self._make([rat(k * c) for c in self._c])
-        x, y = k._c
-        pairs = zip(*[iter(self._c)] * 2)
-        return self._make([rat(z) for a, b in pairs for z in (a * x - b * y, a * y + b * x)])
+        rational of the result that is not an int is coerced by rat."""
+        if type(k) is GaussScalar:
+            x, y = k
+            pairs = zip(*[iter(self)] * 2)
+            return self._make([z if type(z) is int else rat(z)
+                               for a, b in pairs for z in (a * x - b * y, a * y + b * x)])
+        k = rat(k) if isinstance(k, (int, Fraction)) else as_gauss(k)  # raises TypeError
+        return self._make([z if type(z := k * c) is int else rat(z) for c in self])
 
     __rmul__ = __mul__
 

@@ -34,9 +34,10 @@ class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=rat):
         return self.__rmul__(other)
 
     def __rmul__(self, k: Rational) -> Quaternion:
-        """Scaling: every component times the scalar k, each product coerced by rat."""
+        """Scaling: every component times the scalar k, each product that is not
+        an int coerced by rat."""
         k = rat(k)
-        return self._make([rat(k * c) for c in self._c])
+        return self._make([z if type(z := k * c) is int else rat(z) for c in self])
 
     def __str__(self) -> str:
         return f"({self.q0}, {self.q1}, {self.q2}, {self.q3})"
@@ -47,8 +48,8 @@ ONE = Quaternion(1, 0, 0, 0)
 
 def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product; non-commutative (e1*e2 = e3 = -(e2*e1))."""
-    p0, p1, p2, p3 = p._c
-    q0, q1, q2, q3 = q._c
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
     return Quaternion._make((
         p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
         p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
@@ -131,7 +132,7 @@ def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
     return tuple([(make([x * m0 + y * m3 + z * m6 for x, y, z in xyz]),
                    make([x * m1 + y * m4 + z * m7 for x, y, z in xyz]),
                    make([x * m2 + y * m5 + z * m8 for x, y, z in xyz]))
-                  for xyz in [tuple(zip(a._c, b._c, c._c)) for a, b, c in rows]])
+                  for xyz in [tuple(zip(a, b, c)) for a, b, c in rows]])
 
 
 def u_companion(p: SeqParams) -> SeqParams:
@@ -188,4 +189,4 @@ def quat_partial_sum(p: SeqParams, n: int) -> Quaternion:
     if corr.delta == 0:
         raise DegenerateDelta()
     total = sum_window(p, seq_slice(p, n, 6)) + corr.omega
-    return Quaternion(*(Fraction(x) / corr.delta for x in total._c))
+    return Quaternion(*(Fraction(x) / corr.delta for x in total))

@@ -264,11 +264,15 @@ def _power_residue(p: Sequence[int], n: int) -> tuple[int, int, int]:
 
 
 def companion_power(p: SeqParams, n: int) -> Matrix3:
-    """n-th power of the companion matrix, exact. C^n maps a seed window to
-    the window at n, so its column j is the window at n, newest first, of the
-    sequence seeded with the unit window whose V(2-j) is 1: a jump by the
-    power kernel for n > 0."""
+    """n-th power of the companion matrix, exact. C^n maps a seed window to the
+    window at n, so row i holds the seeds' coefficients in V(n+2-i), which are
+    read off the companion sequence U seeded (0, 0, 1): for n >= 2, one jump by
+    the power kernel to U(n-2)..U(n+2) gives row i as (U(n+2-i),
+    s*U(n+1-i) + t*U(n-i), t*U(n+1-i)), each product coerced by rat."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    units = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    return tuple(zip(*(seq_slice(SeqParams(*p[:3], *u), n, 3)[::-1] for u in units)))
+    if n < 2:
+        return companion_matrix(p) if n else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    r, s, t = p[:3]
+    u = seq_slice(SeqParams(r, s, t, 0, 0, 1), n - 2, 5)
+    return tuple((u[4 - i], rat(s * u[3 - i] + t * u[2 - i]), rat(t * u[3 - i])) for i in range(3))

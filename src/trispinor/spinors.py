@@ -17,7 +17,7 @@ class Spinor(_GaussEntries, fields="c1 c2"):
     __slots__ = ()
 
     def to_complex(self) -> tuple[complex, complex]:
-        w, x, y, z = map(float, self._c)
+        w, x, y, z = map(float, self)
         return complex(w, x), complex(y, z)
 
     def __str__(self) -> str:
@@ -33,19 +33,19 @@ class SpinMatrix2(_GaussEntries, fields="a11 a12 a21 a22"):
     def __matmul__(self, other: SpinMatrix2 | Spinor):
         # (re, im) pairs: a11 = (a, b), a12 = (c, d), a21 = (e, f), a22 = (g, h); those
         # of a spinor are (w, x) and (y, z). A matrix operand is taken column by column.
-        a, b, c, d, e, f, g, h = self._c
+        a, b, c, d, e, f, g, h = self
         if type(other) is Spinor:
-            w, x, y, z = other._c
+            w, x, y, z = other
             return Spinor._make((a * w - b * x + c * y - d * z, a * x + b * w + c * z + d * y,
                                  e * w - f * x + g * y - h * z, e * x + f * w + g * z + h * y))
         if type(other) is not SpinMatrix2:
             return NotImplemented
-        p, q, r, s, t, u, v, w = other._c
+        p, q, r, s, t, u, v, w = other
         left, right = self @ Spinor._make((p, q, t, u)), self @ Spinor._make((r, s, v, w))
-        return SpinMatrix2._make(left._c[:2] + right._c[:2] + left._c[2:] + right._c[2:])
+        return SpinMatrix2._make(left[:2] + right[:2] + left[2:] + right[2:])
 
     def transpose(self) -> SpinMatrix2:
-        return SpinMatrix2._make(self._c[i] for i in (0, 1, 4, 5, 2, 3, 6, 7))
+        return SpinMatrix2._make(self[i] for i in (0, 1, 4, 5, 2, 3, 6, 7))
 
     def __str__(self) -> str:
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"
@@ -57,44 +57,44 @@ C = SpinMatrix2(0, 1, -1, 0)
 
 def sigma(q: Quaternion) -> Spinor:
     """Linear injective image of a quaternion: [q3 + i*q0; q1 + i*q2]."""
-    q0, q1, q2, q3 = q._c
+    q0, q1, q2, q3 = q
     return Spinor._make((q3, q0, q1, q2))
 
 
 def sigma_inv(s: Spinor) -> Quaternion:
     """Inverse of sigma on its image: recovers (q0, q1, q2, q3)."""
-    return Quaternion._make(s._c[1:] + s._c[:1])
+    return Quaternion._make(s[1:] + s[:1])
 
 
 def complex_conjugate(s: Spinor) -> Spinor:
     """Componentwise complex conjugate."""
-    w, x, y, z = s._c
+    w, x, y, z = s
     return Spinor._make((w, -x, y, -z))
 
 
 def cartan_conjugate(s: Spinor) -> Spinor:
     """[i*conj(c2); -i*conj(c1)]; the conjugates check proves it is i * C @ conjugate(s)."""
-    w, x, y, z = s._c
+    w, x, y, z = s
     return Spinor._make((z, y, -x, -w))
 
 
 def mate(s: Spinor) -> Spinor:
     """[-conj(c2); conj(c1)]; the conjugates check proves it is -C @ conjugate(s)."""
-    w, x, y, z = s._c
+    w, x, y, z = s
     return Spinor._make((-y, z, w, -x))
 
 
 def breve(q: Quaternion) -> SpinMatrix2:
     """2x2 representation of a quaternion; its first column is sigma(q) and
     sigma(p * q) = -i * breve(p) @ sigma(q)."""
-    q0, q1, q2, q3 = q._c
+    q0, q1, q2, q3 = q
     return SpinMatrix2._make((q3, q0, q1, -q2, q1, q2, -q3, q0))
 
 
 def spinor_dot(u: Spinor, v: Spinor) -> GaussScalar:
     """Plain bilinear pairing u1*v1 + u2*v2 (no conjugation)."""
-    a, b, c, d = u._c
-    w, x, y, z = v._c
+    a, b, c, d = u
+    w, x, y, z = v
     return GaussScalar._make((a * w - b * x + c * y - d * z, a * x + b * w + c * z + d * y))
 
 

@@ -297,7 +297,7 @@ def test_genfunc_coefficient_builds_no_fraction_on_an_integer_set(monkeypatch):
     monkeypatch.setattr(analytic, "Fraction", no_fraction)
     coefficient = genfunc_coefficient(numerator, p, 1000)
     assert coefficient == trib_spinor(p, 1000)
-    assert {type(c) for c in coefficient._c} == {int}
+    assert {type(c) for c in tuple(coefficient)} == {int}
 
 
 @pytest.mark.parametrize("r, s, t, expected", [

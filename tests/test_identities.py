@@ -108,10 +108,10 @@ def _rank(rows: list[list[Fraction]]) -> int:
 def test_the_bases_span_what_they_prove():
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     assert identities._UNIT_WINDOWS == units
-    assert [a._c for a in identities._BASIS_SPINORS] == units
+    assert [tuple(a) for a in identities._BASIS_SPINORS] == units
     # A quadratic form on Q^4 is fixed by its 10 coefficients of x_i*x_j, i <= j:
     # the points determine it when those monomials, evaluated there, have rank 10.
-    points = [q._c for q in identities._POLARIZATION_POINTS]
+    points = [tuple(q) for q in identities._POLARIZATION_POINTS]
     assert len(set(points)) == 10
     pairs = list(itertools.combinations_with_replacement(range(4), 2))
     assert _rank([[Fraction(x[i] * x[j]) for i, j in pairs] for x in points]) == 10
@@ -398,6 +398,6 @@ def test_summation_seed_window_constant_is_exact_terms(monkeypatch, p):
     (stated,) = built
     v = seq_slice(p, 0, 6)
     want = [(p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2] for j in range(4)]
-    assert list(stated._c) == [want[3], want[0], want[1], want[2]]
-    for x in stated._c:
+    assert list(tuple(stated)) == [want[3], want[0], want[1], want[2]]
+    for x in tuple(stated):
         assert type(x) is int or (type(x) is Fraction and x.denominator > 1)

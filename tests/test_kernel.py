@@ -3,6 +3,7 @@ SpinMatrix2: exact coercion, immutability, equality, hashing, pickling and
 copying."""
 
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -40,6 +41,48 @@ def test_roundtrip_gives_an_equal_value(value, roundtrip):
     assert str(again) == str(value)
 
 
+# Each of VALUES and the rationals it stores, in order.
+STORED = [
+    (Fraction(1, 2), -3),
+    (1, Fraction(-2, 3), 0, 4),
+    (2, 1, 5, 0),
+    (0, 1, 2, 0, Fraction(3, 4), -1, 0, 0),
+]
+
+
+@pytest.mark.parametrize("value, items", zip(VALUES, STORED), ids=IDS)
+def test_a_value_is_not_a_plain_tuple(value, items):
+    """Equality, ordering and concatenation are those of a value, never a
+    tuple's: a value equals no plain tuple, is unordered, and does not concatenate."""
+    assert not value == items and not items == value
+    assert value != items and items != value
+    for other in (value, items, ()):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(value, other)
+            with pytest.raises(TypeError):
+                compare(other, value)
+    for left, right in ((items, value), (value, items), ((), value), (value, ())):
+        with pytest.raises(TypeError):
+            left + right
+
+
+@pytest.mark.parametrize("value, items", zip(VALUES, STORED), ids=IDS)
+def test_hash_is_that_of_the_stored_rationals(value, items):
+    assert hash(value) == hash(items)
+    # Only the first rational nonzero: the hash of that rational.
+    real = type(value)(items[0], *[0] * (len(value._fields) - 1))
+    assert hash(real) == hash(items[0])
+
+
+def test_a_value_iterates_over_its_stored_rationals():
+    # The one thing a value shares with a tuple: it is the sequence of the
+    # rationals it stores, two per Gaussian entry, and has their len.
+    for value, items in zip(VALUES, STORED):
+        assert tuple(value) == items and len(value) == len(items)
+    assert list(Spinor(1, 2)) == [1, 0, 2, 0]
+
+
 @pytest.mark.parametrize("value", VALUES + MADE, ids=IDS + MADE_IDS)
 def test_values_are_immutable(value):
     before = str(value)
@@ -66,10 +109,10 @@ def test_constructor_coerces_exactly():
     q = Quaternion(0.5, 1, 2, 3)
     assert q.q0 == Fraction(1, 2) and type(q.q0) is Fraction
     assert (q.q1, q.q2, q.q3) == (1, 2, 3)
-    _assert_exact(*q._c)
+    _assert_exact(*tuple(q))
     q = Quaternion(Fraction(4, 2), 2.0, True, -0.25)
     assert q == Quaternion(2, 2, 1, Fraction(-1, 4))
-    _assert_exact(*q._c)
+    _assert_exact(*tuple(q))
     z = GaussScalar(1) / GaussScalar(3)
     assert (z.re, z.im) == (Fraction(1, 3), 0)
     _assert_exact(z.re, z.im)
@@ -110,11 +153,11 @@ def test_division_by_zero_and_by_gaussian_rationals():
 def test_arithmetic_keeps_exact_component_types():
     q = Quaternion(1, 2, 3, 4)
     for result in (q + q, q - q, -q, 2 * q, q * q):
-        _assert_exact(*result._c)
+        _assert_exact(*tuple(result))
     # A Fraction operand can leave an integral Fraction (3 * 1/3 here): it is
     # exact, equal to the int, and prints like it.
     third = q * Fraction(1, 3)
-    _assert_exact(*third._c, normal=False)
+    _assert_exact(*tuple(third), normal=False)
     assert third == Quaternion(Fraction(1, 3), Fraction(2, 3), 1, Fraction(4, 3))
     assert str(third) == "(1/3, 2/3, 1, 4/3)"
     m = SpinMatrix2(1, 2, 3, 4)

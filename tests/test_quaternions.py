@@ -224,7 +224,7 @@ def test_k_window_is_the_scaled_window_sum(p):
         scaled = p.s * quat_window(v, n + 1), p.t * quat_window(v, n)
         got = k_window(p, v, n)
         assert got == scaled[0] + scaled[1]
-        assert all(_is_exact_term(x) for q in (got, *scaled) for x in q._c)
+        assert all(_is_exact_term(x) for q in (got, *scaled) for x in tuple(q))
     assert k_window(p, [Fraction(x) for x in v]) == k_window(p, v)
 
 
@@ -253,16 +253,16 @@ def test_windows_keep_the_terms_and_their_types(p, n0):
     assert all(map(_is_exact_term, v))
     for n in range(10):
         q, s, k = quat_window(v, n), spinor_window(v, n), k_window(p, v, n)
-        assert list(q._c) == v[n:n + 4]
-        assert [type(x) for x in q._c] == [type(x) for x in v[n:n + 4]]
-        assert list(s._c) == [v[n + 3], v[n], v[n + 1], v[n + 2]]
-        assert [type(x) for x in s._c] == [type(v[n + i]) for i in (3, 0, 1, 2)]
+        assert list(tuple(q)) == v[n:n + 4]
+        assert [type(x) for x in tuple(q)] == [type(x) for x in v[n:n + 4]]
+        assert list(tuple(s)) == [v[n + 3], v[n], v[n + 1], v[n + 2]]
+        assert [type(x) for x in tuple(s)] == [type(v[n + i]) for i in (3, 0, 1, 2)]
         want = [p.s * v[m + 1] + p.t * v[m] for m in range(n, n + 4)]
-        assert list(k._c) == want
-        assert all(map(_is_exact_term, k._c))
+        assert list(tuple(k)) == want
+        assert all(map(_is_exact_term, tuple(k)))
     # 1/2 * V(1) + 1 * V(0) = 1/2 * 0 + 2 on these parameters: the int 2.
     k = k_quaternion(SeqParams(Fraction(1, 2), Fraction(1, 2), 1, 2, 0, 1), 0)
-    assert k._c == (2, Fraction(1, 2), Fraction(9, 4), Fraction(27, 8))
+    assert tuple(k) == (2, Fraction(1, 2), Fraction(9, 4), Fraction(27, 8))
     assert type(k.q0) is int
 
 
@@ -280,7 +280,7 @@ def test_summed_windows_keep_rats_rule(p):
                          + p.t * quat_window(v, n))
         assert u_window(p, v, u, n) == quat_window(v, n + 2)
         for q in (total, u_window(p, v, u, n), quat_u_decomposition(p, n)):
-            assert all(map(_is_exact_term, q._c)), (n, q._c)
+            assert all(map(_is_exact_term, tuple(q))), (n, tuple(q))
 
 
 def test_partial_sum_components_are_exact_terms():
@@ -294,6 +294,6 @@ def test_partial_sum_components_are_exact_terms():
             total = total + trib_quaternion(p, n)
             got = quat_partial_sum(p, n)
             assert got == total
-            assert all(map(_is_exact_term, got._c)), (p, n, got._c)
+            assert all(map(_is_exact_term, tuple(got))), (p, n, tuple(got))
             if p == TRIB:
-                assert all(type(x) is int for x in got._c)
+                assert all(type(x) is int for x in tuple(got))

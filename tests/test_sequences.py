@@ -382,16 +382,19 @@ def test_deep_jumps_match_the_forward_pass(values, starts):
         assert window == forward[n0:n0 + 6]
         assert seq_term(p, n0) == forward[n0]
         assert trib_spinor(p, n0) == spinor_window(forward, n0)
-        assert_lowest_terms(window + [seq_term(p, n0)] + list(trib_spinor(p, n0)._c))
+        assert_lowest_terms(window + [seq_term(p, n0)] + list(tuple(trib_spinor(p, n0))))
     assert_lowest_terms(forward)
 
 
 @pytest.mark.parametrize("values, nmax", [((3, -2, 5, 1, -4, 2), 1000), (SMOOTH_SET, 1000),
-                                          (SLOW_DENOMINATOR_SET, 1000), (LARGE_PRIME_SET, 300)],
+                                          (SLOW_DENOMINATOR_SET, 1000), (LARGE_PRIME_SET, 300),
+                                          ((2, -3, 0, 1, 0, 2), 1000),
+                                          ((Fraction(1, 2), Fraction(-2, 3), 0, 1, 2, 3), 300)],
                          ids=str)
 def test_companion_power_is_the_product_of_companion_matrices(values, nmax):
     """All nine entries of companion_power(p, n) equal C*C*...*C built by
-    forward 3x3 products, at n <= 64 and at nmax, in lowest terms."""
+    forward 3x3 products, at n <= 64 and at nmax, in lowest terms; with t = 0
+    too, where the companion sequence U has no term before U(0)."""
     p = SeqParams(*values)
     step, power = companion_matrix(p), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for n in range(nmax + 1):
@@ -401,6 +404,21 @@ def test_companion_power_is_the_product_of_companion_matrices(values, nmax):
             assert_lowest_terms([x for row in got for x in row])
         power = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*step))
                       for row in power)
+
+
+@pytest.mark.parametrize("values", [(3, -2, 5, 1, -4, 2), SMOOTH_SET, LARGE_PRIME_SET,
+                                    (2, -3, 0, 1, 0, 2)], ids=str)
+def test_companion_power_jumps_once(monkeypatch, values):
+    """For n >= 2, C^n is read off one slice of the companion sequence U:
+    one jump by the power kernel, not one per column."""
+    p = SeqParams(*values)
+    calls = []
+    seq_slice_ = sequences.seq_slice
+    monkeypatch.setattr(sequences, "seq_slice", lambda *a: calls.append(a) or seq_slice_(*a))
+    for n in (2, 3, 60, 1000):
+        calls.clear()
+        companion_power(p, n)
+        assert len(calls) == 1, n
 
 
 @pytest.mark.parametrize("values", [SMOOTH_SET, SLOW_DENOMINATOR_SET, LARGE_PRIME_SET,
