@@ -234,7 +234,7 @@ def _check_nmax(args: argparse.Namespace, p: SeqParams, checks: list[IdentityId]
     read_terms of the checks has a numerator or denominator of more than MAX_OPERAND_BITS
     bits (every other sequence a check computes is U shifted and scaled); stops at the first."""
     nmax = _bounded(args.nmax, "nmax", MAX_CHECK_NMAX)
-    count = max(read_terms(identity, nmax) for identity in checks)
+    count = max(read_terms(identity, nmax, p) for identity in checks)
     for name, seq in (("V", p), ("U", u_companion(p))):
         for n, v in enumerate(islice(_iter_terms(seq), count)):
             bits = max(v.numerator.bit_length(), v.denominator.bit_length())

@@ -117,7 +117,7 @@ TRIALS = 16
 
 class _Run(NamedTuple):
     """What the sides of one check read: its arguments, nmax being the depth, the
-    slice of terms from V(0), and a memo of what is computed once per run (_once, before)."""
+    slice of terms from V(0), and a memo of what is computed once per run (_once)."""
 
     p: SeqParams | None
     nmax: int
@@ -150,14 +150,14 @@ class _Part(NamedTuple):
 class _Identity(NamedTuple):
     """Its parts, in order; its reach, the terms read past the depth, None if it is
     parameter-free; a sequence check's order, whose one part compares the indices _depth
-    picks to depth - least unless it has points; what runs on the run before its slice is
-    read (before), returning the refusal to raise or None; its claim, the head and tail of
+    picks to depth - least unless it has points; refuse, a function of p alone that returns
+    the refusal to raise before any term is read, or None; its claim, the head and tail of
     a passing (True) or failing note; and the least nmax and the cap (last) that depth applies."""
 
     parts: tuple[_Part, ...]
     reach: int | None
     order: int | None = None
-    before: Callable[[_Run], Exception | None] | None = None
+    refuse: Callable[[SeqParams], Exception | None] | None = None
     claim: Callable[[_Run, bool], tuple[str, str]] | None = None
     last: float = math.inf
     least: int = 0
@@ -179,12 +179,12 @@ class _Approx(NamedTuple):
 
 def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0,
          trials: int = TRIALS, tol: float = 1e-9) -> VerificationReport:
-    """The runner. It checks to the depth min(nmax, last), the run's nmax, and reads
-    read_terms terms, V(0) to V(depth + reach - 1). A sequence check numbers its
-    comparisons by their index and spans [0..depth]; any other numbers them from 0
-    across its parts and spans them all. A passing note is the claim's head, what the
-    points were and the claim's tail; a failing one has the failing point's note
-    between. Both may name an approximation's largest error (worst, at worst_n) and tol."""
+    """The runner. It raises a refusal of p at once, or checks to the depth min(nmax, last),
+    the run's nmax, reading read_terms terms, V(0) to V(depth + reach - 1). A sequence check
+    numbers its comparisons by their index and spans [0..depth]; any other numbers them
+    from 0 across its parts and spans them all. A passing note is the claim's head, what the
+    points were and the claim's tail; a failing one has the failing point's note between.
+    Both may name an approximation's largest error (worst, at worst_n) and tol."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     check_tolerance(tol)
@@ -193,12 +193,11 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
     d = _IDENTITIES[identity]
     if nmax < d.least:
         raise ValueError(f"nmax must be at least {d.least}")
-    depth = d.depth(nmax)
-    c = _Run(p, depth, [], seed, trials, {})
-    if d.before and (refusal := d.before(c)):
+    if d.refuse and (refusal := d.refuse(p)):
         raise refusal
+    depth = d.depth(nmax)
     params = None if d.reach is None else p
-    c = c if d.reach is None else c._replace(v=seq_slice(p, 0, read_terms(identity, nmax)))
+    c = _Run(p, depth, seq_slice(p, 0, depth + d.reach) if params else [], seed, trials, {})
     points = [part.points(c) if part.points else _depth(d.order, depth - d.least)
               for part in d.parts]
     span = (0, depth if d.order else sum(len(items) for items, _ in points) - 1)
@@ -510,12 +509,13 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
         4, last=_LAST_WINDOW),
     # Float error grows with the dominant root's power: the runner caps the range.
     IdentityId.BINET_AGREEMENT: _Identity(
-        (_Part(lambda c, n: _Approx(*binet_spinor(c.p, n, c.memo["binet"])),
+        (_Part(lambda c, n: _Approx(*binet_spinor(
+                   c.p, n, _once(c, "binet", lambda: binet_setup(c.p)))),
                lambda c, n: spinor_window(c.v, n),
                lambda c: ([*range(c.nmax + 1)],
                           "max relative error {worst:.3e} at n={worst_n} (tol {tol:.1e})"),
                what="relative error {worst:.3e} exceeds tol {tol:.1e}"),),
-        4, last=30, before=lambda c: c.memo.update(binet=binet_setup(c.p))),
+        4, last=30),
     IdentityId.GENFUNC_AGREEMENT: _Identity(
         (_Part(lambda c, k: genfunc_coefficient(
                    _once(c, "numerator", lambda: genfunc_numerator(c.p)), c.p, k),
@@ -532,13 +532,13 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
     IdentityId.DETERMINANT_COMBINATION: _Identity(
         (_Part(lambda c, n: _det_spinor(c.p, c.v, n), lambda c, n: _DET_REFERENCE),),
         10, order=_DET_ORDER,
-        before=lambda c: None if c.p == TRIBONACCI else UnsupportedParams(
+        refuse=lambda p: None if p == TRIBONACCI else UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"),
         claim=lambda c, passed: ("final index n+4: spinor side " + (
             f"equals reference {_DET_REFERENCE}" if passed else "differs from reference"), "")),
     IdentityId.SUMMATION_CLOSED_FORM: _Identity(
         (_Part(_summation_lhs, _summation_rhs),), 6, order=_SUM_ORDER,
-        before=lambda c: None if c.p.r + c.p.s + c.p.t != 1 else DegenerateDelta(),
+        refuse=lambda p: None if p.r + p.s + p.t != 1 else DegenerateDelta(),
         claim=_summation_claim),
     IdentityId.U_DECOMPOSITION: _Identity(
         (_Part(lambda c, n: u_window(c.p, c.v, _once(
@@ -552,11 +552,11 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
 }
 
 
-def read_terms(identity: IdentityId, nmax: int) -> int:
-    """How many terms from V(0) run_identity reads at nmax: the depth (at most 3 for a basis
-    proof's windows, 30 for binet's floats) plus reach; 0 for a parameter-free check."""
+def read_terms(identity: IdentityId, nmax: int, p: SeqParams) -> int:
+    """How many terms from V(0) run_identity reads at nmax on p: the depth (at most 3 for a basis
+    proof's windows, 30 for binet's floats) plus reach; 0 for a parameter-free or refused check."""
     d = _IDENTITIES[identity]
-    return 0 if d.reach is None else d.depth(nmax) + d.reach
+    return 0 if d.reach is None or d.refuse and d.refuse(p) else d.depth(nmax) + d.reach
 
 
 def run_identity(identity: IdentityId, p: SeqParams, *, nmax: int = 50, seed: int = 0,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trispinor import TRIBONACCI, IdentityId, cli, identities
+from trispinor import TRIBONACCI, IdentityId, SeqParams, cli, identities
 from trispinor.cli import MAX_CHECK_NMAX, MAX_OPERAND_BITS, MAX_TERMS, main
 from trispinor.identities import read_terms
 from trispinor.quaternions import u_companion
@@ -144,7 +144,7 @@ def test_operands_past_the_bit_bound_exit_2_at_once():
 
 def test_verify_bounds_only_the_terms_its_identity_reads():
     """conjugates compares the windows at n <= 3 after its basis: verify sizes
-    V(0) to V(6) and runs, while suite still sizes every term to V(nmax+9)."""
+    V(0) to V(6) and runs, while suite still sizes every term to V(nmax+7)."""
     params = "9" * 100 + ",1,1,0,1,1"
     start = time.perf_counter()
     code, out, err = run(["verify", "--identity", "conjugates", "--nmax", "1000",
@@ -158,18 +158,62 @@ def test_verify_bounds_only_the_terms_its_identity_reads():
 @pytest.mark.parametrize("identity", ["matrix_power", "determinant", "summation"])
 def test_verify_sizes_a_sequence_check_to_its_guard(identity):
     """A sequence check compares n below its order and a guard at nmax, which
-    reads V(nmax) and beyond: verify sizes every term to V(nmax + reach - 1), as
-    suite does to V(nmax+9), whatever the order bound."""
+    reads V(nmax) and beyond: verify sizes every term to V(nmax + reach - 1),
+    whatever the order bound. The determinant refuses every set but tribonacci
+    before it reads a term, so verify sizes none and skips it at once."""
     params = "9" * 100 + ",1,1,0,1,1"
     start = time.perf_counter()
-    assert run(["verify", "--identity", identity, "--nmax", "1000", "--params", params]) == (
-        2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(397) has 131217\n")
+    code, out, err = run(["verify", "--identity", identity, "--nmax", "1000", "--params", params])
     assert time.perf_counter() - start < 1.0
+    if identity == "determinant":
+        assert (code, err) == (0, "") and out.startswith("determinant      skipped")
+    else:
+        assert (code, out, err) == (
+            2, "", f"error: operands are limited to {MAX_OPERAND_BITS} bits: V(397) has 131217\n")
+
+
+def test_a_refused_check_sizes_no_terms():
+    """V(1009) of this set is past the operand bound, but only the determinant,
+    which refuses every set but tribonacci, would read it: verify sizes no term,
+    skips the determinant and exits 0."""
+    params = "1562500000000000000000000000000000000001,1,1,0,1,1"
+    code, out, err = run(["verify", "--identity", "determinant", "--nmax", "1000",
+                          "--params", params])
+    assert (code, err) == (0, "")
+    assert out == ("determinant      skipped      n=[0..1000]  skipped (UnsupportedParams): "
+                   "determinant combination is only defined for the tribonacci preset\n")
+
+
+def test_suite_sizes_the_most_a_check_that_runs_reads(monkeypatch):
+    """On a set the determinant refuses, suite's operand pass pulls V(0) to
+    V(nmax+7), matrix_power's slice, of V and of U."""
+    pulled, iter_terms = Counter(), cli._iter_terms
+
+    def counted(p, *args):
+        for v in iter_terms(p, *args):
+            pulled[p] += 1
+            yield v
+
+    monkeypatch.setattr(cli, "_iter_terms", counted)
+    p = SeqParams(2, 1, 1, 0, 1, 1)
+    assert run(["suite", "--nmax", "50", "--params", "2,1,1,0,1,1"])[0] == 0
+    assert pulled[p] == pulled[u_companion(p)] == 50 + 8
+
+
+@pytest.mark.parametrize("params", ["tribonacci", "9" * 39 + ",0,0,0,0,0"],
+                         ids=["tribonacci", "39-nines-zero-seeds"])
+def test_suite_at_nmax_1000_exits_0(params):
+    """The deepest suite the bounds admit runs: on tribonacci, and on the largest
+    zero-seed r admitted at that depth, where V is all 0 and only the operand
+    pass over the companion U bounds r."""
+    argv = ["--preset", params] if params == "tribonacci" else ["--params", params]
+    code, out, err = run(["suite", "--nmax", "1000", *argv])
+    assert (code, err) == (0, "")
 
 
 def test_verify_bounds_binet_by_the_nmax_cap():
     """run_identity caps binet at nmax 30: verify sizes V(0) to V(33) and runs,
-    while suite still sizes every term to V(nmax+9)."""
+    while suite still sizes every term to V(nmax+7)."""
     params = "9" * 100 + ",1,1,0,1,1"
     start = time.perf_counter()
     code, out, err = run(["verify", "--identity", "binet", "--nmax", "1000", "--params", params])
@@ -181,7 +225,7 @@ def test_verify_bounds_binet_by_the_nmax_cap():
 
 def test_verify_sizes_nothing_for_a_parameter_free_check():
     """triple_product reads no terms: verify sizes none of them and runs, while
-    suite still sizes every term to V(nmax+9)."""
+    suite still sizes every term to V(nmax+7)."""
     params = "1e300,1,1,0,1,1"
     start = time.perf_counter()
     code, out, err = run(["verify", "--identity", "triple_product", "--nmax", "1000",
@@ -242,7 +286,7 @@ def test_verify_sizes_exactly_what_the_runner_reads(monkeypatch, identity, nmax)
     """The operand pass pulls read_terms terms of V and of U, and the runner's
     one slice from V(0) is as long; a parameter-free check reads none."""
     v, u, slices = _reads(monkeypatch, ["verify", "--identity", identity, "--nmax", str(nmax)])
-    terms = read_terms(IdentityId(identity), nmax)
+    terms = read_terms(IdentityId(identity), nmax, TRIBONACCI)
     assert v == u == terms == sum(slices) and len(slices) == bool(terms)
 
 
@@ -251,7 +295,8 @@ def test_suite_sizes_the_most_any_check_reads(monkeypatch, nmax):
     """suite's operand pass pulls the most any check reads: V(0) to V(nmax+9),
     the determinant's slice."""
     v, u, slices = _reads(monkeypatch, ["suite", "--nmax", str(nmax)])
-    assert v == u == max(read_terms(i, nmax) for i in IdentityId) == max(slices) == nmax + 10
+    most = max(read_terms(i, nmax, TRIBONACCI) for i in IdentityId)
+    assert v == u == most == max(slices) == nmax + 10
 
 
 def _cap_memory():

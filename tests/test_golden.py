@@ -11,6 +11,8 @@ tests/test_golden.py` only for an intended change of output.
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -95,6 +97,21 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     assert CASES[name]() == (GOLDEN / name).read_text()
+
+
+def test_suite_golden_in_fresh_processes():
+    """Each fresh process draws its own hash seed, which the in-process golden
+    cannot vary: 5 `python -m trispinor suite` processes each print the golden
+    byte for byte."""
+    src = str(GOLDEN.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("PYTHONHASHSEED", None)
+    argv = [sys.executable, "-m", "trispinor", "suite", "--preset", "tribonacci",
+            "--nmax", "50", "--seed", "1", "--json"]
+    want = (GOLDEN / "suite_tribonacci_nmax50_seed1.json").read_bytes()
+    outputs = [subprocess.run(argv, stdout=subprocess.PIPE, check=True, env=env,
+                              timeout=30).stdout for _ in range(5)]
+    assert sum(out != want for out in outputs) == 0
 
 
 if __name__ == "__main__":

@@ -401,3 +401,33 @@ def test_summation_seed_window_constant_is_exact_terms(monkeypatch, p):
     assert list(tuple(stated)) == [want[3], want[0], want[1], want[2]]
     for x in tuple(stated):
         assert type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+# 40 sets drawn as param-sweep draws them, and 40 small rational sets from the
+# same seed: numerators in [-5, 5], denominators 1-3. The windows a basis proof
+# compares after its basis catch a fault that is not linear only on rational input.
+_rng = random.Random(7)
+SWEEP_INTEGER = [random_params(_rng) for _ in range(40)]
+_rng = random.Random(7)
+SWEEP_RATIONAL = [SeqParams(*(Fraction(_rng.randint(-5, 5), _rng.randint(1, 3))
+                              for _ in range(6))) for _ in range(40)]
+SWEEP_IDENTITIES = [i for i in IdentityId if i is not IdentityId.TRIPLE_PRODUCT_MAP]
+
+
+def test_no_report_on_the_sweep_sets_fails():
+    failed = [(identity.value, p) for p in SWEEP_INTEGER + SWEEP_RATIONAL
+              for identity in SWEEP_IDENTITIES
+              if run_identity(identity, p, nmax=60).status is Status.FAIL]
+    assert failed == []
+
+
+# A denominator prime far above any trial bound: at nmax 400 its terms reach 41k bits.
+LARGE_PRIME = 10**30 + 57
+LARGE_PRIME_SET = SeqParams(Fraction(1, LARGE_PRIME), Fraction(-2, 3), Fraction(1, 2),
+                            1, Fraction(5, LARGE_PRIME), Fraction(1, 4))
+
+
+def test_every_identity_reports_on_the_large_prime_set():
+    reports = [run_identity(identity, LARGE_PRIME_SET, nmax=400) for identity in IdentityId]
+    assert [r.identity for r in reports] == list(IdentityId)
+    assert all(r.status is not Status.FAIL for r in reports)

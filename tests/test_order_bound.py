@@ -46,8 +46,6 @@ def _sides(identity: IdentityId, p: SeqParams, depth: int = DEPTH) -> tuple[list
 def _components(values: list) -> list[tuple[Fraction, ...]]:
     """The distinct rational component sequences of a list of exact values."""
     def flat(x):
-        if hasattr(x, "_c"):
-            x = x._c
         return [c for y in x for c in flat(y)] if isinstance(x, tuple) else [Fraction(x)]
     return sorted(set(zip(*map(flat, values))))
 

@@ -320,9 +320,9 @@ def test_overflow_note_names_the_conversion(p, message):
     assert report.note == f"skipped (OverflowError): {message}"
 
 
-def test_binet_refuses_an_overflowing_set_before_reading_its_slice():
-    # The slice to V(1004) of r = 10**400 holds ints of 400k digits; binet's
-    # set-up overflows before any of them is computed.
+def test_binet_refuses_an_overflowing_set_after_its_capped_slice():
+    # binet stops at n = 30, so it reads V(0) to V(33) of r = 10**400, not the
+    # slice to V(1004) of ints of 400k digits; then its set-up overflows.
     start = time.perf_counter()
     with pytest.raises(OverflowError, match=INT_DIVISION):
         verify_binet(HUGE_R, 1000)

@@ -5,11 +5,9 @@ a pass mean something. Every function the identities module imports from
 the rest of the package is wrapped here to record the side that called it,
 each identity runs through run_identity, and the record must equal the map
 below, part by part (a basis proof's basis, unit windows and set windows are
-parts). What an identity runs before its slice is read (before) counts as its
-first part's lhs: binet sets up its closed form there. Two sides of a
-part may share nothing but p and the slice, except where the relation itself
-applies one map on both sides (SHARED). A change that routes both sides of a
-part through one primitive fails this test.
+parts). Two sides of a part may share nothing but p and the slice, except
+where the relation itself applies one map on both sides (SHARED). A change
+that routes both sides of a part through one primitive fails this test.
 """
 
 import inspect
@@ -89,9 +87,7 @@ def test_each_side_calls_the_primitives_of_the_map(monkeypatch, identity):
     d = identities._IDENTITIES[identity]
     parts = tuple(part._replace(lhs=side((i, 0), part.lhs), rhs=side((i, 1), part.rhs))
                   for i, part in enumerate(d.parts))
-    before = d.before and side((0, 0), d.before)
-    monkeypatch.setitem(identities._IDENTITIES, identity,
-                        d._replace(parts=parts, before=before))
+    monkeypatch.setitem(identities._IDENTITIES, identity, d._replace(parts=parts))
     report = identities.run_identity(identity, TRIBONACCI, nmax=10)
     assert report.status in (Status.EXACT_PASS, Status.TOLERED_PASS)
     got = [(calls[i, 0], calls[i, 1]) for i in range(len(parts))]
