@@ -26,8 +26,8 @@ from .identities import (
     run_identity,
     run_suite,
 )
-from .quaternions import trib_quaternion, u_companion
-from .sequences import SeqParams, _iter_terms, preset, seq_slice, seq_term
+from .quaternions import trib_quaternion
+from .sequences import SeqParams, _iter_terms, preset, seq_slice, seq_term, u_companion
 from .spinors import trib_spinor
 
 # Largest --index, --order and term --nmax: genfunc --order 10000 takes 2.3-2.5 s
@@ -37,7 +37,7 @@ MAX_TERMS = 10_000
 # VM, the median of 7 fresh processes (each 0.13-0.19 s).
 MAX_CHECK_NMAX = 1_000
 # Largest bit size of a numerator or denominator among the terms of V and U a
-# check reads; suite --params 1e400,1,1,0,1,1 reads V(59), 75,740 bits, at the
+# check reads; suite --params 1e400,1,1,0,1,1 reads V(57), 73,083 bits, at the
 # default nmax, and verify --identity binet, bounded by its cap, V(33), 41,192 bits.
 MAX_OPERAND_BITS = 1 << 17
 

@@ -38,10 +38,9 @@ from .quaternions import (
     qv_window,
     sum_window,
     summation_correction,
-    u_companion,
     u_window,
 )
-from .sequences import TRIBONACCI, SeqParams, companion_matrix, companion_power, seq_slice
+from .sequences import TRIBONACCI, SeqParams, companion_power, seq_slice, u_companion
 from .spinors import (
     C,
     Spinor,
@@ -195,9 +194,9 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
         raise ValueError(f"nmax must be at least {d.least}")
     if d.refuse and (refusal := d.refuse(p)):
         raise refusal
-    depth = d.depth(nmax)
+    depth, terms = d.depth(nmax), read_terms(identity, nmax, p)
     params = None if d.reach is None else p
-    c = _Run(p, depth, seq_slice(p, 0, depth + d.reach) if params else [], seed, trials, {})
+    c = _Run(p, depth, seq_slice(p, 0, terms) if terms else [], seed, trials, {})
     points = [part.points(c) if part.points else _depth(d.order, depth - d.least)
               for part in d.parts]
     span = (0, depth if d.order else sum(len(items) for items, _ in points) - 1)
@@ -391,7 +390,7 @@ def determinant_combination_values(p: SeqParams, n: int) -> tuple[Spinor, Quater
     """Evaluate the six-term combination at shift n on both sides: (spinor
     value, quaternion value), the quaternion value from Hamilton products of
     the windows. The two sides satisfy spinor = -sigma(quaternion)."""
-    v = seq_slice(p, 0, n + 10)
+    v = seq_slice(p, 0, n + _IDENTITIES[IdentityId.DETERMINANT_COMBINATION].reach)
     quat = _det_combine([qmul(qmul(quat_window(v, n + da), k_window(p, v, n + db)),
                               quat_window(v, n + dc)) for da, db, dc in _DET_TERMS])
     return _det_spinor(p, v, n), quat
@@ -447,12 +446,8 @@ def verify_u_decomposition(p: SeqParams, nmax: int) -> VerificationReport:
 
 def _power_lhs(c: _Run, n: int) -> tuple[Quaternion, ...]:
     """The window matrix at shift 0 times C^n, its entries row by row."""
-    carried = _once(c, "carried", lambda: [qv_window(c.p, c.v)])
-    if n >= _LINEAR_ORDER:
-        return tuple(itertools.chain(*qv_right_multiply(carried[0], companion_power(c.p, n))))
-    while len(carried) <= n:
-        carried.append(qv_right_multiply(carried[-1], companion_matrix(c.p)))
-    return tuple(itertools.chain(*carried[n]))
+    first = _once(c, "first", lambda: qv_window(c.p, c.v))
+    return tuple(itertools.chain(*qv_right_multiply(first, companion_power(c.p, n))))
 
 
 def _power_rhs(c: _Run, n: int) -> tuple[Quaternion, ...]:
@@ -465,10 +460,11 @@ def _power_rhs(c: _Run, n: int) -> tuple[Quaternion, ...]:
 def verify_matrix_power_shift(p: SeqParams, nmax: int) -> VerificationReport:
     """Right-multiplying the window matrix at shift 0 by the companion matrix
     n times lands exactly on the window matrix at shift n, whose rows are
-    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)). Below the
-    order the product is carried one step at a time; the guard's takes the
-    companion power by the power kernel, sharing no step with the slice.
-    The two are compared whole, and entry by entry only where they differ."""
+    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)). At every
+    n compared, below the order and at the guard alike, C^n is
+    companion_power(p, n), read off the companion sequence U, at the guard by
+    one jump of the power kernel, which shares no step with the slice. The two
+    are compared whole, and entry by entry only where they differ."""
     return _run(IdentityId.MATRIX_POWER_SHIFT, p, nmax)
 
 
@@ -528,10 +524,10 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
         (_SPINOR_MATRIX._replace(points=_basis([(u, 0) for u in _UNIT_K_WINDOWS],
                                                "unit windows"), what="unit window {1[0]}"),
          _SPINOR_MATRIX._replace(points=_windows(lambda v, n: (v, n)), what="window n={0}")),
-        6, last=_LAST_WINDOW),
+        5, last=_LAST_WINDOW),
     IdentityId.DETERMINANT_COMBINATION: _Identity(
         (_Part(lambda c, n: _det_spinor(c.p, c.v, n), lambda c, n: _DET_REFERENCE),),
-        10, order=_DET_ORDER,
+        8, order=_DET_ORDER,
         refuse=lambda p: None if p == TRIBONACCI else UnsupportedParams(
             "determinant combination is only defined for the tribonacci preset"),
         claim=lambda c, passed: ("final index n+4: spinor side " + (

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .gauss import Rational, _Exact, rat
-from .sequences import Matrix3, SeqParams, seq_slice
+from .sequences import Matrix3, SeqParams, seq_slice, u_companion
 
 
 class DegenerateDelta(ArithmeticError):
@@ -71,8 +71,9 @@ def qnorm(q: Quaternion) -> Rational:
 def quat_window(v: Sequence[Rational], n: int = 0) -> Quaternion:
     """Quaternion (v[n], v[n+1], v[n+2], v[n+3]) of four consecutive terms,
     read off a list of terms as seq_slice returns them, each an int or a
-    Fraction in lowest terms: the terms are the components, unchanged."""
-    return Quaternion._make(v[n:n + 4])
+    Fraction in lowest terms: the terms are the components, unchanged. Each
+    is read by its index, so a list that ends before v[n+3] raises IndexError."""
+    return Quaternion._make((v[n], v[n + 1], v[n + 2], v[n + 3]))
 
 
 def k_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> Quaternion:
@@ -133,11 +134,6 @@ def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
                    make([x * m1 + y * m4 + z * m7 for x, y, z in xyz]),
                    make([x * m2 + y * m5 + z * m8 for x, y, z in xyz]))
                   for xyz in [tuple(zip(a, b, c)) for a, b, c in rows]])
-
-
-def u_companion(p: SeqParams) -> SeqParams:
-    """The companion sequence U: the recurrence of p seeded (0, 0, 1)."""
-    return SeqParams(p.r, p.s, p.t, 0, 0, 1)
 
 
 def u_window(p: SeqParams, v: Sequence[Rational], u: Sequence[Rational],

@@ -263,16 +263,21 @@ def _power_residue(p: Sequence[int], n: int) -> tuple[int, int, int]:
     return a0, a1, a2
 
 
+def u_companion(p: SeqParams) -> SeqParams:
+    """The companion sequence U: the recurrence of p seeded (0, 0, 1)."""
+    return SeqParams(p.r, p.s, p.t, 0, 0, 1)
+
+
 def companion_power(p: SeqParams, n: int) -> Matrix3:
     """n-th power of the companion matrix, exact. C^n maps a seed window to the
     window at n, so row i holds the seeds' coefficients in V(n+2-i), which are
-    read off the companion sequence U seeded (0, 0, 1): for n >= 2, one jump by
+    read off the companion sequence U (u_companion): for n >= 2, one jump by
     the power kernel to U(n-2)..U(n+2) gives row i as (U(n+2-i),
     s*U(n+1-i) + t*U(n-i), t*U(n+1-i)), each product coerced by rat."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     if n < 2:
         return companion_matrix(p) if n else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    r, s, t = p[:3]
-    u = seq_slice(SeqParams(r, s, t, 0, 0, 1), n - 2, 5)
+    s, t = p.s, p.t
+    u = seq_slice(u_companion(p), n - 2, 5)
     return tuple((u[4 - i], rat(s * u[3 - i] + t * u[2 - i]), rat(t * u[3 - i])) for i in range(3))

@@ -11,13 +11,14 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trispinor import TRIBONACCI, IdentityId, SeqParams, cli, identities
+from trispinor import TRIBONACCI, IdentityId, SeqParams, Status, cli, identities
 from trispinor.cli import MAX_CHECK_NMAX, MAX_OPERAND_BITS, MAX_TERMS, main
 from trispinor.identities import read_terms
 from trispinor.quaternions import u_companion
@@ -125,7 +126,7 @@ def test_bad_params_line_is_bounded_in_bytes(piece):
 
 def test_operands_past_the_bit_bound_exit_2_at_once():
     """verify and suite read the size of the terms their checks read, up to
-    V(nmax+9) at most, before any check, and stop at the first one past the
+    V(nmax+7) at most, before any check, and stop at the first one past the
     bound. norm reads only V(0) to V(6) on that set, and runs."""
     params = "9" * 4300 + ",1,1,0,1,1"
     for argv in (["verify", "--identity", "summation", "--nmax", "50", "--params", params],
@@ -278,6 +279,8 @@ def _reads(monkeypatch, argv):
 
 
 _NMAXES = [0, 2, 3, 29, 30, 31, 50, 1000]
+RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+                     1, Fraction(-1, 2), Fraction(2, 5))
 
 
 @pytest.mark.parametrize("nmax", _NMAXES)
@@ -292,11 +295,50 @@ def test_verify_sizes_exactly_what_the_runner_reads(monkeypatch, identity, nmax)
 
 @pytest.mark.parametrize("nmax", _NMAXES)
 def test_suite_sizes_the_most_any_check_reads(monkeypatch, nmax):
-    """suite's operand pass pulls the most any check reads: V(0) to V(nmax+9),
-    the determinant's slice."""
+    """suite's operand pass pulls the most any check reads: V(0) to V(nmax+7),
+    the slice of the determinant and of matrix_power."""
     v, u, slices = _reads(monkeypatch, ["suite", "--nmax", str(nmax)])
     most = max(read_terms(i, nmax, TRIBONACCI) for i in IdentityId)
-    assert v == u == most == max(slices) == nmax + 10
+    assert v == u == most == max(slices) == nmax + 8
+
+
+class _ReadSlice(list):
+    """A slice of terms that records the highest index read off it, by index
+    or by slice (the stop asked for, even past the end)."""
+
+    last = -1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop = key.start or 0, len(self) if key.stop is None else key.stop
+            if stop > start:
+                self.last = max(self.last, stop - 1)
+        else:
+            self.last = max(self.last, key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("p", [TRIBONACCI, RATIONAL], ids=["tribonacci", "rational"])
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+def test_each_check_reads_exactly_the_terms_it_declares(monkeypatch, identity, p):
+    """The highest index the sides read off the runner's slice is read_terms - 1
+    at every nmax, so no reach is declared short (a side would raise, or read a
+    truncated window) or long (the CLI would size terms no check reads)."""
+    reads, seq_slice = [], identities.seq_slice
+
+    def recorded(q, n0, length):
+        terms = seq_slice(q, n0, length)
+        if q is p:
+            reads.append(terms := _ReadSlice(terms))
+        return terms
+
+    monkeypatch.setattr(identities, "seq_slice", recorded)
+    for nmax in _NMAXES:
+        reads.clear()
+        report = identities.run_identity(identity, p, nmax=nmax)
+        assert report.status is not Status.FAIL
+        last = max((r.last for r in reads), default=-1)
+        assert last == read_terms(identity, nmax, p) - 1, nmax
 
 
 def _cap_memory():

@@ -1,15 +1,15 @@
 """Every parameter-dependent identity reads its windows from one forward pass
 of the sequence, so a check costs O(nmax) term evaluations rather than
 O(nmax^2). A sequence check compares only the windows at n below its order
-and its guard at nmax; matrix_power carries its product by the companion
-matrix for n < 3.
+and its guard at nmax.
 
 The pass starts at V(0) and iterates the recurrence, so the brute-force side
 of a check never goes through the power kernel, the residue of x^n that
 seq_slice uses to jump to a later start. One side does, on purpose:
-matrix_power's guard multiplies the window matrix at shift 0 by
-companion_power(p, nmax), a jump by the power kernel that shares no step
-with the slice."""
+matrix_power's lhs multiplies the window matrix at shift 0 by
+companion_power(p, n) at every n it compares, which reads the companion
+sequence from U(n-2) and so jumps past n = 2 only: at the guard, a jump by the
+power kernel that shares no step with the slice."""
 
 import pytest
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trispinor import (IdentityId, SeqParams, Status, TRIBONACCI, identities, run_identity,
-                       seq_slice)
+from trispinor import (IdentityId, SeqParams, Status, TRIBONACCI, companion_matrix, identities,
+                       run_identity, seq_slice)
 from trispinor.analytic import genfunc_coefficient
 from trispinor.quaternions import ONE, qv_right_multiply, qv_window, sum_window, u_window
 from trispinor.spinors import Spinor
@@ -161,7 +161,7 @@ def _per_n_statuses(p: SeqParams, nmax: int) -> dict[IdentityId, tuple]:
             lhs, rhs = lhs[:nmax - 2], rhs[:nmax - 2]
         if identity is IdentityId.MATRIX_POWER_SHIFT:
             lhs = [tuple(itertools.chain(*m)) for m in itertools.accumulate(
-                [identities.companion_matrix(p)] * nmax, qv_right_multiply,
+                [companion_matrix(p)] * nmax, qv_right_multiply,
                 initial=qv_window(p, seq_slice(p, 0, 8)))]
         status = Status.EXACT_PASS if lhs == rhs else Status.FAIL
         clause = None

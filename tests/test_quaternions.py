@@ -266,6 +266,19 @@ def test_windows_keep_the_terms_and_their_types(p, n0):
     assert type(k.q0) is int
 
 
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_window_readers_refuse_a_list_that_ends_before_their_last_term(n):
+    """The window readers read each term by its index: a list that ends before
+    v[n+3] raises IndexError, never gives a window of fewer components, which
+    would equal any other window cut short alike."""
+    v = [1, 2, 3, 4, 5, 6, 7]
+    assert quat_window(v, 3) == Quaternion(4, 5, 6, 7)
+    with pytest.raises(IndexError):
+        quat_window(v, n)
+    with pytest.raises(IndexError):
+        spinor_window(v, n)
+
+
 @pytest.mark.parametrize("p", WINDOW_SETS + [SeqParams(Fraction(5, 2), 1, Fraction(-1, 2), -4,
                                                         Fraction(3, 2), 0)])
 def test_summed_windows_keep_rats_rule(p):

@@ -8,9 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_matrix,
-                       companion_power, preset, run_identity, verify_binet,
-                       verify_spinor_recurrence)
+from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_power, preset,
+                       run_identity, verify_binet, verify_spinor_recurrence)
 from trispinor import identities, quaternions
 from trispinor.analytic import binet_spinor
 from trispinor.cli import main
@@ -255,17 +254,17 @@ def test_the_sets_windows_catch_a_fault_exact_on_integers(monkeypatch, ident, at
 
 
 def test_matrix_power_reports_the_first_differing_entry(monkeypatch):
-    # A product that goes wrong in one entry when it multiplies by a companion
-    # power other than the companion matrix itself: the two steps carried for
-    # n = 1 and 2 stay right, and the guard's product, the window matrix at
-    # shift 0 times C^30, differs from the window matrix at n = 30 there
-    # alone. The witness names that entry, after the five entries before it agree.
+    # A product that goes wrong in one entry when it multiplies by C^30 alone:
+    # the products by C^0, C^1 and C^2 below the order stay right, and the
+    # guard's, the window matrix at shift 0 times C^30, differs from the window
+    # matrix at n = 30 there alone. The witness names that entry, after the
+    # five entries before it agree.
     matrices = []
 
     def guard_fault(rows, m):
         matrices.append(m)
         product = quaternions.qv_right_multiply(rows, m)
-        if m == companion_matrix(TRIB):
+        if m != companion_power(TRIB, 30):
             return product
         row = product[1]
         return product[0], (row[0], row[1], row[2] + ONE), product[2]
@@ -276,7 +275,7 @@ def test_matrix_power_reports_the_first_differing_entry(monkeypatch):
     assert report.witness == (30, "entry(1,2)=(98950097, 181997601, 334745777, 615693474)",
                               "entry(1,2)=(98950096, 181997601, 334745777, 615693474)")
     assert report.note == ""
-    assert matrices == [companion_matrix(TRIB)] * 2 + [companion_power(TRIB, 30)]
+    assert matrices == [companion_power(TRIB, n) for n in (0, 1, 2, 30)]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])

@@ -31,8 +31,8 @@ SIDE_MAP = {
     "determinant": [({"breve", "k_window", "quat_window", "sigma"}, set())],
     "summation": [({"spinor_window"}, {"sigma", "sum_window", "summation_correction"})],
     "u_decomposition": [({"seq_slice", "u_companion", "u_window"}, {"quat_window"})],
-    "matrix_power": [({"companion_matrix", "companion_power", "qv_right_multiply",
-                       "qv_window"}, {"k_window", "quat_window"})],
+    "matrix_power": [({"companion_power", "qv_right_multiply", "qv_window"},
+                      {"k_window", "quat_window"})],
 }
 
 # Primitives two sides of a part share because the relation states it so.

@@ -1,0 +1,63 @@
+"""One sha256 over the CLI's reports on a fixed corpus, to show that a change
+keeps every report byte-identical: run it on two checkouts and compare.
+
+The corpus is `suite --json` and `verify --json` for every identity at nmax 0,
+3, 50 and 1000, on tribonacci, third_order_jacobsthal, (1/2, -2/3, 3/4, 1,
+-1/2, 2/5) and the 20 sets random_params(Random(37)) draws. Each case hashes
+its argv, exit code, stdout and stderr. The CLI runs in process, through
+trispinor.cli.main.
+
+    python tools/output_digest.py                    # this checkout's src/
+    python tools/output_digest.py --src OTHER/src    # another checkout's
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+NMAXES = (0, 3, 50, 1000)
+RATIONAL = "1/2,-2/3,3/4,1,-1/2,2/5"
+
+
+def corpus(identities) -> list[list[str]]:
+    """Every argv of the corpus, in a fixed order."""
+    rng = random.Random(37)
+    sets = [["--preset", "tribonacci"], ["--preset", "third_order_jacobsthal"],
+            ["--params", RATIONAL]]
+    sets += [["--params", ",".join(map(str, identities.random_params(rng)))]
+             for _ in range(20)]
+    commands = [["suite"]] + [["verify", "--identity", i.value] for i in identities.IdentityId]
+    return [[*command, *params, "--nmax", str(nmax), "--json"]
+            for params in sets for nmax in NMAXES for command in commands]
+
+
+def run(main, argv: list[str]) -> bytes:
+    """The case's argv, exit code, stdout and stderr as one canonical line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return (json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n").encode()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="the src/ directory whose trispinor runs (default: this checkout's)")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    from trispinor import cli, identities
+
+    total = hashlib.sha256()
+    cases = corpus(identities)
+    for argv in cases:
+        total.update(run(cli.main, argv))
+    print(f"sha256 {total.hexdigest()}  {len(cases)} cases")
+
+
+if __name__ == "__main__":
+    main()
