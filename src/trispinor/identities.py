@@ -33,14 +33,14 @@ from .quaternions import (
     k_window,
     qmul,
     qnorm,
+    quat_u_decomposition,
     quat_window,
     qv_right_multiply,
     qv_window,
     sum_window,
     summation_correction,
-    u_window,
 )
-from .sequences import TRIBONACCI, SeqParams, companion_power, seq_slice, u_companion
+from .sequences import TRIBONACCI, SeqParams, companion_power, seq_slice
 from .spinors import (
     C,
     Spinor,
@@ -110,7 +110,7 @@ def check_tolerance(tol: float) -> None:
         raise ValueError("tolerance must be finite and positive")
 
 
-# Seeded random triples triple_product draws after its basis triples, by default.
+# Seeded random triples triple_product draws after its basis triples.
 TRIALS = 16
 
 
@@ -122,7 +122,6 @@ class _Run(NamedTuple):
     nmax: int
     v: list[Rational]
     seed: int
-    trials: int
     memo: dict
 
 
@@ -177,7 +176,7 @@ class _Approx(NamedTuple):
 
 
 def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0,
-         trials: int = TRIALS, tol: float = 1e-9) -> VerificationReport:
+         tol: float = 1e-9) -> VerificationReport:
     """The runner. It raises a refusal of p at once, or checks to the depth min(nmax, last),
     the run's nmax, reading read_terms terms, V(0) to V(depth + reach - 1). A sequence check
     numbers its comparisons by their index and spans [0..depth]; any other numbers them
@@ -187,8 +186,6 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     check_tolerance(tol)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     d = _IDENTITIES[identity]
     if nmax < d.least:
         raise ValueError(f"nmax must be at least {d.least}")
@@ -196,7 +193,7 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
         raise refusal
     depth, terms = d.depth(nmax), read_terms(identity, nmax, p)
     params = None if d.reach is None else p
-    c = _Run(p, depth, seq_slice(p, 0, terms) if terms else [], seed, trials, {})
+    c = _Run(p, depth, seq_slice(p, 0, terms) if terms else [], seed, {})
     points = [part.points(c) if part.points else _depth(d.order, depth - d.least)
               for part in d.parts]
     span = (0, depth if d.order else sum(len(items) for items, _ in points) - 1)
@@ -335,21 +332,21 @@ _BASIS_TRIPLES = list(itertools.product((Quaternion(1, 0, 0, 0), Quaternion(0, 1
 
 
 def _random_triples(c: _Run) -> tuple[list, str]:
-    """c.trials triples of quaternions with components k/d, k in [-9, 9] and d in {1, 2}."""
+    """TRIALS triples of quaternions with components k/d, k in [-9, 9] and d in {1, 2}."""
     rng = random.Random(c.seed)
     triples = [tuple(Quaternion(*(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2)))
                                   for _ in range(4))) for _ in range(3))
-               for _ in range(c.trials)]
-    return triples, f"{c.trials} random triples, seed {c.seed}"
+               for _ in range(TRIALS)]
+    return triples, f"{TRIALS} random triples, seed {c.seed}"
 
 
-def verify_triple_product_map(seed: int, trials: int = TRIALS) -> VerificationReport:
+def verify_triple_product_map(seed: int) -> VerificationReport:
     """sigma(a*b*c) = -(breve(a) @ breve(b)) @ sigma(c), an identity of the
     representation, parameter-free. Both sides are trilinear over Q as
     written, so agreement on the 64 triples of basis quaternions proves it
-    for every triple of rational quaternions. The trials seeded random
+    for every triple of rational quaternions. The TRIALS seeded random
     triples that follow guard against a fault that is not trilinear."""
-    return _run(IdentityId.TRIPLE_PRODUCT_MAP, None, seed=seed, trials=trials)
+    return _run(IdentityId.TRIPLE_PRODUCT_MAP, None, seed=seed)
 
 
 def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> VerificationReport:
@@ -440,7 +437,9 @@ def verify_summation(p: SeqParams, nmax: int) -> VerificationReport:
 
 def verify_u_decomposition(p: SeqParams, nmax: int) -> VerificationReport:
     """The companion-sequence combination reproduces the window quaternion
-    two steps ahead: quat_u_decomposition(p, n) = Q(n+2), exactly."""
+    two steps ahead: quat_u_decomposition(p, n) = Q(n+2), exactly. The lhs is
+    the exported closed form, which reads U(n)..U(n+2) at each compared n, past
+    n = 0 by one jump of the power kernel that shares no step with the slice."""
     return _run(IdentityId.U_DECOMPOSITION, p, nmax)
 
 
@@ -462,9 +461,10 @@ def verify_matrix_power_shift(p: SeqParams, nmax: int) -> VerificationReport:
     n times lands exactly on the window matrix at shift n, whose rows are
     R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)). At every
     n compared, below the order and at the guard alike, C^n is
-    companion_power(p, n), read off the companion sequence U, at the guard by
-    one jump of the power kernel, which shares no step with the slice. The two
-    are compared whole, and entry by entry only where they differ."""
+    companion_power(p, n): the identity and the companion matrix at n = 0 and
+    1, read off the companion sequence U from n = 2, at the guard by one jump
+    of the power kernel, which shares no step with the slice. The two are
+    compared whole, and entry by entry only where they differ."""
     return _run(IdentityId.MATRIX_POWER_SHIFT, p, nmax)
 
 
@@ -537,9 +537,7 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
         refuse=lambda p: None if p.r + p.s + p.t != 1 else DegenerateDelta(),
         claim=_summation_claim),
     IdentityId.U_DECOMPOSITION: _Identity(
-        (_Part(lambda c, n: u_window(c.p, c.v, _once(
-                   c, "u", lambda: seq_slice(u_companion(c.p), 0, c.nmax + 3)), n),
-               lambda c, n: quat_window(c.v, n + 2)),),
+        (_Part(lambda c, n: quat_u_decomposition(c.p, n), lambda c, n: quat_window(c.v, n + 2)),),
         6, order=_LINEAR_ORDER),
     IdentityId.MATRIX_POWER_SHIFT: _Identity(
         (_Part(_power_lhs, _power_rhs, labels=tuple(
@@ -561,7 +559,7 @@ def run_identity(identity: IdentityId, p: SeqParams, *, nmax: int = 50, seed: in
     (degenerate delta or roots, unsupported preset) and float overflow into skip reports."""
     nmax = _IDENTITIES[identity].depth(nmax) if nmax >= 0 else nmax
     try:
-        return _run(identity, p, nmax, seed, TRIALS, tol)
+        return _run(identity, p, nmax, seed, tol)
     except (DegenerateDelta, DegenerateRoots, UnsupportedParams, OverflowError) as exc:
         return VerificationReport(identity, p, (0, nmax), Status.SKIPPED,
                                   note=f"skipped ({type(exc).__name__}): {exc}")

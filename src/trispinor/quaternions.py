@@ -136,15 +136,15 @@ def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
                   for xyz in [tuple(zip(a, b, c)) for a, b, c in rows]])
 
 
-def u_window(p: SeqParams, v: Sequence[Rational], u: Sequence[Rational],
-             n: int = 0) -> Quaternion:
-    """Q(2)*u[n+2] + (s*Q(1) + t*Q(0))*u[n+1] + t*Q(1)*u[n], where Q(m) is
-    quat_window(v, m) of a list v of terms from V(0), and u is a list of
-    terms of the companion sequence U. Summed component by component; each
-    component is coerced by rat."""
+def u_window(p: SeqParams, v: Sequence[Rational], u: Sequence[Rational]) -> Quaternion:
+    """Q(2)*u[2] + (s*Q(1) + t*Q(0))*u[1] + t*Q(1)*u[0], where Q(m) is
+    quat_window(v, m) of a list v of terms from V(0), and u holds three
+    consecutive terms U(n), U(n+1), U(n+2) of the companion sequence. Summed
+    component by component; each component is coerced by rat."""
     s, t = p.s, p.t
-    a, b, c = u[n + 2], u[n + 1], t * u[n]
-    return Quaternion._make(rat(a * v[m + 2] + b * (s * v[m + 1] + t * v[m]) + c * v[m + 1])
+    u0, u1, u2 = u
+    tu0 = t * u0
+    return Quaternion._make(rat(u2 * v[m + 2] + u1 * (s * v[m + 1] + t * v[m]) + tu0 * v[m + 1])
                             for m in range(4))
 
 

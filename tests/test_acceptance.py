@@ -108,8 +108,11 @@ def test_c04_product_correspondence():
 
 
 def test_c05_triple_product_map():
-    result = verify_triple_product_map(42, 1000)
-    report(5, "triple product map, 1000 triples", result.status is Status.EXACT_PASS)
+    # Each seed draws TRIALS = 16 random triples after the 64 basis triples:
+    # 63 seeds draw 1008.
+    ok = all(verify_triple_product_map(seed).status is Status.EXACT_PASS
+             for seed in range(42, 42 + 63))
+    report(5, "triple product map, 1008 random triples over 63 seeds", ok)
 
 
 def test_c06_binet():

@@ -225,11 +225,11 @@ def test_genfunc_guard_catches_a_coefficient_wrong_at_nmax(monkeypatch):
 
 
 def test_triple_product_reports():
-    report = verify_triple_product_map(42, 1000)
+    report = verify_triple_product_map(42)
     assert report.status is Status.EXACT_PASS
     assert report.params is None
-    assert report.span == (0, 1063)
-    with pytest.raises(ValueError):
+    assert report.span == (0, 79)
+    with pytest.raises(TypeError):
         verify_triple_product_map(42, 0)
 
 

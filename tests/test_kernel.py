@@ -154,10 +154,8 @@ def test_arithmetic_keeps_exact_component_types():
     q = Quaternion(1, 2, 3, 4)
     for result in (q + q, q - q, -q, 2 * q, q * q):
         _assert_exact(*tuple(result))
-    # A Fraction operand can leave an integral Fraction (3 * 1/3 here): it is
-    # exact, equal to the int, and prints like it.
     third = q * Fraction(1, 3)
-    _assert_exact(*tuple(third), normal=False)
+    _assert_exact(*tuple(third))
     assert third == Quaternion(Fraction(1, 3), Fraction(2, 3), 1, Fraction(4, 3))
     assert str(third) == "(1/3, 2/3, 1, 4/3)"
     m = SpinMatrix2(1, 2, 3, 4)

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from trispinor import (IdentityId, SeqParams, Status, TRIBONACCI, companion_matrix, identities,
                        run_identity, seq_slice)
 from trispinor.analytic import genfunc_coefficient
-from trispinor.quaternions import ONE, qv_right_multiply, qv_window, sum_window, u_window
+from trispinor.quaternions import (ONE, quat_u_decomposition, qv_right_multiply, qv_window,
+                                   sum_window)
 from trispinor.spinors import Spinor
 
 DEPTH = 60
@@ -38,7 +39,7 @@ def _sides(identity: IdentityId, p: SeqParams, depth: int = DEPTH) -> tuple[list
     recurrence's last window."""
     d, nmax = identities._IDENTITIES[identity], depth + 3
     (part,) = d.parts
-    run = identities._Run(p, nmax, seq_slice(p, 0, nmax + d.reach), 0, identities.TRIALS, {})
+    run = identities._Run(p, nmax, seq_slice(p, 0, nmax + d.reach), 0, {})
     ns = range(depth + 1)
     return [part.lhs(run, n) for n in ns], [part.rhs(run, n) for n in ns]
 
@@ -124,7 +125,7 @@ def _guard_20(rows, m):
 
 # (identity, operation replaced, faulty replacement, the side it moves: 0 lhs, 1 rhs)
 LATE_FAULTS = [
-    ("u_decomposition", "u_window", _at_20(u_window, ONE), 0),
+    ("u_decomposition", "quat_u_decomposition", _at_20(quat_u_decomposition, ONE), 0),
     ("summation", "sum_window", _at_20(sum_window, ONE), 1),
     ("genfunc", "genfunc_coefficient", _at_20(genfunc_coefficient, Spinor(1, 0)), 0),
     ("matrix_power", "qv_right_multiply", _guard_20, 0),

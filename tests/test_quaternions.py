@@ -291,8 +291,8 @@ def test_summed_windows_keep_rats_rule(p):
         total = sum_window(p, v, n)
         assert total == (quat_window(v, n + 2) + (1 - p.r) * quat_window(v, n + 1)
                          + p.t * quat_window(v, n))
-        assert u_window(p, v, u, n) == quat_window(v, n + 2)
-        for q in (total, u_window(p, v, u, n), quat_u_decomposition(p, n)):
+        assert u_window(p, v, u[n:n + 3]) == quat_window(v, n + 2)
+        for q in (total, u_window(p, v, u[n:n + 3]), quat_u_decomposition(p, n)):
             assert all(map(_is_exact_term, tuple(q))), (n, tuple(q))
 
 

@@ -113,8 +113,8 @@ def test_records_are_immutable(record, _):
     (lambda: verify_spinor_recurrence(TRIB, 2), ValueError),
     (lambda: verify_binet(TRIB, -1), ValueError),
     (lambda: verify_binet(TRIB, 3, tol=0.0), ValueError),
-    (lambda: verify_triple_product_map(1, 0), ValueError),
-    (lambda: verify_triple_product_map(1, trials=-3), ValueError),
+    (lambda: verify_triple_product_map(1, 0), TypeError),
+    (lambda: verify_triple_product_map(1, trials=16), TypeError),
 ])
 def test_verify_argument_errors(call, error):
     with pytest.raises(error):
@@ -124,7 +124,6 @@ def test_verify_argument_errors(call, error):
 def test_verify_binds_defaults_and_keywords():
     assert verify_binet(nmax=4, p=TRIB).span == (0, 4)
     assert verify_triple_product_map(seed=2).span == (0, 79)
-    assert verify_triple_product_map(2, trials=7).span == (0, 70)
 
 
 def test_import_leaves_out_dataclasses_and_inspect():

@@ -14,7 +14,7 @@ from trispinor import identities, quaternions
 from trispinor.analytic import binet_spinor
 from trispinor.cli import main
 from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, k_window, qmul,
-                                   summation_correction, u_window)
+                                   quat_u_decomposition, summation_correction)
 from trispinor.spinors import (SpinMatrix2, Spinor, breve, complex_conjugate, mate, sigma,
                                spinor_norm, spinor_window)
 
@@ -77,8 +77,8 @@ def _shifted_k_window(p, v, n=0):
     return k_window(p, v, n) + ONE
 
 
-def _shifted_u_window(p, v, u, n=0):
-    return u_window(p, v, u, n) + ONE
+def _shifted_u_decomposition(p, n):
+    return quat_u_decomposition(p, n) + ONE
 
 
 def _shifted_sum_window(p, v, n=0):
@@ -172,7 +172,7 @@ FAULTS = [
     # The series reads analytic's own spinor_window: the fault moves the rhs only.
     ("genfunc", "spinor_window", _bumped_window, (0, 10), 0,
      "[2+0i; 1+1i]", "[3+0i; 1+1i]", ""),
-    ("u_decomposition", "u_window", _shifted_u_window, (0, 10), 0,
+    ("u_decomposition", "quat_u_decomposition", _shifted_u_decomposition, (0, 10), 0,
      "(2, 2, 4, 7)", "(1, 2, 4, 7)", ""),
     ("summation", "sum_window", _shifted_sum_window, (0, 10), 0,
      "[4+0i; 2+2i]", "[4+1i; 2+2i]",
@@ -221,7 +221,7 @@ def test_triple_product_finds_a_fault_on_one_basis_product(monkeypatch):
     # One random triple almost never multiplies k by k; the basis triples do,
     # first at (1, k, k).
     monkeypatch.setattr(identities, "qmul", _wrong_kk_qmul)
-    report = identities.verify_triple_product_map(0, trials=1)
+    report = identities.verify_triple_product_map(0)
     assert report.status is Status.FAIL
     assert report.witness.n == 15
     assert report.note == "a=(1, 0, 0, 0), b=(0, 0, 0, 1), c=(0, 0, 0, 1)"

@@ -30,7 +30,7 @@ SIDE_MAP = {
     "spinor_matrix": [({"breve", "k_window"}, {"breve", "quat_window"})] * 2,
     "determinant": [({"breve", "k_window", "quat_window", "sigma"}, set())],
     "summation": [({"spinor_window"}, {"sigma", "sum_window", "summation_correction"})],
-    "u_decomposition": [({"seq_slice", "u_companion", "u_window"}, {"quat_window"})],
+    "u_decomposition": [({"quat_u_decomposition"}, {"quat_window"})],
     "matrix_power": [({"companion_power", "qv_right_multiply", "qv_window"},
                       {"k_window", "quat_window"})],
 }
