@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import cycle, islice
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .gauss import Rational, rat
@@ -105,99 +105,109 @@ def _direct_terms(p: SeqParams, a: Rational, b: Rational, c: Rational) -> Iterat
 
 
 def _coprime_base(xs: Sequence[int]) -> list[int]:
-    """Pairwise coprime ints above 1 whose powers make up each x in xs: two
-    that share g > 1 give way to g and their cofactors until none share (the
-    plain form of Bernstein's refinement, J. Algorithms 54, 2005)."""
-    base, todo = [], list(set(xs) - {1})
+    """Pairwise coprime ints above 1 whose powers make up each x in xs, a power
+    of 2 taken as 2: two that share g > 1 give way to g and their cofactors,
+    each stripped of every power of g, until none share (Bernstein's
+    refinement, J. Algorithms 54, 2005). The stripping takes x = 3^9000
+    against 3 in one step, not 9,000."""
+    base, whole, todo = [], 1, list({2 if x & (x - 1) == 0 else x for x in xs if x > 1})
     while todo:
         x = todo.pop()
-        for i, b in enumerate(base):
-            g = gcd(x, b)
-            if g > 1:
-                del base[i]
-                todo += [y for y in (g, b // g, x // g) if y > 1]
-                break
-        else:
+        if gcd(x, whole) == 1:
             base.append(x)
+            whole *= x
+            continue
+        i = next(i for i, b in enumerate(base) if gcd(x, b) > 1)
+        b = base.pop(i)
+        whole //= b
+        g = gcd(x, b)
+        todo += [2 if y & (y - 1) == 0 else y
+                 for y in (g, b // g ** _exponent(g, b), x // g ** _exponent(g, x)) if y > 1]
     return base
 
 
 def _exponent(q: int, d: int) -> int:
-    """The exponent of q > 1 in d > 0."""
-    return d.bit_length() - _strip(d, q, d.bit_length())[1] if d % q == 0 else 0
+    """The exponent of q > 1 in d != 0: a shift count for q = 2, else divisions
+    by q, q^2, q^4, ... while they divide, then by each of those from the
+    largest down."""
+    if q == 2:
+        return (d & -d).bit_length() - 1
+    powers = []
+    while d % q == 0:
+        d //= q
+        powers.append(q)
+        q *= q
+    e = (1 << len(powers)) - 1
+    while powers:
+        q = powers.pop()
+        if d % q == 0:
+            d //= q
+            e += 1 << len(powers)
+    return e
 
 
-def _strip(w: int, q: int, e: int) -> tuple[int, int]:
-    """w / q^k and e - k for the largest k <= e for which q^k divides w: one
-    shift for a power of 2, else divisions by q^(2^i) from the largest i down."""
-    if w and q & (q - 1) == 0:
-        bits = q.bit_length() - 1
-        k = min(e, ((w & -w).bit_length() - 1) // bits)
-        return w >> k * bits, e - k
-    powers = [q]
-    while 1 << len(powers) <= e and w % powers[-1] == 0:
-        powers.append(powers[-1] ** 2)
-    for i in reversed(range(len(powers))):
-        quotient, rest = divmod(w, powers[i])
-        if 1 << i <= e and not rest:
-            w, e = quotient, e - (1 << i)
-    return w, e
+# _RISES[b] holds the i in 0..5 at which ceil(b*i/6) rises by one.
+_RISES = [[i for i in range(6) if -(-b * (i + 1) // 6) > -(-b * i // 6)] for b in range(6)]
 
 
 def _rational_terms(p: SeqParams, n0: int) -> Iterator[Rational]:
     """The terms of a rational set from V(n0) on. The window stays on int as
     U(i) = L(i)*V(i), L(i) the product over a coprime base of the denominators
-    of t, s, r and the seeds of q^(ceil(k*i) + c): k = max(e_r, e_s/2, e_t/3) is
-    the steepest slope of the Newton polygon of x^3 - r*x^2 - s*x - t at q
-    (Koblitz, GTM 58, ch. IV), kept in sixths, and c the least offset that makes
-    U(0..2) ints, so that U's multipliers are ints of period 1, 2, 3 or 6. A
-    start past 0 jumps there (_jump) and divides the window by the part its three
-    terms share with L(n0): their gcd with the modulus below, or, if that may hide
-    more, each q's power up to its exponent in L(n0) (_strip). Residues modulo a
-    power of the base below 2^30 give each term's gcd with its scale: only a gcd
-    above 1 divides the term, and the part of it that the window's three terms
-    share divides the window."""
-    dens = [x.denominator for x in (p.t, p.s, p.r, *p[3:])]
-    # A power of 2 is taken as 2, so that its slope is finest.
-    base = [2 if q & (q - 1) == 0 else q for q in _coprime_base(dens)]
-    # growth[i] is L(i + 1) / L(i) for i mod 6, seeds L(0..2), and caps the
-    # base's exponents in L(n0).
-    growth, seeds, caps, sixths = [1] * 6, [1, 1, 1], [], []
-    for q in base:
-        et, es, er, e0, e1, e2 = [_exponent(q, d) for d in dens]
-        k = max(6 * er, 3 * es, 2 * et)
-        up = [-(-k * i // 6) for i in range(7)]  # ceil(k*i)
-        offset = max(e0, e1 - up[1], e2 - up[2])
-        for i in range(6):
-            growth[i] *= q ** (up[i + 1] - up[i])
-        for j in range(3):
-            seeds[j] *= q ** (up[j] + offset)
-        caps.append(-(-k * n0 // 6) + offset)
-        sixths.append(k)
-    r, s, t = p[:3]
-    steps = []  # steps[x] makes U(i + 3) from U(i) for i = x mod the multipliers' period
-    for x in range(6 // gcd(6, *sixths)):
+    of the six values of q^(ceil(k*i) + c): k = max(e_r, e_s/2, e_t/3) is the
+    steepest slope of the Newton polygon of x^3 - r*x^2 - s*x - t at q, e the
+    exponents of q in the denominators of r, s and t (Koblitz, GTM 58, ch. IV),
+    kept in sixths, and c the least offset that makes U(0..2) ints, so that
+    U's multipliers are ints of period 1, 2, 3 or 6. L(0) is then an lcm of
+    the seeds' denominators, each freed of its gcd with L(j)/L(0), and L(n0)
+    is L(0) times whole periods and a part of one. A start past 0 jumps there
+    (_jump) and divides the window by the part its three terms share with
+    L(n0): their gcd with the modulus below, or, if that may hide more, each
+    q's power up to its exponent in L(n0). Residues modulo a power of the base
+    below 2^30 give each term's gcd with its scale: only a gcd above 1 divides
+    the term, and the part of it that the window's three terms share divides
+    the window."""
+    (rn, rd), (sn, sd), (tn, td), (v0, d0), (v1, d1), (v2, d2) = [x.as_integer_ratio() for x in p]
+    # growth[i] is L(i + 1) / L(i) for i mod 6: q of slope k/6 raises each by
+    # q^(k // 6), and those at _RISES[k % 6] by one more q.
+    base, growth, whole, root, unit = [], [1] * 6, 1, 1, 6
+    for q in _coprime_base([rd, sd, td, d0, d1, d2]):
+        k = max(6 * _exponent(q, rd), 3 * _exponent(q, sd), 2 * _exponent(q, td))
+        base.append((q, k))
+        root *= q
+        unit = gcd(unit, k)
+        whole *= q ** (k // 6)
+        for i in _RISES[k % 6]:
+            growth[i] *= q
+    growth = [whole * g for g in growth]
+    period = 6 // unit  # the slopes are multiples of unit/6
+    steps = []  # steps[x] makes U(i + 3) from U(i) for i = x mod period
+    for x in range(period):
         g0, g1, g2 = growth[x], growth[(x + 1) % 6], growth[(x + 2) % 6]
-        steps.append((r.numerator * g2 // r.denominator, s.numerator * g1 * g2 // s.denominator,
-                      t.numerator * g0 * g1 * g2 // t.denominator))
-    window = [x.numerator * (m // x.denominator) for x, m in zip(p[3:], seeds)]
-    scale = prod(q**e for q, e in zip(base, caps))
-    root = prod(base)
+        steps.append((rn * g2 // rd, sn * g1 * g2 // sd, tn * g0 * g1 * g2 // td))
+    up1, up2 = growth[0], growth[0] * growth[1]  # L(1) / L(0) and L(2) / L(0)
+    lead = lcm(d0, d1 // gcd(d1, up1), d2 // gcd(d2, up2))  # L(0)
+    window = [v0 * (lead // d0), v1 * (lead * up1 // d1), v2 * (lead * up2 // d2)]
+    m, j = divmod(n0, period)
+    scale = lead * prod(growth[:period]) ** m * prod(growth[:j])  # L(n0)
     modulus = root ** max(1, 29 // (root - 1).bit_length())
     a, b, c = _jump(steps, window, n0) if n0 else window
     ar, br, cr, sr = a % modulus, b % modulus, c % modulus, scale % modulus
-    if modulus % (gcd(ar, br, cr, sr, modulus) * root):
+    shared = gcd(ar, br, cr, sr, modulus)
+    if modulus % (shared * root):
         # The window may share more with its scale than the residues show, as
-        # after a jump: strip each q from its terms up to its exponent in L(n0).
+        # after a jump: each q's share is the least of its exponents in L(n0)
+        # and in the window's nonzero terms.
         shared = 1
-        for q, e in zip(base, caps):
+        for q, k in base:
+            e = -(-k * n0 // 6) + _exponent(q, lead)
             for w in a, b, c:
-                if e:
-                    e -= _strip(w, q, e)[1]
+                if w and e:
+                    e = min(e, _exponent(q, w))
             shared *= q**e
+    if shared > 1:
         a, b, c, scale = a // shared, b // shared, c // shared, scale // shared
         ar, br, cr, sr = a % modulus, b % modulus, c % modulus, scale % modulus
-    for (mr, ms, mt), ml in islice(cycle(zip(steps, growth)), n0 % len(steps), None):
+    for (mr, ms, mt), ml in islice(cycle(zip(steps, growth)), j, None):
         g = gcd(ar, sr, modulus)
         if g > 1 and (h := gcd(g, br, cr)) > 1:
             a, b, c, scale = a // h, b // h, c // h, scale // h

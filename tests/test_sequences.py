@@ -317,6 +317,45 @@ def test_slices_match_the_fraction_recurrence_term_types_included(values, n0, le
     assert_lowest_terms(got)
 
 
+# Denominators 2^e, 3^e and 6^e with e up to 12: the base elements of r, s and t
+# share primes, and their exponents, and so their slopes, reach far above 1.
+prime_power_denominator = st.builds(lambda num, q, e: Fraction(num, q**e),
+                                    st.integers(min_value=-9, max_value=9),
+                                    st.sampled_from([2, 3, 6]), st.integers(min_value=0, max_value=12))
+
+
+@given(coefficients=st.lists(prime_power_denominator, min_size=3, max_size=3),
+       seeds=st.lists(st.one_of(prime_power_denominator, small_denominator), min_size=3, max_size=3),
+       n=st.integers(min_value=0, max_value=80), n0=st.integers(min_value=0, max_value=61),
+       length=st.integers(min_value=0, max_value=8))
+def test_prime_power_denominators_match_the_fraction_recurrence(coefficients, seeds, n, n0, length):
+    """Slices from 0 and past 0 and single terms equal the plain recurrence when
+    the coefficients' denominators are high powers of shared primes; every term
+    is an int when integral and a Fraction in lowest terms otherwise."""
+    values = (*coefficients, *seeds)
+    p = SeqParams(*values)
+    want = oracle_terms(values, max(n, n0 + length) + 1)
+    got = [seq_slice(p, 0, n), seq_slice(p, n0, length), [seq_term(p, n)]]
+    assert got == [want[:n], want[n0:n0 + length], [want[n]]]
+    for terms in got:
+        assert_lowest_terms(terms)
+
+
+def test_a_large_exponent_is_read_in_few_divisions():
+    """The exponent of 3 in 3^9000 takes divisions by 3, 9, 81, ... and back, and
+    the coprime base strips every power of a shared factor at once, so a t at
+    the CLI's 4,300-digit bound costs milliseconds."""
+    exponent = sequences._exponent
+    assert [exponent(3, 3**9000), exponent(3, 2 * 3**4097), exponent(6, 5 * 6**13),
+            exponent(2, -12), exponent(7, 5)] == [9000, 4097, 13, 2, 0]
+    assert sorted(sequences._coprime_base([3, 3**9000, 1, 12, 4, 1])) == [2, 3]
+    values = (Fraction(1, 3), 1, Fraction(1, 3**9000), 0, 1, 1)
+    start = time.perf_counter()
+    got = seq_term(SeqParams(*values), 5)
+    assert time.perf_counter() - start < 0.5
+    assert got == oracle_terms(values, 6)[5]
+
+
 # Sets whose scale can run ahead of their denominators. r = 4/3 and s = -1/3 give
 # 3 the slope 1: every term of the first set is 1, so only the window divisions
 # keep its terms from growing as 3^n; the second set's terms tend to 13/12, as

@@ -2,10 +2,13 @@
 keeps every report byte-identical: run it on two checkouts and compare.
 
 The corpus is `suite --json` and `verify --json` for every identity at nmax 0,
-3, 50 and 1000, on tribonacci, third_order_jacobsthal, (1/2, -2/3, 3/4, 1,
--1/2, 2/5) and the 20 sets random_params(Random(37)) draws. Each case hashes
-its argv, exit code, stdout and stderr. The CLI runs in process, through
-trispinor.cli.main.
+3, 50 and 1000, on tribonacci, third_order_jacobsthal, five rational sets and
+the 20 sets random_params(Random(37)) draws. The rational sets reach each
+branch of the rational term kernel: (1/2, -2/3, 3/4, 1, -1/2, 2/5), multipliers
+of period 2 (1, 1/2, 1, 1, 1, 1), of period 3 (1, 1, 1/3, 0, 1, 1) and of
+period 6 (1, 1/2, 1/3, 1, 1, 1), and (1/6, 1/6, 1/6, 1/6, 1/6, 1/6), whose base
+element 6 is composite. Each case hashes its argv, exit code, stdout and
+stderr. The CLI runs in process, through trispinor.cli.main.
 
     python tools/output_digest.py                    # this checkout's src/
     python tools/output_digest.py --src OTHER/src    # another checkout's
@@ -21,14 +24,15 @@ import sys
 from pathlib import Path
 
 NMAXES = (0, 3, 50, 1000)
-RATIONAL = "1/2,-2/3,3/4,1,-1/2,2/5"
+RATIONAL_SETS = ["1/2,-2/3,3/4,1,-1/2,2/5", "1,1/2,1,1,1,1", "1,1,1/3,0,1,1", "1,1/2,1/3,1,1,1",
+                 "1/6,1/6,1/6,1/6,1/6,1/6"]
 
 
 def corpus(identities) -> list[list[str]]:
     """Every argv of the corpus, in a fixed order."""
     rng = random.Random(37)
-    sets = [["--preset", "tribonacci"], ["--preset", "third_order_jacobsthal"],
-            ["--params", RATIONAL]]
+    sets = [["--preset", "tribonacci"], ["--preset", "third_order_jacobsthal"]]
+    sets += [["--params", values] for values in RATIONAL_SETS]
     sets += [["--params", ",".join(map(str, identities.random_params(rng)))]
              for _ in range(20)]
     commands = [["suite"]] + [["verify", "--identity", i.value] for i in identities.IdentityId]
