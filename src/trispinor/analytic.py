@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .gauss import GaussScalar, Rational, rat
 from .sequences import SeqParams, seq_slice
@@ -192,22 +192,37 @@ def genfunc_numerator(p: SeqParams) -> tuple[Spinor, Spinor, Spinor]:
     return (a0, a1 - p.r * a0, a2 - p.r * a1 - p.s * a0)
 
 
-def genfunc_coefficient(numerator: Sequence[Spinor], p: SeqParams, n: int) -> Spinor:
-    """The coefficient of x^n in N(x)/Q(x), Q = 1 - r*x - s*x^2 - t*x^3 and N
-    the numerator genfunc_numerator(p) returns, in O(log n) products on int
-    (Bostan & Mori, SOSA 2021): N(x)/Q(x) = N(x)Q(-x) / Q(x)Q(-x), whose
-    denominator is even, so the coefficient is that of n // 2 in the even or
-    odd half of N(x)Q(-x) over the even half of Q(x)Q(-x). Q is scaled to int
-    by the lcm of the denominators of r, s and t, each of N's four rational
-    component polynomials by the lcm of N's; each component becomes one
-    Fraction at the end, and none on an integer set. Equals trib_spinor(p, n)."""
+class GenfuncSetup(NamedTuple):
+    """genfunc_coefficient's n-free part: Q = 1 - r*x - s*x^2 - t*x^3 scaled to int
+    by d, the lcm of the denominators of r, s and t, and each of the four rational
+    component polynomials of N = genfunc_numerator(p) scaled to int by e, the lcm of N's."""
+
+    d: int
+    q: tuple[int, int, int, int]
+    e: int
+    polys: tuple[tuple[int, int, int], ...]
+
+
+def genfunc_setup(p: SeqParams) -> GenfuncSetup:
+    """genfunc_coefficient's n-free part for p."""
+    d = math.lcm(*(c.denominator for c in p[:3]))
+    q = (d, *(-c.numerator * (d // c.denominator) for c in p[:3]))
+    polys = list(zip(*genfunc_numerator(p)))
+    e = math.lcm(*(c.denominator for poly in polys for c in poly))
+    return GenfuncSetup(d, q, e, tuple(tuple(c.numerator * (e // c.denominator) for c in poly)
+                                       for poly in polys))
+
+
+def genfunc_coefficient(setup: GenfuncSetup, n: int) -> Spinor:
+    """The coefficient of x^n in N(x)/Q(x), from the set-up genfunc_setup(p)
+    returns, in O(log n) products on int (Bostan & Mori, SOSA 2021):
+    N(x)/Q(x) = N(x)Q(-x) / Q(x)Q(-x), whose denominator is even, so the
+    coefficient is that of n // 2 in the even or odd half of N(x)Q(-x) over the
+    even half of Q(x)Q(-x). Each component becomes one Fraction at the end, and
+    none on an integer set. Equals trib_spinor(p, n)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    d = math.lcm(*(c.denominator for c in p[:3]))
-    q0, q1, q2, q3 = d, *(-c.numerator * (d // c.denominator) for c in p[:3])
-    polys = list(zip(*numerator))
-    e = math.lcm(*(c.denominator for poly in polys for c in poly))
-    polys = [[c.numerator * (e // c.denominator) for c in poly] for poly in polys]
+    d, (q0, q1, q2, q3), e, polys = setup
     while n > 1:
         # The even or the odd half of N(x)Q(-x), for each component.
         if n & 1:

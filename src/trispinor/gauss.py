@@ -193,12 +193,13 @@ class _GaussEntries(_Exact, fields="", coerce=as_gauss):
     def __mul__(self, k):
         """Scaling: every entry times k, a Gaussian or a plain rational; each
         rational of the result that is not an int is coerced by rat."""
-        if type(k) is GaussScalar:
-            x, y = k
-            pairs = zip(*[iter(self)] * 2)
-            return self._make([z if type(z) is int else rat(z)
-                               for a, b in pairs for z in (a * x - b * y, a * y + b * x)])
-        k = rat(k) if isinstance(k, (int, Fraction)) else as_gauss(k)  # raises TypeError
+        if type(k) is not int:
+            if type(k) is GaussScalar:
+                x, y = k
+                pairs = zip(*[iter(self)] * 2)
+                return self._make([z if type(z) is int else rat(z)
+                                   for a, b in pairs for z in (a * x - b * y, a * y + b * x)])
+            k = rat(k) if isinstance(k, (int, Fraction)) else as_gauss(k)  # raises TypeError
         return self._make([z if type(z := k * c) is int else rat(z) for c in self])
 
     __rmul__ = __mul__

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .analytic import (DegenerateRoots, binet_setup, binet_spinor, genfunc_coefficient,
-                       genfunc_numerator)
+                       genfunc_setup)
 from .gauss import GaussScalar, I, Rational, rat
 from .quaternions import (
     DegenerateDelta,
@@ -39,17 +39,18 @@ from .quaternions import (
     qv_window,
     sum_window,
     summation_correction,
+    u_setup,
 )
 from .sequences import TRIBONACCI, SeqParams, companion_power, seq_slice
 from .spinors import (
     C,
     Spinor,
-    bilinear_form,
     breve,
     cartan_conjugate,
     complex_conjugate,
     mate,
     sigma,
+    spinor_dot,
     spinor_norm,
     spinor_window,
 )
@@ -178,7 +179,7 @@ class _Approx(NamedTuple):
 def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0,
          tol: float = 1e-9) -> VerificationReport:
     """The runner. It raises a refusal of p at once, or checks to the depth min(nmax, last),
-    the run's nmax, reading read_terms terms, V(0) to V(depth + reach - 1). A sequence check
+    the run's nmax, reading V(0) to V(depth + reach - 1) by read_terms' rule. A sequence check
     numbers its comparisons by their index and spans [0..depth]; any other numbers them
     from 0 across its parts and spans them all. A passing note is the claim's head, what the
     points were and the claim's tail; a failing one has the failing point's note between.
@@ -191,8 +192,8 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
         raise ValueError(f"nmax must be at least {d.least}")
     if d.refuse and (refusal := d.refuse(p)):
         raise refusal
-    depth, terms = d.depth(nmax), read_terms(identity, nmax, p)
-    params = None if d.reach is None else p
+    depth = d.depth(nmax)
+    terms, params = _terms(d, depth), None if d.reach is None else p
     c = _Run(p, depth, seq_slice(p, 0, terms) if terms else [], seed, {})
     points = [part.points(c) if part.points else _depth(d.order, depth - d.least)
               for part in d.parts]
@@ -202,9 +203,10 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
         for i, point in enumerate(items):
             n = point if d.order else offset + i
             lhs, rhs = part.lhs(c, point), part.rhs(c, point)
-            if isinstance(lhs, _Approx):
+            if type(lhs) is _Approx:
                 approx = True
-                for got, want in zip(lhs, rhs.to_complex()):
+                w, x, y, z = rhs  # the exact spinor's four components, read once
+                for got, want in (lhs.c1, complex(w, x)), (lhs.c2, complex(y, z)):
                     err = abs(got - want) / max(1.0, abs(want))
                     if err > worst:
                         worst, worst_n = err, n
@@ -291,12 +293,18 @@ def verify_conjugate_relations(p: SeqParams, nmax: int) -> VerificationReport:
     return _run(IdentityId.CONJUGATE_RELATIONS, p, nmax)
 
 
+_MINUS_I = -I
+
+
 def norm_forms(a: Spinor) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
-    """The three spinor-side expressions for the quaternion norm of spinor a.
-    C.transpose() equals -C, so pairing through C with a leading minus is the
-    sign that makes the mate/cartan forms match the conjugate pairing."""
-    return (spinor_norm(a), -bilinear_form(mate(a), C, a),
-            (-I) * bilinear_form(cartan_conjugate(a), C, a))
+    """The three spinor-side expressions for the quaternion norm of spinor a:
+    the conjugate pairing, and the mate and cartan pairings through C, each the
+    bilinear form of its row and C @ a. C.transpose() equals -C, so pairing
+    through C with a leading minus is the sign that makes the mate/cartan forms
+    match the conjugate pairing."""
+    ca = C @ a
+    return (spinor_norm(a), -spinor_dot(mate(a), ca),
+            _MINUS_I * spinor_dot(cartan_conjugate(a), ca))
 
 
 def verify_norm_equality(p: SeqParams, nmax: int) -> VerificationReport:
@@ -321,7 +329,8 @@ def verify_genfunc_agreement(p: SeqParams, nmax: int) -> VerificationReport:
     """Power-series coefficients of the rational generating function equal
     the directly iterated spinors, exactly. Each coefficient compared is read
     off the generating function by itself, in O(log k) products on int
-    (genfunc_coefficient); the windows come from the slice's forward steps."""
+    (genfunc_coefficient), from the int operands genfunc_setup builds once per
+    run; the windows come from the slice's forward steps."""
     return _run(IdentityId.GENFUNC_AGREEMENT, p, nmax)
 
 
@@ -438,8 +447,9 @@ def verify_summation(p: SeqParams, nmax: int) -> VerificationReport:
 def verify_u_decomposition(p: SeqParams, nmax: int) -> VerificationReport:
     """The companion-sequence combination reproduces the window quaternion
     two steps ahead: quat_u_decomposition(p, n) = Q(n+2), exactly. The lhs is
-    the exported closed form, which reads U(n)..U(n+2) at each compared n, past
-    n = 0 by one jump of the power kernel that shares no step with the slice."""
+    the exported closed form on its set-up (u_setup), built once per run. At each
+    compared n it reads U(n)..U(n+2), past n = 0 by one jump of the power kernel
+    that shares no step with the slice."""
     return _run(IdentityId.U_DECOMPOSITION, p, nmax)
 
 
@@ -514,7 +524,7 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
         4, last=30),
     IdentityId.GENFUNC_AGREEMENT: _Identity(
         (_Part(lambda c, k: genfunc_coefficient(
-                   _once(c, "numerator", lambda: genfunc_numerator(c.p)), c.p, k),
+                   _once(c, "genfunc", lambda: genfunc_setup(c.p)), k),
                lambda c, k: spinor_window(c.v, k)),),
         4, order=_LINEAR_ORDER),
     IdentityId.TRIPLE_PRODUCT_MAP: _Identity(
@@ -537,7 +547,8 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
         refuse=lambda p: None if p.r + p.s + p.t != 1 else DegenerateDelta(),
         claim=_summation_claim),
     IdentityId.U_DECOMPOSITION: _Identity(
-        (_Part(lambda c, n: quat_u_decomposition(c.p, n), lambda c, n: quat_window(c.v, n + 2)),),
+        (_Part(lambda c, n: quat_u_decomposition(c.p, n, _once(c, "u", lambda: u_setup(c.p))),
+               lambda c, n: quat_window(c.v, n + 2)),),
         6, order=_LINEAR_ORDER),
     IdentityId.MATRIX_POWER_SHIFT: _Identity(
         (_Part(_power_lhs, _power_rhs, labels=tuple(
@@ -546,11 +557,17 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
 }
 
 
+def _terms(d: _Identity, depth: int) -> int:
+    """How many terms from V(0) a check reads to its depth: depth plus reach, or
+    0 if it is parameter-free."""
+    return 0 if d.reach is None else depth + d.reach
+
+
 def read_terms(identity: IdentityId, nmax: int, p: SeqParams) -> int:
     """How many terms from V(0) run_identity reads at nmax on p: the depth (at most 3 for a basis
     proof's windows, 30 for binet's floats) plus reach; 0 for a parameter-free or refused check."""
     d = _IDENTITIES[identity]
-    return 0 if d.reach is None or d.refuse and d.refuse(p) else d.depth(nmax) + d.reach
+    return 0 if d.refuse and d.refuse(p) else _terms(d, d.depth(nmax))
 
 
 def run_identity(identity: IdentityId, p: SeqParams, *, nmax: int = 50, seed: int = 0,

@@ -136,22 +136,32 @@ def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
                   for xyz in [tuple(zip(a, b, c)) for a, b, c in rows]])
 
 
-def u_window(p: SeqParams, v: Sequence[Rational], u: Sequence[Rational]) -> Quaternion:
-    """Q(2)*u[2] + (s*Q(1) + t*Q(0))*u[1] + t*Q(1)*u[0], where Q(m) is
-    quat_window(v, m) of a list v of terms from V(0), and u holds three
-    consecutive terms U(n), U(n+1), U(n+2) of the companion sequence. Summed
-    component by component; each component is coerced by rat."""
+class USetup(NamedTuple):
+    """quat_u_decomposition's n-free part, to pass as its third argument: U's
+    parameters (u_companion), and for each m, component m of Q(2),
+    s*Q(1) + t*Q(0) and t*Q(1), read off V(0..5)."""
+
+    u: SeqParams
+    rows: tuple[tuple[Rational, Rational, Rational], ...]
+
+
+def u_setup(p: SeqParams) -> USetup:
+    """quat_u_decomposition's n-free part for p; each component coerced by rat."""
     s, t = p.s, p.t
-    u0, u1, u2 = u
-    tu0 = t * u0
-    return Quaternion._make(rat(u2 * v[m + 2] + u1 * (s * v[m + 1] + t * v[m]) + tu0 * v[m + 1])
-                            for m in range(4))
+    v = seq_slice(p, 0, 6)
+    rows = tuple((v[m + 2], rat(s * v[m + 1] + t * v[m]), rat(t * v[m + 1])) for m in range(4))
+    return USetup(u_companion(p), rows)
 
 
-def quat_u_decomposition(p: SeqParams, n: int) -> Quaternion:
+def quat_u_decomposition(p: SeqParams, n: int, setup: USetup | None = None) -> Quaternion:
     """Combination Q(2)*U(n+2) + (s*Q(1) + t*Q(0))*U(n+1) + t*Q(1)*U(n), where
-    U is the companion sequence seeded (0, 0, 1); equals Q(n+2)."""
-    return u_window(p, seq_slice(p, 0, 6), seq_slice(u_companion(p), n, 3))
+    U is the companion sequence seeded (0, 0, 1); equals Q(n+2). The set-up is
+    u_setup(p) unless given; the step reads U(n), U(n+1) and U(n+2) at once, past
+    n = 0 by a jump of the power kernel, and sums component by component, each
+    component coerced by rat."""
+    u, rows = setup or u_setup(p)
+    u0, u1, u2 = seq_slice(u, n, 3)
+    return Quaternion._make([rat(u2 * a + u1 * b + u0 * c) for a, b, c in rows])
 
 
 class SummationCorrection(NamedTuple):

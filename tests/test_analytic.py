@@ -32,7 +32,7 @@ from trispinor import (
     seq_slice,
     trib_spinor,
 )
-from trispinor.analytic import genfunc_coefficient
+from trispinor.analytic import genfunc_coefficient, genfunc_setup
 
 TRIB = preset("tribonacci")
 JAC = preset("third_order_jacobsthal")
@@ -241,7 +241,7 @@ def test_genfunc_series_matches_windows():
 @pytest.mark.parametrize("call, message", [
     (lambda: binet_number(TRIB, -1), "index must be nonnegative"),
     (lambda: genfunc_spinor_series(TRIB, -1), "order must be nonnegative"),
-    pytest.param(lambda: genfunc_coefficient(genfunc_numerator(TRIB), TRIB, -1),
+    pytest.param(lambda: genfunc_coefficient(genfunc_setup(TRIB), -1),
                  "index must be nonnegative", id="genfunc_coefficient"),
 ])
 def test_negative_index_and_order_raise(call, message):
@@ -271,8 +271,8 @@ def test_genfunc_coefficient_equals_the_long_division(values):
     """Bostan-Mori on int reads the same coefficients as the long division,
     and renders them the same."""
     p = SeqParams(*values)
-    numerator = genfunc_numerator(p)
-    coefficients = [genfunc_coefficient(numerator, p, k) for k in range(70)]
+    setup = genfunc_setup(p)
+    coefficients = [genfunc_coefficient(setup, k) for k in range(70)]
     series = genfunc_spinor_series(p, 70)
     assert coefficients == list(series)
     assert list(map(str, coefficients)) == list(map(str, series))
@@ -285,17 +285,17 @@ RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
 @pytest.mark.parametrize("n", [1000, 4096])
 @pytest.mark.parametrize("p", [TRIB, RATIONAL], ids=str)
 def test_genfunc_coefficient_deep(p, n):
-    assert genfunc_coefficient(genfunc_numerator(p), p, n) == trib_spinor(p, n)
+    assert genfunc_coefficient(genfunc_setup(p), n) == trib_spinor(p, n)
 
 
 def test_genfunc_coefficient_builds_no_fraction_on_an_integer_set(monkeypatch):
     p = SeqParams(3, -2, 5, 1, -4, 2)
-    numerator = genfunc_numerator(p)
+    setup = genfunc_setup(p)
 
     def no_fraction(*args):
         raise AssertionError("Fraction built")
     monkeypatch.setattr(analytic, "Fraction", no_fraction)
-    coefficient = genfunc_coefficient(numerator, p, 1000)
+    coefficient = genfunc_coefficient(setup, 1000)
     assert coefficient == trib_spinor(p, 1000)
     assert {type(c) for c in tuple(coefficient)} == {int}
 

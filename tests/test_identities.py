@@ -214,8 +214,8 @@ def test_genfunc_reads_no_jump(monkeypatch, p):
 def test_genfunc_guard_catches_a_coefficient_wrong_at_nmax(monkeypatch):
     coefficient = identities.genfunc_coefficient
 
-    def wrong_at_60(numerator, p, n):
-        value = coefficient(numerator, p, n)
+    def wrong_at_60(setup, n):
+        value = coefficient(setup, n)
         return value + Spinor(1, 0) if n == 60 else value
     monkeypatch.setattr(identities, "genfunc_coefficient", wrong_at_60)
     report = run_identity(IdentityId.GENFUNC_AGREEMENT, TRIB, nmax=60)

@@ -107,11 +107,11 @@ def test_each_side_obeys_a_recurrence_of_the_declared_order(identity, p):
     assert lhs <= order and rhs <= order
 
 
-def _at_20(f, extra):
-    """f, with extra added to its value at index n = 20 alone."""
+def _at_20(f, extra, at=-1):
+    """f, with extra added to its value at index n = 20 alone, n being args[at]."""
     def faulty(*args):
         value = f(*args)
-        return value + extra if args[-1] == 20 else value
+        return value + extra if args[at] == 20 else value
     return faulty
 
 
@@ -125,7 +125,7 @@ def _guard_20(rows, m):
 
 # (identity, operation replaced, faulty replacement, the side it moves: 0 lhs, 1 rhs)
 LATE_FAULTS = [
-    ("u_decomposition", "quat_u_decomposition", _at_20(quat_u_decomposition, ONE), 0),
+    ("u_decomposition", "quat_u_decomposition", _at_20(quat_u_decomposition, ONE, at=1), 0),
     ("summation", "sum_window", _at_20(sum_window, ONE), 1),
     ("genfunc", "genfunc_coefficient", _at_20(genfunc_coefficient, Spinor(1, 0)), 0),
     ("matrix_power", "qv_right_multiply", _guard_20, 0),

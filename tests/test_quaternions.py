@@ -24,7 +24,7 @@ from trispinor import (
     trib_quaternion,
     trib_spinor,
 )
-from trispinor.quaternions import k_window, quat_window, sum_window, u_companion, u_window
+from trispinor.quaternions import k_window, quat_window, sum_window, u_setup
 from trispinor.spinors import spinor_window
 
 TRIB = preset("tribonacci")
@@ -282,17 +282,19 @@ def test_window_readers_refuse_a_list_that_ends_before_their_last_term(n):
 @pytest.mark.parametrize("p", WINDOW_SETS + [SeqParams(Fraction(5, 2), 1, Fraction(-1, 2), -4,
                                                         Fraction(3, 2), 0)])
 def test_summed_windows_keep_rats_rule(p):
-    """sum_window and u_window sum component by component and coerce each sum
-    by rat, as k_window does: a sum that is integral is an int. On the last set
-    quat_u_decomposition(p, 1) sums Fractions to integral values."""
+    """sum_window and quat_u_decomposition, on its set-up or its own, sum
+    component by component and coerce each sum by rat, as k_window does: a sum
+    that is integral is an int, and so is each product of the set-up. On the
+    last set quat_u_decomposition(p, 1) sums Fractions to integral values."""
     v = seq_slice(p, 0, 16)
-    u = seq_slice(u_companion(p), 0, 13)
+    setup = u_setup(p)
+    assert all(_is_exact_term(x) for row in setup.rows for x in row)
     for n in range(10):
         total = sum_window(p, v, n)
         assert total == (quat_window(v, n + 2) + (1 - p.r) * quat_window(v, n + 1)
                          + p.t * quat_window(v, n))
-        assert u_window(p, v, u[n:n + 3]) == quat_window(v, n + 2)
-        for q in (total, u_window(p, v, u[n:n + 3]), quat_u_decomposition(p, n)):
+        assert quat_u_decomposition(p, n, setup) == quat_window(v, n + 2)
+        for q in (total, quat_u_decomposition(p, n, setup), quat_u_decomposition(p, n)):
             assert all(map(_is_exact_term, tuple(q))), (n, tuple(q))
 
 

@@ -11,10 +11,11 @@ import pytest
 from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_power, preset,
                        run_identity, verify_binet, verify_spinor_recurrence)
 from trispinor import identities, quaternions
-from trispinor.analytic import binet_spinor
+from trispinor.analytic import GenfuncSetup, binet_spinor, genfunc_setup
 from trispinor.cli import main
 from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, k_window, qmul,
-                                   quat_u_decomposition, summation_correction)
+                                   USetup, quat_u_decomposition, summation_correction,
+                                   u_setup)
 from trispinor.spinors import (SpinMatrix2, Spinor, breve, complex_conjugate, mate, sigma,
                                spinor_norm, spinor_window)
 
@@ -77,8 +78,20 @@ def _shifted_k_window(p, v, n=0):
     return k_window(p, v, n) + ONE
 
 
-def _shifted_u_decomposition(p, n):
-    return quat_u_decomposition(p, n) + ONE
+def _shifted_u_decomposition(p, n, setup=None):
+    return quat_u_decomposition(p, n, setup) + ONE
+
+
+def _shifted_u_setup(p):
+    """u_setup with Q(2) off by one in its first component."""
+    u, ((a, b, c), *rows) = u_setup(p)
+    return USetup(u, ((a + 1, b, c), *rows))
+
+
+def _shifted_genfunc_setup(p):
+    """genfunc_setup with N's first int component polynomial off by one at x^0."""
+    d, q, e, ((a0, a1, a2), *polys) = genfunc_setup(p)
+    return GenfuncSetup(d, q, e, ((a0 + 1, a1, a2), *polys))
 
 
 def _shifted_sum_window(p, v, n=0):
@@ -112,9 +125,13 @@ def _floored_k_window(p, v, n=0):
 # (identity, operation replaced, faulty replacement, expected span, witness
 # n, lhs, rhs, note). The expected strings were recorded before the runner
 # existed; those of the binet, genfunc and u_decomposition rows before the
-# Binet functions shared one power sum. In the three triple_product rows a
-# swapped qmul and an affine breve fail on a basis triple (n < 64), while a
-# floored qmul is exact on int and fails only in the seeded draws (n >= 64).
+# Binet functions shared one power sum, and before each closed form was split
+# into a set-up built once per run and a per-n step: the u_decomposition row
+# faults the closed form on its set-up. A set-up off by one, of u or of
+# genfunc, fails at n = 0, where it is built and first read. In the three
+# triple_product rows a swapped qmul and an affine breve fail on a basis
+# triple (n < 64), while a floored qmul is exact on int and fails only in the
+# seeded draws (n >= 64).
 # conjugates and norm are proved on a basis before the set's windows: the
 # four basis spinors (n < 4), then the windows at n <= 3; the ten polarization
 # points (n < 10) and the four unit windows (10 <= n < 14), then the windows.
@@ -174,6 +191,10 @@ FAULTS = [
      "[2+0i; 1+1i]", "[3+0i; 1+1i]", ""),
     ("u_decomposition", "quat_u_decomposition", _shifted_u_decomposition, (0, 10), 0,
      "(2, 2, 4, 7)", "(1, 2, 4, 7)", ""),
+    ("u_decomposition", "u_setup", _shifted_u_setup, (0, 10), 0,
+     "(2, 2, 4, 7)", "(1, 2, 4, 7)", ""),
+    ("genfunc", "genfunc_setup", _shifted_genfunc_setup, (0, 10), 0,
+     "[3+0i; 1+1i]", "[2+0i; 1+1i]", ""),
     ("summation", "sum_window", _shifted_sum_window, (0, 10), 0,
      "[4+0i; 2+2i]", "[4+1i; 2+2i]",
      "sigma(omega) constant [-5-1i; -1-3i] fails; "

@@ -20,17 +20,17 @@ from trispinor import TRIBONACCI, IdentityId, Status, identities
 SIDE_MAP = {
     "recurrence": [({"spinor_window"}, {"spinor_window"})],
     "conjugates": [({"cartan_conjugate", "mate"}, {"complex_conjugate", "mate"})] * 2,
-    "norm": [({"bilinear_form", "cartan_conjugate", "mate", "sigma", "spinor_norm"}, {"qnorm"}),
+    "norm": [({"cartan_conjugate", "mate", "sigma", "spinor_dot", "spinor_norm"}, {"qnorm"}),
              ({"spinor_window"}, {"quat_window", "sigma"}),
-             ({"bilinear_form", "cartan_conjugate", "mate", "spinor_norm", "spinor_window"},
+             ({"cartan_conjugate", "mate", "spinor_dot", "spinor_norm", "spinor_window"},
               {"qnorm", "quat_window"})],
     "binet": [({"binet_setup", "binet_spinor"}, {"spinor_window"})],
-    "genfunc": [({"genfunc_coefficient", "genfunc_numerator"}, {"spinor_window"})],
+    "genfunc": [({"genfunc_coefficient", "genfunc_setup"}, {"spinor_window"})],
     "triple_product": [({"qmul", "sigma"}, {"breve", "sigma"})] * 2,
     "spinor_matrix": [({"breve", "k_window"}, {"breve", "quat_window"})] * 2,
     "determinant": [({"breve", "k_window", "quat_window", "sigma"}, set())],
     "summation": [({"spinor_window"}, {"sigma", "sum_window", "summation_correction"})],
-    "u_decomposition": [({"quat_u_decomposition"}, {"quat_window"})],
+    "u_decomposition": [({"quat_u_decomposition", "u_setup"}, {"quat_window"})],
     "matrix_power": [({"companion_power", "qv_right_multiply", "qv_window"},
                       {"k_window", "quat_window"})],
 }
