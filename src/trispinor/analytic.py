@@ -132,9 +132,9 @@ def binet_constants(p: SeqParams, roots: CubicRoots | None = None) -> BinetConst
     )
 
 
-def _setup(p: SeqParams, roots: CubicRoots | None, column: Callable[..., tuple]) -> PowerSum:
-    """The power sum's n-free part, on the roots solved here unless given."""
-    roots = roots or cubic_roots(p.r, p.s, p.t)
+def _setup(p: SeqParams, column: Callable[..., tuple]) -> PowerSum:
+    """The power sum's n-free part, on the roots solved here."""
+    roots = cubic_roots(p.r, p.s, p.t)
     const = binet_constants(p, roots)
     a, w1, w2 = xs = roots.as_tuple()
     weights = (const.P / ((a - w1) * (a - w2)), -const.Q / ((a - w1) * (w1 - w2)),
@@ -142,27 +142,25 @@ def _setup(p: SeqParams, roots: CubicRoots | None, column: Callable[..., tuple])
     return PowerSum(xs, weights, tuple(map(column, xs)))
 
 
-def _power_sum(p: SeqParams, n: int, roots: CubicRoots | PowerSum | None,
+def _power_sum(p: SeqParams, n: int, setup: PowerSum | None,
                column: Callable[[complex], tuple[complex, ...]]) -> tuple[complex, ...]:
-    """The closed forms' one power sum: w*x^n*column(x) over the roots x. Given a
+    """The closed forms' one power sum: w*x^n*column(x) over the roots x. Given the
     PowerSum for this column, only the per-n step runs: a power per root, 3 products."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    setup = roots if isinstance(roots, PowerSum) else _setup(p, roots, column)
-    (a, w1, w2), (ga, g1, g2) = setup.roots, setup.weights
+    (a, w1, w2), (ga, g1, g2), columns = setup or _setup(p, column)
     ka, k1, k2 = ga * a**n, g1 * w1**n, g2 * w2**n
-    return tuple([0j + ka * ca + k1 * c1 + k2 * c2 for ca, c1, c2 in zip(*setup.columns)])
+    return tuple([0j + ka * ca + k1 * c1 + k2 * c2 for ca, c1, c2 in zip(*columns)])
 
 
-def binet_number(p: SeqParams, n: int, roots: CubicRoots | None = None) -> complex:
+def binet_number(p: SeqParams, n: int) -> complex:
     """Closed-form value of V(n); imaginary part is rounding noise."""
-    return _power_sum(p, n, roots, lambda x: (1,))[0]
+    return _power_sum(p, n, None, lambda x: (1,))[0]
 
 
-def binet_quaternion(p: SeqParams, n: int, roots: CubicRoots | None = None
-                     ) -> tuple[complex, complex, complex, complex]:
+def binet_quaternion(p: SeqParams, n: int) -> tuple[complex, complex, complex, complex]:
     """Closed-form quaternion components; component l approximates V(n+l)."""
-    return _power_sum(p, n, roots, lambda x: (1, x, x**2, x**3))  # type: ignore[return-value]
+    return _power_sum(p, n, None, lambda x: (1, x, x**2, x**3))  # type: ignore[return-value]
 
 
 def _spinor_column(x: complex) -> tuple[complex, complex]:
@@ -171,13 +169,13 @@ def _spinor_column(x: complex) -> tuple[complex, complex]:
 
 def binet_setup(p: SeqParams) -> PowerSum:
     """binet_spinor's n-free part for p, to pass as its third argument."""
-    return _setup(p, None, _spinor_column)
+    return _setup(p, _spinor_column)
 
 
-def binet_spinor(p: SeqParams, n: int, roots: CubicRoots | PowerSum | None = None
-                 ) -> tuple[complex, complex]:
-    """Closed-form spinor: root x's column [x^3 + i; x + i*x^2], weighted as for V(n)."""
-    return _power_sum(p, n, roots, _spinor_column)  # type: ignore[return-value]
+def binet_spinor(p: SeqParams, n: int, setup: PowerSum | None = None) -> tuple[complex, complex]:
+    """Closed-form spinor: root x's column [x^3 + i; x + i*x^2], weighted as for V(n);
+    setup, if given, is binet_setup(p)."""
+    return _power_sum(p, n, setup, _spinor_column)  # type: ignore[return-value]
 
 
 def genfunc_numerator(p: SeqParams) -> tuple[Spinor, Spinor, Spinor]:

@@ -2,7 +2,8 @@
 generating functions, and run the identity verification suite.
 
 Exact values are rendered as decimal rationals (strings in JSON); only the
-root-based closed forms produce floats, always with an explicit tolerance.
+root-based closed forms produce floats, which binet prints with the binet
+check's one relative tolerance, identities.TOL.
 Each command returns its whole output, which ``main`` writes once; Python's
 int digit limit bounds it. Bad input is a ValueError, reported as one line.
 Exit codes: 0 all checks pass, 1 a verified identity failed, 2 bad input.
@@ -18,10 +19,10 @@ from itertools import islice
 
 from .analytic import DegenerateRoots, binet_spinor, genfunc_spinor_series
 from .identities import (
+    TOL,
     IdentityId,
     Status,
     VerificationReport,
-    check_tolerance,
     read_terms,
     run_identity,
     run_suite,
@@ -147,10 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in (("quaternion", "window quaternion at index n"),
                        ("spinor", "window spinor at index n"),
                        ("binet", "root-based closed-form spinor at index n")):
-        indexed = add(name, text)
-        indexed.add_argument("-n", "--index", type=int, required=True)
-        if name == "binet":
-            indexed.add_argument("--tol", type=float, default=1e-9)
+        add(name, text).add_argument("-n", "--index", type=int, required=True)
 
     add("genfunc", "generating-function series coefficients").add_argument(
         "--order", type=int, default=8, metavar="N", help="number of coefficients (default 8)")
@@ -160,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     for checks in (p_verify, add("suite", "check every identity")):
         checks.add_argument("--nmax", type=int, default=50)
         checks.add_argument("--seed", type=int, default=0)
-        checks.add_argument("--tol", type=float, default=1e-9)
 
     return parser
 
@@ -190,7 +187,6 @@ def _cmd_spinor(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
 
 def _cmd_binet(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     n = _bounded(args.index, "index", MAX_TERMS)
-    check_tolerance(args.tol)
     try:
         c1, c2 = binet_spinor(p, n)
     except (DegenerateRoots, OverflowError) as exc:
@@ -199,9 +195,9 @@ def _cmd_binet(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
         return render_json({
             "c1": {"re": c1.real, "im": c1.imag},
             "c2": {"re": c2.real, "im": c2.imag},
-            "tol": args.tol,
+            "tol": TOL,
         }), 0
-    return f"[{c1:.12g}; {c2:.12g}]  (tol {args.tol:g})\n", 0
+    return f"[{c1:.12g}; {c2:.12g}]  (tol {TOL:g})\n", 0
 
 
 def _cmd_genfunc(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
@@ -246,12 +242,12 @@ def _check_nmax(args: argparse.Namespace, p: SeqParams, checks: list[IdentityId]
 
 def _cmd_verify(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     nmax = _check_nmax(args, p, [identity := IdentityId(args.identity)])
-    return _reports(args, [run_identity(identity, p, nmax=nmax, seed=args.seed, tol=args.tol)])
+    return _reports(args, [run_identity(identity, p, nmax=nmax, seed=args.seed)])
 
 
 def _cmd_suite(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     nmax = _check_nmax(args, p, list(IdentityId))
-    return _reports(args, run_suite(p, nmax=nmax, seed=args.seed, tol=args.tol))
+    return _reports(args, run_suite(p, nmax=nmax, seed=args.seed))
 
 
 _COMMANDS = {
@@ -266,10 +262,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse takes -1,1,1,0,1,1 or -1e-9 for an option unless joined: --tol=-1e-9
+    # argparse takes -1,1,1,0,1,1 for an option unless joined: --params=-1,1,1,0,1,1
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in ("--params", "--tol") and argv[i].startswith("-"):
+        if argv[i - 1] == "--params" and argv[i].startswith("-"):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -278,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(text)
         return code
     except ValueError as exc:
-        # Bad input, the range/tolerance preconditions of the library ops, and
+        # Bad input, the range preconditions of the library ops, and
         # Python's limit on the digits of a printed int, which bounds the
         # output size and stays.
         message = str(exc)

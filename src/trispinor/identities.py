@@ -105,11 +105,8 @@ def random_params(rng: random.Random) -> SeqParams:
     return SeqParams(*(rng.randint(-5, 5) for _ in range(6)))
 
 
-def check_tolerance(tol: float) -> None:
-    """Reject a tolerance that is not a finite number above zero."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be finite and positive")
-
+# binet's float closed form passes while its largest relative error is at most TOL.
+TOL = 1e-9
 
 # Seeded random triples triple_product draws after its basis triples.
 TRIALS = 16
@@ -167,7 +164,7 @@ class _Identity(NamedTuple):
 
 class _Approx(NamedTuple):
     """A spinor in floats. The runner passes it while the largest error so far
-    of a component, relative to max(1, |exact|), is within the tolerance."""
+    of a component, relative to max(1, |exact|), is at most TOL."""
 
     c1: complex
     c2: complex
@@ -176,17 +173,16 @@ class _Approx(NamedTuple):
         return f"[{self.c1:.12g}; {self.c2:.12g}]"
 
 
-def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0,
-         tol: float = 1e-9) -> VerificationReport:
+def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0,
+         seed: int = 0) -> VerificationReport:
     """The runner. It raises a refusal of p at once, or checks to the depth min(nmax, last),
     the run's nmax, reading V(0) to V(depth + reach - 1) by read_terms' rule. A sequence check
     numbers its comparisons by their index and spans [0..depth]; any other numbers them
     from 0 across its parts and spans them all. A passing note is the claim's head, what the
     points were and the claim's tail; a failing one has the failing point's note between.
-    Both may name an approximation's largest error (worst, at worst_n) and tol."""
+    Both may name an approximation's largest error (worst, at worst_n)."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    check_tolerance(tol)
     d = _IDENTITIES[identity]
     if nmax < d.least:
         raise ValueError(f"nmax must be at least {d.least}")
@@ -210,7 +206,7 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
                     err = abs(got - want) / max(1.0, abs(want))
                     if err > worst:
                         worst, worst_n = err, n
-                if worst <= tol:
+                if worst <= TOL:
                     continue
             elif lhs == rhs:
                 continue
@@ -219,14 +215,14 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0, seed: int = 0
                 (label, rhs_label), lhs, rhs = next(
                     e for e in zip(part.labels, lhs, rhs) if e[1] != e[2])
             head, tail = d.claim(c, False) if d.claim else ("", "")
-            what = part.what.format(i, point, worst=worst, tol=tol)
+            what = part.what.format(i, point, worst=worst)
             note = "; ".join(filter(None, (head, what, tail)))
             witness = Witness(n, f"{label}{lhs}", f"{rhs_label}{rhs}")
             return VerificationReport(identity, params, span, Status.FAIL, witness, note)
         offset += len(items)
     *init, said = [said for _, said in points]
     said = (f"{', '.join(init)} and {said}" if init else said).format(
-        worst=worst, worst_n=worst_n, tol=tol)
+        worst=worst, worst_n=worst_n)
     head, tail = d.claim(c, True) if d.claim else ("", "")
     note = "; ".join(filter(None, (head, said, tail)))
     status = Status.TOLERED_PASS if approx else Status.EXACT_PASS
@@ -318,11 +314,11 @@ def verify_norm_equality(p: SeqParams, nmax: int) -> VerificationReport:
     return _run(IdentityId.NORM_EQUALITY, p, nmax)
 
 
-def verify_binet(p: SeqParams, nmax: int, tol: float = 1e-9) -> VerificationReport:
-    """Root-based closed form reproduces the exact spinors within a relative
-    tolerance, to n = min(nmax, 30); binet_spinor raises DegenerateRoots for
+def verify_binet(p: SeqParams, nmax: int) -> VerificationReport:
+    """Root-based closed form reproduces the exact spinors within the relative
+    tolerance TOL, to n = min(nmax, 30); binet_spinor raises DegenerateRoots for
     (nearly) repeated roots."""
-    return _run(IdentityId.BINET_AGREEMENT, p, nmax, tol=tol)
+    return _run(IdentityId.BINET_AGREEMENT, p, nmax)
 
 
 def verify_genfunc_agreement(p: SeqParams, nmax: int) -> VerificationReport:
@@ -519,8 +515,8 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
                    c.p, n, _once(c, "binet", lambda: binet_setup(c.p)))),
                lambda c, n: spinor_window(c.v, n),
                lambda c: ([*range(c.nmax + 1)],
-                          "max relative error {worst:.3e} at n={worst_n} (tol {tol:.1e})"),
-               what="relative error {worst:.3e} exceeds tol {tol:.1e}"),),
+                          f"max relative error {{worst:.3e}} at n={{worst_n}} (tol {TOL:.1e})"),
+               what=f"relative error {{worst:.3e}} exceeds tol {TOL:.1e}"),),
         4, last=30),
     IdentityId.GENFUNC_AGREEMENT: _Identity(
         (_Part(lambda c, k: genfunc_coefficient(
@@ -570,19 +566,18 @@ def read_terms(identity: IdentityId, nmax: int, p: SeqParams) -> int:
     return 0 if d.refuse and d.refuse(p) else _terms(d, d.depth(nmax))
 
 
-def run_identity(identity: IdentityId, p: SeqParams, *, nmax: int = 50, seed: int = 0,
-                 tol: float = 1e-9) -> VerificationReport:
+def run_identity(identity: IdentityId, p: SeqParams, *, nmax: int = 50,
+                 seed: int = 0) -> VerificationReport:
     """Run one identity check to its depth at nmax, converting parameter-dependent refusals
     (degenerate delta or roots, unsupported preset) and float overflow into skip reports."""
     nmax = _IDENTITIES[identity].depth(nmax) if nmax >= 0 else nmax
     try:
-        return _run(identity, p, nmax, seed, tol)
+        return _run(identity, p, nmax, seed)
     except (DegenerateDelta, DegenerateRoots, UnsupportedParams, OverflowError) as exc:
         return VerificationReport(identity, p, (0, nmax), Status.SKIPPED,
                                   note=f"skipped ({type(exc).__name__}): {exc}")
 
 
-def run_suite(p: SeqParams, nmax: int = 50, seed: int = 0,
-              tol: float = 1e-9) -> list[VerificationReport]:
+def run_suite(p: SeqParams, nmax: int = 50, seed: int = 0) -> list[VerificationReport]:
     """Run every identity in declaration order; deterministic for fixed seed."""
-    return [run_identity(i, p, nmax=nmax, seed=seed, tol=tol) for i in IdentityId]
+    return [run_identity(i, p, nmax=nmax, seed=seed) for i in IdentityId]

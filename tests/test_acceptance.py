@@ -116,8 +116,8 @@ def test_c05_triple_product_map():
 
 
 def test_c06_binet():
-    ok = verify_binet(TRIB, 30, 1e-9).status is Status.TOLERED_PASS
-    ok = ok and verify_binet(JAC, 30, 1e-9).status is Status.TOLERED_PASS
+    ok = verify_binet(TRIB, 30).status is Status.TOLERED_PASS
+    ok = ok and verify_binet(JAC, 30).status is Status.TOLERED_PASS
     try:
         binet_spinor(SeqParams(3, -3, 1, 0, 1, 1), 3)
         degenerate_raises = False

@@ -32,7 +32,7 @@ from trispinor import (
     seq_slice,
     trib_spinor,
 )
-from trispinor.analytic import genfunc_coefficient, genfunc_setup
+from trispinor.analytic import binet_setup, genfunc_coefficient, genfunc_setup
 
 TRIB = preset("tribonacci")
 JAC = preset("third_order_jacobsthal")
@@ -179,9 +179,9 @@ def test_binet_seed_011_collapses_constants_to_roots():
 def test_binet_tracks_exact_terms():
     for p in (TRIB, JAC):
         v = seq_slice(p, 0, 35)
-        roots = cubic_roots(p.r, p.s, p.t)
+        setup = binet_setup(p)
         for n in range(31):
-            c1, c2 = binet_spinor(p, n, roots)
+            c1, c2 = binet_spinor(p, n, setup)
             for got, want in (
                 (c1, complex(v[n + 3], v[n])),
                 (c2, complex(v[n + 1], v[n + 2])),
@@ -197,12 +197,17 @@ def test_binet_degenerate_raises():
 
 
 def test_root_relabeling_invariance():
+    # The closed form summed by hand with omega1 and omega2 swapped.
     roots = cubic_roots(1, 1, 1)
-    swapped = CubicRoots(roots.alpha, roots.omega2, roots.omega1, True)
+    a, w1, w2 = xs = (roots.alpha, roots.omega2, roots.omega1)
+    const = binet_constants(TRIB, CubicRoots(*xs, True))
+    weights = (const.P / ((a - w1) * (a - w2)), -const.Q / ((a - w1) * (w1 - w2)),
+               const.R / ((a - w2) * (w1 - w2)))
     for n in (0, 4, 11, 25):
-        a = binet_spinor(TRIB, n, roots)
-        b = binet_spinor(TRIB, n, swapped)
-        assert abs(a[0] - b[0]) < 1e-9 and abs(a[1] - b[1]) < 1e-9
+        got = binet_spinor(TRIB, n)
+        want = (sum(g * x**n * (x**3 + 1j) for g, x in zip(weights, xs)),
+                sum(g * x**n * (x + 1j * x**2) for g, x in zip(weights, xs)))
+        assert abs(got[0] - want[0]) < 1e-9 and abs(got[1] - want[1]) < 1e-9
 
 
 def test_sigma_of_binet_quaternion_is_binet_spinor():
@@ -215,8 +220,8 @@ def test_sigma_of_binet_quaternion_is_binet_spinor():
             continue
         checked += 1
         for n in (0, 3, 9):
-            q0, q1, q2, q3 = binet_quaternion(p, n, roots)
-            c1, c2 = binet_spinor(p, n, roots)
+            q0, q1, q2, q3 = binet_quaternion(p, n)
+            c1, c2 = binet_spinor(p, n)
             for got, want in ((c1, q3 + 1j * q0), (c2, q1 + 1j * q2)):
                 assert abs(got - want) / max(1.0, abs(want)) < 1e-9
 

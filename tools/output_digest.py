@@ -1,8 +1,9 @@
-"""One sha256 over the CLI's reports on a fixed corpus, to show that a change
-keeps every report byte-identical: run it on two checkouts and compare.
+"""One sha256 over the CLI's outputs on a fixed corpus, to show that a change
+keeps every report and value byte-identical: run it on two checkouts and compare.
 
 The corpus is `suite --json` and `verify --json` for every identity at nmax 0,
-3, 50 and 1000, on tribonacci, third_order_jacobsthal, five rational sets and
+3, 50 and 1000, and the value subcommands (term, quaternion, spinor, binet and
+genfunc, each as text and as --json) at fixed indices, on tribonacci, third_order_jacobsthal, five rational sets and
 the 20 sets random_params(Random(37)) draws. The rational sets reach each
 branch of the rational term kernel: (1/2, -2/3, 3/4, 1, -1/2, 2/5), multipliers
 of period 2 (1, 1/2, 1, 1, 1, 1), of period 3 (1, 1, 1/3, 0, 1, 1) and of
@@ -24,6 +25,8 @@ import sys
 from pathlib import Path
 
 NMAXES = (0, 3, 50, 1000)
+VALUE_COMMANDS = [["term", "-n", "40"], ["term", "--nmax", "12"], ["quaternion", "-n", "25"],
+                  ["spinor", "-n", "30"], ["binet", "-n", "10"], ["genfunc", "--order", "6"]]
 RATIONAL_SETS = ["1/2,-2/3,3/4,1,-1/2,2/5", "1,1/2,1,1,1,1", "1,1,1/3,0,1,1", "1,1/2,1/3,1,1,1",
                  "1/6,1/6,1/6,1/6,1/6,1/6"]
 
@@ -37,7 +40,9 @@ def corpus(identities) -> list[list[str]]:
              for _ in range(20)]
     commands = [["suite"]] + [["verify", "--identity", i.value] for i in identities.IdentityId]
     return [[*command, *params, "--nmax", str(nmax), "--json"]
-            for params in sets for nmax in NMAXES for command in commands]
+            for params in sets for nmax in NMAXES for command in commands] + [
+        [*command, *params, *json_flag]
+        for params in sets for command in VALUE_COMMANDS for json_flag in ([], ["--json"])]
 
 
 def run(main, argv: list[str]) -> bytes:
