@@ -7,8 +7,6 @@ from .analytic import (
     CubicRoots,
     DegenerateRoots,
     binet_constants,
-    binet_number,
-    binet_quaternion,
     binet_spinor,
     cubic_roots,
     genfunc_numerator,
@@ -42,7 +40,6 @@ from .quaternions import (
     DegenerateDelta,
     Quaternion,
     SummationCorrection,
-    k_quaternion,
     qconj,
     qmul,
     qnorm,
@@ -68,7 +65,6 @@ from .spinors import (
     C,
     SpinMatrix2,
     Spinor,
-    bilinear_form,
     breve,
     cartan_conjugate,
     complex_conjugate,

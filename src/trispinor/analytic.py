@@ -1,13 +1,12 @@
-"""Closed-form (root-based) evaluation of recurrence terms, quaternions and
-spinors, plus the exact generating function: its series expansion, and one
-coefficient at a time."""
+"""Closed-form (root-based) evaluation of the spinors, plus the exact
+generating function: its series expansion, and one coefficient at a time."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .gauss import GaussScalar, Rational, rat
 from .sequences import SeqParams, seq_slice
@@ -45,7 +44,7 @@ class BinetConstants(NamedTuple):
 
 
 class PowerSum(NamedTuple):
-    """A closed form's n-free part: roots x, weights w (V(n) = sum of w*x^n), columns."""
+    """binet_spinor's n-free part: roots x, weights w (V(n) = sum of w*x^n), columns."""
 
     roots: tuple[complex, complex, complex]
     weights: tuple[complex, complex, complex]
@@ -132,50 +131,25 @@ def binet_constants(p: SeqParams, roots: CubicRoots | None = None) -> BinetConst
     )
 
 
-def _setup(p: SeqParams, column: Callable[..., tuple]) -> PowerSum:
-    """The power sum's n-free part, on the roots solved here."""
+def binet_setup(p: SeqParams) -> PowerSum:
+    """binet_spinor's n-free part for p, to pass as its third argument."""
     roots = cubic_roots(p.r, p.s, p.t)
     const = binet_constants(p, roots)
     a, w1, w2 = xs = roots.as_tuple()
     weights = (const.P / ((a - w1) * (a - w2)), -const.Q / ((a - w1) * (w1 - w2)),
                const.R / ((a - w2) * (w1 - w2)))
-    return PowerSum(xs, weights, tuple(map(column, xs)))
-
-
-def _power_sum(p: SeqParams, n: int, setup: PowerSum | None,
-               column: Callable[[complex], tuple[complex, ...]]) -> tuple[complex, ...]:
-    """The closed forms' one power sum: w*x^n*column(x) over the roots x. Given the
-    PowerSum for this column, only the per-n step runs: a power per root, 3 products."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    (a, w1, w2), (ga, g1, g2), columns = setup or _setup(p, column)
-    ka, k1, k2 = ga * a**n, g1 * w1**n, g2 * w2**n
-    return tuple([0j + ka * ca + k1 * c1 + k2 * c2 for ca, c1, c2 in zip(*columns)])
-
-
-def binet_number(p: SeqParams, n: int) -> complex:
-    """Closed-form value of V(n); imaginary part is rounding noise."""
-    return _power_sum(p, n, None, lambda x: (1,))[0]
-
-
-def binet_quaternion(p: SeqParams, n: int) -> tuple[complex, complex, complex, complex]:
-    """Closed-form quaternion components; component l approximates V(n+l)."""
-    return _power_sum(p, n, None, lambda x: (1, x, x**2, x**3))  # type: ignore[return-value]
-
-
-def _spinor_column(x: complex) -> tuple[complex, complex]:
-    return (x**3 + 1j, x + 1j * x**2)
-
-
-def binet_setup(p: SeqParams) -> PowerSum:
-    """binet_spinor's n-free part for p, to pass as its third argument."""
-    return _setup(p, _spinor_column)
+    return PowerSum(xs, weights, tuple((x**3 + 1j, x + 1j * x**2) for x in xs))
 
 
 def binet_spinor(p: SeqParams, n: int, setup: PowerSum | None = None) -> tuple[complex, complex]:
-    """Closed-form spinor: root x's column [x^3 + i; x + i*x^2], weighted as for V(n);
-    setup, if given, is binet_setup(p)."""
-    return _power_sum(p, n, setup, _spinor_column)  # type: ignore[return-value]
+    """Closed-form spinor: root x's column [x^3 + i; x + i*x^2], weighted as for V(n).
+    Given setup = binet_setup(p), only the per-n step runs: a power per root, 3 products."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    (a, w1, w2), (ga, g1, g2), columns = setup or binet_setup(p)
+    ka, k1, k2 = ga * a**n, g1 * w1**n, g2 * w2**n
+    return tuple([0j + ka * ca + k1 * c1 + k2 * c2  # type: ignore[return-value]
+                  for ca, c1, c2 in zip(*columns)])
 
 
 def genfunc_numerator(p: SeqParams) -> tuple[Spinor, Spinor, Spinor]:

@@ -31,8 +31,9 @@ from .quaternions import trib_quaternion
 from .sequences import SeqParams, _iter_terms, preset, seq_slice, seq_term, u_companion
 from .spinors import trib_spinor
 
-# Largest --index, --order and term --nmax: genfunc --order 10000 takes 2.3-2.5 s
-# on a 2-core x86-64 VM (Intel Xeon, CPython 3.11.7; 6 fresh processes).
+# Largest --index, --order and term --nmax: genfunc --order 10000 takes 2.0-2.5 s on
+# tribonacci and 12-13.5 s on (1, 1, 1/3, 0, 1, 1), whose terms are Fractions, on a
+# 2-core x86-64 VM (Intel Xeon, CPython 3.11.7; fresh processes).
 MAX_TERMS = 10_000
 # Largest verify/suite --nmax: the tribonacci suite at 1000 takes 0.16 s on the same
 # VM, the median of 7 fresh processes (each 0.13-0.19 s).

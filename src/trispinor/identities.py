@@ -35,8 +35,8 @@ from .quaternions import (
     qnorm,
     quat_u_decomposition,
     quat_window,
+    qv_matrix,
     qv_right_multiply,
-    qv_window,
     sum_window,
     summation_correction,
     u_setup,
@@ -450,8 +450,8 @@ def verify_u_decomposition(p: SeqParams, nmax: int) -> VerificationReport:
 
 
 def _power_lhs(c: _Run, n: int) -> tuple[Quaternion, ...]:
-    """The window matrix at shift 0 times C^n, its entries row by row."""
-    first = _once(c, "first", lambda: qv_window(c.p, c.v))
+    """W(0) = qv_matrix(p), built once per run, times C^n; its entries row by row."""
+    first = _once(c, "first", lambda: qv_matrix(c.p))
     return tuple(itertools.chain(*qv_right_multiply(first, companion_power(c.p, n))))
 
 
@@ -465,12 +465,14 @@ def _power_rhs(c: _Run, n: int) -> tuple[Quaternion, ...]:
 def verify_matrix_power_shift(p: SeqParams, nmax: int) -> VerificationReport:
     """Right-multiplying the window matrix at shift 0 by the companion matrix
     n times lands exactly on the window matrix at shift n, whose rows are
-    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)). At every
-    n compared, below the order and at the guard alike, C^n is
-    companion_power(p, n): the identity and the companion matrix at n = 0 and
-    1, read off the companion sequence U from n = 2, at the guard by one jump
-    of the power kernel, which shares no step with the slice. The two are
-    compared whole, and entry by entry only where they differ."""
+    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)). The lhs
+    takes the matrix at shift 0 from the exported qv_matrix(p), once per run,
+    and reads no term of the slice the rhs reads. At every n compared, below
+    the order and at the guard alike, C^n is companion_power(p, n): the
+    identity and the companion matrix at n = 0 and 1, read off the companion
+    sequence U from n = 2, at the guard by one jump of the power kernel, which
+    shares no step with the slice. The two are compared whole, and entry by
+    entry only where they differ."""
     return _run(IdentityId.MATRIX_POWER_SHIFT, p, nmax)
 
 

@@ -97,20 +97,15 @@ def trib_quaternion(p: SeqParams, n: int) -> Quaternion:
     return quat_window(seq_slice(p, n, 4))
 
 
-def k_quaternion(p: SeqParams, n: int) -> Quaternion:
-    """Middle-column entry of the window matrix: s*Q(n+1) + t*Q(n)."""
-    return k_window(p, seq_slice(p, n, 5))
-
-
 QvRows = tuple[tuple[Quaternion, Quaternion, Quaternion], ...]
 
 
-def qv_window(p: SeqParams, v: Sequence[Rational], n: int = 0) -> QvRows:
-    """Rows of the window matrix with shift n, with the window quaternions
-    read off a list of terms as by quat_window(v, m). Row i is
-    (Q(n+4-i), s*Q(n+3-i) + t*Q(n+2-i), t*Q(n+3-i))."""
+def qv_window(p: SeqParams, v: Sequence[Rational]) -> QvRows:
+    """Rows of the window matrix, with the window quaternions read off a list
+    of terms as Q(m) = quat_window(v, m). Row i is (Q(4-i), s*Q(3-i) + t*Q(2-i),
+    t*Q(3-i)); on seq_slice(p, n, 8) it is the matrix with shift n."""
     return tuple(
-        (quat_window(v, n + 4 - i), k_window(p, v, n + 2 - i), p.t * quat_window(v, n + 3 - i))
+        (quat_window(v, 4 - i), k_window(p, v, 2 - i), p.t * quat_window(v, 3 - i))
         for i in range(3)
     )
 

@@ -94,11 +94,6 @@ def spinor_dot(u: Spinor, v: Spinor) -> GaussScalar:
     return GaussScalar._make((a * w - b * x + c * y - d * z, a * x + b * w + c * z + d * y))
 
 
-def bilinear_form(row: Spinor, m: SpinMatrix2, col: Spinor) -> GaussScalar:
-    """transpose(row) * m * col with a plain (unconjugated) transpose."""
-    return spinor_dot(row, m @ col)
-
-
 def spinor_norm(s: Spinor) -> GaussScalar:
     """|c1|^2 + |c2|^2; always real and nonnegative."""
     return spinor_dot(complex_conjugate(s), s)

@@ -20,8 +20,6 @@ from trispinor import (
     SeqParams,
     Spinor,
     binet_constants,
-    binet_number,
-    binet_quaternion,
     binet_spinor,
     cubic_roots,
     genfunc_numerator,
@@ -130,22 +128,40 @@ def test_binet_constants():
         binet_constants(SeqParams(3, -3, 1, 0, 1, 1))
 
 
+def _power_sum(p, n, column):
+    """The closed form with another column, summed by hand over binet_setup(p)'s
+    roots x and weights w: component l is the sum of w*x^n*column(x)[l]."""
+    roots, weights, _ = binet_setup(p)
+    return tuple(sum(w * x**n * c for w, x, c in zip(weights, roots, cs))
+                 for cs in zip(*map(column, roots)))
+
+
+def _binet_number(p, n):
+    """Closed-form value of V(n), the column (1,); its imaginary part is rounding noise."""
+    return _power_sum(p, n, lambda x: (1,))[0]
+
+
+def _binet_quaternion(p, n):
+    """Closed-form quaternion, the column (1, x, x^2, x^3): component l approximates V(n+l)."""
+    return _power_sum(p, n, lambda x: (1, x, x**2, x**3))
+
+
 def test_binet_number():
-    assert abs(binet_number(TRIB, 0)) < 1e-9
-    assert abs(binet_number(TRIB, 5) - 7) < 1e-9
-    assert abs(binet_number(JAC, 6) - 18) < 1e-9
-    assert abs(binet_number(TRIB, 20).imag) < 1e-9
+    assert abs(_binet_number(TRIB, 0)) < 1e-9
+    assert abs(_binet_number(TRIB, 5) - 7) < 1e-9
+    assert abs(_binet_number(JAC, 6) - 18) < 1e-9
+    assert abs(_binet_number(TRIB, 20).imag) < 1e-9
 
 
 def test_binet_quaternion():
-    got = binet_quaternion(TRIB, 0)
+    got = _binet_quaternion(TRIB, 0)
     for value, want in zip(got, (0, 1, 1, 2)):
         assert abs(value - want) < 1e-9
-    got = binet_quaternion(TRIB, 3)
+    got = _binet_quaternion(TRIB, 3)
     for value, want in zip(got, (2, 4, 7, 13)):
         assert abs(value - want) < 1e-9
     flat = SeqParams(1, 1, 1, 0, 0, 0)
-    assert all(abs(x) < 1e-9 for x in binet_quaternion(flat, 7))
+    assert all(abs(x) < 1e-9 for x in _binet_quaternion(flat, 7))
 
 
 def test_binet_spinor_values():
@@ -193,7 +209,7 @@ def test_binet_degenerate_raises():
     with pytest.raises(DegenerateRoots):
         binet_spinor(SeqParams(3, -3, 1, 0, 1, 1), 5)
     with pytest.raises(DegenerateRoots):
-        binet_number(SeqParams(3, -3, 1, 0, 1, 1), 5)
+        binet_setup(SeqParams(3, -3, 1, 0, 1, 1))
 
 
 def test_root_relabeling_invariance():
@@ -220,7 +236,7 @@ def test_sigma_of_binet_quaternion_is_binet_spinor():
             continue
         checked += 1
         for n in (0, 3, 9):
-            q0, q1, q2, q3 = binet_quaternion(p, n)
+            q0, q1, q2, q3 = _binet_quaternion(p, n)
             c1, c2 = binet_spinor(p, n)
             for got, want in ((c1, q3 + 1j * q0), (c2, q1 + 1j * q2)):
                 assert abs(got - want) / max(1.0, abs(want)) < 1e-9
@@ -244,7 +260,7 @@ def test_genfunc_series_matches_windows():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: binet_number(TRIB, -1), "index must be nonnegative"),
+    (lambda: binet_spinor(TRIB, -1), "index must be nonnegative"),
     (lambda: genfunc_spinor_series(TRIB, -1), "order must be nonnegative"),
     pytest.param(lambda: genfunc_coefficient(genfunc_setup(TRIB), -1),
                  "index must be nonnegative", id="genfunc_coefficient"),

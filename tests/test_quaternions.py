@@ -10,7 +10,6 @@ from trispinor import (
     Quaternion,
     SeqParams,
     companion_power,
-    k_quaternion,
     preset,
     qconj,
     qmul,
@@ -119,16 +118,17 @@ def test_quaternion_recurrence():
 
 
 def test_k_quaternion():
-    assert k_quaternion(TRIB, 0) == Quaternion(1, 2, 3, 6)
-    assert k_quaternion(TRIB, 1) == Quaternion(2, 3, 6, 11)
+    # K(n) = s*Q(n+1) + t*Q(n), the window matrix's middle column.
+    assert k_window(TRIB, seq_slice(TRIB, 0, 5)) == Quaternion(1, 2, 3, 6)
+    assert k_window(TRIB, seq_slice(TRIB, 1, 5)) == Quaternion(2, 3, 6, 11)
     flat = SeqParams(2, 0, 0, 1, 1, 1)
-    assert k_quaternion(flat, 3) == Quaternion(0, 0, 0, 0)
+    assert k_window(flat, seq_slice(flat, 3, 5)) == Quaternion(0, 0, 0, 0)
 
 
 def test_qv_matrix_layout():
     qv = qv_matrix(TRIB, 0)
     assert qv[0][0] == trib_quaternion(TRIB, 4)
-    assert qv[2][1] == k_quaternion(TRIB, 0)
+    assert qv[2][1] == k_window(TRIB, seq_slice(TRIB, 0, 5))
     assert qv[1][2] == TRIB.t * trib_quaternion(TRIB, 2)
     shifted = qv_matrix(TRIB, 1)
     assert shifted[0][0] == trib_quaternion(TRIB, 5)
@@ -184,8 +184,10 @@ def test_partial_sum_examples():
     assert quat_partial_sum(TRIB, 2) == Quaternion(2, 4, 7, 13)
 
 
-@pytest.mark.parametrize("op", [trib_quaternion, k_quaternion, qv_matrix,
-                                quat_u_decomposition, quat_partial_sum, trib_spinor])
+@pytest.mark.parametrize("op", [
+    trib_quaternion,
+    pytest.param(lambda p, n: k_window(p, seq_slice(p, n, 5)), id="k_quaternion"),
+    qv_matrix, quat_u_decomposition, quat_partial_sum, trib_spinor])
 def test_negative_index_raises(op):
     # seq_slice is the one start-index check behind every window op.
     with pytest.raises(ValueError, match="nonnegative"):
@@ -261,7 +263,8 @@ def test_windows_keep_the_terms_and_their_types(p, n0):
         assert list(tuple(k)) == want
         assert all(map(_is_exact_term, tuple(k)))
     # 1/2 * V(1) + 1 * V(0) = 1/2 * 0 + 2 on these parameters: the int 2.
-    k = k_quaternion(SeqParams(Fraction(1, 2), Fraction(1, 2), 1, 2, 0, 1), 0)
+    half = SeqParams(Fraction(1, 2), Fraction(1, 2), 1, 2, 0, 1)
+    k = k_window(half, seq_slice(half, 0, 5))
     assert tuple(k) == (2, Fraction(1, 2), Fraction(9, 4), Fraction(27, 8))
     assert type(k.q0) is int
 

@@ -22,9 +22,6 @@ from trispinor import (
     SummationCorrection,
     VerificationReport,
     Witness,
-    binet_number,
-    binet_quaternion,
-    cubic_roots,
     preset,
     run_identity,
     run_suite,
@@ -119,13 +116,11 @@ def test_records_are_immutable(record, _):
     (lambda: verify_binet(TRIB, -1), ValueError),
     (lambda: verify_triple_product_map(1, 0), TypeError),
     (lambda: verify_triple_product_map(1, trials=16), TypeError),
-    # binet's tolerance is the constant TOL, and the closed forms solve their own roots.
+    # binet's tolerance is the constant TOL.
     (lambda: verify_binet(TRIB, 3, tol=0.0), TypeError),
     (lambda: verify_binet(TRIB, 3, 1e-9), TypeError),
     (lambda: run_identity(IdentityId.BINET_AGREEMENT, TRIB, tol=1e-9), TypeError),
     (lambda: run_suite(TRIB, 50, 0, 1e-9), TypeError),
-    (lambda: binet_number(TRIB, 3, cubic_roots(1, 1, 1)), TypeError),
-    (lambda: binet_quaternion(TRIB, 3, roots=cubic_roots(1, 1, 1)), TypeError),
 ])
 def test_verify_argument_errors(call, error):
     with pytest.raises(error):

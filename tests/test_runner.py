@@ -10,7 +10,7 @@ import pytest
 
 from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_power, preset,
                        run_identity, verify_binet, verify_spinor_recurrence)
-from trispinor import identities, quaternions
+from trispinor import identities, quaternions, sequences
 from trispinor.analytic import GenfuncSetup, binet_spinor, genfunc_setup
 from trispinor.cli import main
 from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, k_window, qmul,
@@ -39,8 +39,8 @@ def _cartan_unconjugated_c2(s):
     return Spinor(GaussScalar(0, 1) * s.c2, GaussScalar(0, -1) * s.c1.conjugate())
 
 
-def _shifted_qv_window(p, v, n=0):
-    return quaternions.qv_window(p, v, n + 1)
+def _shifted_qv_matrix(p, shift=0):
+    return quaternions.qv_matrix(p, shift + 1)
 
 
 def _affine_breve(q):
@@ -151,8 +151,9 @@ def _floored_k_window(p, v, n=0):
 # determinant compares its spinor side with a constant: a fault in either
 # spinor-side primitive, sigma or breve, moves its lhs at n = 0. matrix_power
 # compares its whole window matrix at each n and carries its product by the
-# companion matrix from the window matrix at shift 0: shifting that window by
-# one gives the witness that a companion power shifted by one gave before.
+# companion matrix from the window matrix at shift 0, qv_matrix(p): shifting
+# that matrix by one gives the witness that a companion power shifted by one
+# gave before.
 # mate and cartan_conjugate are read off a spinor's components, not composed
 # from C and the complex conjugate: a formula that drops the conjugation of one
 # component agrees on the real basis spinors and fails conjugates on the
@@ -162,7 +163,7 @@ FAULTS = [
      "C@mate: [-1+0i; 0+0i]", "[1+0i; 0+0i]", "basis spinor [1+0i; 0+0i]"),
     ("norm", "mate", _negated_mate, (0, 17), 0,
      "mate pairing: -1+0i", "1+0i", "polarization point (1, 0, 0, 0)"),
-    ("matrix_power", "qv_window", _shifted_qv_window, (0, 10), 0,
+    ("matrix_power", "qv_matrix", _shifted_qv_matrix, (0, 10), 0,
      "entry(0,0)=(7, 13, 24, 44)", "entry(0,0)=(4, 7, 13, 24)", ""),
     ("spinor_matrix", "breve", _affine_breve, (0, 8), 0,
      "[[1+1i, 0+0i], [0+0i, 0+1i]]", "[[2+1i, 0+0i], [0+0i, 0+1i]]",
@@ -297,6 +298,23 @@ def test_matrix_power_reports_the_first_differing_entry(monkeypatch):
                               "entry(1,2)=(98950096, 181997601, 334745777, 615693474)")
     assert report.note == ""
     assert matrices == [companion_power(TRIB, n) for n in (0, 1, 2, 30)]
+
+
+def test_matrix_power_reads_w0_apart_from_the_runs_slice(monkeypatch):
+    # The lhs builds W(0) with qv_matrix off terms of its own, so a run's slice
+    # whose V(5) is off by one moves the rhs alone: the check fails at n = 0,
+    # where entry (0,0) is Q(4) = (V(4), ..., V(7)). Were W(0) read off the same
+    # slice, both sides would agree at n = 0.
+    def faulted(p, n0, length):
+        v = sequences.seq_slice(p, n0, length)
+        if n0 <= 5 < n0 + length:
+            v[5 - n0] += 1
+        return v
+
+    monkeypatch.setattr(identities, "seq_slice", faulted)
+    report = run_identity(IdentityId.MATRIX_POWER_SHIFT, TRIB, nmax=10)
+    assert report.status is Status.FAIL
+    assert report.witness == (0, "entry(0,0)=(4, 7, 13, 24)", "entry(0,0)=(4, 8, 13, 24)")
 
 
 def test_overflow_skips():

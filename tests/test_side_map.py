@@ -31,7 +31,7 @@ SIDE_MAP = {
     "determinant": [({"breve", "k_window", "quat_window", "sigma"}, set())],
     "summation": [({"spinor_window"}, {"sigma", "sum_window", "summation_correction"})],
     "u_decomposition": [({"quat_u_decomposition", "u_setup"}, {"quat_window"})],
-    "matrix_power": [({"companion_power", "qv_right_multiply", "qv_window"},
+    "matrix_power": [({"companion_power", "qv_matrix", "qv_right_multiply"},
                       {"k_window", "quat_window"})],
 }
 

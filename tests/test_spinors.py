@@ -10,7 +10,6 @@ from trispinor import (
     SeqParams,
     SpinMatrix2,
     Spinor,
-    bilinear_form,
     breve,
     cartan_conjugate,
     complex_conjugate,
@@ -254,8 +253,8 @@ def test_spinor_norm_values():
 def test_norm_forms_agree_for_all_spinors(s):
     norm = spinor_norm(s)
     assert norm.is_real and norm.re >= 0
-    assert -bilinear_form(mate(s), C, s) == norm
-    assert (-I) * bilinear_form(cartan_conjugate(s), C, s) == norm
+    assert -spinor_dot(mate(s), C @ s) == norm
+    assert (-I) * spinor_dot(cartan_conjugate(s), C @ s) == norm
 
 
 def test_window_norms_match_quaternion_norm():
