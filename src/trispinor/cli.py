@@ -176,14 +176,11 @@ def _cmd_term(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
             else "".join(f"{x}\n" for x in values)), 0
 
 
-def _cmd_quaternion(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
-    q = trib_quaternion(p, _bounded(args.index, "index", MAX_TERMS))
-    return (render_json(_exact_json(q)) if args.json else f"{q}\n"), 0
-
-
-def _cmd_spinor(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
-    s = trib_spinor(p, _bounded(args.index, "index", MAX_TERMS))
-    return (render_json(_exact_json(s)) if args.json else f"{s}\n"), 0
+def _cmd_window(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
+    """quaternion's Q(n) or spinor's A(n)."""
+    window = {"quaternion": trib_quaternion, "spinor": trib_spinor}[args.command]
+    x = window(p, _bounded(args.index, "index", MAX_TERMS))
+    return (render_json(_exact_json(x)) if args.json else f"{x}\n"), 0
 
 
 def _cmd_binet(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
@@ -253,8 +250,8 @@ def _cmd_suite(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
 
 _COMMANDS = {
     "term": _cmd_term,
-    "quaternion": _cmd_quaternion,
-    "spinor": _cmd_spinor,
+    "quaternion": _cmd_window,
+    "spinor": _cmd_window,
     "binet": _cmd_binet,
     "genfunc": _cmd_genfunc,
     "verify": _cmd_verify,

@@ -29,7 +29,8 @@ class _Exact(tuple):
     component here, and two, (re, im), in `_GaussEntries`. The constructor
     coerces every field once; arithmetic builds its results with ``_make``,
     tuple.__new__ bound to the class, which does not. The kernel shares +, -,
-    negation, ==, hash and pickle; each type defines its own ``*``. ``==``
+    negation, rational scaling, ==, hash and pickle; each type defines its own
+    ``*``, coercing a scalar factor by its own rule before it scales. ``==``
     holds between values of one type with equal components, after ``_lift``
     has converted the other operand. A value iterates over its stored rationals
     and has their len, but never equals a tuple, is unordered and does not concatenate.
@@ -79,6 +80,11 @@ class _Exact(tuple):
 
     def __neg__(self):
         return self._make(map(neg, self))
+
+    def _scaled(self, k: Rational):
+        """Every stored rational times the rational k, each product that is not an
+        int coerced by rat."""
+        return self._make([z if type(z := k * c) is int else rat(z) for c in self])
 
     def __eq__(self, other: object) -> bool:
         lifted = other if type(other) is type(self) else self._lift(other)
@@ -191,8 +197,8 @@ class _GaussEntries(_Exact, fields="", coerce=as_gauss):
         return tuple.__new__(cls, [x for z in super().__new__(cls, *entries) for x in z])
 
     def __mul__(self, k):
-        """Scaling: every entry times k, a Gaussian or a plain rational; each
-        rational of the result that is not an int is coerced by rat."""
+        """Scaling: every entry times k, a Gaussian or a plain rational (not a
+        float); each rational of the result that is not an int is coerced by rat."""
         if type(k) is not int:
             if type(k) is GaussScalar:
                 x, y = k
@@ -200,7 +206,7 @@ class _GaussEntries(_Exact, fields="", coerce=as_gauss):
                 return self._make([z if type(z) is int else rat(z)
                                    for a, b in pairs for z in (a * x - b * y, a * y + b * x)])
             k = rat(k) if isinstance(k, (int, Fraction)) else as_gauss(k)  # raises TypeError
-        return self._make([z if type(z := k * c) is int else rat(z) for c in self])
+        return self._scaled(k)
 
     __rmul__ = __mul__
 

@@ -10,8 +10,8 @@ the public operations.
 Each identity is one declaration in _IDENTITIES: its parts, each two sides
 evaluated apart at the part's points, a sequence check's order, its depth and
 its reach. One runner, _run, reads the slice once, compares the sides to the
-first mismatch and builds the span and the note by one rule; binet's float
-approximation and summation's seed-window candidate keep a small hook each.
+first mismatch and builds the span and the note by one rule; binet's declared
+float lhs and summation's seed-window candidate keep a small hook each.
 Sides look primitives up in this module's namespace when called.
 """
 
@@ -123,10 +123,10 @@ class _Run(NamedTuple):
     memo: dict
 
 
-def _once(c: _Run, key: object, f: Callable[[], object]):
-    """f(), computed once per run."""
+def _once(c: _Run, key: object, f: Callable, *args):
+    """f(*args), computed once per run."""
     if key not in c.memo:
-        c.memo[key] = f()
+        c.memo[key] = f(*args)
     return c.memo[key]
 
 
@@ -134,13 +134,16 @@ class _Part(NamedTuple):
     """Two sides evaluated apart at the points, which come with what a passing
     note says of them. A side may return a tuple of equations' sides, which
     labels name by (lhs prefix, rhs prefix). what, a failing point's note,
-    formats its position ({0}) and the point ({1})."""
+    formats its position ({0}) and the point ({1}). floats declares an lhs in floats,
+    (c1, c2), against an exact spinor: it passes while the largest error so far of a
+    component, relative to max(1, |exact|), is at most TOL, and a pass is tolered."""
 
     lhs: Callable
     rhs: Callable
     points: Callable[[_Run], tuple[list, str]] | None = None
     labels: tuple[tuple[str, str], ...] = ()
     what: str = ""
+    floats: bool = False
 
 
 class _Identity(NamedTuple):
@@ -162,17 +165,6 @@ class _Identity(NamedTuple):
         return min(max(nmax, self.least), self.last)
 
 
-class _Approx(NamedTuple):
-    """A spinor in floats. The runner passes it while the largest error so far
-    of a component, relative to max(1, |exact|), is at most TOL."""
-
-    c1: complex
-    c2: complex
-
-    def __str__(self) -> str:
-        return f"[{self.c1:.12g}; {self.c2:.12g}]"
-
-
 def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0,
          seed: int = 0) -> VerificationReport:
     """The runner. It raises a refusal of p at once, or checks to the depth min(nmax, last),
@@ -180,7 +172,7 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0,
     numbers its comparisons by their index and spans [0..depth]; any other numbers them
     from 0 across its parts and spans them all. A passing note is the claim's head, what the
     points were and the claim's tail; a failing one has the failing point's note between.
-    Both may name an approximation's largest error (worst, at worst_n)."""
+    Both may name a float lhs's largest error (worst, at worst_n)."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     d = _IDENTITIES[identity]
@@ -194,20 +186,20 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0,
     points = [part.points(c) if part.points else _depth(d.order, depth - d.least)
               for part in d.parts]
     span = (0, depth if d.order else sum(len(items) for items, _ in points) - 1)
-    approx, worst, worst_n, offset = False, 0.0, 0, 0
+    worst, worst_n, offset = 0.0, 0, 0
     for part, (items, _) in zip(d.parts, points):
         for i, point in enumerate(items):
             n = point if d.order else offset + i
             lhs, rhs = part.lhs(c, point), part.rhs(c, point)
-            if type(lhs) is _Approx:
-                approx = True
+            if part.floats:
                 w, x, y, z = rhs  # the exact spinor's four components, read once
-                for got, want in (lhs.c1, complex(w, x)), (lhs.c2, complex(y, z)):
+                for got, want in zip(lhs, (complex(w, x), complex(y, z))):
                     err = abs(got - want) / max(1.0, abs(want))
                     if err > worst:
                         worst, worst_n = err, n
                 if worst <= TOL:
                     continue
+                lhs = "[{:.12g}; {:.12g}]".format(*lhs)
             elif lhs == rhs:
                 continue
             label, rhs_label = "", ""
@@ -225,7 +217,8 @@ def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0,
         worst=worst, worst_n=worst_n)
     head, tail = d.claim(c, True) if d.claim else ("", "")
     note = "; ".join(filter(None, (head, said, tail)))
-    status = Status.TOLERED_PASS if approx else Status.EXACT_PASS
+    status = (Status.TOLERED_PASS if any(part.floats for part in d.parts)
+              else Status.EXACT_PASS)
     return VerificationReport(identity, params, span, status, note=note)
 
 
@@ -408,7 +401,7 @@ def verify_determinant_combination(p: SeqParams, nmax: int) -> VerificationRepor
 def _summation_lhs(c: _Run, n: int) -> Spinor:
     # prefix[m] = V(0) + ... + V(m-1)
     prefix = _once(c, "prefix", lambda: list(itertools.accumulate(c.v[:c.nmax + 4], initial=0)))
-    first = _once(c, "first", lambda: spinor_window(prefix))
+    first = _once(c, "first", spinor_window, prefix)
     return (c.p.r + c.p.s + c.p.t - 1) * (spinor_window(prefix, n + 1) - first)
 
 
@@ -451,7 +444,7 @@ def verify_u_decomposition(p: SeqParams, nmax: int) -> VerificationReport:
 
 def _power_lhs(c: _Run, n: int) -> tuple[Quaternion, ...]:
     """W(0) = qv_matrix(p), built once per run, times C^n; its entries row by row."""
-    first = _once(c, "first", lambda: qv_matrix(c.p))
+    first = _once(c, "first", qv_matrix, c.p)
     return tuple(itertools.chain(*qv_right_multiply(first, companion_power(c.p, n))))
 
 
@@ -513,16 +506,14 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
         4, last=_LAST_WINDOW),
     # Float error grows with the dominant root's power: the runner caps the range.
     IdentityId.BINET_AGREEMENT: _Identity(
-        (_Part(lambda c, n: _Approx(*binet_spinor(
-                   c.p, n, _once(c, "binet", lambda: binet_setup(c.p)))),
+        (_Part(lambda c, n: binet_spinor(c.p, n, _once(c, "binet", binet_setup, c.p)),
                lambda c, n: spinor_window(c.v, n),
                lambda c: ([*range(c.nmax + 1)],
                           f"max relative error {{worst:.3e}} at n={{worst_n}} (tol {TOL:.1e})"),
-               what=f"relative error {{worst:.3e}} exceeds tol {TOL:.1e}"),),
+               what=f"relative error {{worst:.3e}} exceeds tol {TOL:.1e}", floats=True),),
         4, last=30),
     IdentityId.GENFUNC_AGREEMENT: _Identity(
-        (_Part(lambda c, k: genfunc_coefficient(
-                   _once(c, "genfunc", lambda: genfunc_setup(c.p)), k),
+        (_Part(lambda c, k: genfunc_coefficient(_once(c, "genfunc", genfunc_setup, c.p), k),
                lambda c, k: spinor_window(c.v, k)),),
         4, order=_LINEAR_ORDER),
     IdentityId.TRIPLE_PRODUCT_MAP: _Identity(
@@ -545,7 +536,7 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
         refuse=lambda p: None if p.r + p.s + p.t != 1 else DegenerateDelta(),
         claim=_summation_claim),
     IdentityId.U_DECOMPOSITION: _Identity(
-        (_Part(lambda c, n: quat_u_decomposition(c.p, n, _once(c, "u", lambda: u_setup(c.p))),
+        (_Part(lambda c, n: quat_u_decomposition(c.p, n, _once(c, "u", u_setup, c.p)),
                lambda c, n: quat_window(c.v, n + 2)),),
         6, order=_LINEAR_ORDER),
     IdentityId.MATRIX_POWER_SHIFT: _Identity(

@@ -31,13 +31,11 @@ class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=rat):
     def __mul__(self, other: Quaternion | Rational) -> Quaternion:
         if isinstance(other, Quaternion):
             return qmul(self, other)
-        return self.__rmul__(other)
+        return self._scaled(rat(other))
 
     def __rmul__(self, k: Rational) -> Quaternion:
-        """Scaling: every component times the scalar k, each product that is not
-        an int coerced by rat."""
-        k = rat(k)
-        return self._make([z if type(z := k * c) is int else rat(z) for c in self])
+        """Scaling: every component times the scalar k, coerced by rat."""
+        return self._scaled(rat(k))
 
     def __str__(self) -> str:
         return f"({self.q0}, {self.q1}, {self.q2}, {self.q3})"

@@ -230,6 +230,23 @@ def test_gauss_scalar_times_a_spinor_or_matrix_scales_it():
     assert i * m == m * i == SpinMatrix2(GaussScalar(0, 1), -2, GaussScalar(0, -3), 0)
 
 
+def test_rational_scaling_coerces_by_each_types_rule():
+    # A quaternion coerces its factor by rat, so a float scales it exactly; a
+    # spinor or matrix takes only a Gaussian or a plain rational.
+    q = Quaternion(1, 2, 3, 4)
+    for scaled in (q * 0.5, 0.5 * q):
+        assert scaled == Quaternion(Fraction(1, 2), 1, Fraction(3, 2), 2)
+        _assert_exact(*tuple(scaled))
+    with pytest.raises(TypeError):
+        Spinor(1, 2) * 0.5
+    with pytest.raises(TypeError):
+        0.5 * SpinMatrix2(1, 2, 3, 4)
+    for scaled in (3 * q, q * 3, 3 * Spinor(1, 2), SpinMatrix2(1, 2, 3, 4) * 3):
+        assert all(type(c) is int for c in scaled)
+        _assert_exact(*tuple(scaled))
+    assert 3 * Spinor(1, GaussScalar(2, -1)) == Spinor(3, GaussScalar(6, -3))
+
+
 @pytest.mark.parametrize("other", [0.5, Quaternion(1, 2, 3, 4)], ids=["float", "Quaternion"])
 def test_gauss_scalar_refuses_a_float_or_quaternion_factor(other):
     with pytest.raises(TypeError):
