@@ -24,17 +24,6 @@ from .identities import (
     random_params,
     run_identity,
     run_suite,
-    verify_binet,
-    verify_conjugate_relations,
-    verify_determinant_combination,
-    verify_genfunc_agreement,
-    verify_matrix_power_shift,
-    verify_norm_equality,
-    verify_spinor_matrix_behavior,
-    verify_spinor_recurrence,
-    verify_summation,
-    verify_triple_product_map,
-    verify_u_decomposition,
 )
 from .quaternions import (
     DegenerateDelta,

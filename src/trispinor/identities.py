@@ -9,10 +9,10 @@ the public operations.
 
 Each identity is one declaration in _IDENTITIES: its parts, each two sides
 evaluated apart at the part's points, a sequence check's order, its depth and
-its reach. One runner, _run, reads the slice once, compares the sides to the
-first mismatch and builds the span and the note by one rule; binet's declared
-float lhs and summation's seed-window candidate keep a small hook each.
-Sides look primitives up in this module's namespace when called.
+its reach. One runner, run_identity, reads the slice once, compares the sides
+to the first mismatch and builds the span and the note by one rule; binet's
+declared float lhs and summation's seed-window candidate keep a small hook
+each. Sides look primitives up in this module's namespace when called.
 """
 
 from __future__ import annotations
@@ -165,63 +165,6 @@ class _Identity(NamedTuple):
         return min(max(nmax, self.least), self.last)
 
 
-def _run(identity: IdentityId, p: SeqParams | None, nmax: int = 0,
-         seed: int = 0) -> VerificationReport:
-    """The runner. It raises a refusal of p at once, or checks to the depth min(nmax, last),
-    the run's nmax, reading V(0) to V(depth + reach - 1) by read_terms' rule. A sequence check
-    numbers its comparisons by their index and spans [0..depth]; any other numbers them
-    from 0 across its parts and spans them all. A passing note is the claim's head, what the
-    points were and the claim's tail; a failing one has the failing point's note between.
-    Both may name a float lhs's largest error (worst, at worst_n)."""
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    d = _IDENTITIES[identity]
-    if nmax < d.least:
-        raise ValueError(f"nmax must be at least {d.least}")
-    if d.refuse and (refusal := d.refuse(p)):
-        raise refusal
-    depth = d.depth(nmax)
-    terms, params = _terms(d, depth), None if d.reach is None else p
-    c = _Run(p, depth, seq_slice(p, 0, terms) if terms else [], seed, {})
-    points = [part.points(c) if part.points else _depth(d.order, depth - d.least)
-              for part in d.parts]
-    span = (0, depth if d.order else sum(len(items) for items, _ in points) - 1)
-    worst, worst_n, offset = 0.0, 0, 0
-    for part, (items, _) in zip(d.parts, points):
-        for i, point in enumerate(items):
-            n = point if d.order else offset + i
-            lhs, rhs = part.lhs(c, point), part.rhs(c, point)
-            if part.floats:
-                w, x, y, z = rhs  # the exact spinor's four components, read once
-                for got, want in zip(lhs, (complex(w, x), complex(y, z))):
-                    err = abs(got - want) / max(1.0, abs(want))
-                    if err > worst:
-                        worst, worst_n = err, n
-                if worst <= TOL:
-                    continue
-                lhs = "[{:.12g}; {:.12g}]".format(*lhs)
-            elif lhs == rhs:
-                continue
-            label, rhs_label = "", ""
-            if part.labels:
-                (label, rhs_label), lhs, rhs = next(
-                    e for e in zip(part.labels, lhs, rhs) if e[1] != e[2])
-            head, tail = d.claim(c, False) if d.claim else ("", "")
-            what = part.what.format(i, point, worst=worst)
-            note = "; ".join(filter(None, (head, what, tail)))
-            witness = Witness(n, f"{label}{lhs}", f"{rhs_label}{rhs}")
-            return VerificationReport(identity, params, span, Status.FAIL, witness, note)
-        offset += len(items)
-    *init, said = [said for _, said in points]
-    said = (f"{', '.join(init)} and {said}" if init else said).format(
-        worst=worst, worst_n=worst_n)
-    head, tail = d.claim(c, True) if d.claim else ("", "")
-    note = "; ".join(filter(None, (head, said, tail)))
-    status = (Status.TOLERED_PASS if any(part.floats for part in d.parts)
-              else Status.EXACT_PASS)
-    return VerificationReport(identity, params, span, status, note=note)
-
-
 def _basis(items: list, noun: str) -> Callable[[_Run], tuple[list, str]]:
     """The points of a fixed basis on int, counted in the note."""
     return lambda c: (items, f"{len(items)} {noun}")
@@ -255,12 +198,6 @@ def _depth(order: int, last: int) -> tuple[list[int], str]:
     return [*range(order), last], f"order {order}: {proof}; guard at n={last}"
 
 
-def verify_spinor_recurrence(p: SeqParams, nmax: int) -> VerificationReport:
-    """A(n+3) = r*A(n+2) + s*A(n+1) + t*A(n), exact, up to the last window
-    A(nmax): the guard is at n = nmax-3, so nmax is at least 3."""
-    return _run(IdentityId.SPINOR_RECURRENCE, p, nmax)
-
-
 # The basis spinors [1; 0], [i; 0], [0; 1] and [0; i], on int.
 _BASIS_SPINORS = [Spinor(1, 0), Spinor(I, 0), Spinor(0, 1), Spinor(0, I)]
 
@@ -271,15 +208,6 @@ _UNIT_K_WINDOWS = [tuple(int(i == j) for j in range(5)) for i in range(5)]
 _POLARIZATION_POINTS = ([Quaternion(*e) for e in _UNIT_WINDOWS]
                         + [Quaternion(*a) + Quaternion(*b)
                            for a, b in itertools.combinations(_UNIT_WINDOWS, 2)])
-
-
-def verify_conjugate_relations(p: SeqParams, nmax: int) -> VerificationReport:
-    """The three conjugation operators interlock: C @ mate = conjugate,
-    i * cartan = mate, i * (C @ cartan) = conjugate. Every operator is
-    Q-linear in a spinor's four rational components as written, so agreement
-    on the four basis spinors proves the relations for every spinor. The
-    set's windows at n <= min(nmax, 3) guard against a fault that is not linear."""
-    return _run(IdentityId.CONJUGATE_RELATIONS, p, nmax)
 
 
 _MINUS_I = -I
@@ -296,33 +224,6 @@ def norm_forms(a: Spinor) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
             _MINUS_I * spinor_dot(cartan_conjugate(a), ca))
 
 
-def verify_norm_equality(p: SeqParams, nmax: int) -> VerificationReport:
-    """All three spinor norm forms equal the quaternion norm
-    V(n)^2 + V(n+1)^2 + V(n+2)^2 + V(n+3)^2, exactly. Each side is a quadratic
-    form on Q^4 as written, fixed by its values at the ten polarization points
-    e_i and e_i + e_j. spinor_window(u) = sigma(quat_window(u)) on the four unit
-    windows makes every spinor window sigma of its quaternion window, both
-    readers being linear in four terms. The set's windows at n <= min(nmax, 3)
-    guard against a fault that is not quadratic."""
-    return _run(IdentityId.NORM_EQUALITY, p, nmax)
-
-
-def verify_binet(p: SeqParams, nmax: int) -> VerificationReport:
-    """Root-based closed form reproduces the exact spinors within the relative
-    tolerance TOL, to n = min(nmax, 30); binet_spinor raises DegenerateRoots for
-    (nearly) repeated roots."""
-    return _run(IdentityId.BINET_AGREEMENT, p, nmax)
-
-
-def verify_genfunc_agreement(p: SeqParams, nmax: int) -> VerificationReport:
-    """Power-series coefficients of the rational generating function equal
-    the directly iterated spinors, exactly. Each coefficient compared is read
-    off the generating function by itself, in O(log k) products on int
-    (genfunc_coefficient), from the int operands genfunc_setup builds once per
-    run; the windows come from the slice's forward steps."""
-    return _run(IdentityId.GENFUNC_AGREEMENT, p, nmax)
-
-
 # The 64 triples of the basis quaternions 1, i, j, k, the last one varying fastest.
 _BASIS_TRIPLES = list(itertools.product((Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
                                          Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)),
@@ -336,26 +237,6 @@ def _random_triples(c: _Run) -> tuple[list, str]:
                                   for _ in range(4))) for _ in range(3))
                for _ in range(TRIALS)]
     return triples, f"{TRIALS} random triples, seed {c.seed}"
-
-
-def verify_triple_product_map(seed: int) -> VerificationReport:
-    """sigma(a*b*c) = -(breve(a) @ breve(b)) @ sigma(c), an identity of the
-    representation, parameter-free. Both sides are trilinear over Q as
-    written, so agreement on the 64 triples of basis quaternions proves it
-    for every triple of rational quaternions. The TRIALS seeded random
-    triples that follow guard against a fault that is not trilinear."""
-    return _run(IdentityId.TRIPLE_PRODUCT_MAP, None, seed=seed)
-
-
-def verify_spinor_matrix_behavior(p: SeqParams, nmax: int) -> VerificationReport:
-    """The 2x2-matrix image of the window matrix keeps its middle column's
-    linearity: breve(K(n)) = s*breve(Q(n+1)) + t*breve(Q(n)). For a fixed p
-    both sides are Q-linear in the terms V(n)..V(n+4) as written, so
-    agreement on the five unit term windows proves it at every n. The set's
-    windows at n <= min(nmax, 3) guard against a fault that is not linear.
-    Products of window entries are not checked per n: that a triple product
-    maps to the negated matrix product is triple_product's proof."""
-    return _run(IdentityId.SPINOR_MATRIX_BEHAVIOR, p, nmax)
 
 
 # Index offsets (da, db, dc) of the six-term determinant-style combination;
@@ -385,17 +266,12 @@ def determinant_combination_values(p: SeqParams, n: int) -> tuple[Spinor, Quater
     """Evaluate the six-term combination at shift n on both sides: (spinor
     value, quaternion value), the quaternion value from Hamilton products of
     the windows. The two sides satisfy spinor = -sigma(quaternion)."""
+    if n < 0:
+        raise ValueError("shift must be nonnegative")
     v = seq_slice(p, 0, n + _IDENTITIES[IdentityId.DETERMINANT_COMBINATION].reach)
     quat = _det_combine([qmul(qmul(quat_window(v, n + da), k_window(p, v, n + db)),
                               quat_window(v, n + dc)) for da, db, dc in _DET_TERMS])
     return _det_spinor(p, v, n), quat
-
-
-def verify_determinant_combination(p: SeqParams, nmax: int) -> VerificationReport:
-    """The paper's Cassini-like formula for tribonacci: the six-term
-    determinant-style combination of window matrices, its fifth term's final
-    index read as n+4, has the spinor side 4*[-1+i; 1-i] for every n."""
-    return _run(IdentityId.DETERMINANT_COMBINATION, p, nmax)
 
 
 def _summation_lhs(c: _Run, n: int) -> Spinor:
@@ -423,25 +299,6 @@ def _summation_claim(c: _Run, passed: bool) -> tuple[str, str]:
             else f"seed-window constant {stated}: first mismatch at n={miss}")
 
 
-def verify_summation(p: SeqParams, nmax: int) -> VerificationReport:
-    """delta * (A(0) + ... + A(n)) = A(n+2) + (1-r)*A(n+1) + t*A(n) + c, for
-    two candidate constants c: sigma of the quaternion correction omega, which
-    sets the status, and the seed-window vector, which the note reports. The
-    right side is sigma of sum_window, the closed form quat_partial_sum
-    evaluates. The left side sums terms, not spinors: component j of the sum
-    reads V(j) + ... + V(j+n), a difference of two prefix sums of the slice."""
-    return _run(IdentityId.SUMMATION_CLOSED_FORM, p, nmax)
-
-
-def verify_u_decomposition(p: SeqParams, nmax: int) -> VerificationReport:
-    """The companion-sequence combination reproduces the window quaternion
-    two steps ahead: quat_u_decomposition(p, n) = Q(n+2), exactly. The lhs is
-    the exported closed form on its set-up (u_setup), built once per run. At each
-    compared n it reads U(n)..U(n+2), past n = 0 by one jump of the power kernel
-    that shares no step with the slice."""
-    return _run(IdentityId.U_DECOMPOSITION, p, nmax)
-
-
 def _power_lhs(c: _Run, n: int) -> tuple[Quaternion, ...]:
     """W(0) = qv_matrix(p), built once per run, times C^n; its entries row by row."""
     first = _once(c, "first", qv_matrix, c.p)
@@ -453,20 +310,6 @@ def _power_rhs(c: _Run, n: int) -> tuple[Quaternion, ...]:
     return tuple(x for m in (n + 2, n + 1, n)
                  for x in (quat_window(c.v, m + 2), k_window(c.p, c.v, m),
                            c.p.t * quat_window(c.v, m + 1)))
-
-
-def verify_matrix_power_shift(p: SeqParams, nmax: int) -> VerificationReport:
-    """Right-multiplying the window matrix at shift 0 by the companion matrix
-    n times lands exactly on the window matrix at shift n, whose rows are
-    R(n+2), R(n+1) and R(n), each R(m) = (Q(m+2), K(m), t*Q(m+1)). The lhs
-    takes the matrix at shift 0 from the exported qv_matrix(p), once per run,
-    and reads no term of the slice the rhs reads. At every n compared, below
-    the order and at the guard alike, C^n is companion_power(p, n): the
-    identity and the companion matrix at n = 0 and 1, read off the companion
-    sequence U from n = 2, at the guard by one jump of the power kernel, which
-    shares no step with the slice. The two are compared whole, and entry by
-    entry only where they differ."""
-    return _run(IdentityId.MATRIX_POWER_SHIFT, p, nmax)
 
 
 _CONJUGATES = _Part(lambda c, a: (C @ mate(a), I * (k := cartan_conjugate(a)), I * (C @ k)),
@@ -483,17 +326,30 @@ _SPINOR_MATRIX = _Part(lambda c, w: breve(k_window(c.p, w[0], w[1])),
                                      + c.p.t * breve(quat_window(w[0], w[1]))))
 
 _IDENTITIES: dict[IdentityId, _Identity] = {
+    # A(n+3) = r*A(n+2) + s*A(n+1) + t*A(n), exact, up to the last window A(nmax): the guard
+    # is at n = nmax-3, so nmax is at least 3.
     IdentityId.SPINOR_RECURRENCE: _Identity(
         (_Part(lambda c, n: spinor_window(c.v, n + 3),
                lambda c, n: (c.p.r * spinor_window(c.v, n + 2) + c.p.s * spinor_window(c.v, n + 1)
                              + c.p.t * spinor_window(c.v, n))),),
-        4, order=_LINEAR_ORDER, least=3),  # A(n+3) is compared: n <= nmax-3
+        4, order=_LINEAR_ORDER, least=3),
+    # The three conjugation operators interlock: C @ mate = conjugate, i * cartan = mate,
+    # i * (C @ cartan) = conjugate. Every operator is Q-linear in a spinor's four rational
+    # components as written, so agreement on the four basis spinors proves the relations for
+    # every spinor. The set's windows at n <= min(nmax, 3) guard against a fault that is not
+    # linear.
     IdentityId.CONJUGATE_RELATIONS: _Identity(
         (_CONJUGATES._replace(points=_basis(_BASIS_SPINORS, "basis spinors"),
                               what="basis spinor {1}"),
          _CONJUGATES._replace(points=_windows(lambda v, n: spinor_window(v, n)),
                               what="window n={0}")),
         4, last=_LAST_WINDOW),
+    # All three spinor norm forms equal the quaternion norm V(n)^2 + V(n+1)^2 + V(n+2)^2 +
+    # V(n+3)^2, exactly. Each side is a quadratic form on Q^4 as written, fixed by its values
+    # at the ten polarization points e_i and e_i + e_j. spinor_window(u) = sigma(quat_window(u))
+    # on the four unit windows makes every spinor window sigma of its quaternion window, both
+    # readers being linear in four terms. The set's windows at n <= min(nmax, 3) guard against
+    # a fault that is not quadratic.
     IdentityId.NORM_EQUALITY: _Identity(
         (_Part(lambda c, q: norm_forms(sigma(q)), lambda c, q: (GaussScalar(qnorm(q)),) * 3,
                _basis(_POLARIZATION_POINTS, "polarization points"), _NORM_LABELS,
@@ -504,7 +360,9 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
                lambda c, n: (GaussScalar(qnorm(quat_window(c.v, n))),) * 3,
                _windows(), _NORM_LABELS, "window n={0}")),
         4, last=_LAST_WINDOW),
-    # Float error grows with the dominant root's power: the runner caps the range.
+    # The root-based closed form reproduces the exact spinors within the relative tolerance
+    # TOL, to n = min(nmax, 30): float error grows with the dominant root's power. binet_setup
+    # raises DegenerateRoots for (nearly) repeated roots.
     IdentityId.BINET_AGREEMENT: _Identity(
         (_Part(lambda c, n: binet_spinor(c.p, n, _once(c, "binet", binet_setup, c.p)),
                lambda c, n: spinor_window(c.v, n),
@@ -512,18 +370,35 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
                           f"max relative error {{worst:.3e}} at n={{worst_n}} (tol {TOL:.1e})"),
                what=f"relative error {{worst:.3e}} exceeds tol {TOL:.1e}", floats=True),),
         4, last=30),
+    # Power-series coefficients of the rational generating function equal the directly
+    # iterated spinors, exactly. Each coefficient compared is read off the generating function
+    # by itself, in O(log k) products on int (genfunc_coefficient), from the int operands
+    # genfunc_setup builds once per run; the windows come from the slice's forward steps.
     IdentityId.GENFUNC_AGREEMENT: _Identity(
         (_Part(lambda c, k: genfunc_coefficient(_once(c, "genfunc", genfunc_setup, c.p), k),
                lambda c, k: spinor_window(c.v, k)),),
         4, order=_LINEAR_ORDER),
+    # sigma(a*b*c) = -(breve(a) @ breve(b)) @ sigma(c), an identity of the representation,
+    # parameter-free. Both sides are trilinear over Q as written, so agreement on the 64
+    # triples of basis quaternions proves it for every triple of rational quaternions. The
+    # TRIALS seeded random triples that follow guard against a fault that is not trilinear.
     IdentityId.TRIPLE_PRODUCT_MAP: _Identity(
         (_TRIPLE_PRODUCT._replace(points=_basis(_BASIS_TRIPLES, "basis triples")),
          _TRIPLE_PRODUCT._replace(points=_random_triples)), None),
+    # The 2x2-matrix image of the window matrix keeps its middle column's linearity:
+    # breve(K(n)) = s*breve(Q(n+1)) + t*breve(Q(n)). For a fixed p both sides are Q-linear in
+    # the terms V(n)..V(n+4) as written, so agreement on the five unit term windows proves it
+    # at every n. The set's windows at n <= min(nmax, 3) guard against a fault that is not
+    # linear. Products of window entries are not checked per n: that a triple product maps to
+    # the negated matrix product is triple_product's proof.
     IdentityId.SPINOR_MATRIX_BEHAVIOR: _Identity(
         (_SPINOR_MATRIX._replace(points=_basis([(u, 0) for u in _UNIT_K_WINDOWS],
                                                "unit windows"), what="unit window {1[0]}"),
          _SPINOR_MATRIX._replace(points=_windows(lambda v, n: (v, n)), what="window n={0}")),
         5, last=_LAST_WINDOW),
+    # The paper's Cassini-like formula for tribonacci: the six-term determinant-style
+    # combination of window matrices, its fifth term's final index read as n+4, has the
+    # spinor side 4*[-1+i; 1-i] for every n.
     IdentityId.DETERMINANT_COMBINATION: _Identity(
         (_Part(lambda c, n: _det_spinor(c.p, c.v, n), lambda c, n: _DET_REFERENCE),),
         8, order=_DET_ORDER,
@@ -531,14 +406,31 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
             "determinant combination is only defined for the tribonacci preset"),
         claim=lambda c, passed: ("final index n+4: spinor side " + (
             f"equals reference {_DET_REFERENCE}" if passed else "differs from reference"), "")),
+    # delta * (A(0) + ... + A(n)) = A(n+2) + (1-r)*A(n+1) + t*A(n) + c, for two candidate
+    # constants c: sigma of the quaternion correction omega, which sets the status, and the
+    # seed-window vector, which the note reports. The right side is sigma of sum_window, the
+    # closed form quat_partial_sum evaluates. The left side sums terms, not spinors: component
+    # j of the sum reads V(j) + ... + V(j+n), a difference of two prefix sums of the slice.
     IdentityId.SUMMATION_CLOSED_FORM: _Identity(
         (_Part(_summation_lhs, _summation_rhs),), 6, order=_SUM_ORDER,
         refuse=lambda p: None if p.r + p.s + p.t != 1 else DegenerateDelta(),
         claim=_summation_claim),
+    # The companion-sequence combination reproduces the window quaternion two steps ahead:
+    # quat_u_decomposition(p, n) = Q(n+2), exactly. The lhs is the exported closed form on its
+    # set-up (u_setup), built once per run. At each compared n it reads U(n)..U(n+2), past
+    # n = 0 by one jump of the power kernel that shares no step with the slice.
     IdentityId.U_DECOMPOSITION: _Identity(
         (_Part(lambda c, n: quat_u_decomposition(c.p, n, _once(c, "u", u_setup, c.p)),
                lambda c, n: quat_window(c.v, n + 2)),),
         6, order=_LINEAR_ORDER),
+    # Right-multiplying the window matrix at shift 0 by the companion matrix n times lands
+    # exactly on the window matrix at shift n, whose rows are R(n+2), R(n+1) and R(n), each
+    # R(m) = (Q(m+2), K(m), t*Q(m+1)). The lhs takes the matrix at shift 0 from the exported
+    # qv_matrix(p), once per run, and reads no term of the slice the rhs reads. At every n
+    # compared, below the order and at the guard alike, C^n is companion_power(p, n): the
+    # identity and the companion matrix at n = 0 and 1, read off the companion sequence U from
+    # n = 2, at the guard by one jump of the power kernel, which shares no step with the slice.
+    # The two are compared whole, and entry by entry only where they differ.
     IdentityId.MATRIX_POWER_SHIFT: _Identity(
         (_Part(_power_lhs, _power_rhs, labels=tuple(
             (f"entry({i},{j})=",) * 2 for i, j in itertools.product(range(3), repeat=2))),),
@@ -561,13 +453,63 @@ def read_terms(identity: IdentityId, nmax: int, p: SeqParams) -> int:
 
 def run_identity(identity: IdentityId, p: SeqParams, *, nmax: int = 50,
                  seed: int = 0) -> VerificationReport:
-    """Run one identity check to its depth at nmax, converting parameter-dependent refusals
-    (degenerate delta or roots, unsupported preset) and float overflow into skip reports."""
-    nmax = _IDENTITIES[identity].depth(nmax) if nmax >= 0 else nmax
+    """The runner: one identity checked to its depth, nmax raised to least and capped at last,
+    reading V(0) to V(depth + reach - 1) by read_terms' rule. A refusal of p, or a side's
+    DegenerateRoots or float overflow, is a skip report over [0..depth]. A sequence check
+    numbers its comparisons by their index and spans [0..depth]; any other numbers them
+    from 0 across its parts and spans them all. A passing note is the claim's head, what the
+    points were and the claim's tail; a failing one has the failing point's note between.
+    Both may name a float lhs's largest error (worst, at worst_n)."""
+    # perfbench's tracer wraps this function by name and binds its `identity` argument by
+    # name, and run_suite calls it through the module global: each check is one traced span.
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    d = _IDENTITIES[identity]
+    depth = d.depth(nmax)
     try:
-        return _run(identity, p, nmax, seed)
+        if d.refuse and (refusal := d.refuse(p)):
+            raise refusal
+        terms, params = _terms(d, depth), None if d.reach is None else p
+        c = _Run(p, depth, seq_slice(p, 0, terms) if terms else [], seed, {})
+        points = [part.points(c) if part.points else _depth(d.order, depth - d.least)
+                  for part in d.parts]
+        span = (0, depth if d.order else sum(len(items) for items, _ in points) - 1)
+        worst, worst_n, offset = 0.0, 0, 0
+        for part, (items, _) in zip(d.parts, points):
+            for i, point in enumerate(items):
+                n = point if d.order else offset + i
+                lhs, rhs = part.lhs(c, point), part.rhs(c, point)
+                if part.floats:
+                    w, x, y, z = rhs  # the exact spinor's four components, read once
+                    for got, want in zip(lhs, (complex(w, x), complex(y, z))):
+                        err = abs(got - want) / max(1.0, abs(want))
+                        if err > worst:
+                            worst, worst_n = err, n
+                    if worst <= TOL:
+                        continue
+                    lhs = "[{:.12g}; {:.12g}]".format(*lhs)
+                elif lhs == rhs:
+                    continue
+                label, rhs_label = "", ""
+                if part.labels:
+                    (label, rhs_label), lhs, rhs = next(
+                        e for e in zip(part.labels, lhs, rhs) if e[1] != e[2])
+                head, tail = d.claim(c, False) if d.claim else ("", "")
+                what = part.what.format(i, point, worst=worst)
+                note = "; ".join(filter(None, (head, what, tail)))
+                witness = Witness(n, f"{label}{lhs}", f"{rhs_label}{rhs}")
+                return VerificationReport(identity, params, span, Status.FAIL, witness, note)
+            offset += len(items)
+        *init, said = [said for _, said in points]
+        said = (f"{', '.join(init)} and {said}" if init else said).format(
+            worst=worst, worst_n=worst_n)
+        head, tail = d.claim(c, True) if d.claim else ("", "")
+        note = "; ".join(filter(None, (head, said, tail)))
+        status = (Status.TOLERED_PASS if any(part.floats for part in d.parts)
+                  else Status.EXACT_PASS)
+        return VerificationReport(identity, params, span, status, note=note)
     except (DegenerateDelta, DegenerateRoots, UnsupportedParams, OverflowError) as exc:
-        return VerificationReport(identity, p, (0, nmax), Status.SKIPPED,
+        return VerificationReport(identity, p, (0, depth), Status.SKIPPED,
                                   note=f"skipped ({type(exc).__name__}): {exc}")
 
 

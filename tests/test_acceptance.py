@@ -33,19 +33,11 @@ from trispinor import (
     qmul,
     qnorm,
     random_params,
+    run_identity,
     seq_slice,
     sigma,
     trib_quaternion,
     trib_spinor,
-    verify_binet,
-    verify_conjugate_relations,
-    verify_determinant_combination,
-    verify_matrix_power_shift,
-    verify_norm_equality,
-    verify_spinor_recurrence,
-    verify_summation,
-    verify_triple_product_map,
-    verify_u_decomposition,
 )
 from trispinor.cli import render_json
 
@@ -67,7 +59,8 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_c01_spinor_recurrence_sweep():
     start = time.perf_counter()
     ok = all(
-        verify_spinor_recurrence(p, 100).status is Status.EXACT_PASS for p in SWEEP
+        run_identity(IdentityId.SPINOR_RECURRENCE, p, nmax=100).status is Status.EXACT_PASS
+        for p in SWEEP
     )
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
@@ -77,14 +70,16 @@ def test_c01_spinor_recurrence_sweep():
 
 def test_c02_conjugate_relations_sweep():
     ok = all(
-        verify_conjugate_relations(p, 100).status is Status.EXACT_PASS for p in SWEEP
+        run_identity(IdentityId.CONJUGATE_RELATIONS, p, nmax=100).status is Status.EXACT_PASS
+        for p in SWEEP
     )
     report(2, "conjugate relations, same sweep", ok)
 
 
 def test_c03_norm_equality():
     ok = all(
-        verify_norm_equality(p, 100).status is Status.EXACT_PASS for p in SWEEP
+        run_identity(IdentityId.NORM_EQUALITY, p, nmax=100).status is Status.EXACT_PASS
+        for p in SWEEP
     )
     spot = norm_forms(trib_spinor(TRIB, 0)) == (GaussScalar(6),) * 3
     spot = spot and qnorm(trib_quaternion(TRIB, 0)) == 6
@@ -110,14 +105,15 @@ def test_c04_product_correspondence():
 def test_c05_triple_product_map():
     # Each seed draws TRIALS = 16 random triples after the 64 basis triples:
     # 63 seeds draw 1008.
-    ok = all(verify_triple_product_map(seed).status is Status.EXACT_PASS
+    ok = all(run_identity(IdentityId.TRIPLE_PRODUCT_MAP, None, seed=seed).status
+             is Status.EXACT_PASS
              for seed in range(42, 42 + 63))
     report(5, "triple product map, 1008 random triples over 63 seeds", ok)
 
 
 def test_c06_binet():
-    ok = verify_binet(TRIB, 30).status is Status.TOLERED_PASS
-    ok = ok and verify_binet(JAC, 30).status is Status.TOLERED_PASS
+    ok = all(run_identity(IdentityId.BINET_AGREEMENT, p, nmax=30).status is Status.TOLERED_PASS
+             for p in (TRIB, JAC))
     try:
         binet_spinor(SeqParams(3, -3, 1, 0, 1, 1), 3)
         degenerate_raises = False
@@ -155,10 +151,11 @@ def test_c08_summation():
         if p.r + p.s + p.t - 1 == 0:
             continue
         tested += 1
-        if verify_summation(p, 200).status is not Status.EXACT_PASS:
+        if (run_identity(IdentityId.SUMMATION_CLOSED_FORM, p, nmax=200).status
+                is not Status.EXACT_PASS):
             ok = False
             break
-    trib_report = verify_summation(TRIB, 200)
+    trib_report = run_identity(IdentityId.SUMMATION_CLOSED_FORM, TRIB, nmax=200)
     notes_ok = (
         "[-5-1i; -1-3i]" in trib_report.note
         and "[-3-1i; 0-2i]" in trib_report.note
@@ -170,7 +167,7 @@ def test_c08_summation():
 
 def test_c09_matrix_power_shift():
     ok = all(
-        verify_matrix_power_shift(p, 30).status is Status.EXACT_PASS
+        run_identity(IdentityId.MATRIX_POWER_SHIFT, p, nmax=30).status is Status.EXACT_PASS
         for p in SMALL_SWEEP
     )
     report(9, "window matrix times companion power, n<=30", ok)
@@ -178,20 +175,20 @@ def test_c09_matrix_power_shift():
 
 def test_c10_u_decomposition():
     ok = all(
-        verify_u_decomposition(p, 100).status is Status.EXACT_PASS
+        run_identity(IdentityId.U_DECOMPOSITION, p, nmax=100).status is Status.EXACT_PASS
         for p in SMALL_SWEEP
     )
     report(10, "companion-sequence decomposition, n<=100", ok)
 
 
 def test_c11_determinant_combination():
-    result = verify_determinant_combination(TRIB, 20)
+    result = run_identity(IdentityId.DETERMINANT_COMBINATION, TRIB, nmax=20)
     sides_agree = result.status is Status.EXACT_PASS
     reference = Spinor(GaussScalar(-4, 4), GaussScalar(4, -4))
     shifted_constant = all(
         determinant_combination_values(TRIB, n)[0] == reference for n in range(21)
     )
-    deterministic = result == verify_determinant_combination(TRIB, 20)
+    deterministic = result == run_identity(IdentityId.DETERMINANT_COMBINATION, TRIB, nmax=20)
     report(11, "determinant combination: sides agree, constants recorded",
            sides_agree and shifted_constant and deterministic,
            "shifted reading equals 4*[-1+i; 1-i]")

@@ -22,6 +22,7 @@ from trispinor import (
     binet_constants,
     binet_spinor,
     cubic_roots,
+    determinant_combination_values,
     genfunc_numerator,
     genfunc_spinor_series,
     preset,
@@ -264,6 +265,8 @@ def test_genfunc_series_matches_windows():
     (lambda: genfunc_spinor_series(TRIB, -1), "order must be nonnegative"),
     pytest.param(lambda: genfunc_coefficient(genfunc_setup(TRIB), -1),
                  "index must be nonnegative", id="genfunc_coefficient"),
+    pytest.param(lambda: determinant_combination_values(TRIB, -1), "shift must be nonnegative",
+                 id="determinant_combination_values"),
 ])
 def test_negative_index_and_order_raise(call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -15,10 +17,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_term_single(capsys):
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as under `trispinor term | head -0`."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_term_single(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "term", "--preset", "tribonacci", "-n", "5")
     assert code == 0
     assert out == "7\n"
+    # A closed pipe ends the command quietly: exit 0, nothing on stderr.
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["term", "-n", "5"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_term_explicit_params(capsys):

@@ -24,7 +24,6 @@ from trispinor import (
     IdentityId,
     SeqParams,
     run_identity,
-    verify_binet,
 )
 from trispinor.cli import main, render_json, report_to_dict
 
@@ -88,7 +87,8 @@ CASES = {
        for name, p in PARAM_SETS.items()},
     # binet FAILs by float noise at n = 21; item 1's exact Binet verdict flips it.
     "verify_binet_float_noise_nmax30.json":
-        lambda: render_json(report_to_dict(verify_binet(SeqParams(-1, -2, 4, 3, 2, 5), 30))),
+        lambda: render_json(report_to_dict(run_identity(IdentityId.BINET_AGREEMENT,
+                                                        SeqParams(-1, -2, 4, 3, 2, 5), nmax=30))),
     **{f"cli_values_{name}.txt": (lambda params=params: _cli_transcript(params))
        for name, params in CLI_PARAMS.items()},
 }

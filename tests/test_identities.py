@@ -19,7 +19,6 @@ from trispinor import (
     SeqParams,
     Spinor,
     Status,
-    UnsupportedParams,
     binet_spinor,
     cartan_conjugate,
     complex_conjugate,
@@ -37,17 +36,6 @@ from trispinor import (
     sigma,
     summation_correction,
     trib_spinor,
-    verify_binet,
-    verify_conjugate_relations,
-    verify_determinant_combination,
-    verify_genfunc_agreement,
-    verify_matrix_power_shift,
-    verify_norm_equality,
-    verify_spinor_matrix_behavior,
-    verify_spinor_recurrence,
-    verify_summation,
-    verify_triple_product_map,
-    verify_u_decomposition,
 )
 
 TRIB = preset("tribonacci")
@@ -57,32 +45,34 @@ TRIPLE_ROOT = SeqParams(3, -3, 1, 0, 1, 1)
 
 
 def test_spinor_recurrence_reports():
-    assert verify_spinor_recurrence(TRIB, 50).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.SPINOR_RECURRENCE, TRIB, nmax=50).status is Status.EXACT_PASS
     rng = random.Random(2)
     for _ in range(5):
-        assert verify_spinor_recurrence(random_params(rng), 50).status is Status.EXACT_PASS
-    with pytest.raises(ValueError):
-        verify_spinor_recurrence(TRIB, 2)
+        assert run_identity(IdentityId.SPINOR_RECURRENCE, random_params(rng),
+                            nmax=50).status is Status.EXACT_PASS
 
 
 def test_conjugate_relations_reports():
-    assert verify_conjugate_relations(TRIB, 100).status is Status.EXACT_PASS
-    assert verify_conjugate_relations(JAC, 100).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.CONJUGATE_RELATIONS, TRIB, nmax=100).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.CONJUGATE_RELATIONS, JAC, nmax=100).status is Status.EXACT_PASS
     zero_seeds = SeqParams(1, 1, 1, 0, 0, 0)
-    assert verify_conjugate_relations(zero_seeds, 20).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.CONJUGATE_RELATIONS, zero_seeds,
+                        nmax=20).status is Status.EXACT_PASS
 
 
 def test_norm_equality_reports_and_spots():
     assert norm_forms(trib_spinor(TRIB, 0)) == (GaussScalar(6),) * 3
     assert norm_forms(trib_spinor(TRIB, 1)) == (GaussScalar(22),) * 3
-    assert verify_norm_equality(TRIB, 60).status is Status.EXACT_PASS
-    assert verify_norm_equality(SeqParams(1, 1, 1, 0, 0, 0), 10).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.NORM_EQUALITY, TRIB, nmax=60).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.NORM_EQUALITY, SeqParams(1, 1, 1, 0, 0, 0),
+                        nmax=10).status is Status.EXACT_PASS
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 4, 60])
 def test_conjugates_and_norm_span_their_basis_and_windows(nmax):
     last = min(nmax, 3)
-    conj, norm = verify_conjugate_relations(TRIB, nmax), verify_norm_equality(TRIB, nmax)
+    conj = run_identity(IdentityId.CONJUGATE_RELATIONS, TRIB, nmax=nmax)
+    norm = run_identity(IdentityId.NORM_EQUALITY, TRIB, nmax=nmax)
     assert (conj.span, conj.note) == ((0, 4 + last),
                                       f"4 basis spinors and the windows on [0..{last}]")
     assert (norm.span, norm.note) == (
@@ -120,7 +110,7 @@ def test_the_bases_span_what_they_prove():
 @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 4, 60])
 def test_spinor_matrix_spans_its_unit_windows_and_windows(nmax):
     last = min(nmax, 3)
-    report = verify_spinor_matrix_behavior(TRIB, nmax)
+    report = run_identity(IdentityId.SPINOR_MATRIX_BEHAVIOR, TRIB, nmax=nmax)
     assert report.status is Status.EXACT_PASS
     assert (report.span, report.note) == ((0, 5 + last),
                                           f"5 unit windows and the windows on [0..{last}]")
@@ -144,8 +134,8 @@ def test_a_basis_proof_agrees_with_the_per_n_comparisons(values):
     run here to nmax 30, hold wherever the checks report exact_pass."""
     p, nmax = SeqParams(*values), 30
     v = seq_slice(p, 0, nmax + 4)
-    assert verify_conjugate_relations(p, nmax).status is Status.EXACT_PASS
-    assert verify_norm_equality(p, nmax).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.CONJUGATE_RELATIONS, p, nmax=nmax).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.NORM_EQUALITY, p, nmax=nmax).status is Status.EXACT_PASS
     for n in range(nmax + 1):
         a = spinor_window(v, n)
         conj, mated, cartan = complex_conjugate(a), mate(a), cartan_conjugate(a)
@@ -160,17 +150,18 @@ def test_the_unit_window_proof_agrees_with_the_per_n_comparison(values):
     run here to nmax 30, holds wherever the check reports exact_pass."""
     p, nmax = SeqParams(*values), 30
     v = seq_slice(p, 0, nmax + 6)
-    assert verify_spinor_matrix_behavior(p, nmax).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.SPINOR_MATRIX_BEHAVIOR, p,
+                        nmax=nmax).status is Status.EXACT_PASS
     for n in range(nmax + 1):
         assert breve(k_window(p, v, n)) == (p.s * breve(quat_window(v, n + 1))
                                             + p.t * breve(quat_window(v, n)))
 
 
 def test_binet_reports():
-    report = verify_binet(TRIB, 30)
+    report = run_identity(IdentityId.BINET_AGREEMENT, TRIB, nmax=30)
     assert report.status is Status.TOLERED_PASS
     assert "max relative error" in report.note
-    assert verify_binet(JAC, 25).status is Status.TOLERED_PASS
+    assert run_identity(IdentityId.BINET_AGREEMENT, JAC, nmax=25).status is Status.TOLERED_PASS
 
 
 def test_binet_fail_carries_witness():
@@ -178,7 +169,7 @@ def test_binet_fail_carries_witness():
     # error 1.756e-09), which exercises the witness machinery on a real
     # computation. Item 1's exact Binet verdict flips it to a pass.
     p = SeqParams(-1, -2, 4, 3, 2, 5)
-    report = verify_binet(p, 30)
+    report = run_identity(IdentityId.BINET_AGREEMENT, p, nmax=30)
     assert report.status is Status.FAIL
     assert report.witness is not None
     assert report.witness.lhs != report.witness.rhs
@@ -191,10 +182,11 @@ def test_binet_fail_carries_witness():
 
 
 def test_genfunc_reports():
-    assert verify_genfunc_agreement(TRIB, 63).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.GENFUNC_AGREEMENT, TRIB, nmax=63).status is Status.EXACT_PASS
     rng = random.Random(4)
     for _ in range(5):
-        assert verify_genfunc_agreement(random_params(rng), 40).status is Status.EXACT_PASS
+        assert run_identity(IdentityId.GENFUNC_AGREEMENT, random_params(rng),
+                            nmax=40).status is Status.EXACT_PASS
 
 
 def _no_jump(*args):
@@ -228,19 +220,21 @@ def test_genfunc_guard_catches_a_coefficient_wrong_at_nmax(monkeypatch):
 
 
 def test_triple_product_reports():
-    report = verify_triple_product_map(42)
+    report = run_identity(IdentityId.TRIPLE_PRODUCT_MAP, None, seed=42)
     assert report.status is Status.EXACT_PASS
     assert report.params is None
     assert report.span == (0, 79)
     with pytest.raises(TypeError):
-        verify_triple_product_map(42, 0)
+        run_identity(IdentityId.TRIPLE_PRODUCT_MAP, None, seed=42, trials=0)
 
 
 def test_spinor_matrix_behavior_reports():
-    assert verify_spinor_matrix_behavior(TRIB, 30).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.SPINOR_MATRIX_BEHAVIOR, TRIB,
+                        nmax=30).status is Status.EXACT_PASS
     rng = random.Random(6)
     for _ in range(5):
-        assert verify_spinor_matrix_behavior(random_params(rng), 20).status is Status.EXACT_PASS
+        assert run_identity(IdentityId.SPINOR_MATRIX_BEHAVIOR, random_params(rng),
+                            nmax=20).status is Status.EXACT_PASS
 
 
 def test_determinant_combination_values_agree():
@@ -255,11 +249,12 @@ def test_determinant_combination_values_agree():
 
 
 def test_determinant_combination_report():
-    report = verify_determinant_combination(TRIB, 20)
+    report = run_identity(IdentityId.DETERMINANT_COMBINATION, TRIB, nmax=20)
     assert report.status is Status.EXACT_PASS
     assert "equals reference" in report.note
-    with pytest.raises(UnsupportedParams):
-        verify_determinant_combination(JAC, 5)
+    report = run_identity(IdentityId.DETERMINANT_COMBINATION, JAC, nmax=5)
+    assert report.status is Status.SKIPPED
+    assert report.note.startswith("skipped (UnsupportedParams)")
 
 
 def _raising_qmul(a, b):
@@ -270,18 +265,20 @@ def test_determinant_check_reads_only_the_spinor_side(monkeypatch):
     # The map from Hamilton products to spinor products is triple_product's
     # proof; the determinant compares the spinor side with the constant alone.
     monkeypatch.setattr(identities, "qmul", _raising_qmul)
-    assert verify_determinant_combination(TRIB, 20).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.DETERMINANT_COMBINATION, TRIB,
+                        nmax=20).status is Status.EXACT_PASS
 
 
 def test_spinor_matrix_check_reads_no_hamilton_product(monkeypatch):
     # Window triple products are instances of triple_product's proof; the
     # check keeps only the middle column's linearity.
     monkeypatch.setattr(identities, "qmul", _raising_qmul)
-    assert verify_spinor_matrix_behavior(TRIB, 20).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.SPINOR_MATRIX_BEHAVIOR, TRIB,
+                        nmax=20).status is Status.EXACT_PASS
 
 
 def test_summation_report_tribonacci():
-    report = verify_summation(TRIB, 50)
+    report = run_identity(IdentityId.SUMMATION_CLOSED_FORM, TRIB, nmax=50)
     assert report.status is Status.EXACT_PASS
     assert "[-5-1i; -1-3i]" in report.note
     assert "[-3-1i; 0-2i]" in report.note
@@ -302,28 +299,32 @@ def test_summation_random_params():
         if p.r + p.s + p.t - 1 == 0:
             continue
         checked += 1
-        assert verify_summation(p, 80).status is Status.EXACT_PASS
+        assert run_identity(IdentityId.SUMMATION_CLOSED_FORM, p,
+                            nmax=80).status is Status.EXACT_PASS
 
 
 def test_summation_degenerate_delta():
-    with pytest.raises(DegenerateDelta):
-        verify_summation(DEGENERATE_DELTA, 10)
+    report = run_identity(IdentityId.SUMMATION_CLOSED_FORM, DEGENERATE_DELTA, nmax=10)
+    assert report.status is Status.SKIPPED
+    assert report.note.startswith("skipped (DegenerateDelta)")
 
 
 def test_matrix_power_shift_reports():
-    report = verify_matrix_power_shift(TRIB, 20)
+    report = run_identity(IdentityId.MATRIX_POWER_SHIFT, TRIB, nmax=20)
     assert report.status is Status.EXACT_PASS
     assert qv_matrix(TRIB, 1)[0][0] == Quaternion(7, 13, 24, 44)
     rng = random.Random(10)
     for _ in range(4):
-        assert verify_matrix_power_shift(random_params(rng), 30).status is Status.EXACT_PASS
+        assert run_identity(IdentityId.MATRIX_POWER_SHIFT, random_params(rng),
+                            nmax=30).status is Status.EXACT_PASS
 
 
 def test_u_decomposition_reports():
-    assert verify_u_decomposition(TRIB, 40).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.U_DECOMPOSITION, TRIB, nmax=40).status is Status.EXACT_PASS
     rng = random.Random(12)
     for _ in range(4):
-        assert verify_u_decomposition(random_params(rng), 40).status is Status.EXACT_PASS
+        assert run_identity(IdentityId.U_DECOMPOSITION, random_params(rng),
+                            nmax=40).status is Status.EXACT_PASS
 
 
 def test_run_identity_skips():
@@ -348,10 +349,10 @@ def test_skip_reports_the_range_a_run_would_check():
 def test_degenerate_delta_has_one_message():
     with pytest.raises(DegenerateDelta) as from_sum:
         quat_partial_sum(DEGENERATE_DELTA, 4)
-    with pytest.raises(DegenerateDelta) as from_check:
-        verify_summation(DEGENERATE_DELTA, 10)
+    from_check = run_identity(IdentityId.SUMMATION_CLOSED_FORM, DEGENERATE_DELTA, nmax=10)
     message = "r + s + t - 1 = 0: closed-form sum undefined for these parameters"
-    assert str(from_sum.value) == str(from_check.value) == message
+    assert str(from_sum.value) == message
+    assert from_check.note == f"skipped (DegenerateDelta): {message}"
     assert str(pickle.loads(pickle.dumps(from_sum.value))) == message
 
 
@@ -397,7 +398,7 @@ def test_summation_seed_window_constant_is_exact_terms(monkeypatch, p):
         return s
 
     monkeypatch.setattr(identities, "spinor_window", recording)
-    assert verify_summation(p, 5).status is Status.EXACT_PASS
+    assert run_identity(IdentityId.SUMMATION_CLOSED_FORM, p, nmax=5).status is Status.EXACT_PASS
     (stated,) = built
     v = seq_slice(p, 0, 6)
     want = [(p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2] for j in range(4)]

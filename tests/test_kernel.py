@@ -251,6 +251,8 @@ def test_rational_scaling_coerces_by_each_types_rule():
 def test_gauss_scalar_refuses_a_float_or_quaternion_factor(other):
     with pytest.raises(TypeError):
         GaussScalar(1) * other
+    with pytest.raises(TypeError):
+        GaussScalar(1, 1) / other
 
 
 # repr, str and protocol-2 pickle of a spinor and a matrix, each also after a

@@ -1,5 +1,5 @@
 """The record types: their text, their coercion, their immutability and the
-argument errors of the verify functions that build them. The reprs were
+argument errors of run_identity and run_suite, which build them. The reprs were
 recorded while the records were still dataclasses."""
 
 import copy
@@ -25,9 +25,6 @@ from trispinor import (
     preset,
     run_identity,
     run_suite,
-    verify_binet,
-    verify_spinor_recurrence,
-    verify_triple_product_map,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -106,19 +103,16 @@ def test_records_are_immutable(record, _):
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: verify_spinor_recurrence(TRIB), TypeError),
-    (lambda: verify_spinor_recurrence(TRIB, 5, bogus=1), TypeError),
-    (lambda: verify_spinor_recurrence(TRIB, 5, 6), TypeError),
-    (lambda: verify_binet(TRIB, 5, p=TRIB), TypeError),
-    (lambda: verify_triple_product_map(), TypeError),
-    (lambda: verify_triple_product_map(1, nmax=5), TypeError),
-    (lambda: verify_spinor_recurrence(TRIB, 2), ValueError),
-    (lambda: verify_binet(TRIB, -1), ValueError),
-    (lambda: verify_triple_product_map(1, 0), TypeError),
-    (lambda: verify_triple_product_map(1, trials=16), TypeError),
+    (lambda: run_identity(IdentityId.SPINOR_RECURRENCE), TypeError),
+    (lambda: run_identity(IdentityId.SPINOR_RECURRENCE, TRIB, nmax=5, bogus=1), TypeError),
+    # nmax and seed are keywords only.
+    (lambda: run_identity(IdentityId.SPINOR_RECURRENCE, TRIB, 5), TypeError),
+    (lambda: run_identity(IdentityId.BINET_AGREEMENT, TRIB, nmax=5, p=TRIB), TypeError),
+    (lambda: run_identity(), TypeError),
+    (lambda: run_identity(IdentityId.TRIPLE_PRODUCT_MAP, None, trials=16), TypeError),
+    (lambda: run_identity(IdentityId.BINET_AGREEMENT, TRIB, nmax=-1), ValueError),
+    (lambda: run_suite(TRIB, -1), ValueError),
     # binet's tolerance is the constant TOL.
-    (lambda: verify_binet(TRIB, 3, tol=0.0), TypeError),
-    (lambda: verify_binet(TRIB, 3, 1e-9), TypeError),
     (lambda: run_identity(IdentityId.BINET_AGREEMENT, TRIB, tol=1e-9), TypeError),
     (lambda: run_suite(TRIB, 50, 0, 1e-9), TypeError),
 ])
@@ -128,8 +122,9 @@ def test_verify_argument_errors(call, error):
 
 
 def test_verify_binds_defaults_and_keywords():
-    assert verify_binet(nmax=4, p=TRIB).span == (0, 4)
-    assert verify_triple_product_map(seed=2).span == (0, 79)
+    # perfbench's tracer binds run_identity's arguments by name.
+    assert run_identity(nmax=4, p=TRIB, identity=IdentityId.BINET_AGREEMENT).span == (0, 4)
+    assert run_identity(IdentityId.TRIPLE_PRODUCT_MAP, None, seed=2).span == (0, 79)
 
 
 def test_import_leaves_out_dataclasses_and_inspect():

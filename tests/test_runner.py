@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_power, preset,
-                       run_identity, verify_binet, verify_spinor_recurrence)
+                       run_identity)
 from trispinor import identities, quaternions, sequences
 from trispinor.analytic import GenfuncSetup, binet_spinor, genfunc_setup
 from trispinor.cli import main
@@ -243,7 +243,7 @@ def test_triple_product_finds_a_fault_on_one_basis_product(monkeypatch):
     # One random triple almost never multiplies k by k; the basis triples do,
     # first at (1, k, k).
     monkeypatch.setattr(identities, "qmul", _wrong_kk_qmul)
-    report = identities.verify_triple_product_map(0)
+    report = identities.run_identity(IdentityId.TRIPLE_PRODUCT_MAP, None, seed=0)
     assert report.status is Status.FAIL
     assert report.witness.n == 15
     assert report.note == "a=(1, 0, 0, 0), b=(0, 0, 0, 1), c=(0, 0, 0, 1)"
@@ -254,7 +254,7 @@ def test_triple_product_draws_catch_a_fault_exact_on_integers(monkeypatch):
     # the seeded draws at the drawn scale can find it.
     monkeypatch.setattr(identities, "qmul", _floored_qmul)
     for seed in range(2000):
-        report = identities.verify_triple_product_map(seed)
+        report = identities.run_identity(IdentityId.TRIPLE_PRODUCT_MAP, None, seed=seed)
         assert report.status is Status.FAIL and report.witness.n >= 64, seed
 
 
@@ -346,9 +346,10 @@ def test_binet_refuses_an_overflowing_set_after_its_capped_slice():
     # binet stops at n = 30, so it reads V(0) to V(33) of r = 10**400, not the
     # slice to V(1004) of ints of 400k digits; then its set-up overflows.
     start = time.perf_counter()
-    with pytest.raises(OverflowError, match=INT_DIVISION):
-        verify_binet(HUGE_R, 1000)
+    report = run_identity(IdentityId.BINET_AGREEMENT, HUGE_R, nmax=1000)
     assert time.perf_counter() - start < 0.1
+    assert (report.status, report.span) == (Status.SKIPPED, (0, 30))
+    assert report.note == f"skipped (OverflowError): {INT_DIVISION}"
 
 
 @pytest.mark.parametrize("p, note", [
@@ -391,16 +392,14 @@ def test_a_failed_summation_claim_compares_the_candidate_at_every_point(monkeypa
 
 
 def test_a_direct_binet_check_stops_at_its_cap():
-    report = verify_binet(TRIB, 100)
-    assert report == run_identity(IdentityId.BINET_AGREEMENT, TRIB, nmax=100)
+    report = run_identity(IdentityId.BINET_AGREEMENT, TRIB, nmax=100)
+    assert report == run_identity(IdentityId.BINET_AGREEMENT, TRIB, nmax=30)
     assert report.span == (0, 30)
 
 
 def test_the_recurrence_reads_its_least_nmax(monkeypatch):
-    """A direct check refuses nmax below 3; run_identity raises nmax to 3, which
-    compares n = 0 alone, reading the windows at 3, 2, 1 and 0."""
-    with pytest.raises(ValueError, match="nmax must be at least 3"):
-        verify_spinor_recurrence(TRIB, 2)
+    """run_identity raises an nmax below 3 to 3, which compares n = 0 alone, reading
+    the windows at 3, 2, 1 and 0."""
     calls = []
 
     def counted(v, n=0):

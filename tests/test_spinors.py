@@ -42,6 +42,9 @@ def test_gauss_arithmetic():
     a = GaussScalar(1, 2)
     b = GaussScalar(Fraction(3, 2), -1)
     assert a + b == GaussScalar(Fraction(5, 2), 1)
+    # A rational on the left, and sum's start 0, lift to a GaussScalar.
+    assert 1 + GaussScalar(2, 3) == GaussScalar(3, 3)
+    assert sum([GaussScalar(1, 1), GaussScalar(2)]) == GaussScalar(3, 1)
     assert a * b == GaussScalar(Fraction(7, 2), 2)
     assert a - a == 0
     assert (a * b) / b == a

@@ -1,5 +1,7 @@
 """One sha256 over the CLI's outputs on a fixed corpus, to show that a change
 keeps every report and value byte-identical: run it on two checkouts and compare.
+The first line is that total; one line per subcommand follows, the sha256 of its
+cases alone, so that where two checkouts differ they name the outputs that moved.
 
 The corpus is `suite --json` and `verify --json` for every identity at nmax 0,
 3, 50 and 1000, and the value subcommands (term, quaternion, spinor, binet and
@@ -61,11 +63,16 @@ def main() -> None:
     sys.path.insert(0, args.src)
     from trispinor import cli, identities
 
-    total = hashlib.sha256()
+    total, by_command = hashlib.sha256(), {}
     cases = corpus(identities)
     for argv in cases:
-        total.update(run(cli.main, argv))
+        line = run(cli.main, argv)
+        total.update(line)
+        by_command.setdefault(argv[0], []).append(line)
     print(f"sha256 {total.hexdigest()}  {len(cases)} cases")
+    for command, lines in by_command.items():
+        print(f"  {command:10} sha256 {hashlib.sha256(b''.join(lines)).hexdigest()}"
+              f"  {len(lines)} cases")
 
 
 if __name__ == "__main__":

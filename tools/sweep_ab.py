@@ -7,10 +7,12 @@ The package of OTHER/src (the base) and this checkout's (the change) are copied
 under their own names (trispinor_base, trispinor_change) into a temporary
 directory, and both are imported. On each of 300 sets both sides run, through
 run_identity, every check but triple_product that both define; which side runs
-first alternates from set to set. It prints each check's time
-on both sides and their ratio, and the median and quartiles over sets of the
-paired per-set ratio (change over base). It times, and compares no reports:
-tools/output_digest.py does that.
+first alternates from set to set. For each check, and for all of them together,
+it prints the time on both sides over the 300 sets and the ratio of those sums,
+then the median and quartiles over sets of the paired per-set ratio (that
+check's change over base time on each set). A ratio of sums follows the few
+sets the host slowed most; the paired median does not, so it is the column to
+read. It times, and compares no reports: tools/output_digest.py does that.
 
     python tools/sweep_ab.py --base OTHER/src            # seed 1
     python tools/sweep_ab.py --base OTHER/src --seed 7
@@ -53,34 +55,28 @@ def main() -> int:
         checks = [i.value for i in modules["change"].IdentityId
                   if i.value in base_checks and i.value != "triple_product"]
         ids = {side: [m.IdentityId(c) for c in checks] for side, m in modules.items()}
-        per_check = {side: dict.fromkeys(checks, 0.0) for side in SIDES}
-        ratios = []
+        times = {side: {check: [] for check in checks} for side in SIDES}  # per set
         rng = random.Random(args.seed)
         sets = [tuple(modules["change"].random_params(rng)) for _ in range(SETS)]
         for k, values in enumerate([sets[0], *sets]):  # the first run warms up, uncounted
-            per_set = {}
             for side in SIDES if k % 2 else SIDES[::-1]:
                 m = modules[side]
-                p, total = m.SeqParams(*values), 0.0
+                p = m.SeqParams(*values)
                 for check, identity in zip(checks, ids[side]):
                     start = time.perf_counter()
                     m.run_identity(identity, p, nmax=NMAX)
-                    elapsed = time.perf_counter() - start
-                    total += elapsed
                     if k:
-                        per_check[side][check] += elapsed
-                per_set[side] = total
-            if k:
-                ratios.append(per_set["change"] / per_set["base"])
+                        times[side][check].append(time.perf_counter() - start)
+    for side in SIDES:
+        times[side]["all"] = [sum(per_set) for per_set in zip(*times[side].values())]
     print(f"{SETS} sets, seed {args.seed}, nmax {NMAX}: µs per set, change / base")
-    print(f"{'check':16}{'base':>10}{'change':>10}{'ratio':>8}")
+    print(f"{'check':16}{'base':>10}{'change':>10}{'ratio':>8}{'paired median':>15}"
+          f"{'quartiles':>15}")
     for check in [*checks, "all"]:
-        base, change = (sum(per_check[side].values()) if check == "all" else per_check[side][check]
-                        for side in SIDES)
-        print(f"{check:16}{base / SETS * 1e6:10.1f}{change / SETS * 1e6:10.1f}"
-              f"{change / base:8.3f}")
-    q1, median, q3 = statistics.quantiles(ratios, n=4)
-    print(f"paired per-set ratio: median {median:.3f} (quartiles {q1:.3f}-{q3:.3f})")
+        base, change = (times[side][check] for side in SIDES)
+        q1, median, q3 = statistics.quantiles([c / b for b, c in zip(base, change)], n=4)
+        print(f"{check:16}{sum(base) / SETS * 1e6:10.1f}{sum(change) / SETS * 1e6:10.1f}"
+              f"{sum(change) / sum(base):8.3f}{median:15.3f}{q1:9.3f}-{q3:.3f}")
     return 0
 
 
