@@ -10,7 +10,6 @@ from .analytic import (
     binet_spinor,
     cubic_roots,
     genfunc_numerator,
-    genfunc_spinor_series,
 )
 from .gauss import GaussScalar
 from .identities import (

@@ -1,5 +1,5 @@
 """Closed-form (root-based) evaluation of the spinors, plus the exact
-generating function: its series expansion, and one coefficient at a time."""
+generating function: its numerator, and one coefficient at a time."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .gauss import GaussScalar, Rational, rat
+from .gauss import Rational, rat
 from .sequences import SeqParams, seq_slice
 from .spinors import Spinor, spinor_window
 
@@ -211,19 +211,3 @@ def genfunc_coefficient(setup: GenfuncSetup, n: int) -> Spinor:
     nums = [d * (a1 * q0 - a0 * q1 if n else a0) for a0, a1, _ in polys]
     return Spinor._make(x if den == 1 else rat(Fraction(x, den)) for x in nums)
 
-
-def genfunc_spinor_series(p: SeqParams, order: int) -> tuple[Spinor, ...]:
-    """The first ``order`` power-series coefficients of the generating
-    function, by exact long division; coefficient k equals trib_spinor(p, k)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    numerator = genfunc_numerator(p)
-    zero = Spinor(GaussScalar(0), GaussScalar(0))
-    coeffs: list[Spinor] = []
-    for k in range(order):
-        acc = numerator[k] if k < 3 else zero
-        # r*coeffs[k-1] + s*coeffs[k-2] + t*coeffs[k-3], as far as they exist
-        for c, prev in zip((p.r, p.s, p.t), coeffs[:-4:-1]):
-            acc = acc + c * prev
-        coeffs.append(acc)
-    return tuple(coeffs)

@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .analytic import DegenerateRoots, binet_spinor, genfunc_spinor_series
+from .analytic import DegenerateRoots, binet_spinor
+from .gauss import Rational
 from .identities import (
     TOL,
     IdentityId,
@@ -29,11 +30,11 @@ from .identities import (
 )
 from .quaternions import trib_quaternion
 from .sequences import SeqParams, _iter_terms, preset, seq_slice, seq_term, u_companion
-from .spinors import trib_spinor
+from .spinors import spinor_window, trib_spinor
 
-# Largest --index, --order and term --nmax: genfunc --order 10000 takes 2.0-2.5 s on
-# tribonacci and 12-13.5 s on (1, 1, 1/3, 0, 1, 1), whose terms are Fractions, on a
-# 2-core x86-64 VM (Intel Xeon, CPython 3.11.7; fresh processes).
+# Largest --index, --order and term --nmax: genfunc --order 10000 takes 1.7-1.9 s on
+# tribonacci and 4.0-4.5 s on (1, 1, 1/3, 0, 1, 1), whose terms are Fractions, most
+# of it rendering, on a 2-core x86-64 VM (Intel Xeon, CPython 3.11.7; 3 fresh processes).
 MAX_TERMS = 10_000
 # Largest verify/suite --nmax: the tribonacci suite at 1000 takes 0.16 s on the same
 # VM, the median of 7 fresh processes (each 0.13-0.19 s).
@@ -163,15 +164,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _slice_from_0(p: SeqParams, count: int) -> list[Rational]:
+    """V(0) to V(count - 1), all of which the caller prints: rendering the last
+    first, in O(log count) products, meets the output limit before the slice."""
+    str(seq_term(p, count - 1))
+    return seq_slice(p, 0, count)
+
+
 def _cmd_term(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     if args.index is not None:
         value = seq_term(p, _bounded(args.index, "index", MAX_TERMS))
         return (render_json({"value": str(value)}) if args.json else f"{value}\n"), 0
-    nmax = _bounded(args.nmax, "nmax", MAX_TERMS)
-    # V(nmax) is printed too; rendering it first, in O(log nmax) products,
-    # meets the output limit before the whole slice is computed.
-    str(seq_term(p, nmax))
-    values = seq_slice(p, 0, nmax + 1)
+    values = _slice_from_0(p, _bounded(args.nmax, "nmax", MAX_TERMS) + 1)
     return (render_json({"values": [str(x) for x in values]}) if args.json
             else "".join(f"{x}\n" for x in values)), 0
 
@@ -200,14 +204,12 @@ def _cmd_binet(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
 
 def _cmd_genfunc(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
     order = _bounded(args.order, "order", MAX_TERMS)
-    # Coefficient order-1 prints V(order+2); rendering it first, in
-    # O(log order) products, meets the output limit before the long division.
-    if order:
-        str(seq_term(p, order + 2))
-    series = genfunc_spinor_series(p, order)
+    # Coefficient k is A(k), the genfunc check's rhs; --order 0 reads no term.
+    v = _slice_from_0(p, order + 3) if order else []
+    series = [spinor_window(v, k) for k in range(order)]
     if args.json:
         return render_json({
-            "order": len(series),
+            "order": order,
             "coefficients": [_exact_json(s) for s in series],
         }), 0
     return "".join(f"{k}: {s}\n" for k, s in enumerate(series)), 0

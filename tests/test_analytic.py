@@ -24,7 +24,6 @@ from trispinor import (
     cubic_roots,
     determinant_combination_values,
     genfunc_numerator,
-    genfunc_spinor_series,
     preset,
     random_params,
     run_identity,
@@ -32,6 +31,7 @@ from trispinor import (
     trib_spinor,
 )
 from trispinor.analytic import binet_setup, genfunc_coefficient, genfunc_setup
+from trispinor.spinors import spinor_window
 
 TRIB = preset("tribonacci")
 JAC = preset("third_order_jacobsthal")
@@ -251,18 +251,8 @@ def test_genfunc_numerator_tribonacci():
     assert n2 == Spinor(GaussScalar(1, 0), GaussScalar(0, 1))
 
 
-def test_genfunc_series_matches_windows():
-    series = genfunc_spinor_series(TRIB, 16)
-    assert isinstance(series, tuple)
-    assert len(series) == 16
-    assert series[0] == trib_spinor(TRIB, 0)
-    for k in range(16):
-        assert series[k] == trib_spinor(TRIB, k)
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: binet_spinor(TRIB, -1), "index must be nonnegative"),
-    (lambda: genfunc_spinor_series(TRIB, -1), "order must be nonnegative"),
     pytest.param(lambda: genfunc_coefficient(genfunc_setup(TRIB), -1),
                  "index must be nonnegative", id="genfunc_coefficient"),
     pytest.param(lambda: determinant_combination_values(TRIB, -1), "shift must be nonnegative",
@@ -273,33 +263,25 @@ def test_negative_index_and_order_raise(call, message):
         call()
 
 
-def test_genfunc_series_empty():
-    assert genfunc_spinor_series(TRIB, 0) == ()
-
-
-def test_genfunc_series_random_params_exact():
-    rng = random.Random(43)
-    for _ in range(20):
-        p = SeqParams(*(rng.randint(-5, 5) for _ in range(6)))
-        series = genfunc_spinor_series(p, 64)
-        for k in (0, 1, 2, 3, 17, 40, 63):
-            assert series[k] == trib_spinor(p, k)
-
-
 small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
 
 @settings(max_examples=40, deadline=None)
 @given(values=st.one_of(st.tuples(*[st.integers(-5, 5)] * 6), st.tuples(*[small_rationals] * 6)))
 def test_genfunc_coefficient_equals_the_long_division(values):
-    """Bostan-Mori on int reads the same coefficients as the long division,
-    and renders them the same."""
+    """Bostan-Mori on int reads the quotient S of the long division N(x)/Q(x),
+    which the product states: S(x)*Q(x) = N(x) mod x^70, where
+    Q(x) = 1 - r*x - s*x^2 - t*x^3 and N = genfunc_numerator(p). The
+    coefficients render as what genfunc prints, spinor_window over seq_slice."""
     p = SeqParams(*values)
     setup = genfunc_setup(p)
     coefficients = [genfunc_coefficient(setup, k) for k in range(70)]
-    series = genfunc_spinor_series(p, 70)
-    assert coefficients == list(series)
-    assert list(map(str, coefficients)) == list(map(str, series))
+    zero = Spinor(GaussScalar(0), GaussScalar(0))
+    s = [zero] * 3 + coefficients
+    product = [s[k + 3] - p.r * s[k + 2] - p.s * s[k + 1] - p.t * s[k] for k in range(70)]
+    assert product == [*genfunc_numerator(p), *[zero] * 67]
+    v = seq_slice(p, 0, 73)
+    assert list(map(str, coefficients)) == [str(spinor_window(v, k)) for k in range(70)]
 
 
 RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),

@@ -10,8 +10,8 @@ from trispinor import THIRD_ORDER_JACOBSTHAL, TRIBONACCI, SeqParams, run_suite
 
 # The 67 names the package exported when __all__ was still written out by hand,
 # less the four wrappers no caller used (bilinear_form, binet_number,
-# binet_quaternion and k_quaternion) and the eleven verify_* wrappers of
-# run_identity.
+# binet_quaternion and k_quaternion), the eleven verify_* wrappers of
+# run_identity, and the spinor long division that genfunc printed.
 PUBLIC_NAMES = [
     "BinetConstants", "C", "CubicRoots", "DegenerateDelta", "DegenerateRoots",
     "GaussScalar", "IdentityId", "Quaternion", "SeqParams", "SpinMatrix2", "Spinor",
@@ -19,9 +19,9 @@ PUBLIC_NAMES = [
     "UnknownPreset", "UnsupportedParams", "VerificationReport", "Witness",
     "binet_constants", "binet_spinor", "breve", "cartan_conjugate", "companion_matrix",
     "companion_power", "complex_conjugate", "cubic_roots", "determinant_combination_values",
-    "genfunc_numerator", "genfunc_spinor_series", "mate", "norm_forms", "preset", "qconj",
-    "qmul", "qnorm", "quat_partial_sum", "quat_u_decomposition", "qv_matrix",
-    "qv_right_multiply", "random_params", "run_identity", "run_suite",
+    "genfunc_numerator", "mate", "norm_forms", "preset", "qconj", "qmul", "qnorm",
+    "quat_partial_sum", "quat_u_decomposition", "qv_matrix", "qv_right_multiply",
+    "random_params", "run_identity", "run_suite",
     "seq_slice", "seq_term", "sigma", "sigma_inv", "spinor_dot", "spinor_norm",
     "summation_correction", "trib_quaternion", "trib_spinor",
 ]
@@ -36,16 +36,16 @@ def test_star_import_exports_the_public_names():
 
 # The exported operations that no suite run calls, which unit tests alone
 # cover; README names them. Each stays for a caller outside the suite:
-# seq_term, trib_quaternion, trib_spinor and genfunc_spinor_series are what the
-# CLI's term, quaternion, spinor and genfunc commands print;
-# determinant_combination_values evaluates both sides of the Cassini-like
-# combination for acceptance criterion c11; qconj, sigma_inv and
-# quat_partial_sum are operations of the paper's algebra: the quaternion
-# conjugate, the inverse of sigma and the closed-form partial sum, whose
-# sum_window the summation check reads.
+# seq_term, trib_quaternion and trib_spinor are what the CLI's term,
+# quaternion and spinor commands print (genfunc prints the genfunc check's
+# rhs, spinor_window over seq_slice); determinant_combination_values
+# evaluates both sides of the Cassini-like combination for acceptance
+# criterion c11; qconj, sigma_inv and quat_partial_sum are operations of the
+# paper's algebra: the quaternion conjugate, the inverse of sigma and the
+# closed-form partial sum, whose sum_window the summation check reads.
 UNREACHED = [
-    "determinant_combination_values", "genfunc_spinor_series", "qconj", "quat_partial_sum",
-    "seq_term", "sigma_inv", "trib_quaternion", "trib_spinor",
+    "determinant_combination_values", "qconj", "quat_partial_sum", "seq_term", "sigma_inv",
+    "trib_quaternion", "trib_spinor",
 ]
 # The verification API's own entry points, and the choice of a set, are not operations.
 ENTRY_POINTS = {"preset", "random_params", "run_identity", "run_suite"}

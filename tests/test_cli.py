@@ -146,6 +146,8 @@ def test_genfunc_text(capsys):
         "1: [4+1i; 1+2i]",
         "2: [7+1i; 2+4i]",
     ]
+    # --order 0 reads no term: V(2) of this set, 10^4300, is past the digit limit.
+    assert run_cli(capsys, "genfunc", "--order", "0", "--params=1,1,1,0,1,1e4300") == (0, "", "")
 
 
 def test_genfunc_json_roundtrip(capsys):
@@ -153,6 +155,9 @@ def test_genfunc_json_roundtrip(capsys):
     assert code == 0
     assert out == render_json(json.loads(out))
     assert json.loads(out)["order"] == 4
+    code, out, _ = run_cli(capsys, "genfunc", "--order", "0", "--json",
+                           "--params=1,1,1,0,1,1e4300")
+    assert (code, out) == (0, '{\n  "coefficients": [],\n  "order": 0\n}\n')
 
 
 def test_verify_norm(capsys):

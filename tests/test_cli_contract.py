@@ -73,13 +73,15 @@ def test_value_past_the_digit_limit_exits_2_with_empty_stdout(argv):
     assert "set_int_max_str_digits" not in err
 
 
-def test_term_nmax_meets_the_digit_limit_before_the_slice(monkeypatch):
+@pytest.mark.parametrize("command", [["term", "--nmax", "9000"], ["genfunc", "--order", "9000"]],
+                         ids=["term", "genfunc"])
+def test_term_and_genfunc_meet_the_digit_limit_before_the_slice(monkeypatch, command):
     def no_slice(*args):
         raise AssertionError("seq_slice called")
 
     monkeypatch.setattr(cli, "seq_slice", no_slice)
     limit = sys.get_int_max_str_digits()
-    assert run(["term", "--nmax", "9000", "--params", "5,5,5,1,1,1"]) == (
+    assert run([*command, "--params", "5,5,5,1,1,1"]) == (
         2, "", f"error: output limit exceeded: a value has more than {limit} digits\n")
 
 
@@ -93,16 +95,6 @@ def test_a_deep_term_of_a_large_prime_set_meets_the_digit_limit_fast():
     assert run(["term", "-n", "2000", "--params", params]) == (
         2, "", f"error: output limit exceeded: a value has more than {limit} digits\n")
     assert time.perf_counter() - start < 1
-
-
-def test_genfunc_meets_the_digit_limit_before_the_series(monkeypatch):
-    def no_series(*args):
-        raise AssertionError("genfunc_spinor_series called")
-
-    monkeypatch.setattr(cli, "genfunc_spinor_series", no_series)
-    limit = sys.get_int_max_str_digits()
-    assert run(["genfunc", "--order", "9000", "--params", "5,5,5,1,1,1"]) == (
-        2, "", f"error: output limit exceeded: a value has more than {limit} digits\n")
 
 
 def test_long_bad_params_piece_is_echoed_short():

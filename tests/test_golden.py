@@ -1,6 +1,7 @@
 """Output-contract goldens: reports rendered exactly as the CLI renders them,
-and the output of the value subcommands (term, quaternion, spinor, genfunc,
-binet), compared byte for byte with the files under tests/golden/.
+the output of the value subcommands (term, quaternion, spinor, genfunc,
+binet), and tools/output_digest.py's lines for the subcommands that print
+exact values alone, compared byte for byte with the files under tests/golden/.
 
 The files pin statuses, spans, witnesses and notes (float noise and
 triple_product's seed included). The cubic solver is pure Python, so
@@ -10,6 +11,7 @@ tests/test_golden.py` only for an intended change of output.
 """
 
 import contextlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -23,6 +25,7 @@ from trispinor import (
     THIRD_ORDER_JACOBSTHAL,
     IdentityId,
     SeqParams,
+    identities,
     run_identity,
 )
 from trispinor.cli import main, render_json, report_to_dict
@@ -81,6 +84,19 @@ def _cli_transcript(params: str) -> str:
     return "".join(parts)
 
 
+def _exact_digest() -> str:
+    """tools/output_digest.py's lines for term, quaternion, spinor and genfunc:
+    exact rationals alone reach them, so every Python version prints them alike.
+    binet's floats, and the reports', go through libm; no golden pins those."""
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", GOLDEN.parent.parent / "tools" / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    exact = {"term", "quaternion", "spinor", "genfunc"}
+    cases = [argv for argv in tool.corpus(identities) if argv[0] in exact]
+    return "".join(line + "\n" for line in tool.digest(main, cases)[1:])
+
+
 CASES = {
     "suite_tribonacci_nmax50_seed1.json": _suite_cli,
     **{f"run_identity_{name}_nmax30.json": (lambda p=p: _run_identities(p))
@@ -91,6 +107,7 @@ CASES = {
                                                         SeqParams(-1, -2, 4, 3, 2, 5), nmax=30))),
     **{f"cli_values_{name}.txt": (lambda params=params: _cli_transcript(params))
        for name, params in CLI_PARAMS.items()},
+    "digest.txt": _exact_digest,
 }
 
 

@@ -13,6 +13,11 @@ period 6 (1, 1/2, 1/3, 1, 1, 1), and (1/6, 1/6, 1/6, 1/6, 1/6, 1/6), whose base
 element 6 is composite. Each case hashes its argv, exit code, stdout and
 stderr. The CLI runs in process, through trispinor.cli.main.
 
+tests/golden/digest.txt holds the lines of term, quaternion, spinor and
+genfunc, which print exact rationals alone, and tests/test_golden.py recomputes
+them through `corpus` and `digest`. binet, suite and verify print floats that
+go through libm, and no test pins their lines.
+
     python tools/output_digest.py                    # this checkout's src/
     python tools/output_digest.py --src OTHER/src    # another checkout's
 """
@@ -55,6 +60,19 @@ def run(main, argv: list[str]) -> bytes:
     return (json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n").encode()
 
 
+def digest(main, cases: list[list[str]]) -> list[str]:
+    """The sha256 over every case's line, then one line per subcommand, in the
+    order of its first case: the sha256 over its cases' lines alone."""
+    total, by_command = hashlib.sha256(), {}
+    for argv in cases:
+        line = run(main, argv)
+        total.update(line)
+        by_command.setdefault(argv[0], []).append(line)
+    return [f"sha256 {total.hexdigest()}  {len(cases)} cases"] + [
+        f"  {command:10} sha256 {hashlib.sha256(b''.join(lines)).hexdigest()}  {len(lines)} cases"
+        for command, lines in by_command.items()]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -63,16 +81,7 @@ def main() -> None:
     sys.path.insert(0, args.src)
     from trispinor import cli, identities
 
-    total, by_command = hashlib.sha256(), {}
-    cases = corpus(identities)
-    for argv in cases:
-        line = run(cli.main, argv)
-        total.update(line)
-        by_command.setdefault(argv[0], []).append(line)
-    print(f"sha256 {total.hexdigest()}  {len(cases)} cases")
-    for command, lines in by_command.items():
-        print(f"  {command:10} sha256 {hashlib.sha256(b''.join(lines)).hexdigest()}"
-              f"  {len(lines)} cases")
+    print("\n".join(digest(cli.main, corpus(identities))))
 
 
 if __name__ == "__main__":
