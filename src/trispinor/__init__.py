@@ -3,10 +3,7 @@ relatives), the quaternions built from consecutive terms, their spinor
 images, and machine verification of the identities relating them."""
 
 from .analytic import (
-    BinetConstants,
-    CubicRoots,
     DegenerateRoots,
-    binet_constants,
     binet_spinor,
     cubic_roots,
     genfunc_numerator,

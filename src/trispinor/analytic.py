@@ -18,31 +18,6 @@ class DegenerateRoots(ArithmeticError):
     root-based closed forms divide by root differences and are unusable."""
 
 
-class CubicRoots(NamedTuple):
-    """Roots of x^3 - r*x^2 - s*x - t, with alpha the root of greatest real
-    part (ties broken by greater imaginary part)."""
-
-    alpha: complex
-    omega1: complex
-    omega2: complex
-    discriminant_ok: bool
-
-    def as_tuple(self) -> tuple[complex, complex, complex]:
-        return (self.alpha, self.omega1, self.omega2)
-
-
-class BinetConstants(NamedTuple):
-    """Seed-interpolation constants of the closed form.
-
-    P = v2 - (omega1 + omega2)*v1 + omega1*omega2*v0, and Q, R likewise with
-    the other two root pairs.
-    """
-
-    P: complex
-    Q: complex
-    R: complex
-
-
 class PowerSum(NamedTuple):
     """binet_spinor's n-free part: roots x, weights w (V(n) = sum of w*x^n), columns."""
 
@@ -58,10 +33,7 @@ def _polish(f, df, z):
 
 
 def _solve(r: Rational, s: Rational, t: Rational, disc: Rational) -> list[complex]:
-    """Roots of x^3 - r*x^2 - s*x - t, structured by the sign of `disc`."""
-    if disc == 0:  # a repeated root num/den: on int, / rounds it as a Fraction's float
-        num, den = (r, 3) if r * r + 3 * s == 0 else (-(9 * t + r * s), 2 * (r * r + 3 * s))
-        return [complex(num / den)] * 2 + [complex((r * den - 2 * num) / den)]
+    """Roots of x^3 - r*x^2 - s*x - t, structured by the sign of `disc`, which is not 0."""
     # x = 2^e * y with every coefficient of the cubic in y below 1 in size, so
     # its roots lie in |y| < 2. ldexp scales exactly and without overflow.
     e = math.frexp(max(abs(r), math.sqrt(abs(s)), abs(t) ** (1 / 3)))[1]
@@ -96,48 +68,42 @@ def _solve(r: Rational, s: Rational, t: Rational, disc: Rational) -> list[comple
     return [complex(math.ldexp(y.real, e), math.ldexp(y.imag, e)) for y in map(complex, ys)]
 
 
-def cubic_roots(r: Rational, s: Rational, t: Rational) -> CubicRoots:
-    """Solve x^3 - r*x^2 - s*x - t = 0 in CPython floats: Durand-Kerner on
-    the cubic scaled by a power of two, then Newton polish.
+def cubic_roots(r: Rational, s: Rational, t: Rational) -> tuple[complex, complex, complex]:
+    """The roots of x^3 - r*x^2 - s*x - t in CPython floats, greatest real part
+    first (ties broken by greater imaginary part): Durand-Kerner on the cubic
+    scaled by a power of two, then Newton polish.
 
-    Degeneracy is reported through discriminant_ok rather than raised; the
-    closed-form evaluators raise DegenerateRoots. The sign of the exact
-    rational discriminant D fixes the roots' structure: three real if D > 0,
-    one real and an exactly conjugate pair if D < 0, exact rationals if D = 0.
-    A numeric minimum-gap test additionally flags near-degenerate root sets.
+    Raises DegenerateRoots where the closed forms, which divide by root
+    differences, are unusable: when the exact rational discriminant D is 0 (a
+    repeated root), and when two float roots lie within 1e-8 of 1 + max|root|.
+    The sign of D fixes the roots' structure: three real if D > 0, one real and
+    an exactly conjugate pair if D < 0.
     """
     # Exact tests on int; an int past float range is a Fraction, for its overflow message.
     if not all(type(x) is int and x.bit_length() < 1000 for x in (r, s, t)):
         r, s, t = Fraction(r), Fraction(s), Fraction(t)
     # The discriminant: zero exactly when the cubic has a repeated root.
     disc = r**2 * s**2 + 4 * s**3 - 4 * r**3 * t - 18 * r * s * t - 27 * t**2
+    if disc == 0:
+        raise DegenerateRoots("repeated characteristic roots")
     roots = sorted(_solve(r, s, t, disc), key=lambda z: (z.real, z.imag), reverse=True)
     scale = 1.0 + max(abs(z) for z in roots)
-    min_gap = min(abs(a - b) for a, b in combinations(roots, 2))
-    ok = disc != 0 and min_gap >= 1e-8 * scale
-    return CubicRoots(roots[0], roots[1], roots[2], ok)
-
-
-def binet_constants(p: SeqParams, roots: CubicRoots | None = None) -> BinetConstants:
-    roots = roots or cubic_roots(p.r, p.s, p.t)
-    if not roots.discriminant_ok:
-        raise DegenerateRoots("repeated characteristic roots")
-    a, w1, w2 = roots.as_tuple()
-    v0, v1, v2 = float(p.v0), float(p.v1), float(p.v2)
-    return BinetConstants(
-        P=v2 - (w1 + w2) * v1 + w1 * w2 * v0,
-        Q=v2 - (a + w2) * v1 + a * w2 * v0,
-        R=v2 - (a + w1) * v1 + a * w1 * v0,
-    )
+    if min(abs(a - b) for a, b in combinations(roots, 2)) < 1e-8 * scale:
+        raise DegenerateRoots("characteristic roots closer than 1e-8 of their scale")
+    return roots[0], roots[1], roots[2]
 
 
 def binet_setup(p: SeqParams) -> PowerSum:
-    """binet_spinor's n-free part for p, to pass as its third argument."""
-    roots = cubic_roots(p.r, p.s, p.t)
-    const = binet_constants(p, roots)
-    a, w1, w2 = xs = roots.as_tuple()
-    weights = (const.P / ((a - w1) * (a - w2)), -const.Q / ((a - w1) * (w1 - w2)),
-               const.R / ((a - w2) * (w1 - w2)))
+    """binet_spinor's n-free part for p, to pass as its third argument.
+
+    Root x, with y and z the other two, has the weight P / ((x - y)(x - z)),
+    where P = v2 - (y + z)*v1 + y*z*v0 interpolates the seeds; the paper names
+    it P, Q and R for the roots alpha, omega1 and omega2 in that order.
+    """
+    a, b, c = xs = cubic_roots(p.r, p.s, p.t)
+    v0, v1, v2 = float(p.v0), float(p.v1), float(p.v2)
+    weights = tuple((v2 - (y + z) * v1 + y * z * v0) / ((x - y) * (x - z))
+                    for x, y, z in ((a, b, c), (b, a, c), (c, a, b)))
     return PowerSum(xs, weights, tuple((x**3 + 1j, x + 1j * x**2) for x in xs))
 
 

@@ -13,13 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from trispinor import analytic
 from trispinor import (
-    CubicRoots,
     DegenerateRoots,
     GaussScalar,
     IdentityId,
     SeqParams,
     Spinor,
-    binet_constants,
     binet_spinor,
     cubic_roots,
     determinant_combination_values,
@@ -38,37 +36,32 @@ JAC = preset("third_order_jacobsthal")
 
 
 def test_tribonacci_roots():
-    roots = cubic_roots(1, 1, 1)
-    assert roots.discriminant_ok
-    assert abs(roots.alpha - 1.839286755214161) < 1e-12
-    assert abs(roots.omega1) < 1 and abs(roots.omega2) < 1
-    assert abs(roots.omega1 - roots.omega2.conjugate()) < 1e-12
+    alpha, omega1, omega2 = cubic_roots(1, 1, 1)
+    assert abs(alpha - 1.839286755214161) < 1e-12
+    assert abs(omega1) < 1 and abs(omega2) < 1
+    assert abs(omega1 - omega2.conjugate()) < 1e-12
 
 
 def test_unit_circle_roots():
     roots = cubic_roots(0, 0, 1)  # x^3 = 1
-    assert roots.discriminant_ok
     expected = sorted(
         (1 + 0j, cmath.exp(2j * cmath.pi / 3), cmath.exp(-2j * cmath.pi / 3)),
         key=lambda z: (z.real, z.imag), reverse=True,
     )
-    for got, want in zip(roots.as_tuple(), expected):
+    for got, want in zip(roots, expected):
         assert abs(got - want) < 1e-12
 
 
 def test_triple_root_flagged():
-    roots = cubic_roots(3, -3, 1)  # (x - 1)^3
-    assert not roots.discriminant_ok
-    for z in roots.as_tuple():
-        assert abs(z - 1) < 1e-4
+    with pytest.raises(DegenerateRoots, match="^repeated characteristic roots$"):
+        cubic_roots(3, -3, 1)  # (x - 1)^3
 
 
 def test_vieta_residuals():
     rng = random.Random(19)
     for _ in range(40):
         r, s, t = (rng.randint(-5, 5) for _ in range(3))
-        roots = cubic_roots(r, s, t)
-        a, w1, w2 = roots.as_tuple()
+        a, w1, w2 = cubic_roots(r, s, t)
         scale = 1e-9 * (1 + abs(r) + abs(s) + abs(t))
         assert abs(a + w1 + w2 - r) < scale
         assert abs(a * w1 + a * w2 + w1 * w2 + s) < scale
@@ -88,8 +81,19 @@ def test_cubic_roots_properties(r, s, t, uniform, homogeneous):
     # Every coefficient times 10^uniform, then x -> 10^homogeneous * x.
     k, lam = Fraction(10) ** uniform, Fraction(10) ** homogeneous
     r, s, t = r * k * lam, s * k * lam**2, t * k * lam**3
-    roots = cubic_roots(r, s, t)
-    a, w1, w2 = zs = roots.as_tuple()
+    b, c, d = -r, -s, -t
+    disc = 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+    if disc == 0:
+        with pytest.raises(DegenerateRoots, match="^repeated"):
+            cubic_roots(r, s, t)
+        return
+    # The solver's roots, which cubic_roots returns unless two lie too close.
+    zs = sorted(analytic._solve(r, s, t, disc), key=lambda z: (z.real, z.imag), reverse=True)
+    if min(abs(x - y) for x, y in itertools.combinations(zs, 2)) < 1e-8 * (1 + max(map(abs, zs))):
+        with pytest.raises(DegenerateRoots, match="^characteristic roots closer"):
+            cubic_roots(r, s, t)
+    else:
+        assert cubic_roots(r, s, t) == tuple(zs)
     assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs)
     assert list(zs) == sorted(zs, key=lambda z: (z.real, z.imag), reverse=True)
     # Vieta, with the roots and coefficients scaled by m.
@@ -98,16 +102,26 @@ def test_cubic_roots_properties(r, s, t, uniform, homogeneous):
     assert abs(y1 + y2 + y3 - float(r) / m) <= 1e-13
     assert abs(y1 * y2 + y1 * y3 + y2 * y3 + float(s) / m / m) <= 1e-13
     assert abs(y1 * y2 * y3 - float(t) / m / m / m) <= 1e-13
-    b, c, d = -r, -s, -t
-    disc = 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
     if disc > 0:
         assert all(z.imag == 0 for z in zs)
     if disc < 0:
         real = [z for z in zs if z.imag == 0]
         pair = [z for z in zs if z.imag != 0]
         assert len(real) == 1 and pair[0] == pair[1].conjugate() and pair[0].imag > 0
-    if disc == 0:
-        assert not roots.discriminant_ok
+
+
+def test_refusal_is_the_exact_rule_on_the_sweep_domain():
+    # Over param-sweep's [-5, 5]^3 the float gap test never fires: cubic_roots
+    # refuses exactly the cubics with a repeated root, so binet skips no other set.
+    refused = []
+    for r, s, t in itertools.product(range(-5, 6), repeat=3):
+        disc = r**2 * s**2 + 4 * s**3 - 4 * r**3 * t - 18 * r * s * t - 27 * t**2
+        try:
+            cubic_roots(r, s, t)
+        except DegenerateRoots:
+            refused.append((r, s, t))
+        assert (disc == 0) == (refused[-1:] == [(r, s, t)])
+    assert len(refused) == 27
 
 
 def test_import_does_not_load_numpy():
@@ -119,14 +133,43 @@ def test_import_does_not_load_numpy():
     assert out == "False\n"
 
 
+def _sweep_sets():
+    """The parameter sweep's sets: 40 integer and 40 rational (denominators 1-3)."""
+    rng = random.Random(7)
+    sets = [random_params(rng) for _ in range(40)]
+    rng = random.Random(7)
+    return sets + [SeqParams(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)))
+                   for _ in range(40)]
+
+
+def _lagrange_weight(p, x):
+    """Root x's weight in V(n) = sum of w*x^n, in the paper's Lagrange form P(x)/f'(x):
+    P(x) = v2 - (y + z)*v1 + y*z*v0 for the other roots y and z, written through
+    y + z = r - x and y*z = x^2 - r*x - s, and f'(x) = 3x^2 - 2rx - s for
+    f(x) = x^3 - r*x^2 - s*x - t. Neither depends on how the roots are ordered."""
+    r, s, v0, v1, v2 = map(float, (p.r, p.s, p.v0, p.v1, p.v2))
+    return (v2 - (r - x) * v1 + (x * x - r * x - s) * v0) / (3 * x * x - 2 * r * x - s)
+
+
 def test_binet_constants():
-    roots = cubic_roots(1, 1, 1)
-    const = binet_constants(TRIB, roots)
-    assert abs(const.P - roots.alpha) < 1e-12
-    zeros = binet_constants(SeqParams(1, 1, 1, 0, 0, 0), roots)
-    assert zeros.P == zeros.Q == zeros.R == 0
+    checked = 0
+    for p in _sweep_sets():
+        try:
+            roots, weights, _ = binet_setup(p)
+        except DegenerateRoots:
+            continue
+        checked += 1
+        for x, w in zip(roots, weights):
+            want = _lagrange_weight(p, x)
+            assert abs(w - want) <= 1e-12 * abs(want)
+    assert checked > 60
+    # Zero seeds weigh every root 0; seeds (0, 1, 1) weigh tribonacci's alpha
+    # by alpha / f'(alpha), P being alpha itself.
+    assert binet_setup(SeqParams(1, 1, 1, 0, 0, 0)).weights == (0, 0, 0)
+    (alpha, _, _), (w, _, _), _ = binet_setup(TRIB)
+    assert abs(w * (3 * alpha**2 - 2 * alpha - 1) - alpha) < 1e-12
     with pytest.raises(DegenerateRoots):
-        binet_constants(SeqParams(3, -3, 1, 0, 1, 1))
+        binet_setup(SeqParams(3, -3, 1, 0, 1, 1))
 
 
 def _power_sum(p, n, column):
@@ -177,8 +220,7 @@ def test_binet_spinor_values():
 def test_binet_seed_011_collapses_constants_to_roots():
     # For seeds (0, 1, 1) the interpolation constants collapse onto the roots
     # themselves, raising every exponent by one.
-    roots = cubic_roots(1, 1, 1)
-    a, w1, w2 = roots.as_tuple()
+    a, w1, w2 = cubic_roots(1, 1, 1)
     n = 2
     expected = [0j, 0j]
     for weight, x in (
@@ -215,11 +257,9 @@ def test_binet_degenerate_raises():
 
 def test_root_relabeling_invariance():
     # The closed form summed by hand with omega1 and omega2 swapped.
-    roots = cubic_roots(1, 1, 1)
-    a, w1, w2 = xs = (roots.alpha, roots.omega2, roots.omega1)
-    const = binet_constants(TRIB, CubicRoots(*xs, True))
-    weights = (const.P / ((a - w1) * (a - w2)), -const.Q / ((a - w1) * (w1 - w2)),
-               const.R / ((a - w2) * (w1 - w2)))
+    alpha, omega1, omega2 = cubic_roots(1, 1, 1)
+    xs = (alpha, omega2, omega1)
+    weights = [_lagrange_weight(TRIB, x) for x in xs]
     for n in (0, 4, 11, 25):
         got = binet_spinor(TRIB, n)
         want = (sum(g * x**n * (x**3 + 1j) for g, x in zip(weights, xs)),
@@ -232,8 +272,9 @@ def test_sigma_of_binet_quaternion_is_binet_spinor():
     checked = 0
     while checked < 10:
         p = SeqParams(*(rng.randint(-5, 5) for _ in range(6)))
-        roots = cubic_roots(p.r, p.s, p.t)
-        if not roots.discriminant_ok:
+        try:
+            cubic_roots(p.r, p.s, p.t)
+        except DegenerateRoots:
             continue
         checked += 1
         for n in (0, 3, 9):
@@ -313,11 +354,10 @@ def test_genfunc_coefficient_builds_no_fraction_on_an_integer_set(monkeypatch):
 def test_cubic_roots_order_on_an_exact_real_part_tie(r, s, t, expected):
     # 2r^3 + 9rs + 27t = 0 with a negative discriminant: the real root r/3
     # and the pair share their real part, so the imaginary part orders them.
-    roots = cubic_roots(r, s, t)
-    assert roots.discriminant_ok
-    assert [z.real for z in roots.as_tuple()] == [r / 3] * 3
-    assert roots.omega1.imag == 0 and roots.omega2 == roots.alpha.conjugate()
-    for got, want in zip(roots.as_tuple(), expected):
+    roots = alpha, omega1, omega2 = cubic_roots(r, s, t)
+    assert [z.real for z in roots] == [r / 3] * 3
+    assert omega1.imag == 0 and omega2 == alpha.conjugate()
+    for got, want in zip(roots, expected):
         assert abs(got - want) < 1e-12
 
 
@@ -332,14 +372,15 @@ def test_floats_are_pinned():
     triples = [*itertools.product(range(-5, 6), repeat=3)] + [
         tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
         for _ in range(300)]
-    assert _digest(repr(cubic_roots(*t)) for t in triples) == (
-        "cb7b88d2c3160cd1c4d90e0e5a5c880906e8cd5db5fd93716f3a944dbcf3f5ee")
-    # The parameter sweep's sets: 40 integer and 40 rational (denominators 1-3).
-    rng = random.Random(7)
-    sets = [random_params(rng) for _ in range(40)]
-    rng = random.Random(7)
-    sets += [SeqParams(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)))
-             for _ in range(40)]
+
+    def roots(t):
+        try:
+            return repr(cubic_roots(*t))
+        except DegenerateRoots:
+            return "DegenerateRoots"
+    assert _digest(map(roots, triples)) == (
+        "f9e249906c6fedde2a8c394dcdd471fd1da47ec9855380ae66362dbca4229971")
+    sets = _sweep_sets()
 
     def spinors(p):
         try:
@@ -357,5 +398,8 @@ def test_cubic_roots_builds_no_fraction_on_int(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction built")
     monkeypatch.setattr(analytic, "Fraction", no_fraction)
-    for r, s, t in [(1, 1, 1), (3, -3, 1), (3, -4, 2), (0, 0, 0), (2, 0, -1)]:
+    for r, s, t in [(1, 1, 1), (3, -4, 2), (2, 0, -1)]:
         cubic_roots(r, s, t)
+    for r, s, t in [(3, -3, 1), (0, 0, 0)]:
+        with pytest.raises(DegenerateRoots):
+            cubic_roots(r, s, t)

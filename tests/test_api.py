@@ -11,19 +11,20 @@ from trispinor import THIRD_ORDER_JACOBSTHAL, TRIBONACCI, SeqParams, run_suite
 # The 67 names the package exported when __all__ was still written out by hand,
 # less the four wrappers no caller used (bilinear_form, binet_number,
 # binet_quaternion and k_quaternion), the eleven verify_* wrappers of
-# run_identity, and the spinor long division that genfunc printed.
+# run_identity, the spinor long division that genfunc printed, and binet's
+# steps that only binet_setup called (CubicRoots, BinetConstants and
+# binet_constants).
 PUBLIC_NAMES = [
-    "BinetConstants", "C", "CubicRoots", "DegenerateDelta", "DegenerateRoots",
-    "GaussScalar", "IdentityId", "Quaternion", "SeqParams", "SpinMatrix2", "Spinor",
-    "Status", "SummationCorrection", "THIRD_ORDER_JACOBSTHAL", "TRIBONACCI",
-    "UnknownPreset", "UnsupportedParams", "VerificationReport", "Witness",
-    "binet_constants", "binet_spinor", "breve", "cartan_conjugate", "companion_matrix",
-    "companion_power", "complex_conjugate", "cubic_roots", "determinant_combination_values",
-    "genfunc_numerator", "mate", "norm_forms", "preset", "qconj", "qmul", "qnorm",
-    "quat_partial_sum", "quat_u_decomposition", "qv_matrix", "qv_right_multiply",
-    "random_params", "run_identity", "run_suite",
-    "seq_slice", "seq_term", "sigma", "sigma_inv", "spinor_dot", "spinor_norm",
-    "summation_correction", "trib_quaternion", "trib_spinor",
+    "C", "DegenerateDelta", "DegenerateRoots", "GaussScalar", "IdentityId", "Quaternion",
+    "SeqParams", "SpinMatrix2", "Spinor", "Status", "SummationCorrection",
+    "THIRD_ORDER_JACOBSTHAL", "TRIBONACCI", "UnknownPreset", "UnsupportedParams",
+    "VerificationReport", "Witness", "binet_spinor", "breve", "cartan_conjugate",
+    "companion_matrix", "companion_power", "complex_conjugate", "cubic_roots",
+    "determinant_combination_values", "genfunc_numerator", "mate", "norm_forms", "preset",
+    "qconj", "qmul", "qnorm", "quat_partial_sum", "quat_u_decomposition", "qv_matrix",
+    "qv_right_multiply", "random_params", "run_identity", "run_suite", "seq_slice",
+    "seq_term", "sigma", "sigma_inv", "spinor_dot", "spinor_norm", "summation_correction",
+    "trib_quaternion", "trib_spinor",
 ]
 
 

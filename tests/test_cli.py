@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -132,10 +133,26 @@ def test_binet_json_carries_tol(capsys):
     assert abs(payload["c1"]["im"] - 7.0) < 1e-6
 
 
+REPEATED = "error: DegenerateRoots: repeated characteristic roots\n"
+CLOSE = "error: DegenerateRoots: characteristic roots closer than 1e-8 of their scale\n"
+
+
 def test_binet_degenerate_params(capsys):
-    code, _, err = run_cli(capsys, "binet", "--params", "3,-3,1,0,1,1", "-n", "2")
-    assert code == 2
-    assert "DegenerateRoots" in err
+    # (x - 1)^3
+    assert run_cli(capsys, "binet", "--params", "3,-3,1,0,1,1", "-n", "2") == (2, "", REPEATED)
+
+
+@pytest.mark.parametrize("params, message", [
+    ("3e400,-3e800,1e1200,0,1,1", REPEATED),  # (x - 10^400)^3, past float range
+    ("1e300,1,1,0,1,1", CLOSE),  # two roots of size 1e-150 beside one near 1e300
+    ("0,0,1e-300,1,1,1", CLOSE),  # three roots of size 1e-100 against the scale 1
+], ids=["repeated-past-float-range", "close-beside-a-large-root", "close-and-small"])
+def test_binet_refusal_says_what_it_found(capsys, params, message):
+    # The exact discriminant is 0 on the repeated roots alone.
+    r, s, t = map(Fraction, params.split(",")[:3])
+    disc = r**2 * s**2 + 4 * s**3 - 4 * r**3 * t - 18 * r * s * t - 27 * t**2
+    assert (disc == 0) == (message == REPEATED)
+    assert run_cli(capsys, "binet", "--params", params, "-n", "1") == (2, "", message)
 
 
 def test_genfunc_text(capsys):

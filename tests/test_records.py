@@ -13,8 +13,6 @@ from pathlib import Path
 import pytest
 
 from trispinor import (
-    BinetConstants,
-    CubicRoots,
     IdentityId,
     Quaternion,
     SeqParams,
@@ -35,10 +33,6 @@ P_REPR = ("SeqParams(r=Fraction(4, 3), s=2, t=5, v0=Fraction(3, 2), v1=-1, "
 
 RECORDS = [
     (P, P_REPR),
-    (CubicRoots(1 + 2j, -0.5j, 3.0, True),
-     "CubicRoots(alpha=(1+2j), omega1=(-0-0.5j), omega2=3.0, discriminant_ok=True)"),
-    (BinetConstants(1j, 2.5, -1 + 0j),
-     "BinetConstants(P=1j, Q=2.5, R=(-1+0j))"),
     (SummationCorrection(Fraction(22, 3), Fraction(35, 12), Quaternion(1, Fraction(1, 2), 0, -3)),
      "SummationCorrection(delta=Fraction(22, 3), lambda_=Fraction(35, 12), "
      "omega=Quaternion(1, 1/2, 0, -3))"),
@@ -90,8 +84,8 @@ def test_seq_params_coerces_on_every_route(route):
     _assert_coerced(route())
 
 
-FIRST_FIELD = {SeqParams: "r", CubicRoots: "alpha", BinetConstants: "P",
-               SummationCorrection: "delta", Witness: "n", VerificationReport: "identity"}
+FIRST_FIELD = {SeqParams: "r", SummationCorrection: "delta", Witness: "n",
+               VerificationReport: "identity"}
 
 
 @pytest.mark.parametrize("record, _", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])

@@ -5,13 +5,16 @@ cases alone, so that where two checkouts differ they name the outputs that moved
 
 The corpus is `suite --json` and `verify --json` for every identity at nmax 0,
 3, 50 and 1000, and the value subcommands (term, quaternion, spinor, binet and
-genfunc, each as text and as --json) at fixed indices, on tribonacci, third_order_jacobsthal, five rational sets and
+genfunc, each as text and as --json) at fixed indices, on tribonacci,
+third_order_jacobsthal, five rational sets, two sets with a repeated root and
 the 20 sets random_params(Random(37)) draws. The rational sets reach each
 branch of the rational term kernel: (1/2, -2/3, 3/4, 1, -1/2, 2/5), multipliers
 of period 2 (1, 1/2, 1, 1, 1, 1), of period 3 (1, 1, 1/3, 0, 1, 1) and of
 period 6 (1, 1/2, 1/3, 1, 1, 1), and (1/6, 1/6, 1/6, 1/6, 1/6, 1/6), whose base
-element 6 is composite. Each case hashes its argv, exit code, stdout and
-stderr. The CLI runs in process, through trispinor.cli.main.
+element 6 is composite. The repeated roots are binet's refusal, which exits 2 and
+skips the binet check: (3, -3, 1, 0, 1, 1), the triple root of (x - 1)^3, and
+(1, 1, -1, 0, 1, 1), the roots 1, 1 and -1, whose delta is 0 as well. Each case
+hashes its argv, exit code, stdout and stderr. The CLI runs in process, through trispinor.cli.main.
 
 tests/golden/digest.txt holds the lines of term, quaternion, spinor and
 genfunc, which print exact rationals alone, and tests/test_golden.py recomputes
@@ -36,13 +39,14 @@ VALUE_COMMANDS = [["term", "-n", "40"], ["term", "--nmax", "12"], ["quaternion",
                   ["spinor", "-n", "30"], ["binet", "-n", "10"], ["genfunc", "--order", "6"]]
 RATIONAL_SETS = ["1/2,-2/3,3/4,1,-1/2,2/5", "1,1/2,1,1,1,1", "1,1,1/3,0,1,1", "1,1/2,1/3,1,1,1",
                  "1/6,1/6,1/6,1/6,1/6,1/6"]
+REPEATED_ROOT_SETS = ["3,-3,1,0,1,1", "1,1,-1,0,1,1"]
 
 
 def corpus(identities) -> list[list[str]]:
     """Every argv of the corpus, in a fixed order."""
     rng = random.Random(37)
     sets = [["--preset", "tribonacci"], ["--preset", "third_order_jacobsthal"]]
-    sets += [["--params", values] for values in RATIONAL_SETS]
+    sets += [["--params", values] for values in RATIONAL_SETS + REPEATED_ROOT_SETS]
     sets += [["--params", ",".join(map(str, identities.random_params(rng)))]
              for _ in range(20)]
     commands = [["suite"]] + [["verify", "--identity", i.value] for i in identities.IdentityId]
