@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 from .gauss import Rational, rat
 from .sequences import SeqParams, seq_slice
@@ -16,14 +15,6 @@ from .spinors import Spinor, spinor_window
 class DegenerateRoots(ArithmeticError):
     """The characteristic cubic has (numerically) repeated roots; the
     root-based closed forms divide by root differences and are unusable."""
-
-
-class PowerSum(NamedTuple):
-    """binet_spinor's n-free part: roots x, weights w (V(n) = sum of w*x^n), columns."""
-
-    roots: tuple[complex, complex, complex]
-    weights: tuple[complex, complex, complex]
-    columns: tuple[tuple[complex, ...], ...]
 
 
 def _polish(f, df, z):
@@ -87,14 +78,18 @@ def cubic_roots(r: Rational, s: Rational, t: Rational) -> tuple[complex, complex
     if disc == 0:
         raise DegenerateRoots("repeated characteristic roots")
     roots = sorted(_solve(r, s, t, disc), key=lambda z: (z.real, z.imag), reverse=True)
+    # An absolute gap, not a relative one: x^3 - 1e-300 has roots 1e-100 apart, far
+    # for their size, but weights like 1/gap^2 that cancel to noise. Without this test,
+    # binet on seeds (1, 1, 1) reads [0; -1.457e84] at n = 0, not [1e-300 + i; 1 + i].
     scale = 1.0 + max(abs(z) for z in roots)
     if min(abs(a - b) for a, b in combinations(roots, 2)) < 1e-8 * scale:
         raise DegenerateRoots("characteristic roots closer than 1e-8 of their scale")
     return roots[0], roots[1], roots[2]
 
 
-def binet_setup(p: SeqParams) -> PowerSum:
-    """binet_spinor's n-free part for p, to pass as its third argument.
+def binet_setup(p: SeqParams) -> tuple[tuple[complex, ...], tuple[complex, ...], tuple]:
+    """binet_spinor's n-free part for p, to pass as its third argument: the tuple
+    (roots, weights, columns) of roots x, weights w (V(n) = sum of w*x^n) and columns.
 
     Root x, with y and z the other two, has the weight P / ((x - y)(x - z)),
     where P = v2 - (y + z)*v1 + y*z*v0 interpolates the seeds; the paper names
@@ -104,10 +99,10 @@ def binet_setup(p: SeqParams) -> PowerSum:
     v0, v1, v2 = float(p.v0), float(p.v1), float(p.v2)
     weights = tuple((v2 - (y + z) * v1 + y * z * v0) / ((x - y) * (x - z))
                     for x, y, z in ((a, b, c), (b, a, c), (c, a, b)))
-    return PowerSum(xs, weights, tuple((x**3 + 1j, x + 1j * x**2) for x in xs))
+    return xs, weights, tuple((x**3 + 1j, x + 1j * x**2) for x in xs)
 
 
-def binet_spinor(p: SeqParams, n: int, setup: PowerSum | None = None) -> tuple[complex, complex]:
+def binet_spinor(p: SeqParams, n: int, setup: tuple | None = None) -> tuple[complex, complex]:
     """Closed-form spinor: root x's column [x^3 + i; x + i*x^2], weighted as for V(n).
     Given setup = binet_setup(p), only the per-n step runs: a power per root, 3 products."""
     if n < 0:
@@ -130,28 +125,20 @@ def genfunc_numerator(p: SeqParams) -> tuple[Spinor, Spinor, Spinor]:
     return (a0, a1 - p.r * a0, a2 - p.r * a1 - p.s * a0)
 
 
-class GenfuncSetup(NamedTuple):
-    """genfunc_coefficient's n-free part: Q = 1 - r*x - s*x^2 - t*x^3 scaled to int
-    by d, the lcm of the denominators of r, s and t, and each of the four rational
-    component polynomials of N = genfunc_numerator(p) scaled to int by e, the lcm of N's."""
-
-    d: int
-    q: tuple[int, int, int, int]
-    e: int
-    polys: tuple[tuple[int, int, int], ...]
-
-
-def genfunc_setup(p: SeqParams) -> GenfuncSetup:
-    """genfunc_coefficient's n-free part for p."""
+def genfunc_setup(p: SeqParams) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """genfunc_coefficient's n-free part for p: the tuple (d, q, e, polys) of
+    Q = 1 - r*x - s*x^2 - t*x^3 scaled to int by d, the lcm of the denominators of
+    r, s and t, and N = genfunc_numerator(p)'s four rational component polynomials
+    scaled to int by e, the lcm of N's; coefficients lowest degree first."""
     d = math.lcm(*(c.denominator for c in p[:3]))
     q = (d, *(-c.numerator * (d // c.denominator) for c in p[:3]))
     polys = list(zip(*genfunc_numerator(p)))
     e = math.lcm(*(c.denominator for poly in polys for c in poly))
-    return GenfuncSetup(d, q, e, tuple(tuple(c.numerator * (e // c.denominator) for c in poly)
-                                       for poly in polys))
+    return d, q, e, tuple(tuple(c.numerator * (e // c.denominator) for c in poly)
+                          for poly in polys)
 
 
-def genfunc_coefficient(setup: GenfuncSetup, n: int) -> Spinor:
+def genfunc_coefficient(setup: tuple, n: int) -> Spinor:
     """The coefficient of x^n in N(x)/Q(x), from the set-up genfunc_setup(p)
     returns, in O(log n) products on int (Bostan & Mori, SOSA 2021):
     N(x)/Q(x) = N(x)Q(-x) / Q(x)Q(-x), whose denominator is even, so the

@@ -129,24 +129,17 @@ def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
                   for xyz in [tuple(zip(a, b, c)) for a, b, c in rows]])
 
 
-class USetup(NamedTuple):
-    """quat_u_decomposition's n-free part, to pass as its third argument: U's
-    parameters (u_companion), and for each m, component m of Q(2),
-    s*Q(1) + t*Q(0) and t*Q(1), read off V(0..5)."""
-
-    u: SeqParams
-    rows: tuple[tuple[Rational, Rational, Rational], ...]
-
-
-def u_setup(p: SeqParams) -> USetup:
-    """quat_u_decomposition's n-free part for p; each component coerced by rat."""
+def u_setup(p: SeqParams) -> tuple[SeqParams, tuple[tuple[Rational, Rational, Rational], ...]]:
+    """quat_u_decomposition's n-free part for p, to pass as its third argument:
+    the tuple (u, rows) of U's parameters (u_companion), and for each m, component
+    m of Q(2), s*Q(1) + t*Q(0) and t*Q(1), read off V(0..5), each coerced by rat."""
     s, t = p.s, p.t
     v = seq_slice(p, 0, 6)
     rows = tuple((v[m + 2], rat(s * v[m + 1] + t * v[m]), rat(t * v[m + 1])) for m in range(4))
-    return USetup(u_companion(p), rows)
+    return u_companion(p), rows
 
 
-def quat_u_decomposition(p: SeqParams, n: int, setup: USetup | None = None) -> Quaternion:
+def quat_u_decomposition(p: SeqParams, n: int, setup: tuple | None = None) -> Quaternion:
     """Combination Q(2)*U(n+2) + (s*Q(1) + t*Q(0))*U(n+1) + t*Q(1)*U(n), where
     U is the companion sequence seeded (0, 0, 1); equals Q(n+2). The set-up is
     u_setup(p) unless given; the step reads U(n), U(n+1) and U(n+2) at once, past

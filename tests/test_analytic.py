@@ -165,7 +165,8 @@ def test_binet_constants():
     assert checked > 60
     # Zero seeds weigh every root 0; seeds (0, 1, 1) weigh tribonacci's alpha
     # by alpha / f'(alpha), P being alpha itself.
-    assert binet_setup(SeqParams(1, 1, 1, 0, 0, 0)).weights == (0, 0, 0)
+    _, weights, _ = binet_setup(SeqParams(1, 1, 1, 0, 0, 0))
+    assert weights == (0, 0, 0)
     (alpha, _, _), (w, _, _), _ = binet_setup(TRIB)
     assert abs(w * (3 * alpha**2 - 2 * alpha - 1) - alpha) < 1e-12
     with pytest.raises(DegenerateRoots):

@@ -291,7 +291,8 @@ def test_summed_windows_keep_rats_rule(p):
     last set quat_u_decomposition(p, 1) sums Fractions to integral values."""
     v = seq_slice(p, 0, 16)
     setup = u_setup(p)
-    assert all(_is_exact_term(x) for row in setup.rows for x in row)
+    _, rows = setup
+    assert all(_is_exact_term(x) for row in rows for x in row)
     for n in range(10):
         total = sum_window(p, v, n)
         assert total == (quat_window(v, n + 2) + (1 - p.r) * quat_window(v, n + 1)

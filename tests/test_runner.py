@@ -11,11 +11,10 @@ import pytest
 from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_power, preset,
                        run_identity)
 from trispinor import identities, quaternions, sequences
-from trispinor.analytic import GenfuncSetup, binet_spinor, genfunc_setup
+from trispinor.analytic import binet_spinor, genfunc_setup
 from trispinor.cli import main
 from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, k_window, qmul,
-                                   USetup, quat_u_decomposition, summation_correction,
-                                   u_setup)
+                                   quat_u_decomposition, summation_correction, u_setup)
 from trispinor.spinors import (SpinMatrix2, Spinor, breve, complex_conjugate, mate, sigma,
                                spinor_norm, spinor_window)
 
@@ -85,13 +84,13 @@ def _shifted_u_decomposition(p, n, setup=None):
 def _shifted_u_setup(p):
     """u_setup with Q(2) off by one in its first component."""
     u, ((a, b, c), *rows) = u_setup(p)
-    return USetup(u, ((a + 1, b, c), *rows))
+    return u, ((a + 1, b, c), *rows)
 
 
 def _shifted_genfunc_setup(p):
     """genfunc_setup with N's first int component polynomial off by one at x^0."""
     d, q, e, ((a0, a1, a2), *polys) = genfunc_setup(p)
-    return GenfuncSetup(d, q, e, ((a0 + 1, a1, a2), *polys))
+    return d, q, e, ((a0 + 1, a1, a2), *polys)
 
 
 def _shifted_sum_window(p, v, n=0):
