@@ -1,9 +1,8 @@
 """Command-line front end: compute terms, quaternions and spinors, expand
 generating functions, and run the identity verification suite.
 
-Exact values are rendered as decimal rationals (strings in JSON); only the
-root-based closed forms produce floats, which binet prints with the binet
-check's one relative tolerance, identities.TOL.
+Exact values are rendered as decimal rationals (strings in JSON); only
+binet's root-based closed form produces floats.
 Each command returns its whole output, which ``main`` writes once; Python's
 int digit limit bounds it. Bad input is a ValueError, reported as one line.
 Exit codes: 0 all checks pass, 1 a verified identity failed, 2 bad input.
@@ -20,7 +19,6 @@ from itertools import islice
 from .analytic import DegenerateRoots, binet_spinor
 from .gauss import Rational
 from .identities import (
-    TOL,
     IdentityId,
     Status,
     VerificationReport,
@@ -197,9 +195,8 @@ def _cmd_binet(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:
         return render_json({
             "c1": {"re": c1.real, "im": c1.imag},
             "c2": {"re": c2.real, "im": c2.imag},
-            "tol": TOL,
         }), 0
-    return f"[{c1:.12g}; {c2:.12g}]  (tol {TOL:g})\n", 0
+    return f"[{c1:.12g}; {c2:.12g}]\n", 0
 
 
 def _cmd_genfunc(args: argparse.Namespace, p: SeqParams) -> tuple[str, int]:

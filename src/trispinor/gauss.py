@@ -124,8 +124,8 @@ def _coerce(value: object) -> GaussScalar | None:
 class GaussScalar(_Exact, fields="re im", coerce=rat):
     """Complex scalar whose real and imaginary parts are exact rationals.
 
-    Supports +, -, *, / and conjugation; equality is exact and also accepts
-    plain ints/Fractions (treated as purely real).
+    Supports +, - and *; equality is exact and also accepts plain
+    ints/Fractions (treated as purely real).
     """
 
     __slots__ = ()
@@ -147,24 +147,9 @@ class GaussScalar(_Exact, fields="re im", coerce=rat):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: GaussScalar | Rational):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        c, d = other
-        n = c * c + d * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        # Fraction(x, n), not x / n: two ints would divide to a float.
-        return GaussScalar._make([rat(Fraction(x, n)) for x in self * other.conjugate()])
-
     def conjugate(self) -> GaussScalar:
         re, im = self
         return GaussScalar._make((re, -im))
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else "-"

@@ -216,7 +216,7 @@ _MINUS_I = -I
 def norm_forms(a: Spinor) -> tuple[GaussScalar, GaussScalar, GaussScalar]:
     """The three spinor-side expressions for the quaternion norm of spinor a:
     the conjugate pairing, and the mate and cartan pairings through C, each the
-    bilinear form of its row and C @ a. C.transpose() equals -C, so pairing
+    bilinear form of its row and C @ a. C is antisymmetric, so pairing
     through C with a leading minus is the sign that makes the mate/cartan forms
     match the conjugate pairing."""
     ca = C @ a

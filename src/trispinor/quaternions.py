@@ -33,9 +33,7 @@ class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=rat):
             return qmul(self, other)
         return self._scaled(rat(other))
 
-    def __rmul__(self, k: Rational) -> Quaternion:
-        """Scaling: every component times the scalar k, coerced by rat."""
-        return self._scaled(rat(k))
+    __rmul__ = __mul__  # a rational scalar commutes
 
     def __str__(self) -> str:
         return f"({self.q0}, {self.q1}, {self.q2}, {self.q3})"

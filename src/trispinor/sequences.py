@@ -36,9 +36,6 @@ class SeqParams(_SeqFields):
     def _make(cls, iterable) -> SeqParams:
         return cls(*iterable)
 
-    def __str__(self) -> str:
-        return "(r={}, s={}, t={}; v0={}, v1={}, v2={})".format(*self)
-
 
 TRIBONACCI = SeqParams(1, 1, 1, 0, 1, 1)
 THIRD_ORDER_JACOBSTHAL = SeqParams(1, 1, 2, 0, 1, 1)

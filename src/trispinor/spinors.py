@@ -40,9 +40,6 @@ class SpinMatrix2(_GaussEntries, fields="a11 a12 a21 a22"):
         left, right = self @ Spinor._make((p, q, t, u)), self @ Spinor._make((r, s, v, w))
         return SpinMatrix2._make(left[:2] + right[:2] + left[2:] + right[2:])
 
-    def transpose(self) -> SpinMatrix2:
-        return SpinMatrix2._make(self[i] for i in (0, 1, 4, 5, 2, 3, 6, 7))
-
     def __str__(self) -> str:
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import params_id
 from trispinor import analytic
 from trispinor import (
     DegenerateRoots,
@@ -331,7 +332,7 @@ RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
 
 
 @pytest.mark.parametrize("n", [1000, 4096])
-@pytest.mark.parametrize("p", [TRIB, RATIONAL], ids=str)
+@pytest.mark.parametrize("p", [TRIB, RATIONAL], ids=params_id)
 def test_genfunc_coefficient_deep(p, n):
     assert genfunc_coefficient(genfunc_setup(p), n) == trib_spinor(p, n)
 

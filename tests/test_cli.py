@@ -124,11 +124,11 @@ def test_spinor_json(capsys):
     }
 
 
-def test_binet_json_carries_tol(capsys):
+def test_binet_json_holds_c1_and_c2_only(capsys):
     code, out, _ = run_cli(capsys, "binet", "-n", "5", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["tol"] == 1e-9
+    assert sorted(payload) == ["c1", "c2"]
     assert abs(payload["c1"]["re"] - 44.0) < 1e-6
     assert abs(payload["c1"]["im"] - 7.0) < 1e-6
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import params_id
 from trispinor import identities, sequences
 from trispinor.gauss import I
 from trispinor.quaternions import k_window, quat_window
@@ -195,7 +196,7 @@ def _no_jump(*args):
 
 @pytest.mark.parametrize("p", [SeqParams(3, -2, 5, 1, -4, 2),
                                SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
-                                         1, Fraction(-1, 2), Fraction(2, 5))], ids=str)
+                                         1, Fraction(-1, 2), Fraction(2, 5))], ids=params_id)
 def test_genfunc_reads_no_jump(monkeypatch, p):
     """genfunc's coefficients are read off the generating function by
     Bostan-Mori and its windows off the slice: neither side jumps by the

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import params_id
 from trispinor import (IdentityId, SeqParams, Status, TRIBONACCI, companion_matrix, identities,
                        run_identity, seq_slice)
 from trispinor.analytic import genfunc_coefficient
@@ -99,7 +100,7 @@ def test_the_rank_counts_a_recurrences_order():
     assert _hankel_rank(tuple(map(Fraction, fib)), 4) == 4
 
 
-@pytest.mark.parametrize("p", SETS, ids=str)
+@pytest.mark.parametrize("p", SETS, ids=params_id)
 @pytest.mark.parametrize("identity", SEQUENCE_CHECKS, ids=lambda i: i.value)
 def test_each_side_obeys_a_recurrence_of_the_declared_order(identity, p):
     order = identities._IDENTITIES[identity].order

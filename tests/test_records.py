@@ -57,10 +57,6 @@ def test_record_repr_and_str(record, text):
         assert str(record) == text
 
 
-def test_seq_params_str():
-    assert str(P) == "(r=4/3, s=2, t=5; v0=3/2, v1=-1, v2=1/4)"
-
-
 def _assert_coerced(p):
     assert p == P
     assert [type(x) for x in (p.r, p.s, p.t, p.v0, p.v1, p.v2)] == [

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import params_id
 from trispinor import (IdentityId, SeqParams, Status, THIRD_ORDER_JACOBSTHAL, TRIBONACCI,
                        binet_spinor, companion_power, identities, qv_matrix, qv_right_multiply,
                        quat_partial_sum, quat_u_decomposition, run_identity, seq_slice, sigma,
@@ -45,7 +46,7 @@ def _side(monkeypatch, identity: IdentityId, p: SeqParams, nmax: int, setup: str
     return (lambda n: getattr(d.parts[0], side)(run, n)), calls
 
 
-@pytest.mark.parametrize("p", SETS, ids=str)
+@pytest.mark.parametrize("p", SETS, ids=params_id)
 def test_u_decomposition_set_up_once_then_stepped_is_the_one_shot(monkeypatch, p):
     lhs, calls = _side(monkeypatch, IdentityId.U_DECOMPOSITION, p, 40, "u_setup")
     for n in range(41):
@@ -54,7 +55,7 @@ def test_u_decomposition_set_up_once_then_stepped_is_the_one_shot(monkeypatch, p
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("p", SETS, ids=str)
+@pytest.mark.parametrize("p", SETS, ids=params_id)
 def test_genfunc_set_up_once_then_stepped_is_the_term(monkeypatch, p):
     lhs, calls = _side(monkeypatch, IdentityId.GENFUNC_AGREEMENT, p, 40, "genfunc_setup")
     for n in [*range(41), 1000]:
@@ -63,7 +64,7 @@ def test_genfunc_set_up_once_then_stepped_is_the_term(monkeypatch, p):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("p", SETS, ids=str)
+@pytest.mark.parametrize("p", SETS, ids=params_id)
 def test_binet_set_up_once_then_stepped_gives_the_one_shot_floats(monkeypatch, p):
     lhs, calls = _side(monkeypatch, IdentityId.BINET_AGREEMENT, p, 30, "binet_setup")
     for n in range(31):
@@ -71,7 +72,7 @@ def test_binet_set_up_once_then_stepped_gives_the_one_shot_floats(monkeypatch, p
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("p", SETS, ids=str)
+@pytest.mark.parametrize("p", SETS, ids=params_id)
 def test_matrix_power_first_matrix_built_once_then_multiplied_is_the_one_shot(monkeypatch, p):
     lhs, calls = _side(monkeypatch, IdentityId.MATRIX_POWER_SHIFT, p, 40, "qv_matrix")
     for n in range(41):
@@ -81,7 +82,7 @@ def test_matrix_power_first_matrix_built_once_then_multiplied_is_the_one_shot(mo
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("p", [p for p in SETS if p.r + p.s + p.t != 1], ids=str)
+@pytest.mark.parametrize("p", [p for p in SETS if p.r + p.s + p.t != 1], ids=params_id)
 def test_summation_constant_built_once_then_added_is_the_one_shot(monkeypatch, p):
     rhs, calls = _side(monkeypatch, IdentityId.SUMMATION_CLOSED_FORM, p, 40,
                        "summation_correction", "rhs")

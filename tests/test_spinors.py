@@ -47,7 +47,6 @@ def test_gauss_arithmetic():
     assert sum([GaussScalar(1, 1), GaussScalar(2)]) == GaussScalar(3, 1)
     assert a * b == GaussScalar(Fraction(7, 2), 2)
     assert a - a == 0
-    assert (a * b) / b == a
     assert a.conjugate().conjugate() == a
     assert str(GaussScalar(-5, -1)) == "-5-1i"
     assert str(GaussScalar(2)) == "2+0i"
@@ -202,7 +201,6 @@ def test_spinor_and_matrix_operations_match_gauss_scalar_arithmetic(m, m2, s, s2
         (m @ s, Spinor(a11 * s.c1 + a12 * s.c2, a21 * s.c1 + a22 * s.c2)),
         (m @ m2, SpinMatrix2(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
                              a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)),
-        (m.transpose(), SpinMatrix2(a11, a21, a12, a22)),
         (complex_conjugate(s), Spinor(s.c1.conjugate(), s.c2.conjugate())),
         (spinor_dot(s, s2), s.c1 * s2.c1 + s.c2 * s2.c2),
     ]
@@ -216,7 +214,7 @@ def test_spinor_and_matrix_operations_match_gauss_scalar_arithmetic(m, m2, s, s2
     for got, want in cases[:2]:
         assert [type(x) for x in tuple(got)] == [type(x) for x in tuple(want)]
     # Scaling keeps rat's rule: each rational of the result is an int when integral.
-    for got, _ in cases[5:]:
+    for got, _ in cases[4:]:
         assert all(type(x) is int or x.denominator > 1 for x in tuple(got))
 
 
@@ -241,7 +239,8 @@ def test_products_and_images_build_no_gauss_scalar(monkeypatch):
 def test_c_matrix_squares_to_minus_identity():
     minus_id = SpinMatrix2(GaussScalar(-1), GaussScalar(0), GaussScalar(0), GaussScalar(-1))
     assert C @ C == minus_id
-    assert C.transpose() == -C
+    # Antisymmetric: C transposed is -C.
+    assert SpinMatrix2(C.a11, C.a21, C.a12, C.a22) == -C
 
 
 # ---------------------------------------------------------------- norms
@@ -255,7 +254,7 @@ def test_spinor_norm_values():
 @given(s=spinors)
 def test_norm_forms_agree_for_all_spinors(s):
     norm = spinor_norm(s)
-    assert norm.is_real and norm.re >= 0
+    assert norm.im == 0 and norm.re >= 0
     assert -spinor_dot(mate(s), C @ s) == norm
     assert (-I) * spinor_dot(cartan_conjugate(s), C @ s) == norm
 

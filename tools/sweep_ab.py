@@ -1,18 +1,18 @@
-"""Time the ten parameter-dependent checks of two checkouts side by side, in one
-process, on param-sweep's distribution: seeded integer sets in [-5, 5]^6 at
-nmax 60, drawn by random_params. Two runs of one checkout can differ by a third
-on a busy host; pairing the two checkouts set by set cancels that.
+"""Time the eleven checks of two checkouts side by side, in one process, on
+param-sweep's distribution: seeded integer sets in [-5, 5]^6 at nmax 60, drawn
+by random_params. Two runs of one checkout can differ by a third on a busy
+host; pairing the two checkouts set by set cancels that.
 
 The package of OTHER/src (the base) and this checkout's (the change) are copied
 under their own names (trispinor_base, trispinor_change) into a temporary
 directory, and both are imported. On each of 300 sets both sides run, through
-run_identity, every check but triple_product that both define; which side runs
-first alternates from set to set. For each check, and for all of them together,
-it prints the time on both sides over the 300 sets and the ratio of those sums,
-then the median and quartiles over sets of the paired per-set ratio (that
-check's change over base time on each set). A ratio of sums follows the few
-sets the host slowed most; the paired median does not, so it is the column to
-read. It times, and compares no reports: tools/output_digest.py does that.
+run_identity, every check that both define; which side runs first alternates
+from set to set. For each check, and for all of them together, it prints the
+time on both sides over the 300 sets and the ratio of those sums, then the
+median and quartiles over sets of the paired per-set ratio (that check's change
+over base time on each set). A ratio of sums follows the few sets the host
+slowed most; the paired median does not, so it is the column to read. It times,
+and compares no reports: tools/output_digest.py does that.
 
     python tools/sweep_ab.py --base OTHER/src            # seed 1
     python tools/sweep_ab.py --base OTHER/src --seed 7
@@ -52,8 +52,7 @@ def main() -> int:
                    "change": load(Path(__file__).resolve().parents[1] / "src", "trispinor_change",
                                   Path(tmp))}
         base_checks = {i.value for i in modules["base"].IdentityId}
-        checks = [i.value for i in modules["change"].IdentityId
-                  if i.value in base_checks and i.value != "triple_product"]
+        checks = [i.value for i in modules["change"].IdentityId if i.value in base_checks]
         ids = {side: [m.IdentityId(c) for c in checks] for side, m in modules.items()}
         times = {side: {check: [] for check in checks} for side in SIDES}  # per set
         rng = random.Random(args.seed)
