@@ -24,7 +24,6 @@ from .identities import (
 from .quaternions import (
     DegenerateDelta,
     Quaternion,
-    SummationCorrection,
     qconj,
     qmul,
     qnorm,

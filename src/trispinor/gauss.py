@@ -121,7 +121,7 @@ def _coerce(value: object) -> GaussScalar | None:
     return None
 
 
-class GaussScalar(_Exact, fields="re im", coerce=rat):
+class GaussScalar(_Exact, fields="re im"):
     """Complex scalar whose real and imaginary parts are exact rationals.
 
     Supports +, - and *; equality is exact and also accepts plain

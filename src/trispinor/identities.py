@@ -283,7 +283,7 @@ def _summation_lhs(c: _Run, n: int) -> Spinor:
 
 def _summation_rhs(c: _Run, n: int) -> Spinor:
     return sigma(sum_window(c.p, c.v, n)) + _once(
-        c, "derived", lambda: sigma(summation_correction(c.p).omega))
+        c, "derived", lambda: sigma(summation_correction(c.p)))
 
 
 def _summation_claim(c: _Run, passed: bool) -> tuple[str, str]:

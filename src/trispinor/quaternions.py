@@ -4,7 +4,7 @@ consecutive terms of a third-order recurrence."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .gauss import Rational, _Exact, rat
 from .sequences import Matrix3, SeqParams, seq_slice, u_companion
@@ -37,9 +37,6 @@ class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=rat):
 
     def __str__(self) -> str:
         return f"({self.q0}, {self.q1}, {self.q2}, {self.q3})"
-
-
-ONE = Quaternion(1, 0, 0, 0)
 
 
 def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
@@ -96,19 +93,15 @@ def trib_quaternion(p: SeqParams, n: int) -> Quaternion:
 QvRows = tuple[tuple[Quaternion, Quaternion, Quaternion], ...]
 
 
-def qv_window(p: SeqParams, v: Sequence[Rational]) -> QvRows:
-    """Rows of the window matrix, with the window quaternions read off a list
-    of terms as Q(m) = quat_window(v, m). Row i is (Q(4-i), s*Q(3-i) + t*Q(2-i),
-    t*Q(3-i)); on seq_slice(p, n, 8) it is the matrix with shift n."""
+def qv_matrix(p: SeqParams, shift: int = 0) -> QvRows:
+    """Rows of the window matrix with the given shift n, the window quaternions
+    read off seq_slice(p, n, 8) as Q(n+m) = quat_window(v, m). Row i is
+    (Q(n+4-i), s*Q(n+3-i) + t*Q(n+2-i), t*Q(n+3-i))."""
+    v = seq_slice(p, shift, 8)
     return tuple(
         (quat_window(v, 4 - i), k_window(p, v, 2 - i), p.t * quat_window(v, 3 - i))
         for i in range(3)
     )
-
-
-def qv_matrix(p: SeqParams, shift: int = 0) -> QvRows:
-    """Rows of the window matrix with the given shift."""
-    return qv_window(p, seq_slice(p, shift, 8))
 
 
 def qv_right_multiply(rows: QvRows, m: Matrix3) -> QvRows:
@@ -148,35 +141,23 @@ def quat_u_decomposition(p: SeqParams, n: int, setup: tuple | None = None) -> Qu
     return Quaternion._make([rat(u2 * a + u1 * b + u0 * c) for a, b, c in rows])
 
 
-class SummationCorrection(NamedTuple):
-    """Constants of the closed-form partial sum:
-
-    delta = r + s + t - 1,
-    lambda = (r + s - 1)*v0 + (r - 1)*v1 - v2,
-    omega  = quaternion of lambda shifted by running seed sums.
-    """
-
-    delta: Rational
-    lambda_: Rational
-    omega: Quaternion
-
-
-def summation_correction(p: SeqParams) -> SummationCorrection:
+def summation_correction(p: SeqParams) -> Quaternion:
+    """Constant omega of the closed-form partial sum: lambda = (r + s - 1)*v0 +
+    (r - 1)*v1 - v2, less running seed sums times delta = r + s + t - 1."""
     delta = p.r + p.s + p.t - 1
     lambda_ = (p.r + p.s - 1) * p.v0 + (p.r - 1) * p.v1 - p.v2
-    omega = Quaternion(
+    return Quaternion(
         lambda_,
         lambda_ - delta * p.v0,
         lambda_ - delta * (p.v0 + p.v1),
         lambda_ - delta * (p.v0 + p.v1 + p.v2),
     )
-    return SummationCorrection(delta, lambda_, omega)
 
 
 def quat_partial_sum(p: SeqParams, n: int) -> Quaternion:
     """Closed form of Q(0) + ... + Q(n); requires delta = r + s + t - 1 != 0."""
-    corr = summation_correction(p)
-    if corr.delta == 0:
+    delta = p.r + p.s + p.t - 1
+    if delta == 0:
         raise DegenerateDelta()
-    total = sum_window(p, seq_slice(p, n, 6)) + corr.omega
-    return Quaternion(*(Fraction(x) / corr.delta for x in total))
+    total = sum_window(p, seq_slice(p, n, 6)) + summation_correction(p)
+    return Quaternion(*(Fraction(x) / delta for x in total))

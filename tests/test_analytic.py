@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import params_id
+from conftest import RATIONAL, params_id
 from trispinor import analytic
 from trispinor import (
     DegenerateRoots,
@@ -325,10 +325,6 @@ def test_genfunc_coefficient_equals_the_long_division(values):
     assert product == [*genfunc_numerator(p), *[zero] * 67]
     v = seq_slice(p, 0, 73)
     assert list(map(str, coefficients)) == [str(spinor_window(v, k)) for k in range(70)]
-
-
-RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
-                     1, Fraction(-1, 2), Fraction(2, 5))
 
 
 @pytest.mark.parametrize("n", [1000, 4096])

@@ -1,35 +1,36 @@
 """The package's public API: the names `from trispinor import *` binds, the
-exported operations a suite run never reaches, and the functions of `src/` that
-no suite or CLI run calls."""
+exported operations a suite run never reaches, the functions of `src/` that
+no suite or CLI run calls, and the module-level names of `src/` that nothing reads."""
 
+import ast
 import inspect
 import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
+from conftest import RATIONAL
 import trispinor
 from trispinor import THIRD_ORDER_JACOBSTHAL, TRIBONACCI, SeqParams, run_suite
 
 # The 67 names the package exported when __all__ was still written out by hand,
 # less the four wrappers no caller used (bilinear_form, binet_number,
 # binet_quaternion and k_quaternion), the eleven verify_* wrappers of
-# run_identity, the spinor long division that genfunc printed, and binet's
-# steps that only binet_setup called (CubicRoots, BinetConstants and
-# binet_constants).
+# run_identity, the spinor long division that genfunc printed, binet's steps
+# that only binet_setup called (CubicRoots, BinetConstants and
+# binet_constants), and SummationCorrection, the record whose omega
+# summation_correction now returns alone.
 PUBLIC_NAMES = [
     "C", "DegenerateDelta", "DegenerateRoots", "GaussScalar", "IdentityId", "Quaternion",
-    "SeqParams", "SpinMatrix2", "Spinor", "Status", "SummationCorrection",
-    "THIRD_ORDER_JACOBSTHAL", "TRIBONACCI", "UnknownPreset", "UnsupportedParams",
-    "VerificationReport", "Witness", "binet_spinor", "breve", "cartan_conjugate",
-    "companion_matrix", "companion_power", "complex_conjugate", "cubic_roots",
-    "determinant_combination_values", "genfunc_numerator", "mate", "norm_forms", "preset",
-    "qconj", "qmul", "qnorm", "quat_partial_sum", "quat_u_decomposition", "qv_matrix",
-    "qv_right_multiply", "random_params", "run_identity", "run_suite", "seq_slice",
-    "seq_term", "sigma", "sigma_inv", "spinor_dot", "spinor_norm", "summation_correction",
-    "trib_quaternion", "trib_spinor",
+    "SeqParams", "SpinMatrix2", "Spinor", "Status", "THIRD_ORDER_JACOBSTHAL", "TRIBONACCI",
+    "UnknownPreset", "UnsupportedParams", "VerificationReport", "Witness", "binet_spinor",
+    "breve", "cartan_conjugate", "companion_matrix", "companion_power", "complex_conjugate",
+    "cubic_roots", "determinant_combination_values", "genfunc_numerator", "mate", "norm_forms",
+    "preset", "qconj", "qmul", "qnorm", "quat_partial_sum", "quat_u_decomposition",
+    "qv_matrix", "qv_right_multiply", "random_params", "run_identity", "run_suite",
+    "seq_slice", "seq_term", "sigma", "sigma_inv", "spinor_dot", "spinor_norm",
+    "summation_correction", "trib_quaternion", "trib_spinor",
 ]
 
 
@@ -67,9 +68,7 @@ def test_a_suite_run_reaches_every_exported_operation_but_the_listed_ones():
         if event == "call" and frame.f_code in operations:
             reached.add(operations[frame.f_code])
 
-    sets = [TRIBONACCI, THIRD_ORDER_JACOBSTHAL, SeqParams(3, -2, 5, 1, -4, 2),
-            SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), 1, Fraction(-1, 2),
-                      Fraction(2, 5))]
+    sets = [TRIBONACCI, THIRD_ORDER_JACOBSTHAL, SeqParams(3, -2, 5, 1, -4, 2), RATIONAL]
     sys.setprofile(trace)
     try:
         for p in sets:
@@ -165,3 +164,32 @@ def test_every_function_is_reached_or_named():
     assert defined > 100
     assert unreached == sorted(NAMED)
     assert all(NAMED.values())
+
+
+def test_every_module_name_is_read_or_exported():
+    """Every def, class and assignment at the top of a module of src/trispinor
+    (dunder names aside) is loaded somewhere in src/, by name, as an attribute
+    or by an import, or is exported."""
+    bound, read = [], set()
+    for path in sorted(Path(trispinor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            bound += [f"{path.stem}.{name}" for name in names
+                      if not (name.startswith("__") and name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    kept = read | set(trispinor.__all__)
+    assert len(bound) > 100
+    assert [name for name in bound if name.partition(".")[2] not in kept] == []

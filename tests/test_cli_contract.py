@@ -11,13 +11,13 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import RATIONAL
 from trispinor import TRIBONACCI, IdentityId, SeqParams, Status, cli, identities
 from trispinor.cli import MAX_CHECK_NMAX, MAX_OPERAND_BITS, MAX_TERMS, main
 from trispinor.identities import read_terms
@@ -271,8 +271,6 @@ def _reads(monkeypatch, argv):
 
 
 _NMAXES = [0, 2, 3, 29, 30, 31, 50, 1000]
-RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
-                     1, Fraction(-1, 2), Fraction(2, 5))
 
 
 @pytest.mark.parametrize("nmax", _NMAXES)

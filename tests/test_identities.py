@@ -35,7 +35,6 @@ from trispinor import (
     run_suite,
     seq_slice,
     sigma,
-    summation_correction,
     trib_spinor,
 )
 
@@ -288,7 +287,7 @@ def test_summation_report_tribonacci():
 
 def test_summation_single_term_spot_value():
     # delta * (sum of the single spinor at n=0) for the tribonacci preset.
-    delta = summation_correction(TRIB).delta
+    delta = TRIB.r + TRIB.s + TRIB.t - 1
     assert delta * trib_spinor(TRIB, 0) == Spinor(GaussScalar(4, 0), GaussScalar(2, 2))
 
 

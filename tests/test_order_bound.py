@@ -16,17 +16,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import params_id
+from conftest import ONE, RATIONAL, params_id
 from trispinor import (IdentityId, SeqParams, Status, TRIBONACCI, companion_matrix, identities,
                        run_identity, seq_slice)
 from trispinor.analytic import genfunc_coefficient
-from trispinor.quaternions import (ONE, quat_u_decomposition, qv_right_multiply, qv_window,
+from trispinor.quaternions import (quat_u_decomposition, qv_matrix, qv_right_multiply,
                                    sum_window)
 from trispinor.spinors import Spinor
 
 DEPTH = 60
-RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
-                     1, Fraction(-1, 2), Fraction(2, 5))
 SETS = [TRIBONACCI, SeqParams(3, -2, 5, 1, -4, 2), RATIONAL,
         SeqParams(Fraction(-4, 3), Fraction(5, 2), Fraction(1, 3), Fraction(2, 3), -1, 3)]
 SEQUENCE_CHECKS = [IdentityId.SPINOR_RECURRENCE, IdentityId.GENFUNC_AGREEMENT,
@@ -164,7 +162,7 @@ def _per_n_statuses(p: SeqParams, nmax: int) -> dict[IdentityId, tuple]:
         if identity is IdentityId.MATRIX_POWER_SHIFT:
             lhs = [tuple(itertools.chain(*m)) for m in itertools.accumulate(
                 [companion_matrix(p)] * nmax, qv_right_multiply,
-                initial=qv_window(p, seq_slice(p, 0, 8)))]
+                initial=qv_matrix(p))]
         status = Status.EXACT_PASS if lhs == rhs else Status.FAIL
         clause = None
         if identity is IdentityId.SUMMATION_CLOSED_FORM:
@@ -172,7 +170,7 @@ def _per_n_statuses(p: SeqParams, nmax: int) -> dict[IdentityId, tuple]:
             stated = identities.spinor_window(
                 [identities.rat((p.r + p.s) * v[j] + (p.r - 1) * v[j + 1] - v[j + 2])
                  for j in range(4)])
-            derived = identities.sigma(identities.summation_correction(p).omega)
+            derived = identities.sigma(identities.summation_correction(p))
             miss = next((n for n, (a, b) in enumerate(zip(lhs, rhs)) if a != b - derived + stated),
                         None)
             clause = (f"seed-window constant {stated}: also exact" if miss is None

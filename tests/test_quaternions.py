@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import ONE
 from trispinor import (
     DegenerateDelta,
     Quaternion,
@@ -28,7 +29,6 @@ from trispinor.spinors import spinor_window
 
 TRIB = preset("tribonacci")
 
-ONE = Quaternion(1, 0, 0, 0)
 E1 = Quaternion(0, 1, 0, 0)
 E2 = Quaternion(0, 0, 1, 0)
 E3 = Quaternion(0, 0, 0, 1)
@@ -159,24 +159,25 @@ def test_u_decomposition_matches_window():
             assert quat_u_decomposition(p, n) == trib_quaternion(p, n + 2)
 
 
+# omega = (lambda, lambda - delta*v0, lambda - delta*(v0 + v1), lambda - delta*(v0 + v1 + v2)).
 def test_summation_correction_tribonacci():
-    corr = summation_correction(TRIB)
-    assert corr.delta == 2
-    assert corr.lambda_ == -1
-    assert corr.omega == Quaternion(-1, -1, -3, -5)
+    omega = summation_correction(TRIB)
+    assert omega.q0 == -1  # lambda
+    assert omega.q1 - omega.q2 == 2 * TRIB.v1  # delta = 2
+    assert omega == Quaternion(-1, -1, -3, -5)
 
 
 def test_summation_correction_zero_seeds():
-    corr = summation_correction(SeqParams(1, 1, 1, 0, 0, 0))
-    assert corr.lambda_ == 0
-    assert corr.omega == Quaternion(0, 0, 0, 0)
+    omega = summation_correction(SeqParams(1, 1, 1, 0, 0, 0))
+    assert omega.q0 == 0  # lambda
+    assert omega == Quaternion(0, 0, 0, 0)
 
 
 def test_summation_correction_degenerate_delta_params():
+    # delta = 0, so every component is lambda.
     p = SeqParams(1, 0, 0, 1, 0, 0)
-    corr = summation_correction(p)
-    assert corr.delta == 0
-    assert corr.lambda_ == (p.r + p.s - 1) * p.v0 + (p.r - 1) * p.v1 - p.v2
+    lambda_ = (p.r + p.s - 1) * p.v0 + (p.r - 1) * p.v1 - p.v2
+    assert tuple(summation_correction(p)) == (lambda_,) * 4
 
 
 def test_partial_sum_examples():

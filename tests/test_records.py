@@ -14,10 +14,8 @@ import pytest
 
 from trispinor import (
     IdentityId,
-    Quaternion,
     SeqParams,
     Status,
-    SummationCorrection,
     VerificationReport,
     Witness,
     preset,
@@ -33,9 +31,6 @@ P_REPR = ("SeqParams(r=Fraction(4, 3), s=2, t=5, v0=Fraction(3, 2), v1=-1, "
 
 RECORDS = [
     (P, P_REPR),
-    (SummationCorrection(Fraction(22, 3), Fraction(35, 12), Quaternion(1, Fraction(1, 2), 0, -3)),
-     "SummationCorrection(delta=Fraction(22, 3), lambda_=Fraction(35, 12), "
-     "omega=Quaternion(1, 1/2, 0, -3))"),
     (Witness(3, "[1+0i; 2-1i]", "x"),
      "Witness(n=3, lhs='[1+0i; 2-1i]', rhs='x')"),
     (VerificationReport(IdentityId.SUMMATION_CLOSED_FORM, P, (0, 3), Status.EXACT_PASS),
@@ -80,8 +75,7 @@ def test_seq_params_coerces_on_every_route(route):
     _assert_coerced(route())
 
 
-FIRST_FIELD = {SeqParams: "r", SummationCorrection: "delta", Witness: "n",
-               VerificationReport: "identity"}
+FIRST_FIELD = {SeqParams: "r", Witness: "n", VerificationReport: "identity"}
 
 
 @pytest.mark.parametrize("record, _", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])

@@ -8,20 +8,19 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ONE, RATIONAL
 from trispinor import (GaussScalar, IdentityId, SeqParams, Status, companion_power, preset,
                        run_identity)
 from trispinor import identities, quaternions, sequences
 from trispinor.analytic import binet_spinor, genfunc_setup
 from trispinor.cli import main
-from trispinor.quaternions import (ONE, Quaternion, SummationCorrection, k_window, qmul,
-                                   quat_u_decomposition, summation_correction, u_setup)
+from trispinor.quaternions import (Quaternion, k_window, qmul, quat_u_decomposition,
+                                   summation_correction, u_setup)
 from trispinor.spinors import (SpinMatrix2, Spinor, breve, complex_conjugate, mate, sigma,
                                spinor_norm, spinor_window)
 
 TRIB = preset("tribonacci")
 HUGE_R = SeqParams(10**400, 1, 1, 0, 1, 1)
-RATIONAL = SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
-                     1, Fraction(-1, 2), Fraction(2, 5))
 
 
 def _negated_mate(s):
@@ -57,8 +56,7 @@ def _floored_qmul(a, b):
 
 
 def _shifted_omega(p):
-    c = summation_correction(p)
-    return SummationCorrection(c.delta, c.lambda_, c.omega + ONE)
+    return summation_correction(p) + ONE
 
 
 def _scaled_binet(p, n, setup=None):

@@ -15,7 +15,7 @@ from conftest import params_id
 from trispinor import (IdentityId, SeqParams, Status, THIRD_ORDER_JACOBSTHAL, TRIBONACCI,
                        binet_spinor, companion_power, identities, qv_matrix, qv_right_multiply,
                        quat_partial_sum, quat_u_decomposition, run_identity, seq_slice, sigma,
-                       summation_correction, trib_spinor)
+                       trib_spinor)
 from trispinor.spinors import Spinor, spinor_window
 
 # The rational sets of tools/output_digest.py: multipliers of period 1, 2, 3
@@ -86,7 +86,7 @@ def test_matrix_power_first_matrix_built_once_then_multiplied_is_the_one_shot(mo
 def test_summation_constant_built_once_then_added_is_the_one_shot(monkeypatch, p):
     rhs, calls = _side(monkeypatch, IdentityId.SUMMATION_CLOSED_FORM, p, 40,
                        "summation_correction", "rhs")
-    delta = summation_correction(p).delta
+    delta = p.r + p.s + p.t - 1
     for n in range(41):
         got, want = rhs(n), delta * sigma(quat_partial_sum(p, n))
         assert (got, str(got)) == (want, str(want)), n

@@ -1,18 +1,22 @@
-"""Time the eleven checks of two checkouts side by side, in one process, on
-param-sweep's distribution: seeded integer sets in [-5, 5]^6 at nmax 60, drawn
-by random_params. Two runs of one checkout can differ by a third on a busy
-host; pairing the two checkouts set by set cancels that.
+"""Time the eleven checks of two checkouts side by side, in one process, at
+nmax 60 on two seeded draws: param-sweep's integer sets in [-5, 5]^6, drawn by
+random_params, then rational sets with numerators in [-5, 5] and denominators
+1-3, the rule of tests/test_identities.py's SWEEP_RATIONAL. Two runs of one
+checkout can differ by a third on a busy host; pairing the two checkouts set by
+set cancels that.
 
 The package of OTHER/src (the base) and this checkout's (the change) are copied
 under their own names (trispinor_base, trispinor_change) into a temporary
-directory, and both are imported. On each of 300 sets both sides run, through
-run_identity, every check that both define; which side runs first alternates
-from set to set. For each check, and for all of them together, it prints the
-time on both sides over the 300 sets and the ratio of those sums, then the
-median and quartiles over sets of the paired per-set ratio (that check's change
-over base time on each set). A ratio of sums follows the few sets the host
-slowed most; the paired median does not, so it is the column to read. It times,
-and compares no reports: tools/output_digest.py does that.
+directory, and both are imported. On each of 300 sets of a draw both sides
+run, through run_identity, every check that both define; which side runs first
+alternates from set to set. One table per draw gives, for each check, for the
+ten that read the set (`ten`: all but the parameter-free triple_product, most
+of an integer set's time) and for all of them (`all`), the time on both sides
+over the 300 sets and the ratio of those sums, then the median and quartiles
+over sets of the paired per-set ratio (that row's change over base time on each
+set). A ratio of sums follows the few sets the host slowed most; the paired
+median does not, so it is the column to read. It times, and compares no
+reports: tools/output_digest.py does that.
 
     python tools/sweep_ab.py --base OTHER/src            # seed 1
     python tools/sweep_ab.py --base OTHER/src --seed 7
@@ -26,17 +30,50 @@ import statistics
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 NMAX = 60
 SETS = 300
 SIDES = ("base", "change")
+PARAMETER_FREE = "triple_product"  # reads no set; the other ten checks read it
 
 
 def load(src: Path, name: str, into: Path):
     """The identities module of the package under src, imported as name."""
     shutil.copytree(src / "trispinor", into / name, ignore=shutil.ignore_patterns("__pycache__"))
     return importlib.import_module(f"{name}.identities")
+
+
+def sweep(modules: dict, checks: list[str], sets: list[tuple]) -> dict:
+    """Per side and check, the run_identity time on each set."""
+    ids = {side: [m.IdentityId(c) for c in checks] for side, m in modules.items()}
+    times = {side: {check: [] for check in checks} for side in SIDES}
+    for k, values in enumerate([sets[0], *sets]):  # the first run warms up, uncounted
+        for side in SIDES if k % 2 else SIDES[::-1]:
+            m = modules[side]
+            p = m.SeqParams(*values)
+            for check, identity in zip(checks, ids[side]):
+                start = time.perf_counter()
+                m.run_identity(identity, p, nmax=NMAX)
+                if k:
+                    times[side][check].append(time.perf_counter() - start)
+    ten = [c for c in checks if c != PARAMETER_FREE]
+    for per_check in times.values():
+        for row, summed in (("ten", ten), ("all", checks)):
+            per_check[row] = [sum(t) for t in zip(*(per_check[c] for c in summed))]
+    return times
+
+
+def table(title: str, times: dict) -> None:
+    print(title)
+    print(f"{'check':16}{'base':>10}{'change':>10}{'ratio':>8}{'paired median':>15}"
+          f"{'quartiles':>15}")
+    for check in times["change"]:
+        base, change = (times[side][check] for side in SIDES)
+        q1, median, q3 = statistics.quantiles([c / b for b, c in zip(base, change)], n=4)
+        print(f"{check:16}{sum(base) / SETS * 1e6:10.1f}{sum(change) / SETS * 1e6:10.1f}"
+              f"{sum(change) / sum(base):8.3f}{median:15.3f}{q1:9.3f}-{q3:.3f}")
 
 
 def main() -> int:
@@ -53,29 +90,15 @@ def main() -> int:
                                   Path(tmp))}
         base_checks = {i.value for i in modules["base"].IdentityId}
         checks = [i.value for i in modules["change"].IdentityId if i.value in base_checks]
-        ids = {side: [m.IdentityId(c) for c in checks] for side, m in modules.items()}
-        times = {side: {check: [] for check in checks} for side in SIDES}  # per set
         rng = random.Random(args.seed)
-        sets = [tuple(modules["change"].random_params(rng)) for _ in range(SETS)]
-        for k, values in enumerate([sets[0], *sets]):  # the first run warms up, uncounted
-            for side in SIDES if k % 2 else SIDES[::-1]:
-                m = modules[side]
-                p = m.SeqParams(*values)
-                for check, identity in zip(checks, ids[side]):
-                    start = time.perf_counter()
-                    m.run_identity(identity, p, nmax=NMAX)
-                    if k:
-                        times[side][check].append(time.perf_counter() - start)
-    for side in SIDES:
-        times[side]["all"] = [sum(per_set) for per_set in zip(*times[side].values())]
-    print(f"{SETS} sets, seed {args.seed}, nmax {NMAX}: µs per set, change / base")
-    print(f"{'check':16}{'base':>10}{'change':>10}{'ratio':>8}{'paired median':>15}"
-          f"{'quartiles':>15}")
-    for check in [*checks, "all"]:
-        base, change = (times[side][check] for side in SIDES)
-        q1, median, q3 = statistics.quantiles([c / b for b, c in zip(base, change)], n=4)
-        print(f"{check:16}{sum(base) / SETS * 1e6:10.1f}{sum(change) / SETS * 1e6:10.1f}"
-              f"{sum(change) / sum(base):8.3f}{median:15.3f}{q1:9.3f}-{q3:.3f}")
+        integer = [tuple(modules["change"].random_params(rng)) for _ in range(SETS)]
+        rng = random.Random(args.seed)
+        rational = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6))
+                    for _ in range(SETS)]
+        for draw, sets in [("integer sets in [-5, 5]^6", integer),
+                           ("rational sets, numerators in [-5, 5], denominators 1-3", rational)]:
+            table(f"{SETS} {draw}, seed {args.seed}, nmax {NMAX}: µs per set, change / base",
+                  sweep(modules, checks, sets))
     return 0
 
 
