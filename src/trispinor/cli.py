@@ -282,7 +282,3 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,15 +22,13 @@ class DegenerateDelta(ArithmeticError):
 class Quaternion(_Exact, fields="q0 q1 q2 q3", coerce=rat):
     """Quaternion with exact rational components over the basis e0, e1, e2, e3.
 
-    ``*`` is the Hamilton product when both operands are quaternions and
-    componentwise scaling when one operand is a rational scalar.
+    ``*`` scales every component by a rational scalar, which rat coerces;
+    the Hamilton product of two quaternions is `qmul`.
     """
 
     __slots__ = ()
 
-    def __mul__(self, other: Quaternion | Rational) -> Quaternion:
-        if isinstance(other, Quaternion):
-            return qmul(self, other)
+    def __mul__(self, other: Rational) -> Quaternion:
         return self._scaled(rat(other))
 
     __rmul__ = __mul__  # a rational scalar commutes

@@ -1,6 +1,7 @@
 """The package's public API: the names `from trispinor import *` binds, the
-exported operations a suite run never reaches, the functions of `src/` that
-no suite or CLI run calls, and the module-level names of `src/` that nothing reads."""
+exported operations a suite run never reaches, the functions and statements of
+`src/` that no suite or CLI run reaches, and the module-level names of `src/`
+that nothing reads."""
 
 import ast
 import inspect
@@ -10,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import RATIONAL
+from conftest import RATIONAL, output_digest
 import trispinor
 from trispinor import THIRD_ORDER_JACOBSTHAL, TRIBONACCI, SeqParams, run_suite
 
@@ -78,21 +79,40 @@ def test_a_suite_run_reaches_every_exported_operation_but_the_listed_ones():
     assert sorted(set(operations.values()) - reached) == UNREACHED
 
 
-# A fresh interpreter profiles every call from before `import trispinor` on, so
-# calls made at import count, through a fixed corpus: the suite at nmax 40 on the
-# four sets above, and every CLI subcommand, as text and as --json, on an integer
-# set, a rational set and the set whose binet check FAILs by float noise (its
-# verify and suite exit 1). It prints the exit codes, then every module
-# function, class-body function, staticmethod, classmethod and property getter
-# defined in src/trispinor whose code never ran.
+# A fresh interpreter traces every call, and every line of src/trispinor, from
+# before `import trispinor` on, so what runs at import counts, through a fixed
+# corpus: the suite at nmax 40 on the four sets above and on output_digest's
+# BRANCH_SETS; every CLI subcommand, as text and as --json, on an integer set, a
+# rational set and the set whose binet check FAILs by float noise (its verify
+# and suite exit 1); then term -n 50 on ALL_ONES_SET, suite with the noisy set
+# not joined to --params, and verify determinant below its order. It prints the
+# exit codes, the number of functions defined, every module function,
+# class-body function, staticmethod, classmethod and property getter defined in
+# src/trispinor whose code never ran, and for each module the lines that ran.
 REACH_SCRIPT = """
 import sys
+from importlib.util import find_spec
 from types import FunctionType
 
-called = set()
-sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+root = find_spec("trispinor").submodule_search_locations[0]
+called, ran = set(), set()
+
+
+def lines(frame, event, arg):
+    if event == "line":
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
+    return lines
+
+
+def calls(frame, event, arg):
+    called.add(frame.f_code)
+    return lines if frame.f_code.co_filename.startswith(root) else None
+
+
+sys.settrace(calls)
 import contextlib, importlib, io, json, pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import trispinor
 for info in pkgutil.iter_modules(trispinor.__path__):
@@ -100,22 +120,28 @@ for info in pkgutil.iter_modules(trispinor.__path__):
 from trispinor import THIRD_ORDER_JACOBSTHAL, TRIBONACCI, SeqParams, run_suite
 from trispinor.cli import main
 
+branch_sets, all_ones = json.loads(sys.argv[1])
 for p in [TRIBONACCI, THIRD_ORDER_JACOBSTHAL, SeqParams(3, -2, 5, 1, -4, 2),
           SeqParams(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), 1, Fraction(-1, 2),
-                    Fraction(2, 5))]:
+                    Fraction(2, 5)),
+          *(SeqParams(*map(Fraction, values.split(","))) for values in branch_sets)]:
     run_suite(p, nmax=40)
+noisy = "-1,-2,4,3,2,5"
+runs = [[*command, params, *form]
+        for params in ["--preset=tribonacci", "--params=1/2,-2/3,3/4,1,-1/2,2/5",
+                       f"--params={noisy}"]
+        for command in [["term", "-n", "8"], ["term", "--nmax", "8"], ["quaternion", "-n", "8"],
+                        ["spinor", "-n", "8"], ["binet", "-n", "8"], ["genfunc"],
+                        ["verify", "--identity", "binet"], ["suite"]]
+        for form in [[], ["--json"]]]
+runs += [["term", "-n", "50", f"--params={all_ones}"], ["suite", "--params", noisy],
+         ["verify", "--identity", "determinant", "--nmax", "5"]]
 codes = []
-for params in ["--preset=tribonacci", "--params=1/2,-2/3,3/4,1,-1/2,2/5",
-               "--params=-1,-2,4,3,2,5"]:
-    for command in [["term", "-n", "8"], ["term", "--nmax", "8"], ["quaternion", "-n", "8"],
-                    ["spinor", "-n", "8"], ["binet", "-n", "8"], ["genfunc"],
-                    ["verify", "--identity", "binet"], ["suite"]]:
-        for form in [[], ["--json"]]:
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(main([*command, params, *form]))
-sys.setprofile(None)
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+sys.settrace(None)
 
-root = trispinor.__path__[0]
 defined = {}
 for name, module in sys.modules.items():
     if name.partition(".")[0] != "trispinor":
@@ -126,7 +152,11 @@ for name, module in sys.modules.items():
             f = getattr(f, "__func__", getattr(f, "fget", f))
             if isinstance(f, FunctionType) and f.__code__.co_filename.startswith(root):
                 defined[f.__code__] = f"{f.__module__.rpartition('.')[2]}.{f.__qualname__}"
-print(json.dumps([codes, len(defined), sorted(defined[c] for c in set(defined) - called)]))
+lines_ran = {}
+for filename, line in ran:
+    lines_ran.setdefault(Path(filename).stem, []).append(line)
+print(json.dumps([codes, len(defined), sorted(defined[c] for c in set(defined) - called),
+                  {module: sorted(lines) for module, lines in lines_ran.items()}]))
 """
 
 # The functions no run of the corpus calls, each with the reason it stays.
@@ -154,16 +184,83 @@ NAMED = {
 }
 
 
+# The statements no run of the corpus reaches, outside the NAMED functions and
+# error handling, each keyed by its function's qualname and its first source
+# line, with the reason it stays.
+_MATRIX_OPERAND = ("breve(p*q) = -i*breve(p)@breve(q), acceptance criterion c04; "
+                   "every side applies its matrices to a spinor, right to left")
+_VALUE_PROTOCOL = "the value protocol, for a plain tuple or an operand that is not a value"
+NAMED_STATEMENTS = {
+    "spinors.SpinMatrix2.__matmul__: if type(other) is not SpinMatrix2:": _MATRIX_OPERAND,
+    "spinors.SpinMatrix2.__matmul__: return NotImplemented": _MATRIX_OPERAND,
+    "spinors.SpinMatrix2.__matmul__: p, q, r, s, t, u, v, w = other": _MATRIX_OPERAND,
+    "spinors.SpinMatrix2.__matmul__: left, right = self @ Spinor._make((p, q, t, u)), "
+    "self @ Spinor._make((r, s, v, w))": _MATRIX_OPERAND,
+    "spinors.SpinMatrix2.__matmul__: "
+    "return SpinMatrix2._make(left[:2] + right[:2] + left[2:] + right[2:])": _MATRIX_OPERAND,
+    "identities.run_identity: (label, rhs_label), lhs, rhs = next(":
+        "the entry a failing labelled check names: conjugates, norm or matrix_power",
+    "gauss._Exact.__eq__: return False if isinstance(other, tuple) else NotImplemented":
+        _VALUE_PROTOCOL,
+    "gauss._coerce: return None": _VALUE_PROTOCOL,
+    "gauss.rat: x = Fraction(x)": "a float factor, as in Quaternion * 0.5",
+    "__main__: sys.exit(main())": "python -m trispinor runs it, as test_golden's processes do",
+}
+
+
+def _unreached_statements(module: str, source: str, ran: set[int]) -> list[str]:
+    """The statements of a module on none of whose own lines a line event fell,
+    as 'module.qualname: first source line'. A simple statement's own lines are
+    all its lines; a compound statement's are its header, up to its first body
+    statement. Docstrings, def and class are left out (their bodies are not),
+    and raise, every statement of an except body and every statement of a
+    NAMED function are exempt."""
+    text = source.splitlines()
+    unreached = []
+
+    def visit(body: list[ast.stmt], qualname: str, exempt: bool) -> None:
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{qualname}.{stmt.name}"
+                visit(stmt.body, name, exempt or name in NAMED)
+                continue
+            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) \
+                    and isinstance(stmt.value.value, str):
+                continue  # a docstring
+            inner = getattr(stmt, "body", None)
+            own = range(stmt.lineno, max(inner[0].lineno, stmt.lineno + 1) if inner
+                        else stmt.end_lineno + 1)
+            if not (exempt or isinstance(stmt, ast.Raise) or ran.intersection(own)):
+                unreached.append(f"{qualname}: {text[stmt.lineno - 1].strip()}")
+            for field in ("body", "orelse", "finalbody"):
+                visit(getattr(stmt, field, []), qualname, exempt)
+            for handler in getattr(stmt, "handlers", []):
+                visit(handler.body, qualname, True)
+
+    visit(ast.parse(source).body, module, False)
+    return unreached
+
+
 def test_every_function_is_reached_or_named():
+    """Every function of src/trispinor is called by the corpus or NAMED, and
+    every statement runs in it, is error handling or is named."""
     env = {**os.environ, "PYTHONPATH": str(Path(trispinor.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", REACH_SCRIPT], stdout=subprocess.PIPE,
+    sets = json.dumps([output_digest.BRANCH_SETS, output_digest.ALL_ONES_SET])
+    out = subprocess.run([sys.executable, "-c", REACH_SCRIPT, sets], stdout=subprocess.PIPE,
                          text=True, check=True, env=env, timeout=60).stdout
-    codes, defined, unreached = json.loads(out)
+    codes, defined, unreached, ran = json.loads(out)
     # Every command exits 0 but the noisy set's verify and suite, which FAIL.
-    assert codes == [0] * 44 + [1] * 4
+    assert codes == [0] * 44 + [1] * 4 + [0, 1, 0]
     assert defined > 100
     assert unreached == sorted(NAMED)
     assert all(NAMED.values())
+    left = [stmt for path in sorted(Path(trispinor.__file__).parent.glob("*.py"))
+            for stmt in _unreached_statements(path.stem, path.read_text(),
+                                              set(ran.get(path.stem, [])))]
+    assert len(set(left)) == len(left)
+    assert sorted(set(left) - set(NAMED_STATEMENTS)) == []  # unreached, not named
+    assert sorted(set(NAMED_STATEMENTS) - set(left)) == []  # named, yet it ran
+    assert all(NAMED_STATEMENTS.values())
 
 
 def test_every_module_name_is_read_or_exported():

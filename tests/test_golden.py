@@ -11,7 +11,6 @@ tests/test_golden.py` only for an intended change of output.
 """
 
 import contextlib
-import importlib.util
 import io
 import os
 import subprocess
@@ -21,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import output_digest
 from trispinor import (
     THIRD_ORDER_JACOBSTHAL,
     IdentityId,
@@ -88,13 +88,9 @@ def _exact_digest() -> str:
     """tools/output_digest.py's lines for term, quaternion, spinor and genfunc:
     exact rationals alone reach them, so every Python version prints them alike.
     binet's floats, and the reports', go through libm; no golden pins those."""
-    spec = importlib.util.spec_from_file_location(
-        "output_digest", GOLDEN.parent.parent / "tools" / "output_digest.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
     exact = {"term", "quaternion", "spinor", "genfunc"}
-    cases = [argv for argv in tool.corpus(identities) if argv[0] in exact]
-    return "".join(line + "\n" for line in tool.digest(main, cases)[1:])
+    cases = [argv for argv in output_digest.corpus(identities) if argv[0] in exact]
+    return "".join(line + "\n" for line in output_digest.digest(main, cases)[1:])
 
 
 CASES = {

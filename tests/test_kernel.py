@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from trispinor import GaussScalar, Quaternion, SpinMatrix2, Spinor
+from trispinor import GaussScalar, Quaternion, SpinMatrix2, Spinor, qmul
 
 VALUES = [
     GaussScalar(Fraction(1, 2), -3),
@@ -22,7 +22,7 @@ IDS = [type(v).__name__ for v in VALUES]
 # never runs __init__.
 MADE = [
     GaussScalar(Fraction(1, 2), -3) * GaussScalar(Fraction(1, 3), 1),
-    Quaternion(1, Fraction(-2, 3), 0, 4) * Quaternion(0, 1, 2, 3),
+    qmul(Quaternion(1, Fraction(-2, 3), 0, 4), Quaternion(0, 1, 2, 3)),
     SpinMatrix2(1, 2, 3, GaussScalar(0, 1)) @ Spinor(GaussScalar(2, 1), 5),
     SpinMatrix2(GaussScalar(0, 1), 2, GaussScalar(Fraction(3, 4), -1), 0) @ SpinMatrix2(1, 2, 3, 4),
 ]
@@ -123,7 +123,7 @@ def test_constructor_coerces_exactly():
 
 def test_arithmetic_keeps_exact_component_types():
     q = Quaternion(1, 2, 3, 4)
-    for result in (q + q, q - q, -q, 2 * q, q * q):
+    for result in (q + q, q - q, -q, 2 * q, qmul(q, q)):
         _assert_exact(*tuple(result))
     third = q * Fraction(1, 3)
     _assert_exact(*tuple(third))
@@ -168,6 +168,8 @@ def test_operands_of_other_types_are_refused():
         Quaternion(1, 2, 3)
     with pytest.raises(TypeError):
         Spinor(0.5, 1)
+    with pytest.raises(TypeError):
+        Quaternion(1, 2, 3, 4) * Quaternion(1, 2, 3, 4)
     for other in (2, Quaternion(1, 2, 3, 4)):
         with pytest.raises(TypeError):
             SpinMatrix2(1, 2, 3, 4) @ other
